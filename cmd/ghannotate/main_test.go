@@ -35,11 +35,11 @@ func TestDedupAcrossConcatenatedArrays(t *testing.T) {
 	// absolute path under the workspace while the first is already relative —
 	// dedup happens after relativization, so they still collapse.
 	in := `[
-		{"file": "pkg/a.go", "line": 5, "col": 1, "analyzer": "lockorder", "message": "lock held across I/O"}
+		{"file": "pkg/a.go", "line": 5, "col": 1, "analyzer": "poolown", "message": "pooled buffer leaks on a return path"}
 	]
 	[
-		{"file": "/repo/pkg/a.go", "line": 5, "col": 1, "analyzer": "lockorder", "message": "lock held across I/O"},
-		{"file": "/repo/pkg/b.go", "line": 9, "col": 2, "analyzer": "shardiso", "message": "cross-shard write"}
+		{"file": "/repo/pkg/a.go", "line": 5, "col": 1, "analyzer": "poolown", "message": "pooled buffer leaks on a return path"},
+		{"file": "/repo/pkg/b.go", "line": 9, "col": 2, "analyzer": "hotalloc", "message": "allocation in a hot path"}
 	]`
 	var out, errw strings.Builder
 	if code := run(strings.NewReader(in), &out, &errw, "/repo"); code != 1 {

@@ -10,14 +10,6 @@
 //	skipit-bench [-fig 9|10|...|16|ablations|all | comma list, e.g. -fig 9,13]
 //	             [-quick] [-csv] [-jobs N] [-out DIR] [-force]
 //	             [-baseline FILE] [-gate PCT] [-metrics-dir DIR] [-http ADDR]
-//	             [-fleet URL]
-//
-// -fleet URL submits the sweep to a skipit-sweepd coordinator instead of
-// running it in process; if the coordinator is unreachable (at submit or
-// mid-run) the remaining jobs transparently downgrade to the local runner.
-// Output is byte-identical either way. The workers must be built from the
-// same tree with the same -quick setting — drifted builds refuse jobs by
-// fingerprint. See README.md ("Distributed sweeps").
 //
 // -quick shrinks sweep sizes and operation counts so the full set completes
 // in well under a minute; -csv emits machine-readable rows (figure,series,
@@ -53,7 +45,6 @@ import (
 	"skipit/internal/introspect"
 	"skipit/internal/metrics"
 	"skipit/internal/sweep"
-	"skipit/internal/sweepd"
 )
 
 // onOff is a boolean flag.Value that also accepts the spellings on/off.
@@ -99,14 +90,11 @@ func run() int {
 	gate := flag.Float64("gate", 10, "regression tolerance in percent (with -baseline)")
 	metricsDir := flag.String("metrics-dir", "", "write per-figure metrics sidecar JSON files into this directory")
 	httpAddr := flag.String("http", "", "serve live sweep introspection on this address (e.g. localhost:6060; empty disables)")
-	fleetURL := flag.String("fleet", "", "run the sweep through a skipit-sweepd coordinator at this base URL (e.g. http://127.0.0.1:7070); falls back in process if unreachable")
 	fastForward := onOff(true)
 	flag.Var(&fastForward, "fast-forward", "next-event clock: on skips provably idle cycles, off single-steps (results are identical)")
-	parallel := flag.Int("parallel", 0, "deterministic parallel stepping with N workers per measurement (0 = serial; measured cycles are bit-identical)")
 	flag.Parse()
 
 	bench.FastForward = bool(fastForward)
-	bench.Parallel = *parallel
 
 	if *quick {
 		bench.SetQuick()
@@ -172,29 +160,7 @@ func run() int {
 		runner.Progress = sweepPublisher(srv, len(allJobs))
 		fmt.Fprintf(os.Stderr, "introspection server on http://%s (/metrics /snapshot /events)\n", srv.Addr())
 	}
-	var results []sweep.JobResult
-	if *fleetURL != "" {
-		// Distributed mode: submit the sweep to a skipit-sweepd coordinator.
-		// The in-process runner stays wired up as the degradation path — a
-		// dead fleet costs wall time, never results. Records are
-		// deterministic and land in the local store in submission order, so
-		// the BENCH_*.json output is byte-identical to an in-process run.
-		if *metricsDir != "" {
-			fmt.Fprintln(os.Stderr, "note: -metrics-dir sidecars only cover jobs that run in process; fleet workers return records, not snapshots")
-		}
-		fleet := sweepd.Fleet{
-			Client:   sweepd.NewClient(*fleetURL),
-			Fallback: runner,
-			Store:    store,
-			Force:    *force,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		}
-		results = fleet.Run(allJobs)
-	} else {
-		results = runner.Run(allJobs)
-	}
+	results := runner.Run(allJobs)
 
 	exit := 0
 	if *csv {

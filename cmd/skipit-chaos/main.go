@@ -43,22 +43,21 @@ func main() {
 	out := flag.String("out", ".", "directory for .chaos.json repro artifacts")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel workers")
 	replay := flag.String("replay", "", "replay a .chaos.json artifact instead of fuzzing")
-	parallel := flag.Int("parallel", 0, "deterministic parallel stepping per run with N workers (0 = serial; verdicts are identical)")
 	verbose := flag.Bool("v", false, "per-case log lines")
 	flag.Parse()
 
 	if *replay != "" {
-		os.Exit(replayFile(*replay, *parallel, *verbose))
+		os.Exit(replayFile(*replay, *verbose))
 	}
 	os.Exit(fuzz(*runs, *seed, *cores, *faults, *progLen, *cycleLimit, *watchdog,
-		*shrinkRuns, *out, *jobs, *parallel, *verbose))
+		*shrinkRuns, *out, *jobs, *verbose))
 }
 
 // fuzz runs cases seed..seed+runs-1 across a worker pool. Each case is an
 // independent pure function of its seed, so parallelism never changes
 // results.
 func fuzz(runs int, seed int64, cores, faults, progLen int, cycleLimit, watchdog int64,
-	shrinkRuns int, out string, jobs, parallel int, verbose bool) int {
+	shrinkRuns int, out string, jobs int, verbose bool) int {
 	if jobs < 1 {
 		jobs = 1
 	}
@@ -86,8 +85,7 @@ func fuzz(runs int, seed int64, cores, faults, progLen int, cycleLimit, watchdog
 					CycleLimit:    cycleLimit,
 					WatchdogLimit: watchdog,
 				}
-				in := chaos.BuildInput(c)
-				fail, st := chaos.RunInputParallel(in, parallel)
+				fail, st, in := chaos.Run(c)
 				mu.Lock()
 				agg.FaultsInjected += st.FaultsInjected
 				agg.EccFlips += st.EccFlips
@@ -137,7 +135,7 @@ func fuzz(runs int, seed int64, cores, faults, progLen int, cycleLimit, watchdog
 
 // replayFile re-executes a .chaos.json artifact and compares the outcome with
 // what the artifact recorded. Exit 0 iff they agree.
-func replayFile(path string, parallel int, verbose bool) int {
+func replayFile(path string, verbose bool) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatalf("replay: %v", err)
@@ -151,7 +149,7 @@ func replayFile(path string, parallel int, verbose bool) int {
 		log.Fatalf("replay: %v", err)
 	}
 	fmt.Printf("replaying %s: %s\n", path, repro.Summary())
-	fail, st := chaos.RunInputParallel(in, parallel)
+	fail, st := chaos.RunInput(in)
 	switch {
 	case fail == nil && repro.Failure == nil:
 		fmt.Printf("ok: run clean, as recorded (%d cycles)\n", st.Cycles)

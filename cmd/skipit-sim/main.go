@@ -87,7 +87,6 @@ func main() {
 	httpAddr := flag.String("http", "", "serve live introspection endpoints on this address (e.g. localhost:6060; empty disables)")
 	publishInterval := flag.Int64("publish-interval", 5000, "cycles between snapshot publishes to the -http server")
 	recorderDepth := flag.Int("recorder", 0, "arm a flight recorder holding the last N events per component (0 disables)")
-	parallel := flag.Int("parallel", 0, "deterministic parallel stepping with N workers (0 = serial; results are bit-identical)")
 	fastForward := onOff(true)
 	flag.Var(&fastForward, "fast-forward", "next-event clock: on skips provably idle cycles, off single-steps (results are identical)")
 	flag.Parse()
@@ -103,7 +102,6 @@ func main() {
 
 	cfg := sim.DefaultConfig(*cores)
 	cfg.L1.Flush.SkipIt = *skipIt
-	cfg.Parallel = *parallel
 	s := sim.New(cfg)
 	s.SetFastForward(bool(fastForward))
 	if *recorderDepth > 0 {
@@ -226,19 +224,6 @@ func printHostStats(s *sim.System) {
 	reg := s.Metrics()
 	hits := reg.Counter("pool", "hits").Value()
 	misses := reg.Counter("pool", "misses").Value()
-	// In parallel mode each shard fast-forwards independently, so the
-	// counter holds shard-cycles and the ratio normalizes by Now()*shards.
-	if shards := s.Shards(); shards > 0 {
-		line := fmt.Sprintf("host: %d cycles simulated, %d shard-cycles fast-forwarded", s.Now(), s.SkippedCycles())
-		if s.Now() > 0 {
-			line += fmt.Sprintf(" (%.1f%%)", 100*float64(s.SkippedCycles())/float64(uint64(shards)*uint64(s.Now())))
-		}
-		if hits+misses > 0 {
-			line += fmt.Sprintf(", pool hit-rate %.1f%%", 100*float64(hits)/float64(hits+misses))
-		}
-		fmt.Println(line)
-		return
-	}
 	line := fmt.Sprintf("host: %d cycles simulated, %d fast-forwarded", s.Now(), s.SkippedCycles())
 	if s.Now() > 0 {
 		line += fmt.Sprintf(" (%.1f%%)", 100*float64(s.SkippedCycles())/float64(s.Now()))

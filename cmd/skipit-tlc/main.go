@@ -43,22 +43,21 @@ func main() {
 	out := flag.String("out", ".", "directory for .tlc.json repro artifacts")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel workers")
 	replay := flag.String("replay", "", "replay a .tlc.json artifact instead of fuzzing")
-	parallel := flag.Int("parallel", 0, "deterministic parallel stepping per episode with N workers (0 = serial; verdicts are identical)")
 	verbose := flag.Bool("v", false, "per-episode log lines")
 	flag.Parse()
 
 	if *replay != "" {
-		os.Exit(replayFile(*replay, *parallel, *verbose))
+		os.Exit(replayFile(*replay, *verbose))
 	}
 	os.Exit(fuzz(*episodes, *seed, *agents, *ops, *faults, *addrs,
-		*cycleLimit, *watchdog, *shrinkRuns, *out, *jobs, *parallel, *verbose))
+		*cycleLimit, *watchdog, *shrinkRuns, *out, *jobs, *verbose))
 }
 
 // fuzz runs episodes seed..seed+episodes-1 across a worker pool. Each episode
 // is an independent pure function of its seed, so parallelism never changes
 // results.
 func fuzz(episodes int, seed int64, agents, ops, faults, addrs int,
-	cycleLimit, watchdog int64, shrinkRuns int, out string, jobs, parallel int, verbose bool) int {
+	cycleLimit, watchdog int64, shrinkRuns int, out string, jobs int, verbose bool) int {
 	if jobs < 1 {
 		jobs = 1
 	}
@@ -87,8 +86,7 @@ func fuzz(episodes int, seed int64, agents, ops, faults, addrs int,
 					CycleLimit:    cycleLimit,
 					WatchdogLimit: watchdog,
 				}
-				script := tlctest.BuildScript(p)
-				fail, st := tlctest.RunScriptParallel(script, parallel)
+				script, fail, st := tlctest.Run(p)
 				mu.Lock()
 				agg.Cycles += st.Cycles
 				agg.Acquires += st.Acquires
@@ -141,14 +139,14 @@ func fuzz(episodes int, seed int64, agents, ops, faults, addrs int,
 
 // replayFile re-executes a .tlc.json artifact and compares the outcome with
 // what the artifact recorded. Exit 0 iff they agree.
-func replayFile(path string, parallel int, verbose bool) int {
+func replayFile(path string, verbose bool) int {
 	rep, err := tlctest.LoadRepro(path)
 	if err != nil {
 		log.Fatalf("replay: %v", err)
 	}
 	fmt.Printf("replaying %s: %d agents, %d ops, %d faults\n",
 		path, rep.Script.Agents, len(rep.Script.Ops), len(rep.Script.Schedule.Faults))
-	fail, st := tlctest.RunScriptParallel(rep.Script, parallel)
+	fail, st := tlctest.RunScript(rep.Script)
 	switch {
 	case fail == nil && rep.Failure == nil:
 		fmt.Printf("ok: run clean, as recorded (%d cycles)\n", st.Cycles)

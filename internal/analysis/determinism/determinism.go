@@ -16,29 +16,13 @@
 //     *rand.Rand from an explicit seed (rand.New(rand.NewSource(seed))).
 //   - goroutine launches. The cycle loop is single-threaded by design;
 //     host-side concurrency belongs in internal/sweep. (Skipped in _test.go
-//     files, where harness goroutines are routine.) The one sanctioned
-//     exception is the PDES scheduler (-schedulers; defaults to
-//     internal/pdes): there, a goroutine may be waived line by line with a
-//     //skipit:parallel-scheduler <reason> directive, trailing on the go
-//     statement or alone on the line above it. The directive is inert in
-//     every other package — annotating a goroutine in a component package
-//     like internal/l1 reports both the goroutine and the misplaced
-//     directive, so the waiver can never creep past the scheduler boundary.
+//     files, where harness goroutines are routine.)
 //   - order-sensitive map iteration: a `range` over a map whose body writes
 //     to the ranged map itself, appends to an outer slice with no sort
 //     following the loop, sends on a channel, accumulates floats or strings,
 //     or writes to an io.Writer/strings.Builder. Map iteration order is
 //     deliberately randomized by the runtime, so each of these effects can
 //     differ run to run.
-//
-// Service-tier packages (-service; defaults to sweepd, introspect, sweep) are
-// always exempt, even when a fragment in -pkgs would match them: the sweep
-// coordinator, its workers and the introspection server live on the host
-// side of the determinism boundary, where wall clocks (lease deadlines,
-// heartbeats, backoff timers) and goroutines are the point, not a bug. The
-// exclusion wins over the inclusion so widening -pkgs can never silently
-// drag a service package under simulator rules — the boundary is the
-// simulator/service split, not the flag order.
 package determinism
 
 import (
@@ -64,36 +48,22 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // pkgs is the comma-separated list of import-path fragments that mark a
-// package as part of the deterministic simulator core; see matches for the
-// fragment rules.
-var pkgs = "internal/boom,internal/l1,internal/l2,internal/mem,internal/tilelink,internal/sim,internal/memsim,internal/linepool,internal/chaos,internal/detrand,internal/tlctest,internal/pdes"
-
-// service is the comma-separated list of import-path fragments that mark a
-// package as host-side service code (the sweepd coordinator/worker fleet,
-// the introspection server, the sweep runner). Matching packages are exempt
-// from the simulator rules regardless of -pkgs: the exclusion always wins.
-var service = "internal/sweepd,internal/introspect,internal/sweep"
-
-// schedulers is the comma-separated list of import-path fragments naming the
-// PDES scheduler packages — the only place a //skipit:parallel-scheduler
-// directive can waive the goroutine ban. The scheduler still lives under
-// the simulator rules for everything else (wall clocks, global rand, map
-// ranges); the waiver is per-line and goroutine-only.
-var schedulers = "internal/pdes"
+// package as part of the deterministic simulator core. A package is in
+// scope when its import path ends with a fragment or contains it as an
+// interior path segment (so fixture trees mirroring the real layout under
+// testdata/src/ are matched too).
+var pkgs = "internal/boom,internal/l1,internal/l2,internal/mem,internal/tilelink,internal/sim,internal/memsim,internal/linepool,internal/chaos,internal/detrand,internal/tlctest"
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs", pkgs, "comma-separated import-path fragments of deterministic simulator packages")
-	Analyzer.Flags.StringVar(&service, "service", service, "comma-separated import-path fragments of host-side service packages, always exempt (wins over -pkgs)")
-	Analyzer.Flags.StringVar(&schedulers, "schedulers", schedulers, "comma-separated import-path fragments of PDES scheduler packages where //skipit:parallel-scheduler may waive goroutines")
 }
 
-// matches reports whether path matches any fragment of the comma-separated
-// list: an exact match, a trailing path segment, or an interior path segment
-// (so fixture trees mirroring the real layout under testdata/src/ are
-// matched too). Fragment boundaries are whole segments — "internal/sweep"
-// does not match "internal/sweepd".
-func matches(path, list string) bool {
-	for _, frag := range strings.Split(list, ",") {
+// InScope reports whether path is one of the simulator packages. Exported
+// for detflow, which shares the determinism analyzer's scope definition
+// (including any -determinism.pkgs override) so the two rule sets can never
+// disagree about where the simulator boundary lies.
+func InScope(path string) bool {
+	for _, frag := range strings.Split(pkgs, ",") {
 		frag = strings.TrimSpace(frag)
 		if frag == "" {
 			continue
@@ -103,15 +73,6 @@ func matches(path, list string) bool {
 		}
 	}
 	return false
-}
-
-// InScope reports whether path is held to the simulator rules: listed in
-// -pkgs and not excluded as a -service package. Exported for detflow, which
-// shares the determinism analyzer's scope definition (including any
-// -determinism.pkgs/-determinism.service overrides) so the two rule sets can
-// never disagree about where the simulator/service boundary lies.
-func InScope(path string) bool {
-	return matches(path, pkgs) && !matches(path, service)
 }
 
 // wallClockFuncs are the time package functions that read the host clock.
@@ -130,7 +91,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	waived := schedulerWaivers(pass, pass.Report)
 
 	isTestFile := func(pos token.Pos) bool {
 		return strings.HasSuffix(pass.Fset.Position(pos).Filename, "_test.go")
@@ -141,7 +101,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		case *ast.CallExpr:
 			checkCall(pass, n)
 		case *ast.GoStmt:
-			if p := pass.Fset.Position(n.Pos()); !isTestFile(n.Pos()) && !waived[fileLine{p.Filename, p.Line}] {
+			if !isTestFile(n.Pos()) {
 				pass.Report(analysis.Diagnostic{
 					Pos:     n.Pos(),
 					Message: "goroutine launched in a simulator package: the cycle loop is single-threaded; host-side concurrency belongs in internal/sweep",
@@ -154,89 +114,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	})
 	return nil, nil
-}
-
-// schedulerPrefix is the goroutine-waiver directive marker. Like //go:
-// directives it must start the comment with no space after the slashes.
-const schedulerPrefix = "//skipit:parallel-scheduler"
-
-// fileLine keys a waived source line.
-type fileLine struct {
-	file string
-	line int
-}
-
-// SchedulerWaived returns a predicate for positions whose go statements are
-// waived by a well-formed //skipit:parallel-scheduler directive in a
-// -schedulers package. detflow uses it to keep sanctioned scheduler
-// goroutines out of the taint seed; malformed directives are NOT re-reported
-// here (that is the determinism analyzer's job).
-func SchedulerWaived(pass *analysis.Pass) func(token.Pos) bool {
-	waived := schedulerWaivers(pass, func(analysis.Diagnostic) {})
-	return func(pos token.Pos) bool {
-		p := pass.Fset.Position(pos)
-		return waived[fileLine{p.Filename, p.Line}]
-	}
-}
-
-// schedulerWaivers collects the //skipit:parallel-scheduler directives of the
-// package and returns the lines whose go statements they waive. Only
-// well-formed directives (with a reason) in a -schedulers package waive
-// anything; a reasonless directive and a directive outside the scheduler
-// packages are reported through report (the determinism run passes
-// pass.Report; SchedulerWaived passes a no-op so the findings are not
-// duplicated), and the goroutine finding they sit on surfaces as usual. A
-// trailing directive covers its own line, a standalone one the line below —
-// the waiver is per-line and goroutine-only, mirroring //skipit:ignore.
-func schedulerWaivers(pass *analysis.Pass, report func(analysis.Diagnostic)) map[fileLine]bool {
-	inScheduler := matches(pass.Pkg.Path(), schedulers)
-	waived := make(map[fileLine]bool)
-	for _, f := range pass.Files {
-		// Classify each directive as trailing (code shares its line) or
-		// standalone, the same way suppress does.
-		codeOn := make(map[int]bool)
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil || !n.Pos().IsValid() {
-				return true
-			}
-			if _, ok := n.(*ast.Comment); ok {
-				return true
-			}
-			if _, ok := n.(*ast.CommentGroup); ok {
-				return true
-			}
-			codeOn[pass.Fset.Position(n.Pos()).Line] = true
-			return true
-		})
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				reason, ok := strings.CutPrefix(c.Text, schedulerPrefix)
-				if !ok || (reason != "" && reason[0] != ' ' && reason[0] != '\t') {
-					continue
-				}
-				switch {
-				case strings.TrimSpace(reason) == "":
-					report(analysis.Diagnostic{
-						Pos:     c.Pos(),
-						Message: "skipit:parallel-scheduler directive needs a reason: //skipit:parallel-scheduler <why this goroutine is part of the deterministic scheduler>",
-					})
-				case !inScheduler:
-					report(analysis.Diagnostic{
-						Pos:     c.Pos(),
-						Message: "skipit:parallel-scheduler has no effect outside scheduler packages (-schedulers): component packages stay single-threaded",
-					})
-				default:
-					pos := pass.Fset.Position(c.Pos())
-					if codeOn[pos.Line] {
-						waived[fileLine{pos.Filename, pos.Line}] = true
-					} else {
-						waived[fileLine{pos.Filename, pos.Line + 1}] = true
-					}
-				}
-			}
-		}
-	}
-	return waived
 }
 
 // checkCall flags wall-clock reads and global-rand calls.

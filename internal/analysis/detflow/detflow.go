@@ -4,14 +4,14 @@
 //
 // The determinism analyzer is syntactic and per-function — it rejects a
 // wall-clock read *written inside* a simulator package, but a helper two
-// calls away in a service-tier package (where clocks are legal) that leaks
-// host time back into `internal/sim` passes it silently. detflow closes that
-// gap with bottom-up function summaries:
+// calls away in a package outside that scope (where clocks are legal) that
+// leaks host time back into `internal/sim` passes it silently. detflow
+// closes that gap with bottom-up function summaries:
 //
 //  1. Every function anywhere in the program whose body contains an unwaived
 //     nondeterminism source — a wall-clock read, a global math/rand call, a
-//     goroutine launch (outside //skipit:parallel-scheduler waivers and
-//     _test.go files), or an order-sensitive map range — is tainted.
+//     goroutine launch (outside _test.go files), or an order-sensitive map
+//     range — is tainted.
 //  2. Taint propagates bottom-up over the static call graph
 //     (internal/analysis/callsum): a function that calls a tainted function
 //     is tainted. Across package boundaries the taint travels as a Tainted
@@ -19,13 +19,13 @@
 //     source, so a diagnostic three packages away can still name the exact
 //     time.Now that caused it.
 //  3. Findings: a call into a tainted function from (a) a package in the
-//     determinism analyzer's simulator scope (same -pkgs/-service lists,
-//     service exclusion wins), or (b) a //skipit:hotpath function in any
-//     package. The diagnostic prints the witness chain.
+//     determinism analyzer's simulator scope (same -pkgs list), or (b) a
+//     //skipit:hotpath function in any package. The diagnostic prints the
+//     witness chain.
 //
 // Sources whose lines carry a //skipit:ignore determinism or
 // //skipit:ignore detflow waiver do not taint: the human already certified
-// the value never reaches simulated state (the pdes engine's sampled shard
+// the value never reaches simulated state (the System's host-throughput
 // timers are the canonical case). Sources in _test.go files do not taint
 // either — test compilation units cannot be linked into the simulator.
 //
@@ -63,7 +63,7 @@ const chainMax = 8
 
 // Tainted marks a function that transitively reaches a nondeterminism
 // source. Chain is the witness call path, outermost callee first, ending at
-// the source description (e.g. "time.Now at coord.go:117").
+// the source description (e.g. "time.Now at sim.go:313").
 type Tainted struct {
 	Chain []string
 }
@@ -79,7 +79,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	detWaived := suppress.CoveredLines(pass, determinism.Analyzer.Name)
 	flowWaived := suppress.CoveredLines(pass, pass.Analyzer.Name)
-	schedWaived := determinism.SchedulerWaived(pass)
 	waived := func(pos token.Pos) bool { return detWaived(pos) || flowWaived(pos) }
 
 	// Seed: functions whose own bodies contain an unwaived source.
@@ -88,7 +87,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if fi.TestFile || fi.Decl.Body == nil {
 			continue
 		}
-		if src := directSource(pass, fi, waived, schedWaived); src != "" {
+		if src := directSource(pass, fi, waived); src != "" {
 			tainted[fi] = &Tainted{Chain: []string{src}}
 		}
 	}
@@ -161,8 +160,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 }
 
 // directSource scans one function body for an unwaived nondeterminism
-// source, returning its chain entry ("time.Now at engine.go:267") or "".
-func directSource(pass *analysis.Pass, fi *callsum.FuncInfo, waived, schedWaived func(token.Pos) bool) string {
+// source, returning its chain entry ("time.Now at sim.go:313") or "".
+func directSource(pass *analysis.Pass, fi *callsum.FuncInfo, waived func(token.Pos) bool) string {
 	var src string
 	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
 		if src != "" {
@@ -174,7 +173,7 @@ func directSource(pass *analysis.Pass, fi *callsum.FuncInfo, waived, schedWaived
 				src = fmt.Sprintf("%s at %s", desc, callsum.ShortPos(pass.Fset, n.Pos()))
 			}
 		case *ast.GoStmt:
-			if !waived(n.Pos()) && !schedWaived(n.Pos()) {
+			if !waived(n.Pos()) {
 				src = fmt.Sprintf("goroutine launch at %s", callsum.ShortPos(pass.Fset, n.Pos()))
 			}
 		case *ast.RangeStmt:

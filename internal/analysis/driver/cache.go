@@ -18,8 +18,8 @@
 //   - the toolchain version (standard-library facts and type identities);
 //   - the set of root analyzers by name;
 //   - the package's own source files, byte for byte — which also covers
-//     //skipit:ignore and //skipit:shard-owned directives, since they live
-//     in those bytes;
+//     //skipit:ignore and //skipit:hotpath directives, since they live in
+//     those bytes;
 //   - the keys of every non-standard dependency, so a fact change deep in
 //     the tree re-keys every importer transitively (the whack-a-mole
 //     property: waiving a callee site re-seeds importer summaries, and this

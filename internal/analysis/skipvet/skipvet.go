@@ -1,8 +1,8 @@
 // Package skipvet assembles the skipit-vet analyzer suite: the analyzers
-// that statically enforce the simulator's determinism, zero-alloc, ownership,
-// shard-isolation and lock-discipline invariants. cmd/skipit-vet runs exactly
-// this list; tests and future tools should import it rather than enumerating
-// analyzers themselves so the suite cannot drift between entry points.
+// that statically enforce the simulator's determinism, zero-alloc and
+// ownership invariants. cmd/skipit-vet runs exactly this list; tests and
+// future tools should import it rather than enumerating analyzers
+// themselves so the suite cannot drift between entry points.
 package skipvet
 
 import (
@@ -10,11 +10,9 @@ import (
 	"skipit/internal/analysis/determinism"
 	"skipit/internal/analysis/detflow"
 	"skipit/internal/analysis/hotalloc"
-	"skipit/internal/analysis/lockorder"
 	"skipit/internal/analysis/metricname"
 	"skipit/internal/analysis/nextevent"
 	"skipit/internal/analysis/poolown"
-	"skipit/internal/analysis/shardiso"
 	"skipit/internal/analysis/staleignore"
 )
 
@@ -27,8 +25,6 @@ var Analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	detflow.Analyzer,
 	hotalloc.Analyzer,
-	shardiso.Analyzer,
-	lockorder.Analyzer,
 	poolown.Analyzer,
 	nextevent.Analyzer,
 	metricname.Analyzer,

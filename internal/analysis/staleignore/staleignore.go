@@ -5,9 +5,9 @@
 // The waiver audit trail only works if every directive in the tree still
 // corresponds to a live, consciously-suppressed diagnostic. When the code
 // under a waiver is rewritten — the allocation removed, the clock read
-// deleted, the lock reordered — the directive rots: it documents a decision
-// about code that no longer exists, and it will silently swallow the NEXT
-// diagnostic that happens to land on its line. This analyzer requires every
+// deleted — the directive rots: it documents a decision about code that no
+// longer exists, and it will silently swallow the NEXT diagnostic that
+// happens to land on its line. This analyzer requires every
 // other analyzer in the suite (so they have all run over the package by the
 // time it executes), then asks the suppress layer which directives actually
 // suppressed something; well-formed directives that never fired are
@@ -28,11 +28,9 @@ import (
 	"skipit/internal/analysis/determinism"
 	"skipit/internal/analysis/detflow"
 	"skipit/internal/analysis/hotalloc"
-	"skipit/internal/analysis/lockorder"
 	"skipit/internal/analysis/metricname"
 	"skipit/internal/analysis/nextevent"
 	"skipit/internal/analysis/poolown"
-	"skipit/internal/analysis/shardiso"
 	"skipit/internal/analysis/suppress"
 )
 
@@ -45,8 +43,6 @@ var Analyzer = &analysis.Analyzer{
 		determinism.Analyzer,
 		detflow.Analyzer,
 		hotalloc.Analyzer,
-		shardiso.Analyzer,
-		lockorder.Analyzer,
 		poolown.Analyzer,
 		nextevent.Analyzer,
 		metricname.Analyzer,

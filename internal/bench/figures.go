@@ -7,10 +7,9 @@ import "skipit/internal/sweep"
 // builder that decomposes it into fingerprinted sweep jobs.
 //
 // The table lives here — not in cmd/skipit-bench — because it is the shared
-// job vocabulary of every executor: the bench CLI builds jobs from it to run
-// (or submit to a fleet), and a sweepd worker builds the same table to
-// resolve leased job specs back to closures. Both sides compiling the same
-// builders is what makes the fingerprint interlock meaningful.
+// job vocabulary of every executor: the bench CLI and the host-speed
+// benchmark both build their jobs from it, so the same builders produce the
+// same fingerprints everywhere.
 type Figure struct {
 	Token string // -fig selector ("9", "ablations")
 	Group string // result-store group / sidecar name ("fig09")
@@ -73,10 +72,9 @@ func Figures() []Figure {
 	}
 }
 
-// SetQuick shrinks the sweep knobs for a fast pass. Every executor in a
-// fleet must agree on this setting: the knobs feed the job fingerprints, so
-// a -quick client against full-size workers fails closed with
-// fingerprint-mismatch instead of mixing measurements.
+// SetQuick shrinks the sweep knobs for a fast pass. The knobs feed the job
+// fingerprints, so quick and full-size records never satisfy each other's
+// store hits or gate comparisons.
 func SetQuick() {
 	Reps = 1
 	Sizes = []uint64{64, 1024, 4096, 32768}
@@ -85,7 +83,7 @@ func SetQuick() {
 }
 
 // FigureJobs builds every job of the selected figures (nil tokens = all), in
-// figure order — the canonical flat job list a worker indexes.
+// figure order.
 func FigureJobs(quick bool, tokens map[string]bool) []sweep.Job {
 	var jobs []sweep.Job
 	for _, f := range Figures() {

@@ -36,17 +36,8 @@ const runLimit = 20_000_000
 // the committed BENCH_*.json stores prove it at tolerance 0.
 var FastForward = true
 
-// Parallel is the deterministic-parallel worker count applied to every
-// cycle-accurate measurement system (cmd/skipit-bench's -parallel flag;
-// 0 runs serially). Like FastForward it changes host time only: measured
-// cycle counts and snapshots are bit-identical for every worker count, and
-// the tolerance-0 bench gate holds with it on.
-var Parallel = 0
-
-// newSystem builds a measurement system honoring the FastForward and
-// Parallel switches.
+// newSystem builds a measurement system honoring the FastForward switch.
 func newSystem(cfg sim.Config) *sim.System {
-	cfg.Parallel = Parallel
 	s := sim.New(cfg)
 	s.SetFastForward(FastForward)
 	return s

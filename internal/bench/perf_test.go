@@ -94,7 +94,7 @@ func BenchmarkStep(b *testing.B) {
 // preallocated slot.
 func BenchmarkStepRecorder(b *testing.B) {
 	s := sim.New(sim.DefaultConfig(1))
-	s.SetFastForward(false)               // measure the honest per-cycle cost
+	s.SetFastForward(false) // measure the honest per-cycle cost
 	s.EnableFlightRecorder(64)
 	runSteadyState(s, 2*len(steadyProgs)) // warm the pool and DRAM backing store
 	b.ReportAllocs()
@@ -216,16 +216,11 @@ func benchmarkIdleHeavy(b *testing.B, ff bool) {
 func BenchmarkIdleHeavy(b *testing.B)     { benchmarkIdleHeavy(b, true) }
 func BenchmarkIdleHeavyNoFF(b *testing.B) { benchmarkIdleHeavy(b, false) }
 
-// --- Deterministic-parallel (PDES) host-throughput benchmarks ---
-//
-// The serial/parallel pairs below produce bit-identical simulated results
-// (see internal/sim/parallel_test.go); what they measure is host throughput.
-// The committed speedup note lives in testdata/PARALLEL_SPEEDUP.md and the
-// README Performance section quotes the dense 4-core pair.
+// --- Dense multi-core host-throughput benchmarks ---
 
 // denseWorkload is stepWorkload scaled to 16 KiB regions: long enough that
-// the per-Run fixed cost (program setup, the engine Session's worker
-// launches) amortizes to nothing against the cycles it covers.
+// the per-Run fixed cost (program setup) amortizes to nothing against the
+// cycles it covers.
 func denseWorkload(rep int) *isa.Program {
 	b := isa.NewBuilder()
 	base := uint64(0x1000 + rep*0x40000)
@@ -241,8 +236,7 @@ func denseWorkload(rep int) *isa.Program {
 }
 
 // denseProgs returns one dense workload per core on disjoint 256 KiB-spaced
-// regions: every core is busy storing, flushing, and reloading at once — the
-// dense shape where sharding pays.
+// regions: every core is busy storing, flushing, and reloading at once.
 func denseProgs(cores, rep int) []*isa.Program {
 	progs := make([]*isa.Program, cores)
 	for c := range progs {
@@ -263,14 +257,11 @@ func runDense(s *sim.System, rotation [][]*isa.Program, rounds int) int64 {
 	return s.Now() - start
 }
 
-// benchmarkDense4 is the 4-core dense figure quoted in the README: the same
-// warmed system and workload rotation, stepped serially (parallel=0) or with
-// PDES workers.
-func benchmarkDense4(b *testing.B, parallel int) {
-	cfg := sim.DefaultConfig(4)
-	cfg.Parallel = parallel
+// BenchmarkDense4Core is the 4-core dense figure quoted in the README: one
+// warmed system stepping a fixed workload rotation.
+func BenchmarkDense4Core(b *testing.B) {
 	rotation := [][]*isa.Program{denseProgs(4, 0), denseProgs(4, 1)}
-	s := sim.New(cfg)
+	s := sim.New(sim.DefaultConfig(4))
 	runDense(s, rotation, 2*len(rotation)) // warm the pools and DRAM backing store
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -281,64 +272,11 @@ func benchmarkDense4(b *testing.B, parallel int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
 }
 
-func BenchmarkDense4Core(b *testing.B)         { benchmarkDense4(b, 0) }
-func BenchmarkDense4CoreParallel(b *testing.B) { benchmarkDense4(b, 4) }
-
-// benchmarkRunFigure4 measures a real 4-thread Fig. 9 evaluation point end
-// to end through the sweep runner, serial versus parallel.
-func benchmarkRunFigure4(b *testing.B, parallel int) {
-	old := Parallel
-	Parallel = parallel
-	defer func() { Parallel = old }()
+// BenchmarkRunFigure4Core measures a real 4-thread Fig. 9 evaluation point
+// end to end through the sweep runner.
+func BenchmarkRunFigure4Core(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		SweepOnce(nil, 1<<18, 4, true)
-	}
-}
-
-func BenchmarkRunFigure4Core(b *testing.B)         { benchmarkRunFigure4(b, 0) }
-func BenchmarkRunFigure4CoreParallel(b *testing.B) { benchmarkRunFigure4(b, 4) }
-
-// BenchmarkStepParallel is BenchmarkStep with PDES stepping on (a one-core
-// system shards into core+hub, so this is the smallest parallel pipeline).
-// CI holds its allocs/op to the same committed baseline as BenchmarkStep:
-// windowed stepping must stay allocation-free once the pools are warm.
-func BenchmarkStepParallel(b *testing.B) {
-	cfg := sim.DefaultConfig(1)
-	cfg.Parallel = 2
-	s := sim.New(cfg)
-	s.SetFastForward(false)               // measure the honest per-cycle cost
-	runSteadyState(s, 2*len(steadyProgs)) // warm the pool and DRAM backing store
-	b.ReportAllocs()
-	b.ResetTimer()
-	cycles := int64(0)
-	for b.Loop() {
-		cycles += runSteadyState(s, 1)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/cycle")
-}
-
-// TestStepParallelSteadyStateZeroAlloc is the zero-allocation guard with
-// PDES stepping on at 4 cores: per-shard line pools and the staged mailboxes
-// must keep the windowed cycle loop amortized allocation-free, same budget
-// as the serial guard. (Each Run enters a fresh engine Session, so the small
-// fixed per-Run cost now includes the worker goroutine launches; that is
-// rounds-proportional, not cycle-proportional, and fits the same budget.)
-func TestStepParallelSteadyStateZeroAlloc(t *testing.T) {
-	cfg := sim.DefaultConfig(4)
-	cfg.Parallel = 4
-	s := sim.New(cfg)
-	rotation := [][]*isa.Program{denseProgs(4, 0), denseProgs(4, 1)}
-	runDense(s, rotation, 2*len(rotation)) // warm: pools, scratch slices, DRAM first-touch
-	var cycles int64
-	allocs := testing.AllocsPerRun(1, func() {
-		cycles = runDense(s, rotation, 4)
-	})
-	if cycles == 0 {
-		t.Fatal("workload ran no cycles")
-	}
-	if perKCycle := allocs / float64(cycles) * 1000; perKCycle > 2 {
-		t.Fatalf("parallel steady state allocates %.0f objects over %d cycles (%.1f per kcycle)",
-			allocs, cycles, perKCycle)
 	}
 }

@@ -106,10 +106,7 @@ func newCoreCounters(reg *metrics.Registry, name string) coreCounters {
 	}
 }
 
-// Core drives one program through one L1 data cache. In parallel
-// simulation each Core belongs to its own shard together with that cache.
-//
-//skipit:shard-owned core
+// Core drives one program through one L1 data cache.
 type Core struct {
 	cfg Config
 	id  int
@@ -142,16 +139,7 @@ type Core struct {
 	prevTick int64
 
 	done bool
-	// doneAt is the cycle of the Tick on which the program finished
-	// (doneAtNever until then; empty programs are done before any tick).
-	// The parallel scheduler uses it to reconstruct the serial run's
-	// completion cycle after shards have raced ahead of each other.
-	doneAt int64
 }
-
-// doneAtNever marks a core whose program has not (yet) finished on any
-// ticked cycle. It sorts below any real cycle.
-const doneAtNever = int64(-1)
 
 // New builds a core over its private data cache.
 func New(cfg Config, id int, dc *l1.DCache) *Core {
@@ -183,16 +171,10 @@ func (c *Core) SetProgram(p *isa.Program) {
 	c.inflight = c.inflight[:0]
 	c.prevTick = -1
 	c.done = p.Len() == 0
-	c.doneAt = doneAtNever
 }
 
 // Done reports whether every instruction has committed.
 func (c *Core) Done() bool { return c.done }
-
-// DoneAt returns the cycle of the Tick that committed the final
-// instruction, or a negative sentinel when the program has not finished on
-// any ticked cycle (still running, or done since before the first tick).
-func (c *Core) DoneAt() int64 { return c.doneAt }
 
 // Timings returns the per-instruction records (valid once Done).
 func (c *Core) Timings() []Timing { return c.timings }
@@ -599,7 +581,6 @@ func (c *Core) commit(now int64) {
 		c.freeEntries = append(c.freeEntries, e) //skipit:ignore hotalloc entry free list is bounded by the ROB size; append reuses its backing after warmup
 		if c.pc >= c.prog.Len() && len(c.rob) == 0 {
 			c.done = true
-			c.doneAt = now
 			return
 		}
 	}

@@ -209,8 +209,8 @@ func TestCommittedArtifactsReplayEitherClock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			failFF, stFF := runInput(in, true, 0)
-			failSlow, stSlow := runInput(in, false, 0)
+			failFF, stFF := runInput(in, true)
+			failSlow, stSlow := runInput(in, false)
 			for _, got := range []*Failure{failFF, failSlow} {
 				if got == nil {
 					t.Fatal("replay ran clean")
@@ -249,8 +249,8 @@ func TestCommittedArtifactsReplayEitherClock(t *testing.T) {
 func TestFuzzEquivalenceEitherClock(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		in := BuildInput(DefaultCase(seed, 2))
-		failFF, stFF := runInput(in, true, 0)
-		failSlow, stSlow := runInput(in, false, 0)
+		failFF, stFF := runInput(in, true)
+		failSlow, stSlow := runInput(in, false)
 		if !reflect.DeepEqual(failFF, failSlow) {
 			t.Fatalf("seed %d: verdicts differ:\nff:   %+v\nslow: %+v", seed, failFF, failSlow)
 		}

@@ -171,26 +171,14 @@ func genProgram(rng *rand.Rand, core, length int) (*isa.Program, []uint64) {
 // verified against the golden model afterwards. A nil Failure means the run
 // survived.
 func RunInput(in Input) (*Failure, Stats) {
-	return runInput(in, true, 0)
+	return runInput(in, true)
 }
 
-// RunInputParallel is RunInput on a parallel system (sim.Config.Parallel =
-// workers; 0 runs serially). Faults are applied at window barriers clamped to
-// their scheduled cycles, so the verdict — kind, cycle, message, stats, and
-// the flight-recorder dump — is identical for every worker count; it also
-// matches the serial verdict except that transaction ids in recorder dumps
-// are minted from per-shard strided sequences.
-func RunInputParallel(in Input, workers int) (*Failure, Stats) {
-	return runInput(in, true, workers)
-}
-
-// runInput is RunInput with the fast-forward clock switchable (so the
+// runInput is RunInput with the fast-forward clock switchable, so the
 // equivalence tests can pin fast-forwarded replays against single-stepped
-// ones) and the parallel worker count exposed.
-func runInput(in Input, fastForward bool, parallel int) (*Failure, Stats) {
-	cfg := sim.DefaultConfig(len(in.Progs))
-	cfg.Parallel = parallel
-	s := sim.New(cfg)
+// ones.
+func runInput(in Input, fastForward bool) (*Failure, Stats) {
+	s := sim.New(sim.DefaultConfig(len(in.Progs)))
 	s.SetFastForward(fastForward)
 	s.EnableFlightRecorder(recorderDepth)
 	if in.WatchdogLimit > 0 {

@@ -170,22 +170,6 @@ func (r *Runner) advance(now int64) {
 // off: the clock never lands past a limit it would have single-stepped to.
 func (r *Runner) StepChecked(limits ...int64) error {
 	r.advance(r.s.Now())
-	if r.s.Parallel() > 0 {
-		// Windowed stepping: the horizon is clamped to the next scheduled
-		// fault's cycle, so push faults land between windows exactly as they
-		// land between serial steps (window hooks are pure functions of the
-		// cycle and fire mid-window on their own). Invariants are verified at
-		// barriers instead of every tick; a violation is still caught at the
-		// first barrier after it arises, with the same verdict on every
-		// worker count.
-		if r.next < len(r.sched.Faults) {
-			limits = append(limits, r.sched.Faults[r.next].Cycle)
-		}
-		if err := r.s.AdvanceWindowChecked(limits...); err != nil {
-			return err
-		}
-		return r.s.CheckInvariants()
-	}
 	if err := r.s.StepGuarded(); err != nil {
 		return err
 	}

@@ -18,11 +18,6 @@ import (
 // RootReleaseAck messages to OnRootReleaseAck, and consults the conflict
 // predicates (LoadConflict, StoreConflict, VictimBlocked) when handling
 // subsequent requests to lines with writebacks in flight (§5.3, §5.4).
-//
-// In parallel simulation the unit lives inside its L1 and is core-shard
-// state.
-//
-//skipit:shard-owned core
 type FlushUnit struct {
 	cfg   Config
 	ports CachePorts

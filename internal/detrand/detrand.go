@@ -18,11 +18,7 @@
 // package-level functions.
 package detrand
 
-import (
-	"encoding/binary"
-	"hash/fnv"
-	"math/rand"
-)
+import "math/rand"
 
 // New returns a deterministic PRNG seeded with seed. The mapping from seed to
 // stream is part of the repro-artifact format and must never change.
@@ -36,27 +32,3 @@ func SplitSeed(r *rand.Rand) int64 { return r.Int63() }
 // Split derives an independent child stream from the parent:
 // New(SplitSeed(r)).
 func Split(r *rand.Rand) *rand.Rand { return New(SplitSeed(r)) }
-
-// Mix folds string keys into a parent seed, giving every (seed, keys...)
-// combination its own stable child seed without consuming parent stream
-// values. Unlike SplitSeed, which allocates child streams by draw order, Mix
-// addresses them by name: consumers that need a stream for a keyed entity —
-// the sweepd retry-backoff jitter for (job, attempt), the fault transport's
-// per-call schedule — get the same stream for the same key no matter how
-// many siblings were created before it or on which goroutine. The mapping is
-// FNV-1a over the seed bytes and NUL-separated keys and is part of the
-// deterministic-replay contract; do not change it.
-func Mix(seed int64, keys ...string) int64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(seed))
-	h.Write(b[:])
-	for _, k := range keys {
-		h.Write([]byte{0})
-		h.Write([]byte(k))
-	}
-	return int64(h.Sum64())
-}
-
-// Keyed is the stream form of Mix: New(Mix(seed, keys...)).
-func Keyed(seed int64, keys ...string) *rand.Rand { return New(Mix(seed, keys...)) }

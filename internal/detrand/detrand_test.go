@@ -48,34 +48,3 @@ func TestSplitSeedDeterministic(t *testing.T) {
 		}
 	}
 }
-
-// TestMixIsKeyedNotOrdered verifies the property Mix exists for: the child
-// seed depends only on (seed, keys), not on creation order or any other
-// stream's activity — and distinct keys get distinct streams.
-func TestMixIsKeyedNotOrdered(t *testing.T) {
-	a := Mix(7, "job/x", "attempt1")
-	Keyed(7, "job/y").Int63() // unrelated sibling activity
-	b := Mix(7, "job/x", "attempt1")
-	if a != b {
-		t.Fatalf("Mix not stable: %d != %d", a, b)
-	}
-	if Mix(7, "job/x", "attempt1") == Mix(7, "job/x", "attempt2") {
-		t.Fatal("distinct keys collided")
-	}
-	if Mix(7, "job/x") == Mix(8, "job/x") {
-		t.Fatal("distinct seeds collided")
-	}
-	// Key-boundary confusion must not alias: ("ab","c") != ("a","bc").
-	if Mix(7, "ab", "c") == Mix(7, "a", "bc") {
-		t.Fatal("key concatenation aliased")
-	}
-}
-
-// TestMixPinned pins the exact FNV mapping: replay artifacts that encode a
-// (seed, key) pair depend on it never changing.
-func TestMixPinned(t *testing.T) {
-	const want = int64(8737928352296427625)
-	if got := Mix(42, "fig09/flush/size64/threads1", "attempt2"); got != want {
-		t.Fatalf("Mix mapping drifted: %d != %d", got, want)
-	}
-}

@@ -204,10 +204,7 @@ type timedResp struct {
 	readyAt int64
 }
 
-// DCache is the L1 data cache. In parallel simulation each DCache belongs
-// to its core's shard; the L2 reaches it only through the TileLink channels.
-//
-//skipit:shard-owned core
+// DCache is the L1 data cache.
 type DCache struct {
 	cfg  Config
 	meta [][]wayMeta

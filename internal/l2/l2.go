@@ -144,11 +144,7 @@ func newL2Counters(reg *metrics.Registry, name string) l2Counters {
 	}
 }
 
-// Cache is the inclusive LLC. Drive it once per cycle with Tick. In
-// parallel simulation it belongs to the hub shard; L1s reach it only through
-// the TileLink channels.
-//
-//skipit:shard-owned hub
+// Cache is the inclusive LLC. Drive it once per cycle with Tick.
 type Cache struct {
 	cfg   Config
 	lines [][]line // [set][way]

@@ -87,30 +87,6 @@ func (p *Pool) Put(b []byte) {
 	p.free = append(p.free, b) //skipit:ignore hotalloc free-list growth is amortized, steady state reuses capacity
 }
 
-// Transfer moves up to n free buffers from src to dst, LIFO on both sides,
-// and returns how many moved. The parallel scheduler rebalances per-shard
-// pools with it at barriers: line buffers migrate between shards inside
-// message payloads (grants out, writebacks back), so without rebalancing an
-// asymmetric workload would drain one pool while another grows without
-// bound. Transfers bypass the hit/miss/recycle counters — they are a host
-// optimization, not simulated behavior — and both pools must share a line
-// size. Must only be called at a barrier (no concurrent Get/Put).
-func Transfer(dst, src *Pool, n int) int {
-	if dst == nil || src == nil || dst == src || dst.lineBytes != src.lineBytes {
-		return 0
-	}
-	if n > len(src.free) {
-		n = len(src.free)
-	}
-	for i := 0; i < n; i++ {
-		last := len(src.free) - 1
-		dst.free = append(dst.free, src.free[last])
-		src.free[last] = nil
-		src.free = src.free[:last]
-	}
-	return n
-}
-
 // Free returns the current free-list depth (for tests).
 func (p *Pool) Free() int {
 	if p == nil {

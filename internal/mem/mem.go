@@ -119,10 +119,7 @@ func newMemCounters(reg *metrics.Registry, name string) memCounters {
 }
 
 // Memory is the DRAM controller plus backing store. The zero value is not
-// usable; construct with New. In parallel simulation it belongs to the hub
-// shard, which is the only shard that ticks it.
-//
-//skipit:shard-owned hub
+// usable; construct with New.
 type Memory struct {
 	cfg        Config
 	data       map[uint64][]byte // durable contents, line granular
@@ -131,32 +128,6 @@ type Memory struct {
 	nextAccept int64
 	ctr        memCounters
 	rec        *trace.Rec
-
-	journalOn bool
-	journal   []WriteLog
-}
-
-// WriteLog records one retired line write's pre-image: the durable contents
-// the write replaced. With the journal armed, a reader holding the current
-// store plus the logged pre-images can reconstruct the durable value of any
-// line at any cycle the journal covers — the parallel fabric uses this to
-// resolve durability checks deferred to a window barrier at the exact cycle
-// a serial run would have peeked.
-type WriteLog struct {
-	Cycle int64
-	Addr  uint64
-	Old   []byte
-}
-
-// SetWriteJournal arms (or disarms) pre-image logging of retired writes.
-func (m *Memory) SetWriteJournal(on bool) { m.journalOn = on }
-
-// DrainWriteJournal returns the logged pre-images in retirement order and
-// clears the journal.
-func (m *Memory) DrainWriteJournal() []WriteLog {
-	j := m.journal
-	m.journal = nil
-	return j
 }
 
 // SetRecorder attaches a flight-recorder ring; read/write retirements are
@@ -234,12 +205,6 @@ func (m *Memory) Tick(now int64) {
 			m.rec.Record(now, trace.RecMemRead, trace.CauseNone, p.req.Txn, p.req.Addr, 0)
 			m.done = append(m.done, Response{Kind: Read, Addr: p.req.Addr, Data: line, Tag: p.req.Tag})
 		case Write:
-			if m.journalOn {
-				m.journal = append(m.journal, WriteLog{
-					Cycle: now, Addr: p.req.Addr,
-					Old: append([]byte(nil), m.line(p.req.Addr)...),
-				})
-			}
 			copy(m.line(p.req.Addr), p.req.Data)
 			// The write payload's transaction retires here: recycle it.
 			m.cfg.Pool.Put(p.req.Data)

@@ -73,8 +73,6 @@ type Fabric struct {
 	now     int64
 
 	fastForward bool
-	linkLatency int
-	par         *fabRuntime
 
 	wdLimit      int64
 	wdLastSig    uint64
@@ -103,7 +101,6 @@ func NewFabric(cfg FabricConfig) *Fabric {
 	f := &Fabric{
 		reg:         reg,
 		fastForward: true,
-		linkLatency: cfg.LinkLatency,
 		// Fabric and System are alternative harnesses over disjoint
 		// registries; they share these keys so sweep/report tooling stays
 		// uniform. metricname reports the duplicate at the System-side
@@ -173,9 +170,6 @@ func (f *Fabric) ArmWatchdog(limit int64) {
 	f.wdLimit = limit
 	f.wdLastSig = f.progressSignature()
 	f.wdLastChange = f.now
-	if f.par != nil {
-		f.armFabShards()
-	}
 }
 
 func (f *Fabric) progressSignature() uint64 {

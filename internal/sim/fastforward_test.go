@@ -21,16 +21,37 @@ func ffWorkload() []*isa.Program {
 	return []*isa.Program{p0, p1}
 }
 
-// runWorkload runs the fixed workload on a fresh system with the given clock
-// mode and returns the system and its finish cycle.
-func runWorkload(t *testing.T, fastForward bool, sampleEvery int64) (*System, int64) {
+// fourCoreMix is a four-core mix of store bursts, clean/flush traffic, AMOs
+// and idle stretches on shared lines, so L2 probes and cross-core coherence
+// traffic interleave with the idle windows the clock skips.
+func fourCoreMix() []*isa.Program {
+	p0 := isa.NewBuilder().
+		StoreRegion(0x1000, 16*64, 64, 7).CboRegionLoop(0x1000, 16*64, 64, true, 2).
+		Load(0x40000).AmoAdd(0x40000, 3).Nops(120).
+		Load(0x2000).Store(0x2000, 9).CboFlush(0x2000).Fence().Build()
+	p1 := isa.NewBuilder().
+		Load(0x1000).Store(0x1040, 5).Nops(40).
+		AmoSwap(0x40000, 11).StoreRegion(0x8000, 8, 64, 2).
+		CboClean(0x8000).Fence().Build()
+	p2 := isa.NewBuilder().
+		Nops(300).Load(0x40000).Store(0x40040, 1).
+		CboClean(0x40040).Load(0x1040).Fence().Build()
+	p3 := isa.NewBuilder().
+		Store(0x90000, 4).CboFlush(0x90000).Nops(10).
+		Load(0x90000).CflushDL1(0x90000).Fence().Build()
+	return []*isa.Program{p0, p1, p2, p3}
+}
+
+// runWorkload runs progs on a fresh system with the given clock mode and
+// returns the system and its finish cycle.
+func runWorkload(t *testing.T, progs []*isa.Program, fastForward bool, sampleEvery int64) (*System, int64) {
 	t.Helper()
-	s := New(DefaultConfig(2))
+	s := New(DefaultConfig(len(progs)))
 	s.SetFastForward(fastForward)
 	if sampleEvery > 0 {
 		s.EnableSampling(sampleEvery)
 	}
-	cycle, err := s.Run(ffWorkload(), 1_000_000)
+	cycle, err := s.Run(progs, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,22 +66,40 @@ func runWorkload(t *testing.T, fastForward bool, sampleEvery int64) (*System, in
 // next-event clock on and off. Only sim.skipped_cycles (the clock's own
 // odometer) may differ.
 func TestFastForwardEquivalence(t *testing.T) {
-	sFF, cycFF := runWorkload(t, true, 100)
-	sSlow, cycSlow := runWorkload(t, false, 100)
-
-	if cycFF != cycSlow {
-		t.Fatalf("finish cycle differs: ff=%d slow=%d", cycFF, cycSlow)
+	cases := []struct {
+		name        string
+		progs       func() []*isa.Program
+		sampleEvery int64
+	}{
+		{"two-core idle-heavy", ffWorkload, 100},
+		{"four-core shared-line mix", fourCoreMix, 50},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sFF, cycFF := runWorkload(t, c.progs(), true, c.sampleEvery)
+			sSlow, cycSlow := runWorkload(t, c.progs(), false, c.sampleEvery)
+			if cycFF != cycSlow {
+				t.Fatalf("finish cycle differs: ff=%d slow=%d", cycFF, cycSlow)
+			}
+			if sSlow.SkippedCycles() != 0 {
+				t.Fatalf("slow clock skipped %d cycles", sSlow.SkippedCycles())
+			}
+			if sFF.SkippedCycles() == 0 {
+				t.Fatal("fast-forward clock skipped nothing on a workload with idle stretches")
+			}
+			assertSameObservables(t, sFF, sSlow)
+		})
+	}
+}
+
+// assertSameObservables compares everything a finished run exposes except
+// the fast-forward odometer: final clock, counters, per-core instruction
+// timings and sampled series.
+func assertSameObservables(t *testing.T, sFF, sSlow *System) {
+	t.Helper()
 	if sFF.Now() != sSlow.Now() {
 		t.Fatalf("clock differs: ff=%d slow=%d", sFF.Now(), sSlow.Now())
 	}
-	if sSlow.SkippedCycles() != 0 {
-		t.Fatalf("slow clock skipped %d cycles", sSlow.SkippedCycles())
-	}
-	if sFF.SkippedCycles() == 0 {
-		t.Fatal("fast-forward clock skipped nothing on an idle-heavy workload")
-	}
-
 	snapFF, snapSlow := sFF.Snapshot(), sSlow.Snapshot()
 	delete(snapFF.Counters, "sim.skipped_cycles")
 	delete(snapSlow.Counters, "sim.skipped_cycles")

@@ -2,10 +2,9 @@ package sim
 
 // This file is the single source of truth for next-event folding: reducing a
 // set of components' NextEvent(last) reports to the earliest cycle anything
-// in the set can act. System.nextEventCycle, Fabric.nextEventCycle and the
-// PDES shard horizon computation (parallel.go) all fold through these two
-// helpers, so the fast-forward clock and the parallel scheduler can never
-// disagree about what "provably idle" means.
+// in the set can act. System.nextEventCycle and Fabric.nextEventCycle both
+// fold through these two helpers, so the two harnesses can never disagree
+// about what "provably idle" means.
 //
 // The fold contract mirrors the NextEvent contract (fastforward.go): last is
 // the most recently ticked cycle, so the floor — the earliest cycle that

@@ -31,15 +31,6 @@ type Config struct {
 	Mem         mem.Config
 	BeatBytes   uint64 // system bus width (§3.3: 16 B)
 	LinkLatency int    // wire cycles per channel hop
-
-	// Parallel selects deterministic parallel stepping (see parallel.go and
-	// internal/pdes) with that many workers: 0 keeps classic serial
-	// stepping, 1 runs the sharded window scheduler inline on one
-	// goroutine, >= 2 fans shards out across workers. Results are
-	// bit-identical for every value. Excluded from JSON so sweep
-	// fingerprints — which hash the config — are identical however the
-	// host chooses to schedule the simulation.
-	Parallel int `json:"-"`
 }
 
 // DefaultConfig mirrors the paper's platform: 32 KiB 8-way L1s, a shared
@@ -57,11 +48,7 @@ func DefaultConfig(numCores int) Config {
 	}
 }
 
-// System is one assembled SoC. During a parallel window System fields are
-// coordinator state: shard steps may read them (fastForward, par) but all
-// writes happen single-threaded between windows.
-//
-//skipit:shard-owned barrier
+// System is one assembled SoC.
 type System struct {
 	cfg   Config
 	Cores []*boom.Core
@@ -112,10 +99,6 @@ type System struct {
 	// cycles with the current cycle, for live introspection publishers.
 	hookInterval int64
 	hook         func(now int64)
-
-	// par holds the parallel-stepping runtime (shards + scheduler) when
-	// cfg.Parallel > 0; see parallel.go. Serial systems leave it nil.
-	par *parRuntime
 }
 
 // New assembles a system. All components share one metrics registry
@@ -134,10 +117,6 @@ func New(cfg Config) *System {
 	s.ports = make([]*tilelink.ClientPort, cfg.NumCores)
 	s.L1s = make([]*l1.DCache, cfg.NumCores)
 	s.Cores = make([]*boom.Core, cfg.NumCores)
-	// Parallel mode gives each core shard its own line pool and a strided
-	// transaction-id sequence, removing the two cross-shard hot-path
-	// couplings (see parallel.go); all pools share the registry counters.
-	var shardPools []*linepool.Pool
 	for i := 0; i < cfg.NumCores; i++ {
 		s.ports[i] = tilelink.NewClientPort(
 			fmt.Sprintf("l1[%d]<->l2", i), cfg.BeatBytes, cfg.L1.LineBytes, cfg.LinkLatency)
@@ -146,12 +125,6 @@ func New(cfg Config) *System {
 		l1cfg.Metrics = s.reg
 		l1cfg.Pool = s.pool
 		l1cfg.Txns = s.txns
-		if cfg.Parallel > 0 {
-			shPool := linepool.New(int(cfg.L1.LineBytes), s.reg)
-			shardPools = append(shardPools, shPool)
-			l1cfg.Pool = shPool
-			l1cfg.Txns = trace.NewStridedTxnSeq(uint64(i+1), uint64(cfg.NumCores))
-		}
 		s.L1s[i] = l1.New(l1cfg, s.ports[i])
 		coreCfg := cfg.Core
 		coreCfg.Metrics = s.reg
@@ -174,28 +147,7 @@ func New(cfg Config) *System {
 	s.reg.Counter("chaos", "refetch_recoveries")                //skipit:ignore metricname shared SoC-wide chaos counter, pre-registered here by design
 	s.ctrWatchdogTrips = s.reg.Counter("sim", "watchdog_trips") //skipit:ignore metricname System and Fabric are alternative harnesses over disjoint registries; sharing the key keeps sweep/report tooling uniform
 	s.ctrSkipped = s.reg.Counter("sim", "skipped_cycles")       //skipit:ignore metricname System and Fabric are alternative harnesses over disjoint registries; sharing the key keeps sweep/report tooling uniform
-	if cfg.Parallel > 0 {
-		s.initParallel(cfg.Parallel, shardPools)
-	}
 	return s
-}
-
-// Parallel returns the configured worker count, 0 when stepping serially.
-func (s *System) Parallel() int {
-	if s.par == nil {
-		return 0
-	}
-	return s.par.engine.Workers()
-}
-
-// Shards returns the number of PDES shards (hub + one per core), 0 when
-// stepping serially. In parallel mode sim.skipped_cycles sums each shard's
-// local fast-forwards, so per-cycle ratios should normalize by Now()*Shards().
-func (s *System) Shards() int {
-	if s.par == nil {
-		return 0
-	}
-	return 1 + len(s.par.cores)
 }
 
 // Ports returns the per-core TileLink bundles, for fault-injection wiring and
@@ -210,9 +162,6 @@ func (s *System) Metrics() *metrics.Registry { return s.reg }
 // series ride along in Snapshot().
 func (s *System) EnableSampling(interval int64, keys ...string) {
 	s.sampler = metrics.NewSampler(s.reg, interval, keys...)
-	if s.par != nil {
-		s.par.samplerFired = s.now - 1
-	}
 }
 
 // Config returns the system configuration.
@@ -256,9 +205,6 @@ func (s *System) SetProgressHook(interval int64, fn func(now int64)) {
 		return
 	}
 	s.hookInterval, s.hook = interval, fn
-	if s.par != nil {
-		s.par.hookFired = s.now - 1
-	}
 }
 
 // Now returns the current cycle.
@@ -268,22 +214,13 @@ func (s *System) Now() int64 { return s.now }
 //
 //skipit:hotpath
 func (s *System) Step() {
-	s.Mem.Tick(s.now) //skipit:ignore hotalloc mem.Tick queue appends reuse steady-state capacity; journaling is an opt-in debug mode. CI alloc gate enforces zero steady-state allocs
+	s.Mem.Tick(s.now) //skipit:ignore hotalloc mem.Tick queue appends reuse steady-state capacity; the CI alloc gate enforces zero steady-state allocs
 	s.L2.Tick(s.now)
 	for _, d := range s.L1s {
 		d.Tick(s.now)
 	}
 	for _, c := range s.Cores {
 		c.Tick(s.now)
-	}
-	if s.par != nil {
-		// Parallel systems run their ports in deferred mode; a serial Step
-		// publishes the staged sends immediately, so single-stepping a
-		// parallel system is state-equivalent to stepping a serial one.
-		for _, p := range s.ports {
-			p.CommitDeferred()
-		}
-		s.par.samplerFired, s.par.hookFired = s.now, s.now
 	}
 	if s.sampler != nil {
 		s.sampler.Tick(s.now) //skipit:ignore hotalloc Sample allocates only on first observation of a key; steady-state samples are allocation-free
@@ -313,9 +250,6 @@ func (s *System) Run(progs []*isa.Program, limit int64) (int64, error) {
 	t0 := time.Now()                                               //skipit:ignore determinism host-side throughput timer, never read by simulated state
 	defer func() { s.hostNanos += time.Since(t0).Nanoseconds() }() //skipit:ignore determinism host-side throughput timer, never read by simulated state
 	deadline := s.now + limit
-	if s.par != nil {
-		return s.runParallel(deadline, limit)
-	}
 	coresDone := int64(-1)
 	for s.now < deadline {
 		s.Step()
@@ -366,17 +300,6 @@ func (s *System) Drain(limit int64) error {
 	t0 := time.Now()                                               //skipit:ignore determinism host-side throughput timer, never read by simulated state
 	defer func() { s.hostNanos += time.Since(t0).Nanoseconds() }() //skipit:ignore determinism host-side throughput timer, never read by simulated state
 	deadline := s.now + limit
-	if s.par != nil && s.allCoresDone() {
-		// Windowed draining is exact only when no core can issue new memory
-		// traffic: serial Drain exits at the first per-cycle quiescence
-		// instant even with cores mid-program, which a window would overshoot
-		// (executing real work serial never ran). With every core done, all
-		// remaining events are drain traffic, and the exit cycle is exactly
-		// the last event. Otherwise fall through to the serial loop — Step
-		// publishes staged sends every cycle, so it is exact on a parallel
-		// system too.
-		return s.drainParallel(deadline)
-	}
 	for s.now < deadline {
 		if s.Quiescent() {
 			return nil

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -396,5 +397,50 @@ func TestSingleLineFlushLatencyBand(t *testing.T) {
 		if lat < 40 || lat > 250 {
 			t.Errorf("single-line CBO(clean=%v)+fence latency = %d cycles, want ~100", clean, lat)
 		}
+	}
+}
+
+// TestDrainSettlesMidFlightTraffic: Drain settles traffic that single Steps
+// left in flight, draining an already quiescent system leaves the clock
+// where it is, and a Run afterwards composes with both.
+func TestDrainSettlesMidFlightTraffic(t *testing.T) {
+	s := New(DefaultConfig(2))
+	s.Cores[0].SetProgram(isa.NewBuilder().Store(0x7000, 1).CboClean(0x7000).Build())
+	s.Cores[1].SetProgram(isa.NewBuilder().Build())
+	for i := 0; i < 8; i++ {
+		s.Step()
+	}
+	if err := s.Drain(100_000); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Quiescent() {
+		t.Fatal("Drain returned before quiescence")
+	}
+	before := s.Now()
+	if err := s.Drain(100_000); err != nil {
+		t.Fatal(err)
+	}
+	if s.Now() != before {
+		t.Fatalf("quiescent drain moved the clock %d -> %d", before, s.Now())
+	}
+	if _, err := s.Run(ffWorkload(), runLimit); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunReportsTimeout: a run that exceeds its cycle limit stops at the
+// limit and returns ErrTimeout.
+func TestRunReportsTimeout(t *testing.T) {
+	s := New(DefaultConfig(1))
+	p := isa.NewBuilder().StoreRegion(0x1000, 16*64, 64, 7).
+		CboRegionLoop(0x1000, 16*64, 64, true, 2).Fence().Build()
+	if _, err := s.Run([]*isa.Program{p}, 40); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("Run over its limit returned %v, want ErrTimeout", err)
+	}
+	if s.Now() != 40 {
+		t.Fatalf("timed-out run stopped at cycle %d, want 40", s.Now())
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"strings"
 
 	"skipit/internal/metrics"
@@ -71,19 +70,6 @@ func (s *System) Snapshot() metrics.Snapshot {
 	}
 	if s.hostNanos > 0 && s.now > 0 {
 		snap.Derived["host_sim_cycles_per_sec"] = float64(s.now) / (float64(s.hostNanos) / 1e9)
-	}
-	if s.par != nil {
-		// Per-shard host throughput from the engine's sampled window timing
-		// (shard 0 is the hub). Host-dependent like host_sim_cycles_per_sec:
-		// snapshot-only, never stored in sweep results.
-		if sc := s.par.engine.SampledCycles(); sc > 0 {
-			for i, ns := range s.par.engine.ShardNanos() {
-				if ns > 0 {
-					key := fmt.Sprintf("pdes.shard[%d].host_sim_cycles_per_sec", i)
-					snap.Derived[key] = float64(sc) / (float64(ns) / 1e9)
-				}
-			}
-		}
 	}
 
 	if s.sampler != nil {

@@ -50,19 +50,6 @@ func (r *HangReport) JSON() []byte {
 	return b
 }
 
-// ParseHangReport decodes a report previously rendered with JSON. This is
-// the watchdog's wire export: the sweepd worker ships a mid-job hang
-// diagnosis to the coordinator as the report's JSON bytes, and either end
-// (or a human with the journal) reconstructs it here. Round-tripping is
-// lossless for every field HangReport declares.
-func ParseHangReport(b []byte) (*HangReport, error) {
-	var r HangReport
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("sim: parsing hang report: %w", err)
-	}
-	return &r, nil
-}
-
 // Summary is the one-line version for error strings and logs.
 func (r *HangReport) Summary() string {
 	s := fmt.Sprintf("%s at cycle %d", r.Reason, r.Cycle)
@@ -113,9 +100,6 @@ func (s *System) ArmWatchdog(limit int64) {
 	s.wdLimit = limit
 	s.wdLastSig = s.progressSignature()
 	s.wdLastChange = s.now
-	if s.par != nil {
-		s.armShards()
-	}
 }
 
 // progressSignature folds the per-core commit counters and per-link activity

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"skipit/internal/metrics"
+	"skipit/internal/sim"
 )
 
 // constJob returns a job whose outcome is derived only from its inputs.
@@ -137,5 +139,35 @@ func TestRunnerCapturesErrorsAndPanics(t *testing.T) {
 	// Failed jobs must not pollute the store.
 	if recs := st.Records("g"); len(recs) != 1 || recs[0].Name != "fine" {
 		t.Fatalf("store holds %+v", recs)
+	}
+}
+
+// TestRunnerHangErrorReachesProgress pins the path a simulator watchdog trip
+// takes through the runner: the Progress hook sees the job go running then
+// failed, and the *sim.HangError keeps its type in JobResult.Err so callers
+// can still pull out the structured report.
+func TestRunnerHangErrorReachesProgress(t *testing.T) {
+	report := &sim.HangReport{Cycle: 12345, Reason: "no-progress", Window: 500, MemOutstanding: 3}
+	job := Job{
+		Group: "g", Name: "wedge", Fingerprint: "fpW",
+		Run: func(Sink) (Outcome, error) { return Outcome{}, &sim.HangError{Report: report} },
+	}
+	var mu sync.Mutex
+	var states []string
+	runner := Runner{
+		Workers: 1,
+		Progress: func(ev ProgressEvent) {
+			mu.Lock()
+			states = append(states, ev.State)
+			mu.Unlock()
+		},
+	}
+	results := runner.Run([]Job{job})
+	if want := []string{"running", "failed"}; !reflect.DeepEqual(states, want) {
+		t.Fatalf("progress states %v, want %v", states, want)
+	}
+	var hang *sim.HangError
+	if !errors.As(results[0].Err, &hang) || hang.Report != report {
+		t.Fatalf("hang lost its type or report through the runner: %v", results[0].Err)
 	}
 }

@@ -47,16 +47,8 @@ type Link struct {
 
 	busyUntil int64 // last cycle at which the channel is occupied
 	q         []inflight
-	staged    []inflight // deferred-mode sends awaiting CommitDeferred
-	deferred  bool       // parallel windows: stage sends, commit at barriers
-	chaos     Chaos      // nil unless a fault schedule is armed
-
-	// Successful Send and Recv counts (summed, the watchdog progress
-	// signal). Split per side so that under parallel windows the producer
-	// shard owns sendEvents and the consumer shard owns recvEvents with no
-	// shared write; Events() is only read at barriers.
-	sendEvents uint64
-	recvEvents uint64
+	chaos     Chaos  // nil unless a fault schedule is armed
+	events    uint64 // successful Send+Recv count (watchdog progress signal)
 }
 
 type inflight struct {
@@ -112,18 +104,8 @@ func (l *Link) Send(now int64, m Msg) bool {
 	}
 	beats := l.Beats(m)
 	l.busyUntil = now + beats
-	f := inflight{msg: m, readyAt: now + beats + int64(l.Latency) + extra}
-	if l.deferred {
-		// Parallel window: the consumer shard may be draining q
-		// concurrently, so stage on the producer-owned side. The message
-		// cannot be due inside the current window anyway (readyAt is at
-		// least now+1+Latency, beyond the conservative horizon), so
-		// deferring publication to the barrier is invisible to timing.
-		l.staged = append(l.staged, f) //skipit:ignore hotalloc queue growth is amortized, capacity is bounded by channel occupancy
-	} else {
-		l.q = append(l.q, f) //skipit:ignore hotalloc queue growth is amortized, capacity is bounded by channel occupancy
-	}
-	l.sendEvents++
+	l.q = append(l.q, inflight{msg: m, readyAt: now + beats + int64(l.Latency) + extra}) //skipit:ignore hotalloc queue growth is amortized, capacity is bounded by channel occupancy
+	l.events++
 	return true
 }
 
@@ -143,7 +125,7 @@ func (l *Link) Recv(now int64) (Msg, bool) {
 	// without bound over long simulations.
 	copy(l.q, l.q[1:])
 	l.q = l.q[:len(l.q)-1]
-	l.recvEvents++
+	l.events++
 	return m, true
 }
 
@@ -185,57 +167,18 @@ func (l *Link) NextEvent(now int64) int64 {
 // SetChaos installs (or, with nil, removes) the fault-injection hook.
 func (l *Link) SetChaos(c Chaos) { l.chaos = c }
 
-// SetDeferred switches the channel between immediate delivery (serial
-// stepping: Send appends straight to the receive queue) and deferred
-// delivery (parallel windows: Send stages on the producer side until
-// CommitDeferred publishes at a barrier). Callers must commit any staged
-// messages before switching back to immediate mode.
-func (l *Link) SetDeferred(on bool) {
-	if !on && len(l.staged) > 0 {
-		panic(fmt.Sprintf("tilelink: link %s: leaving deferred mode with %d staged messages", l.Name, len(l.staged)))
-	}
-	l.deferred = on
-}
-
-// CommitDeferred publishes all staged sends into the receive queue in send
-// order. It must only be called at a barrier (no concurrent Recv), which
-// makes delivery order deterministic: the coordinator commits ports in index
-// order and channels in a fixed A,B,C,D,E order, so queue contents after a
-// barrier are a pure function of (cycle, port index, channel, send seq).
-//
-//skipit:hotpath
-func (l *Link) CommitDeferred() {
-	if len(l.staged) == 0 {
-		return
-	}
-	l.q = append(l.q, l.staged...) //skipit:ignore hotalloc queue growth is amortized, capacity is bounded by channel occupancy
-	for i := range l.staged {
-		l.staged[i] = inflight{}
-	}
-	l.staged = l.staged[:0]
-}
-
 // Events returns the cumulative count of successful sends and deliveries on
 // this link. The watchdog uses it as a cheap forward-progress signal: a
-// changing count means messages are still moving. Only coherent at barriers
-// when the link is in deferred mode.
-func (l *Link) Events() uint64 { return l.sendEvents + l.recvEvents }
+// changing count means messages are still moving.
+func (l *Link) Events() uint64 { return l.events }
 
-// SendEvents returns the producer-side half of Events: successful sends.
-func (l *Link) SendEvents() uint64 { return l.sendEvents }
-
-// RecvEvents returns the consumer-side half of Events: deliveries.
-func (l *Link) RecvEvents() uint64 { return l.recvEvents }
-
-// Pending returns the number of in-flight messages (sent, not yet received),
-// including any still staged under deferred mode.
-func (l *Link) Pending() int { return len(l.q) + len(l.staged) }
+// Pending returns the number of in-flight messages (sent, not yet received).
+func (l *Link) Pending() int { return len(l.q) }
 
 // Reset drops all in-flight messages, e.g. when simulating a crash that
 // destroys volatile state.
 func (l *Link) Reset() {
 	l.q = l.q[:0]
-	l.staged = l.staged[:0]
 	l.busyUntil = 0
 }
 
@@ -297,73 +240,6 @@ func (p *ClientPort) Events() uint64 {
 	return p.A.Events() + p.B.Events() + p.C.Events() + p.D.Events() + p.E.Events()
 }
 
-// SetDeferred switches all five channels between immediate and deferred
-// delivery (see Link.SetDeferred).
-func (p *ClientPort) SetDeferred(on bool) {
-	p.A.SetDeferred(on)
-	p.B.SetDeferred(on)
-	p.C.SetDeferred(on)
-	p.D.SetDeferred(on)
-	p.E.SetDeferred(on)
-}
-
-// CommitDeferred publishes staged sends on all five channels in the fixed
-// A,B,C,D,E order, the per-port half of the deterministic delivery order.
-//
-//skipit:hotpath
-func (p *ClientPort) CommitDeferred() {
-	p.A.CommitDeferred()
-	p.B.CommitDeferred()
-	p.C.CommitDeferred()
-	p.D.CommitDeferred()
-	p.E.CommitDeferred()
-}
-
-// NextEventClient folds only the channels the client side consumes (B, D):
-// the client shard's view of this port for horizon computation. Channels the
-// client *produces* are not its events — a blocked sender reports now+1 from
-// its own NextEvent.
-//
-//skipit:hotpath
-func (p *ClientPort) NextEventClient(now int64) int64 {
-	next := p.B.NextEvent(now)
-	if t := p.D.NextEvent(now); t < next {
-		next = t
-	}
-	return next
-}
-
-// NextEventManager folds only the channels the manager side consumes
-// (A, C, E): the hub shard's view of this port.
-//
-//skipit:hotpath
-func (p *ClientPort) NextEventManager(now int64) int64 {
-	next := p.A.NextEvent(now)
-	if t := p.C.NextEvent(now); t < next {
-		next = t
-	}
-	if t := p.E.NextEvent(now); t < next {
-		next = t
-	}
-	return next
-}
-
-// ClientEvents sums the counters the client side owns: sends on A, C, E and
-// deliveries on B, D. Safe for the client shard to read mid-window; the
-// per-shard watchdog progress signal. ClientEvents + ManagerEvents ==
-// Events.
-func (p *ClientPort) ClientEvents() uint64 {
-	return p.A.SendEvents() + p.C.SendEvents() + p.E.SendEvents() +
-		p.B.RecvEvents() + p.D.RecvEvents()
-}
-
-// ManagerEvents sums the counters the manager side owns: deliveries on A, C,
-// E and sends on B, D.
-func (p *ClientPort) ManagerEvents() uint64 {
-	return p.A.RecvEvents() + p.C.RecvEvents() + p.E.RecvEvents() +
-		p.B.SendEvents() + p.D.SendEvents()
-}
-
 // MsgDebug is the JSON-friendly view of one in-flight message.
 type MsgDebug struct {
 	Op      string `json:"op"`
@@ -379,15 +255,10 @@ type LinkDebug struct {
 	Pending   []MsgDebug `json:"pending,omitempty"`
 }
 
-// Debug snapshots the channel's in-flight queue for diagnostics. Staged
-// deferred-mode messages are included after the published queue; at a
-// barrier the staged set is empty, so reports match serial stepping.
+// Debug snapshots the channel's in-flight queue for diagnostics.
 func (l *Link) Debug() LinkDebug {
 	d := LinkDebug{Name: l.Name, BusyUntil: l.busyUntil}
 	for _, f := range l.q {
-		d.Pending = append(d.Pending, MsgDebug{Op: f.msg.Op.String(), Addr: f.msg.Addr, ReadyAt: f.readyAt})
-	}
-	for _, f := range l.staged {
 		d.Pending = append(d.Pending, MsgDebug{Op: f.msg.Op.String(), Addr: f.msg.Addr, ReadyAt: f.readyAt})
 	}
 	return d

@@ -140,12 +140,6 @@ type AgentConfig struct {
 	// MemPeek reads the current DRAM value of an address, for the §5.5
 	// durability check at RootReleaseAck time.
 	MemPeek func(addr uint64) uint64
-	// Durable, when non-nil, replaces the inline MemPeek+CheckDurable at
-	// RootReleaseAck time with a deferred record. Parallel episodes set it:
-	// DRAM belongs to the hub shard, so the agent may not peek it mid-window;
-	// the barrier resolves the queued checks against the memory write journal
-	// at the exact cycles a serial run would have peeked.
-	Durable *DurableQueue
 	Metrics *metrics.Registry
 }
 
@@ -189,7 +183,6 @@ type Agent struct {
 	tr      trace.Tracer
 	bug     Bug
 	memPeek func(uint64) uint64
-	durable *DurableQueue
 	ctr     agentCounters
 
 	outA      []outMsg
@@ -217,7 +210,6 @@ func NewAgent(cfg AgentConfig) *Agent {
 		tr:        cfg.Tracer,
 		bug:       cfg.Bug,
 		memPeek:   cfg.MemPeek,
-		durable:   cfg.Durable,
 		ctr:       newAgentCounters(cfg.Metrics),
 	}
 	for _, addr := range cfg.Addrs {
@@ -326,11 +318,7 @@ func (a *Agent) recvD(now int64) {
 			blk.flushBuf = nil
 			trace.EmitTxn(a.tr, now, a.name, "rootreleaseack", m.Txn, m.Addr, "")
 			// §5.5: the ack promises the line is durable in DRAM now.
-			if a.durable != nil {
-				a.durable.Defer(a.sb, now, a.id, blk.addr)
-			} else {
-				a.sb.CheckDurable(now, a.id, blk.addr, a.memPeek(blk.addr))
-			}
+			a.sb.CheckDurable(now, a.id, blk.addr, a.memPeek(blk.addr))
 			if a.phase == phAwaitFlushAck && a.curOpBlk() == bi {
 				a.finishOp(now)
 			}

@@ -195,21 +195,6 @@ type Stats struct {
 // agent is done and the system drains (or something fails). The returned
 // Failure is nil on success.
 func RunScript(s Script) (*Failure, Stats) {
-	return runScript(s, 0)
-}
-
-// RunScriptParallel is RunScript on a parallel fabric: the agents form one
-// shard, the L2 plus the DRAM controller the other, advanced in conservative
-// windows (see sim.Fabric.EnableParallel). Verdicts and stats are identical
-// for every worker count, and identical to serial except for the skipped-
-// cycle count (shards fast-forward locally) — when two independent
-// violations land in the same window, the one recorded first may also differ
-// from serial's, but never across worker counts.
-func RunScriptParallel(s Script, workers int) (*Failure, Stats) {
-	return runScript(s, workers)
-}
-
-func runScript(s Script, workers int) (*Failure, Stats) {
 	reg := metrics.NewRegistry()
 	fcfg := sim.DefaultFabricConfig(s.Agents)
 	pool := linepool.New(int(fcfg.L2.LineBytes), reg)
@@ -217,17 +202,6 @@ func runScript(s Script, workers int) (*Failure, Stats) {
 	fcfg.L2.Pool = pool
 	fcfg.Mem.Pool = pool
 	fab := sim.NewFabric(fcfg)
-	// On a parallel fabric the agents allocate from their own pool — the hub
-	// shard runs concurrently — and durability checks are deferred to the
-	// window barriers, where the DRAM write journal pins the exact value the
-	// serial run would have peeked.
-	agentPool := pool
-	var durable *DurableQueue
-	if workers > 0 {
-		agentPool = linepool.New(int(fcfg.L2.LineBytes), reg)
-		durable = &DurableQueue{}
-		fab.Mem.SetWriteJournal(true)
-	}
 	for i, addr := range s.Addrs {
 		fab.Mem.PokeUint64(addr, s.Init[i])
 	}
@@ -246,8 +220,7 @@ func runScript(s Script, workers int) (*Failure, Stats) {
 		agents[i] = NewAgent(AgentConfig{
 			ID:         i,
 			Port:       fab.Ports[i],
-			Pool:       agentPool,
-			Durable:    durable,
+			Pool:       pool,
 			LineBytes:  fcfg.L2.LineBytes,
 			Addrs:      s.Addrs,
 			Ops:        ops,
@@ -261,9 +234,6 @@ func runScript(s Script, workers int) (*Failure, Stats) {
 		clients[i] = agents[i]
 	}
 	fab.Attach(clients...)
-	if workers > 0 {
-		fab.EnableParallel(workers, agentPool, pool)
-	}
 	if s.DropRootReleaseRaceData {
 		fab.L2.PokeDropRootReleaseRaceData(true)
 	}
@@ -272,75 +242,37 @@ func runScript(s Script, workers int) (*Failure, Stats) {
 		fab.ArmWatchdog(s.WatchdogLimit)
 	}
 
-	allDone := func() bool {
+	var fail *Failure
+	for {
+		done := true
 		for _, a := range agents {
 			if !a.Done() {
-				return false
-			}
-		}
-		return true
-	}
-
-	var fail *Failure
-	if workers > 0 {
-		for {
-			if allDone() && fab.Quiescent() {
-				fab.FinishParallel(s.CycleLimit)
-				break
-			}
-			if fab.Now() >= s.CycleLimit {
-				fail = &Failure{Kind: "timeout", Cycle: fab.Now(),
-					Message: fmt.Sprintf("episode exceeded %d cycles", s.CycleLimit)}
-				break
-			}
-			err := fab.AdvanceWindowChecked(s.CycleLimit)
-			durable.Resolve(sb, fab.Mem.PeekUint64, fab.Mem.DrainWriteJournal(), fcfg.L2.LineBytes)
-			v := sb.Violation()
-			if err != nil {
-				he := err.(*sim.HangError)
-				// Serial checks the scoreboard after every clean step, so a
-				// violation recorded before the hang/panic cycle wins there.
-				if v != nil && v.Cycle < he.Report.Cycle {
-					fail = &Failure{Kind: "violation", Cycle: v.Cycle, Message: v.Error(), Violation: v}
-				} else {
-					kind := "hang"
-					if he.Report.Reason == "panic" {
-						kind = "panic"
-					}
-					fail = &Failure{Kind: kind, Cycle: he.Report.Cycle, Message: he.Error(), Report: he.Report}
-				}
-				break
-			}
-			if v != nil {
-				fail = &Failure{Kind: "violation", Cycle: v.Cycle, Message: v.Error(), Violation: v}
+				done = false
 				break
 			}
 		}
-	} else {
-		for {
-			if allDone() && fab.Quiescent() {
-				break
-			}
-			if fab.Now() >= s.CycleLimit {
-				fail = &Failure{Kind: "timeout", Cycle: fab.Now(),
-					Message: fmt.Sprintf("episode exceeded %d cycles", s.CycleLimit)}
-				break
-			}
-			if err := fab.StepGuarded(); err != nil {
-				he := err.(*sim.HangError)
-				kind := "hang"
-				if he.Report.Reason == "panic" {
-					kind = "panic"
-				}
-				fail = &Failure{Kind: kind, Cycle: he.Report.Cycle, Message: he.Error(), Report: he.Report}
-				break
-			}
-			if v := sb.Violation(); v != nil {
-				fail = &Failure{Kind: "violation", Cycle: v.Cycle, Message: v.Error(), Violation: v}
-				break
-			}
-			fab.FastForward(s.CycleLimit)
+		if done && fab.Quiescent() {
+			break
 		}
+		if fab.Now() >= s.CycleLimit {
+			fail = &Failure{Kind: "timeout", Cycle: fab.Now(),
+				Message: fmt.Sprintf("episode exceeded %d cycles", s.CycleLimit)}
+			break
+		}
+		if err := fab.StepGuarded(); err != nil {
+			he := err.(*sim.HangError)
+			kind := "hang"
+			if he.Report.Reason == "panic" {
+				kind = "panic"
+			}
+			fail = &Failure{Kind: kind, Cycle: he.Report.Cycle, Message: he.Error(), Report: he.Report}
+			break
+		}
+		if v := sb.Violation(); v != nil {
+			fail = &Failure{Kind: "violation", Cycle: v.Cycle, Message: v.Error(), Violation: v}
+			break
+		}
+		fab.FastForward(s.CycleLimit)
 	}
 
 	if fail == nil {

@@ -292,32 +292,13 @@ func (sb *Scoreboard) CheckDurable(now int64, agent int, addr uint64, got uint64
 	if sb.viol != nil {
 		return
 	}
-	mark, npushes := sb.DurableFloor(agent, addr)
-	sb.CheckDurableAt(now, agent, addr, got, mark, npushes)
-}
-
-// DurableFloor captures — and consumes, exactly as the inline check would —
-// the state CheckDurable reads at this instant: the per-agent issue mark and
-// the current push count. A deferred check (see DurableQueue) resolves
-// against this floor, immune to marks and pushes the same window records
-// after the ack arrived.
-func (sb *Scoreboard) DurableFloor(agent int, addr uint64) (mark, npushes int) {
 	b := sb.block(addr)
-	mark = b.marks[agent]
+	mark := b.marks[agent]
 	if mark < 0 {
 		mark = 0
 	}
 	b.marks[agent] = -1
-	return mark, len(b.pushes)
-}
-
-// CheckDurableAt is CheckDurable against a floor captured earlier by
-// DurableFloor.
-func (sb *Scoreboard) CheckDurableAt(now int64, agent int, addr uint64, got uint64, mark, npushes int) {
-	if sb.viol != nil {
-		return
-	}
-	allowed := sb.block(addr).pushes[mark:npushes]
+	allowed := b.pushes[mark:]
 	for _, v := range allowed {
 		if v == got {
 			return

@@ -191,26 +191,8 @@ func EmitTxn(t Tracer, cycle int64, source, kind string, txn, addr uint64, detai
 // transaction". Ids are assigned unconditionally — whether or not tracing
 // or recording is enabled — so enabling observability can never change
 // simulation behavior, and ids are identical across fast-forward on/off.
-//
-// Under parallel simulation each shard owns a strided sequence (see
-// NewStridedTxnSeq): shard i mints i+1, i+1+N, i+1+2N, ... so ids stay
-// globally unique and per-shard deterministic without any cross-shard
-// synchronization. They intentionally differ from serial ids (interleaving
-// across shards is host-schedule-free but not serial-order); per-shard id
-// streams are identical for any worker count.
 type TxnSeq struct {
-	next   uint64
-	stride uint64 // 0 behaves as 1 (the serial zero-value sequence)
-}
-
-// NewStridedTxnSeq returns a sequence minting first, first+stride,
-// first+stride*2, ... The parallel scheduler gives shard i of N the
-// sequence (i+1, N) so shards mint from disjoint residue classes.
-func NewStridedTxnSeq(first, stride uint64) *TxnSeq {
-	if first == 0 || stride == 0 {
-		panic("trace: strided txn sequence needs first >= 1 and stride >= 1")
-	}
-	return &TxnSeq{next: first - stride, stride: stride}
+	next uint64
 }
 
 // Next returns the next transaction id. Nil-safe: a nil sequence returns 0.
@@ -220,10 +202,6 @@ func (s *TxnSeq) Next() uint64 {
 	if s == nil {
 		return 0
 	}
-	if s.stride == 0 {
-		s.next++
-		return s.next
-	}
-	s.next += s.stride
+	s.next++
 	return s.next
 }
