@@ -87,14 +87,7 @@ func oneRun(rng *rand.Rand, cores int, timeoutCycles int64, verbose bool) error 
 			}
 			return err
 		}
-		allDone := true
-		for _, c := range s.Cores {
-			if !c.Done() {
-				allDone = false
-				break
-			}
-		}
-		if allDone && s.Quiescent() {
+		if s.Done() && s.Quiescent() {
 			break
 		}
 	}

@@ -134,7 +134,8 @@ func fuzz(runs int, seed int64, cores, faults, progLen int, cycleLimit, watchdog
 }
 
 // replayFile re-executes a .chaos.json artifact and compares the outcome with
-// what the artifact recorded. Exit 0 iff they agree.
+// what the artifact recorded: the failure kind and its cycle. Exit 0 iff they
+// agree.
 func replayFile(path string, verbose bool) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -163,6 +164,10 @@ func replayFile(path string, verbose bool) int {
 	case fail.Kind != repro.Failure.Kind:
 		fmt.Printf("MISMATCH: recorded %s, replay produced %s: %s\n",
 			repro.Failure.Kind, fail.Kind, fail.Message)
+		return 1
+	case fail.Cycle != repro.Failure.Cycle:
+		fmt.Printf("MISMATCH: recorded %s at cycle %d, replay produced it at cycle %d: %s\n",
+			fail.Kind, repro.Failure.Cycle, fail.Cycle, fail.Message)
 		return 1
 	default:
 		fmt.Printf("reproduced: %s at cycle %d: %s\n", fail.Kind, fail.Cycle, fail.Message)

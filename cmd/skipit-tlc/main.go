@@ -138,7 +138,8 @@ func fuzz(episodes int, seed int64, agents, ops, faults, addrs int,
 }
 
 // replayFile re-executes a .tlc.json artifact and compares the outcome with
-// what the artifact recorded. Exit 0 iff they agree.
+// what the artifact recorded: the failure kind and its cycle. Exit 0 iff they
+// agree.
 func replayFile(path string, verbose bool) int {
 	rep, err := tlctest.LoadRepro(path)
 	if err != nil {
@@ -160,6 +161,10 @@ func replayFile(path string, verbose bool) int {
 	case fail.Kind != rep.Failure.Kind:
 		fmt.Printf("MISMATCH: recorded %s, replay produced %s: %s\n",
 			rep.Failure.Kind, fail.Kind, fail.Message)
+		return 1
+	case fail.Cycle != rep.Failure.Cycle:
+		fmt.Printf("MISMATCH: recorded %s at cycle %d, replay produced it at cycle %d: %s\n",
+			fail.Kind, rep.Failure.Cycle, fail.Cycle, fail.Message)
 		return 1
 	default:
 		fmt.Printf("reproduced: %s at cycle %d: %s\n", fail.Kind, fail.Cycle, fail.Message)

@@ -66,9 +66,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// hasNextEvent reports whether *T implements NextEvent(int64) int64.
+// hasNextEvent reports whether *T implements NextEvent(int64) int64, or T
+// itself when T is an interface (a pointer to an interface has no methods).
 func hasNextEvent(t types.Type) bool {
-	if named, ok := t.(*types.Named); ok {
+	if named, ok := t.(*types.Named); ok && !types.IsInterface(named) {
 		t = types.NewPointer(named)
 	}
 	m, _, _ := types.LookupFieldOrMethod(t, true, nil, "NextEvent")
@@ -135,18 +136,30 @@ func checkFold(pass *analysis.Pass) {
 		return
 	}
 
-	// Locate the nextEventCycle method body.
+	// Locate the (*System).nextEventCycle method body; another type's
+	// nextEventCycle says nothing about System's fold.
 	var foldBody *ast.BlockStmt
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fn := n.(*ast.FuncDecl)
-		if fn.Recv != nil && fn.Name.Name == "nextEventCycle" && fn.Body != nil {
+		if fn.Recv == nil || fn.Name.Name != "nextEventCycle" || fn.Body == nil {
+			return
+		}
+		obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func)
+		if !ok {
+			return
+		}
+		rt := obj.Type().(*types.Signature).Recv().Type()
+		if p, ok := rt.(*types.Pointer); ok {
+			rt = p.Elem()
+		}
+		if named, ok := rt.(*types.Named); ok && named.Obj() == sysObj {
 			foldBody = fn.Body
 		}
 	})
 
 	// Fields needing a fold: type (after pointer/slice/array unwrapping)
-	// implements NextEvent.
+	// implements NextEvent, concrete component or interface alike.
 	type needed struct {
 		field *types.Var
 	}

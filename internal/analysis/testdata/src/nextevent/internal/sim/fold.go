@@ -1,8 +1,10 @@
 package simfold
 
 // This file is the nextevent-analyzer fold fixture: a System mirroring the
-// real sim.System, with one component folded into nextEventCycle and one
-// forgotten.
+// real sim.System, with one component folded into nextEventCycle, one
+// forgotten, and an interface-typed client slice forgotten too. A decoy type
+// with its own nextEventCycle, declared after System's, must not stand in
+// for System's fold.
 
 type core struct{ wake int64 }
 
@@ -14,10 +16,17 @@ type dma struct{ wake int64 }
 func (d *dma) Tick(now int64)            {}
 func (d *dma) NextEvent(now int64) int64 { return d.wake }
 
-// System folds Cores but forgot the DMA engine.
+// Client is a port driver known only through its interface.
+type Client interface {
+	Tick(now int64)
+	NextEvent(now int64) int64
+}
+
+// System folds Cores but forgot the DMA engine and the agents.
 type System struct {
-	Cores []*core
-	DMA   *dma // want `System field DMA implements NextEvent but is not folded into nextEventCycle`
+	Cores  []*core
+	DMA    *dma     // want `System field DMA implements NextEvent but is not folded into nextEventCycle`
+	Agents []Client // want `System field Agents implements NextEvent but is not folded into nextEventCycle`
 
 	now int64 // ok: not a component
 }
@@ -30,4 +39,13 @@ func (s *System) nextEventCycle(last int64) int64 {
 		}
 	}
 	return next
+}
+
+// bus is the decoy: its fold consults only its own field.
+type bus struct {
+	DMA *dma
+}
+
+func (b *bus) nextEventCycle(last int64) int64 {
+	return b.DMA.NextEvent(last)
 }

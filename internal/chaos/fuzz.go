@@ -192,21 +192,7 @@ func runInput(in Input, fastForward bool) (*Failure, Stats) {
 		s.Cores[i].SetProgram(p)
 	}
 	var fail *Failure
-	coresDone := false
-	for {
-		if !coresDone {
-			all := true
-			for _, c := range s.Cores {
-				if !c.Done() {
-					all = false
-					break
-				}
-			}
-			coresDone = all
-		}
-		if coresDone && s.Quiescent() {
-			break
-		}
+	for !(s.Done() && s.Quiescent()) {
 		if s.Now() >= in.CycleLimit {
 			fail = &Failure{
 				Kind:    FailTimeout,

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 
-	"skipit/internal/l2"
 	"skipit/internal/metrics"
 	"skipit/internal/sim"
 	"skipit/internal/tilelink"
@@ -34,6 +33,10 @@ type Runner struct {
 // nil hook, preserving the zero-overhead fast path; Arm with an empty
 // schedule installs nothing at all.
 //
+// On a bare system (sim.NewBare plus Attach) the L1 and flush-unit kinds
+// find no site and are skipped; Fault.Core then selects the client port for
+// the link kinds.
+//
 // Arm must be called before the first step that should see a fault; hooks are
 // pure functions of the cycle number, so replaying the same schedule on the
 // same programs is bit-identical.
@@ -41,7 +44,7 @@ func Arm(s *sim.System, sched Schedule) *Runner {
 	r := &Runner{
 		s:           s,
 		sched:       sched,
-		ctrInjected: s.Metrics().Counter("chaos", "faults_injected"), //skipit:ignore metricname shared SoC-wide chaos counter, pre-registered by sim.New
+		ctrInjected: s.Metrics().Counter("chaos", "faults_injected"), //skipit:ignore metricname shared SoC-wide chaos counter, pre-registered by sim.NewBare
 	}
 	// Split window faults per site.
 	type linkKey struct{ core, ch int }
@@ -89,35 +92,6 @@ func Arm(s *sim.System, sched Schedule) *Runner {
 		s.L2.SetChaos(&l2Hook{faults: l2Faults})
 	}
 	return r
-}
-
-// ArmPorts installs the schedule's link and L2 hooks on a bare port/L2
-// fabric — a harness (like tlctest) that drives the L2's TileLink ports
-// directly, with no cores or L1s in the loop. Fault kinds addressing L1 or
-// flush-unit sites are silently ignored; the Fault.Core field selects the
-// client port for link kinds. The same purity rules as Arm apply, so replays
-// are bit-identical.
-func ArmPorts(ports []*tilelink.ClientPort, cache *l2.Cache, sched Schedule) {
-	type linkKey struct{ core, ch int }
-	linkFaults := map[linkKey][]Fault{}
-	var l2Faults []Fault
-	for _, f := range sched.Faults {
-		switch f.Kind {
-		case LinkDelay, LinkStall, LinkRefuse:
-			linkFaults[linkKey{f.Core, f.Channel}] = append(linkFaults[linkKey{f.Core, f.Channel}], f)
-		case L2MSHRSqueeze, L2ListBufferSqueeze:
-			l2Faults = append(l2Faults, f)
-		}
-	}
-	for k, fs := range linkFaults {
-		if k.core < 0 || k.core >= len(ports) {
-			continue
-		}
-		channelOf(ports[k.core], k.ch).SetChaos(&linkHook{faults: fs})
-	}
-	if len(l2Faults) > 0 {
-		cache.SetChaos(&l2Hook{faults: l2Faults})
-	}
 }
 
 func channelOf(p *tilelink.ClientPort, ch int) *tilelink.Link {
@@ -179,14 +153,7 @@ func (r *Runner) StepChecked(limits ...int64) error {
 	// Terminal state: every core done and the memory system quiescent. The
 	// driving loop is about to break; skipping ahead (e.g. to the watchdog's
 	// trip cycle) would only distort the final cycle count.
-	done := true
-	for _, c := range r.s.Cores {
-		if !c.Done() {
-			done = false
-			break
-		}
-	}
-	if done && r.s.Quiescent() {
+	if r.s.Done() && r.s.Quiescent() {
 		return nil
 	}
 	if r.next < len(r.sched.Faults) {

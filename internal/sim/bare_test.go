@@ -8,7 +8,7 @@ import (
 	"skipit/internal/tilelink"
 )
 
-// acquireClient is the smallest useful FabricClient: from startAt on it
+// acquireClient is the smallest useful Client: from startAt on it
 // acquires one line with Trunk permission, acknowledges the grant, and is
 // then done. Clients on distinct lines never draw probes, so it needs no
 // B-channel handling.
@@ -58,72 +58,68 @@ func (c *acquireClient) NextEvent(now int64) int64 {
 
 func (c *acquireClient) Done() bool { return c.acked }
 
-// newAcquireFabric builds a fabric with one acquireClient per address, each
-// starting at startAt, with the line's first word preset in DRAM.
-func newAcquireFabric(startAt int64, addrs ...uint64) (*Fabric, []*acquireClient) {
-	f := NewFabric(DefaultFabricConfig(len(addrs)))
+// newAcquireSystem builds a bare system with one acquireClient per address,
+// each starting at startAt, with the line's first word preset in DRAM.
+func newAcquireSystem(startAt int64, addrs ...uint64) (*System, []*acquireClient) {
+	s := NewBare(DefaultConfig(len(addrs)))
 	clients := make([]*acquireClient, len(addrs))
-	fcs := make([]FabricClient, len(addrs))
+	cs := make([]Client, len(addrs))
 	for i, addr := range addrs {
-		f.Mem.PokeUint64(addr, 100+addr)
-		clients[i] = &acquireClient{port: f.Ports[i], id: i, addr: addr, startAt: startAt}
-		fcs[i] = clients[i]
+		s.Mem.PokeUint64(addr, 100+addr)
+		clients[i] = &acquireClient{port: s.Ports()[i], id: i, addr: addr, startAt: startAt}
+		cs[i] = clients[i]
 	}
-	f.Attach(fcs...)
-	return f, clients
+	s.Attach(cs...)
+	return s, clients
 }
 
-// runFabric steps (and, with the clock on, fast-forwards) until every client
-// is done and the memory system has drained, and returns with the clock on
-// the cycle after the step that drained it.
-func runFabric(t *testing.T, f *Fabric, clients []*acquireClient) {
+// runClients steps (and, with the clock on, fast-forwards) until every
+// client is done and the memory system has drained, and returns with the
+// clock on the cycle after the step that drained it.
+func runClients(t *testing.T, s *System) {
 	t.Helper()
 	const limit = 100_000
 	for {
-		if err := f.StepGuarded(); err != nil {
+		if err := s.StepGuarded(); err != nil {
 			t.Fatal(err)
 		}
-		done := f.Quiescent()
-		for _, c := range clients {
-			done = done && c.Done()
-		}
-		if done {
+		if s.Done() && s.Quiescent() {
 			return
 		}
-		if f.Now() >= limit {
-			t.Fatal("fabric did not drain")
+		if s.Now() >= limit {
+			t.Fatal("bare system did not drain")
 		}
-		f.FastForward(limit)
+		s.FastForward(limit)
 	}
 }
 
-// TestFabricServesAcquires: every client gets its line from DRAM with the
-// preset value, the L2 counts the acquires, and the fabric drains.
-func TestFabricServesAcquires(t *testing.T) {
-	f, clients := newAcquireFabric(0, 0x1000, 0x2040)
-	runFabric(t, f, clients)
+// TestBareServesAcquires: every client gets its line from DRAM with the
+// preset value, the L2 counts the acquires, and the system drains.
+func TestBareServesAcquires(t *testing.T) {
+	s, clients := newAcquireSystem(0, 0x1000, 0x2040)
+	runClients(t, s)
 	for _, c := range clients {
 		if !c.granted || c.grantData != 100+c.addr {
 			t.Fatalf("client %d: granted=%v data=%d, want %d", c.id, c.granted, c.grantData, 100+c.addr)
 		}
 	}
-	if got := f.Metrics().CounterValue("l2.acquires"); got != 2 {
+	if got := s.Metrics().CounterValue("l2.acquires"); got != 2 {
 		t.Fatalf("l2.acquires = %d, want 2", got)
 	}
-	if !f.Quiescent() {
-		t.Fatal("fabric not quiescent after the run")
+	if !s.Quiescent() {
+		t.Fatal("system not quiescent after the run")
 	}
 }
 
-// TestFabricFastForwardEquivalence: skipping provably idle cycles changes
+// TestBareFastForwardEquivalence: skipping provably idle cycles changes
 // nothing observable — grants land on the same cycles and the run ends on
 // the same cycle — while the odometer shows the clock actually skipped.
-func TestFabricFastForwardEquivalence(t *testing.T) {
-	run := func(ff bool) (*Fabric, []*acquireClient) {
-		f, clients := newAcquireFabric(400, 0x1000, 0x2040)
-		f.SetFastForward(ff)
-		runFabric(t, f, clients)
-		return f, clients
+func TestBareFastForwardEquivalence(t *testing.T) {
+	run := func(ff bool) (*System, []*acquireClient) {
+		s, clients := newAcquireSystem(400, 0x1000, 0x2040)
+		s.SetFastForward(ff)
+		runClients(t, s)
+		return s, clients
 	}
 	fast, fastClients := run(true)
 	slow, slowClients := run(false)
@@ -143,20 +139,20 @@ func TestFabricFastForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestFabricWatchdogTripsAtSameCycleEitherClock: a fabric whose clients
+// TestBareWatchdogTripsAtSameCycleEitherClock: a bare system whose clients
 // never send trips the watchdog with a no-progress report after exactly
 // the armed window, and fast-forward clamps to the trip cycle rather than
 // skipping past it.
-func TestFabricWatchdogTripsAtSameCycleEitherClock(t *testing.T) {
+func TestBareWatchdogTripsAtSameCycleEitherClock(t *testing.T) {
 	trip := func(ff bool) *HangReport {
-		f, _ := newAcquireFabric(1<<40, 0x1000, 0x2040) // never starts
-		f.SetFastForward(ff)
-		f.ArmWatchdog(50)
-		for f.Now() < 10_000 {
-			err := f.StepGuarded()
+		s, _ := newAcquireSystem(1<<40, 0x1000, 0x2040) // never starts
+		s.SetFastForward(ff)
+		s.ArmWatchdog(50)
+		for s.Now() < 10_000 {
+			err := s.StepGuarded()
 			var he *HangError
 			if errors.As(err, &he) {
-				if got := f.Metrics().CounterValue("sim.watchdog_trips"); got != 1 {
+				if got := s.Metrics().CounterValue("sim.watchdog_trips"); got != 1 {
 					t.Fatalf("watchdog_trips = %d, want 1", got)
 				}
 				return he.Report
@@ -164,7 +160,7 @@ func TestFabricWatchdogTripsAtSameCycleEitherClock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f.FastForward(10_000)
+			s.FastForward(10_000)
 		}
 		t.Fatal("watchdog never tripped")
 		return nil
@@ -183,14 +179,14 @@ func TestFabricWatchdogTripsAtSameCycleEitherClock(t *testing.T) {
 	}
 }
 
-// TestFabricStepGuardedRecoversPanic: a panicking client becomes a
+// TestBareStepGuardedRecoversPanic: a panicking client becomes a
 // structured panic report instead of taking the process down.
-func TestFabricStepGuardedRecoversPanic(t *testing.T) {
-	f, clients := newAcquireFabric(0, 0x1000)
+func TestBareStepGuardedRecoversPanic(t *testing.T) {
+	s, clients := newAcquireSystem(0, 0x1000)
 	clients[0].panicAt = 3
 	var err error
 	for i := 0; i < 10 && err == nil; i++ {
-		err = f.StepGuarded()
+		err = s.StepGuarded()
 	}
 	var he *HangError
 	if !errors.As(err, &he) {
@@ -202,7 +198,7 @@ func TestFabricStepGuardedRecoversPanic(t *testing.T) {
 	}
 }
 
-func TestFabricWiringChecks(t *testing.T) {
+func TestBareWiringChecks(t *testing.T) {
 	mustPanic := func(t *testing.T, fn func()) {
 		t.Helper()
 		defer func() {
@@ -213,10 +209,14 @@ func TestFabricWiringChecks(t *testing.T) {
 		fn()
 	}
 	t.Run("no clients", func(t *testing.T) {
-		mustPanic(t, func() { NewFabric(DefaultFabricConfig(0)) })
+		mustPanic(t, func() { NewBare(DefaultConfig(0)) })
 	})
 	t.Run("client count differs from ports", func(t *testing.T) {
-		f := NewFabric(DefaultFabricConfig(2))
-		mustPanic(t, func() { f.Attach(&acquireClient{port: f.Ports[0]}) })
+		s := NewBare(DefaultConfig(2))
+		mustPanic(t, func() { s.Attach(&acquireClient{port: s.Ports()[0]}) })
+	})
+	t.Run("ports already carry L1s", func(t *testing.T) {
+		s := New(DefaultConfig(1))
+		mustPanic(t, func() { s.Attach(&acquireClient{port: s.Ports()[0]}) })
 	})
 }

@@ -43,13 +43,15 @@ func (s *System) SkippedCycles() uint64 { return s.ctrSkipped.Value() }
 
 // nextEventCycle folds every component's NextEvent into the earliest cycle
 // anything in the SoC can act. last is the most recently ticked cycle.
-// Components are queried busiest-first and the fold (fold.go) bails out as
-// soon as the floor (last+1, nothing skippable) is reached, so on cycles
-// with no idle window the scan usually stops at the first core.
+// Components are queried busiest-first (cores, or on a bare system its
+// clients) and the fold (fold.go) bails out as soon as the floor (last+1,
+// nothing skippable) is reached, so on cycles with no idle window the scan
+// usually stops at the first requester.
 //
 //skipit:hotpath
 func (s *System) nextEventCycle(last int64) int64 {
 	next := foldNextAll(last, tilelink.NoEvent, s.Cores)
+	next = foldNextAll(last, next, s.clients)
 	next = foldNextAll(last, next, s.L1s)
 	next = foldNext(last, next, s.L2)
 	next = foldNextAll(last, next, s.ports)

@@ -211,18 +211,7 @@ func TestFastForwardNeverSkipsArmedEvents(t *testing.T) {
 		for i, p := range ffWorkload() {
 			s.Cores[i].SetProgram(p)
 		}
-		allDone := func() bool {
-			for _, c := range s.Cores {
-				if !c.Done() {
-					return false
-				}
-			}
-			return true
-		}
-		for {
-			if allDone() && s.Quiescent() {
-				break
-			}
+		for !(s.Done() && s.Quiescent()) {
 			if s.Now() > 1_000_000 {
 				t.Fatal("runaway")
 			}
@@ -232,7 +221,7 @@ func TestFastForwardNeverSkipsArmedEvents(t *testing.T) {
 			// Re-check before fast-forwarding: a freshly terminal SoC has no
 			// next event, and the sampler clamp would otherwise overshoot the
 			// exit cycle.
-			if allDone() && s.Quiescent() {
+			if s.Done() && s.Quiescent() {
 				break
 			}
 			s.FastForward()

@@ -2,9 +2,10 @@ package sim
 
 // This file is the single source of truth for next-event folding: reducing a
 // set of components' NextEvent(last) reports to the earliest cycle anything
-// in the set can act. System.nextEventCycle and Fabric.nextEventCycle both
-// fold through these two helpers, so the two harnesses can never disagree
-// about what "provably idle" means.
+// in the set can act. System.nextEventCycle folds every component through
+// these two helpers, whether the ports are driven by core+L1 tiles (New) or
+// by protocol-level clients (NewBare plus Attach), so chaos runs, tlctest
+// episodes and the figures share one definition of "provably idle".
 //
 // The fold contract mirrors the NextEvent contract (fastforward.go): last is
 // the most recently ticked cycle, so the floor — the earliest cycle that

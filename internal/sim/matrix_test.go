@@ -165,14 +165,7 @@ func TestMatrixFourCoreStress(t *testing.T) {
 				if err := s.StepChecked(); err != nil {
 					t.Fatalf("cycle %d: %v", s.Now(), err)
 				}
-				done := true
-				for _, c := range s.Cores {
-					if !c.Done() {
-						done = false
-						break
-					}
-				}
-				if done && s.Quiescent() {
+				if s.Done() && s.Quiescent() {
 					return
 				}
 			}

@@ -48,14 +48,27 @@ func DefaultConfig(numCores int) Config {
 	}
 }
 
+// Client is a protocol-level TileLink master that drives one of a bare
+// system's client ports in place of an L1 (see NewBare and Attach); the
+// tlctest agents implement it. Step ticks it after the cores, and NextEvent
+// follows the same conservative fast-forward contract as every other
+// component (see fastforward.go). Done reports that the client has no
+// further stimulus of its own; it may still answer probes.
+type Client interface {
+	Tick(now int64)
+	NextEvent(now int64) int64
+	Done() bool
+}
+
 // System is one assembled SoC.
 type System struct {
-	cfg   Config
-	Cores []*boom.Core
-	L1s   []*l1.DCache
-	L2    *l2.Cache
-	Mem   *mem.Memory
-	ports []*tilelink.ClientPort
+	cfg     Config
+	Cores   []*boom.Core
+	L1s     []*l1.DCache
+	L2      *l2.Cache
+	Mem     *mem.Memory
+	ports   []*tilelink.ClientPort
+	clients []Client
 
 	// reg is the SoC-wide metrics registry every component registers its
 	// counters with; sampler, when enabled, snapshots selected counters
@@ -101,10 +114,12 @@ type System struct {
 	hook         func(now int64)
 }
 
-// New assembles a system. All components share one metrics registry
-// (available via Metrics), with instruments named by instance: "core[i]",
-// "l1[i]", "flush[i]", "l2", "mem".
-func New(cfg Config) *System {
+// NewBare assembles the memory side of a system: one TileLink client port
+// per core, the shared L2 behind them, DRAM, and the metrics registry and
+// line pool every component shares. No port has a driver yet: New puts a
+// core+L1 tile on each, and a protocol-level harness attaches its own
+// Clients instead. Port i is named for the L1 that New puts on it.
+func NewBare(cfg Config) *System {
 	if cfg.NumCores <= 0 {
 		panic("sim: need at least one core")
 	}
@@ -115,20 +130,9 @@ func New(cfg Config) *System {
 	memCfg.Pool = s.pool
 	s.Mem = mem.New(memCfg)
 	s.ports = make([]*tilelink.ClientPort, cfg.NumCores)
-	s.L1s = make([]*l1.DCache, cfg.NumCores)
-	s.Cores = make([]*boom.Core, cfg.NumCores)
-	for i := 0; i < cfg.NumCores; i++ {
+	for i := range s.ports {
 		s.ports[i] = tilelink.NewClientPort(
 			fmt.Sprintf("l1[%d]<->l2", i), cfg.BeatBytes, cfg.L1.LineBytes, cfg.LinkLatency)
-		l1cfg := cfg.L1
-		l1cfg.Source = i
-		l1cfg.Metrics = s.reg
-		l1cfg.Pool = s.pool
-		l1cfg.Txns = s.txns
-		s.L1s[i] = l1.New(l1cfg, s.ports[i])
-		coreCfg := cfg.Core
-		coreCfg.Metrics = s.reg
-		s.Cores[i] = boom.New(coreCfg, i, s.L1s[i])
 	}
 	l2cfg := cfg.L2
 	l2cfg.NumClients = cfg.NumCores
@@ -137,17 +141,51 @@ func New(cfg Config) *System {
 	s.L2 = l2.New(l2cfg, s.ports, s.Mem)
 	// Pre-register the chaos and watchdog instruments so they appear in
 	// every Snapshot even when nothing is armed (get-or-create: the L1/L2
-	// constructors above share the same "chaos" counters).
+	// constructors share the same "chaos" counters).
 	// The chaos injector re-registers faults_injected (get-or-create
 	// sharing by design); metricname reports the duplicate at the
 	// injector-side registration, which carries the waiver.
 	s.reg.Counter("chaos", "faults_injected")
-	s.reg.Counter("chaos", "ecc_flips")                         //skipit:ignore metricname shared SoC-wide chaos counter, pre-registered here by design
-	s.reg.Counter("chaos", "ecc_dirty_unrecoverable")           //skipit:ignore metricname shared SoC-wide chaos counter, pre-registered here by design
-	s.reg.Counter("chaos", "refetch_recoveries")                //skipit:ignore metricname shared SoC-wide chaos counter, pre-registered here by design
-	s.ctrWatchdogTrips = s.reg.Counter("sim", "watchdog_trips") //skipit:ignore metricname System and Fabric are alternative harnesses over disjoint registries; sharing the key keeps sweep/report tooling uniform
-	s.ctrSkipped = s.reg.Counter("sim", "skipped_cycles")       //skipit:ignore metricname System and Fabric are alternative harnesses over disjoint registries; sharing the key keeps sweep/report tooling uniform
+	s.reg.Counter("chaos", "ecc_flips")               //skipit:ignore metricname shared SoC-wide chaos counter, pre-registered here by design
+	s.reg.Counter("chaos", "ecc_dirty_unrecoverable") //skipit:ignore metricname shared SoC-wide chaos counter, pre-registered here by design
+	s.reg.Counter("chaos", "refetch_recoveries")      //skipit:ignore metricname shared SoC-wide chaos counter, pre-registered here by design
+	s.ctrWatchdogTrips = s.reg.Counter("sim", "watchdog_trips")
+	s.ctrSkipped = s.reg.Counter("sim", "skipped_cycles")
 	return s
+}
+
+// New assembles a system: NewBare's memory side plus a core+L1 tile on every
+// port. All components share one metrics registry (available via Metrics),
+// with instruments named by instance: "core[i]", "l1[i]", "flush[i]", "l2",
+// "mem".
+func New(cfg Config) *System {
+	s := NewBare(cfg)
+	s.L1s = make([]*l1.DCache, cfg.NumCores)
+	s.Cores = make([]*boom.Core, cfg.NumCores)
+	for i, p := range s.ports {
+		l1cfg := cfg.L1
+		l1cfg.Source = i
+		l1cfg.Metrics = s.reg
+		l1cfg.Pool = s.pool
+		l1cfg.Txns = s.txns
+		s.L1s[i] = l1.New(l1cfg, p)
+		coreCfg := cfg.Core
+		coreCfg.Metrics = s.reg
+		s.Cores[i] = boom.New(coreCfg, i, s.L1s[i])
+	}
+	return s
+}
+
+// Attach puts the clients on a bare system's ports; clients[i] must drive
+// Ports()[i].
+func (s *System) Attach(clients ...Client) {
+	if len(s.L1s) > 0 {
+		panic("sim: Attach on a system whose ports already carry L1s")
+	}
+	if len(clients) != len(s.ports) {
+		panic(fmt.Sprintf("sim: %d clients for %d ports", len(clients), len(s.ports)))
+	}
+	s.clients = clients
 }
 
 // Ports returns the per-core TileLink bundles, for fault-injection wiring and
@@ -156,6 +194,10 @@ func (s *System) Ports() []*tilelink.ClientPort { return s.ports }
 
 // Metrics returns the SoC-wide metrics registry.
 func (s *System) Metrics() *metrics.Registry { return s.reg }
+
+// Pool returns the SoC-wide line-buffer pool, for clients that exchange line
+// data with the L2.
+func (s *System) Pool() *linepool.Pool { return s.pool }
 
 // EnableSampling snapshots the named counters (all counters when none are
 // given) every interval cycles as the system steps; the resulting time
@@ -210,7 +252,9 @@ func (s *System) SetProgressHook(interval int64, fn func(now int64)) {
 // Now returns the current cycle.
 func (s *System) Now() int64 { return s.now }
 
-// Step advances the whole SoC by one cycle.
+// Step advances the whole SoC by one cycle, ticking DRAM, the L2, every L1,
+// every core and then every attached client, so a message sent at cycle t
+// is visible to its consumer no earlier than t+1.
 //
 //skipit:hotpath
 func (s *System) Step() {
@@ -220,6 +264,9 @@ func (s *System) Step() {
 		d.Tick(s.now)
 	}
 	for _, c := range s.Cores {
+		c.Tick(s.now)
+	}
+	for _, c := range s.clients {
 		c.Tick(s.now)
 	}
 	if s.sampler != nil {
@@ -254,14 +301,7 @@ func (s *System) Run(progs []*isa.Program, limit int64) (int64, error) {
 	for s.now < deadline {
 		s.Step()
 		if coresDone < 0 {
-			all := true
-			for _, c := range s.Cores {
-				if !c.Done() {
-					all = false
-					break
-				}
-			}
-			if all {
+			if s.Done() {
 				// Defer the quiescence check to the next iteration, as
 				// the single-stepping loop always has, instead of
 				// fast-forwarding past it (a fully idle SoC reports no
@@ -275,6 +315,23 @@ func (s *System) Run(progs []*isa.Program, limit int64) (int64, error) {
 		s.FastForward(deadline)
 	}
 	return 0, fmt.Errorf("%w (limit %d): %s", ErrTimeout, limit, s.describeStall())
+}
+
+// Done reports whether every core has committed its program and every
+// attached client has exhausted its stimulus. Traffic still in flight is
+// Quiescent's concern.
+func (s *System) Done() bool {
+	for _, c := range s.Cores {
+		if !c.Done() {
+			return false
+		}
+	}
+	for _, c := range s.clients {
+		if !c.Done() {
+			return false
+		}
+	}
+	return true
 }
 
 // Quiescent reports whether no transaction is in flight anywhere.

@@ -377,7 +377,7 @@ func TestRandomStressInvariants(t *testing.T) {
 		if err := s.StepChecked(); err != nil {
 			t.Fatalf("cycle %d: %v", s.Now(), err)
 		}
-		if s.Cores[0].Done() && s.Cores[1].Done() && s.Quiescent() {
+		if s.Done() && s.Quiescent() {
 			return
 		}
 	}

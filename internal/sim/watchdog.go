@@ -69,7 +69,8 @@ type HangError struct {
 
 func (e *HangError) Error() string { return "sim: " + e.Report.Summary() }
 
-// buildHangReport snapshots the whole SoC.
+// buildHangReport snapshots the whole SoC. A bare system leaves the core and
+// L1 sections empty, so the report shape is the same for every harness.
 func (s *System) buildHangReport(reason string) *HangReport {
 	r := &HangReport{
 		Cycle:          s.now,
@@ -95,7 +96,10 @@ func (s *System) buildHangReport(reason string) *HangReport {
 // instruction and no TileLink message moves for limit cycles, StepGuarded
 // returns a *HangError carrying a full HangReport. Zero disables. The limit
 // must comfortably exceed the longest legal stall (DRAM latency plus queue
-// drains, hundreds of cycles at the default configuration).
+// drains, hundreds of cycles at the default configuration). Attached
+// clients have no commit counters; link activity is their progress signal,
+// which suffices because every client action either sends a message or is a
+// bounded internal delay far below any sane limit.
 func (s *System) ArmWatchdog(limit int64) {
 	s.wdLimit = limit
 	s.wdLastSig = s.progressSignature()

@@ -192,7 +192,7 @@ type Agent struct {
 	probes    []deferredProbe
 }
 
-// NewAgent builds an agent from its config. It implements sim.FabricClient.
+// NewAgent builds an agent from its config. It implements sim.Client.
 func NewAgent(cfg AgentConfig) *Agent {
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()

@@ -5,8 +5,7 @@ import (
 
 	"skipit/internal/chaos"
 	"skipit/internal/detrand"
-	"skipit/internal/linepool"
-	"skipit/internal/metrics"
+	"skipit/internal/l2"
 	"skipit/internal/sim"
 	"skipit/internal/trace"
 )
@@ -60,11 +59,28 @@ type Script struct {
 	DropRootReleaseRaceData bool `json:"drop_root_release_race_data,omitempty"`
 }
 
+// episodeConfig is a bare system over a deliberately tiny L2: 4 sets and 2
+// ways, so that a handful of addresses forces evictions, probes and
+// way-arbitration races that a full-size cache would spread over thousands
+// of sets.
+func episodeConfig(agents int) sim.Config {
+	cfg := sim.DefaultConfig(agents)
+	cfg.L2 = l2.Config{
+		Sets:            4,
+		Ways:            2,
+		LineBytes:       64,
+		NumMSHRs:        4,
+		ListBufferDepth: 8,
+		TagLatency:      8,
+	}
+	return cfg
+}
+
 // episodeBase is where the address universe starts; any line-aligned,
 // set-0-aligned base works.
 const episodeBase uint64 = 0x1000
 
-// episodeAddr maps universe index i onto the fabric L2's tiny geometry
+// episodeAddr maps universe index i onto the episode L2's tiny geometry
 // (4 sets, 64-byte lines): even/odd indices alternate between sets 0 and 1,
 // consecutive pairs are different tags (aliases) of the same sets.
 func episodeAddr(i int) uint64 {
@@ -86,10 +102,10 @@ var opWeights = []struct {
 	{100, OpIdle},
 }
 
-// tlcFaultKinds is the subset of chaos fault kinds meaningful on a
-// core-less fabric: link perturbations on any channel plus the L2 resource
-// squeezes. (L1/FSHR kinds have no target here; chaos.ArmPorts would
-// silently ignore them, so the generator never draws them.)
+// tlcFaultKinds is the subset of chaos fault kinds meaningful on a bare
+// system: link perturbations on any channel plus the L2 resource squeezes.
+// (L1/FSHR kinds have no target here; chaos.Arm skips them, so the
+// generator never draws them.)
 var tlcFaultKinds = []chaos.Kind{
 	chaos.LinkDelay, chaos.LinkStall, chaos.LinkRefuse,
 	chaos.L2MSHRSqueeze, chaos.L2ListBufferSqueeze,
@@ -190,76 +206,67 @@ type Stats struct {
 	RootReleaseRaces uint64 `json:"root_release_races"`
 }
 
-// RunScript executes one episode: it assembles a fresh core-less fabric,
-// attaches one agent per port, arms the chaos schedule and steps until every
-// agent is done and the system drains (or something fails). The returned
-// Failure is nil on success.
+// RunScript executes one episode: it assembles a fresh bare system over the
+// tiny L2, attaches one agent per port, arms the chaos schedule and steps
+// until every agent is done and the system drains (or something fails). The
+// returned Failure is nil on success.
 func RunScript(s Script) (*Failure, Stats) {
-	reg := metrics.NewRegistry()
-	fcfg := sim.DefaultFabricConfig(s.Agents)
-	pool := linepool.New(int(fcfg.L2.LineBytes), reg)
-	fcfg.Metrics = reg
-	fcfg.L2.Pool = pool
-	fcfg.Mem.Pool = pool
-	fab := sim.NewFabric(fcfg)
+	return runScript(s, true)
+}
+
+// runScript is RunScript with the fast-forward clock switchable, so the
+// equivalence tests can pin fast-forwarded episodes against single-stepped
+// ones.
+func runScript(s Script, fastForward bool) (*Failure, Stats) {
+	sys := sim.NewBare(episodeConfig(s.Agents))
+	sys.SetFastForward(fastForward)
+	reg := sys.Metrics()
 	for i, addr := range s.Addrs {
-		fab.Mem.PokeUint64(addr, s.Init[i])
+		sys.Mem.PokeUint64(addr, s.Init[i])
 	}
 
 	sb := NewScoreboard(s.Agents, s.Addrs, s.Init, reg)
 	txns := &trace.TxnSeq{}
-	clients := make([]sim.FabricClient, s.Agents)
-	agents := make([]*Agent, s.Agents)
-	for i := 0; i < s.Agents; i++ {
+	clients := make([]sim.Client, s.Agents)
+	for i := range clients {
 		var ops []Op
 		for _, op := range s.Ops {
 			if op.Agent == i {
 				ops = append(ops, op)
 			}
 		}
-		agents[i] = NewAgent(AgentConfig{
+		clients[i] = NewAgent(AgentConfig{
 			ID:         i,
-			Port:       fab.Ports[i],
-			Pool:       pool,
-			LineBytes:  fcfg.L2.LineBytes,
+			Port:       sys.Ports()[i],
+			Pool:       sys.Pool(),
+			LineBytes:  sys.L2.Config().LineBytes,
 			Addrs:      s.Addrs,
 			Ops:        ops,
 			Seed:       s.AgentSeeds[i],
 			Scoreboard: sb,
 			Txns:       txns,
 			Bug:        s.Bug,
-			MemPeek:    fab.Mem.PeekUint64,
+			MemPeek:    sys.Mem.PeekUint64,
 			Metrics:    reg,
 		})
-		clients[i] = agents[i]
 	}
-	fab.Attach(clients...)
+	sys.Attach(clients...)
 	if s.DropRootReleaseRaceData {
-		fab.L2.PokeDropRootReleaseRaceData(true)
+		sys.L2.PokeDropRootReleaseRaceData(true)
 	}
-	chaos.ArmPorts(fab.Ports, fab.L2, s.Schedule)
+	chaos.Arm(sys, s.Schedule)
 	if s.WatchdogLimit > 0 {
-		fab.ArmWatchdog(s.WatchdogLimit)
+		sys.ArmWatchdog(s.WatchdogLimit)
 	}
 
 	var fail *Failure
-	for {
-		done := true
-		for _, a := range agents {
-			if !a.Done() {
-				done = false
-				break
-			}
-		}
-		if done && fab.Quiescent() {
-			break
-		}
-		if fab.Now() >= s.CycleLimit {
-			fail = &Failure{Kind: "timeout", Cycle: fab.Now(),
+	for !(sys.Done() && sys.Quiescent()) {
+		if sys.Now() >= s.CycleLimit {
+			fail = &Failure{Kind: "timeout", Cycle: sys.Now(),
 				Message: fmt.Sprintf("episode exceeded %d cycles", s.CycleLimit)}
 			break
 		}
-		if err := fab.StepGuarded(); err != nil {
+		if err := sys.StepGuarded(); err != nil {
 			he := err.(*sim.HangError)
 			kind := "hang"
 			if he.Report.Reason == "panic" {
@@ -272,18 +279,24 @@ func RunScript(s Script) (*Failure, Stats) {
 			fail = &Failure{Kind: "violation", Cycle: v.Cycle, Message: v.Error(), Violation: v}
 			break
 		}
-		fab.FastForward(s.CycleLimit)
+		// Once the episode has ended nothing is left to skip towards but
+		// the watchdog's trip cycle; jumping there would only inflate the
+		// final cycle count.
+		if sys.Done() && sys.Quiescent() {
+			break
+		}
+		sys.FastForward(s.CycleLimit)
 	}
 
 	if fail == nil {
 		// The system has drained: every address's freshest committed copy
 		// (L2 if resident, else DRAM) must be a permissible value.
 		for _, addr := range s.Addrs {
-			got := fab.Mem.PeekUint64(addr)
-			if line, ok := fab.L2.PeekLine(addr); ok {
+			got := sys.Mem.PeekUint64(addr)
+			if line, ok := sys.L2.PeekLine(addr); ok {
 				got = decodeVal(line)
 			}
-			sb.CheckFinal(fab.Now(), addr, got)
+			sb.CheckFinal(sys.Now(), addr, got)
 		}
 		if v := sb.Violation(); v != nil {
 			fail = &Failure{Kind: "violation", Cycle: v.Cycle, Message: v.Error(), Violation: v}
@@ -291,7 +304,7 @@ func RunScript(s Script) (*Failure, Stats) {
 	}
 
 	st := Stats{
-		Cycles:           fab.Now(),
+		Cycles:           sys.Now(),
 		Skipped:          reg.CounterValue("sim.skipped_cycles"),
 		Acquires:         reg.CounterValue("tlc.acquires"),
 		Grants:           reg.CounterValue("tlc.grants"),

@@ -90,3 +90,28 @@ func TestEpisodeNoFaults(t *testing.T) {
 		t.Fatalf("fault-free episode failed: %s", fail.Message)
 	}
 }
+
+// TestFastForwardEquivalence: the next-event clock skips only no-op cycles,
+// so every episode reaches the same verdict and the same stats with it on
+// or off; only the skipped-cycle odometer differs. In particular the clock
+// must not jump ahead once the episode has ended, which would inflate the
+// final cycle count.
+func TestFastForwardEquivalence(t *testing.T) {
+	skipped := uint64(0)
+	for seed := int64(1); seed <= 200; seed++ {
+		s := BuildScript(DefaultParams(seed))
+		failFF, stFF := runScript(s, true)
+		failSlow, stSlow := runScript(s, false)
+		if stSlow.Skipped != 0 {
+			t.Fatalf("seed %d: clock off skipped %d cycles", seed, stSlow.Skipped)
+		}
+		skipped += stFF.Skipped
+		stFF.Skipped = 0
+		if v1, v2 := verdict(t, failFF, stFF), verdict(t, failSlow, stSlow); v1 != v2 {
+			t.Fatalf("seed %d: fast-forward changed the episode:\nff:   %s\nslow: %s", seed, v1, v2)
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("the clock never skipped a cycle in 200 episodes")
+	}
+}

@@ -118,6 +118,28 @@ func TestLitmusRace1Mutation(t *testing.T) {
 	}
 }
 
+// TestCommittedArtifactReplays pins the committed race1 artifact, the
+// shrunk value violation TestLitmusRace1Mutation produces: the replay must
+// reproduce the recorded failure kind, cycle and violation kind,
+// bit-identically, on every machine.
+func TestCommittedArtifactReplays(t *testing.T) {
+	rep, err := LoadRepro("testdata/race1.tlc.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rep.Failure
+	if want == nil || want.Kind != "violation" || want.Violation == nil || want.Violation.Kind != "value" {
+		t.Fatalf("artifact should record a value violation: %+v", want)
+	}
+	got, _ := RunScript(rep.Script)
+	if got == nil {
+		t.Fatal("replay ran clean")
+	}
+	if got.Kind != want.Kind || got.Cycle != want.Cycle || got.Violation == nil || got.Violation.Kind != want.Violation.Kind {
+		t.Fatalf("replay diverged: got %+v, recorded %+v", got, want)
+	}
+}
+
 func TestLitmusRace2Fixed(t *testing.T) {
 	fail, st := RunScript(race2Script(false))
 	if fail != nil {
