@@ -1,14 +1,14 @@
 // Command skipit-bench regenerates every table and figure of the paper's
 // evaluation (§7) through the internal/sweep orchestrator: each figure is
 // decomposed into independent, fingerprinted jobs that run on a bounded
-// worker pool and land in a content-addressed result store. See
+// worker pool, and every run measures every point afresh. See
 // EXPERIMENTS.md for the side-by-side comparison with the published results
 // and README.md ("Regenerating the figures") for the sweep workflow.
 //
 // Usage:
 //
 //	skipit-bench [-fig 9|10|...|16|ablations|all | comma list, e.g. -fig 9,13]
-//	             [-quick] [-csv] [-jobs N] [-out DIR] [-force]
+//	             [-quick] [-csv] [-jobs N] [-out DIR]
 //	             [-baseline FILE] [-gate PCT] [-metrics-dir DIR] [-http ADDR]
 //
 // -quick shrinks sweep sizes and operation counts so the full set completes
@@ -17,13 +17,11 @@
 //
 // -jobs N runs up to N measurements concurrently (default GOMAXPROCS); every
 // measurement owns its whole simulated system, so results are bit-identical
-// to -jobs 1. -out DIR maintains a result store (one BENCH_<group>.json per
-// figure plus a combined BENCH_quick.json/BENCH_full.json): points whose
-// config fingerprint already matches a stored record are skipped, -force
-// re-measures everything. -baseline FILE compares the run against a stored
-// baseline and -gate PCT (default 10) fails the process on cycle-count
-// regressions beyond the tolerance — or on fingerprint drift, which means
-// the baseline needs refreshing.
+// to -jobs 1. -out DIR writes the run's records to DIR/BENCH_quick.json (or
+// DIR/BENCH_full.json). -baseline FILE compares the run against a recorded
+// baseline, and -gate PCT (default 10) fails the process on any cycle-count
+// change beyond the tolerance, in either direction, or on fingerprint drift;
+// either means the baseline needs refreshing.
 //
 // -metrics-dir writes one <group>.metrics.json sidecar per cycle-accurate
 // figure (9-13, ablations) holding the labeled telemetry snapshot of every
@@ -37,7 +35,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"sync/atomic"
 
@@ -46,34 +43,6 @@ import (
 	"skipit/internal/metrics"
 	"skipit/internal/sweep"
 )
-
-// onOff is a boolean flag.Value that also accepts the spellings on/off.
-type onOff bool
-
-func (o *onOff) String() string {
-	if bool(*o) {
-		return "on"
-	}
-	return "off"
-}
-
-func (o *onOff) Set(s string) error {
-	switch strings.ToLower(s) {
-	case "on":
-		*o = true
-	case "off":
-		*o = false
-	default:
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			return fmt.Errorf("invalid value %q (want on or off)", s)
-		}
-		*o = onOff(v)
-	}
-	return nil
-}
-
-func (o *onOff) IsBoolFlag() bool { return true }
 
 func main() {
 	os.Exit(run())
@@ -84,17 +53,12 @@ func run() int {
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast pass")
 	csv := flag.Bool("csv", false, "emit figure,series,x,y rows for plotting")
 	jobs := flag.Int("jobs", 0, "max concurrent measurements (0 = GOMAXPROCS)")
-	out := flag.String("out", "", "result-store directory (skip already-measured points, write BENCH_*.json)")
-	force := flag.Bool("force", false, "re-measure every point even on a result-store hit")
-	baseline := flag.String("baseline", "", "baseline store file to gate against")
-	gate := flag.Float64("gate", 10, "regression tolerance in percent (with -baseline)")
+	out := flag.String("out", "", "directory to write the run's BENCH_quick.json or BENCH_full.json into")
+	baseline := flag.String("baseline", "", "baseline BENCH_*.json file to gate against")
+	gate := flag.Float64("gate", 10, "tolerance in percent for a cycle-count change in either direction (with -baseline)")
 	metricsDir := flag.String("metrics-dir", "", "write per-figure metrics sidecar JSON files into this directory")
 	httpAddr := flag.String("http", "", "serve live sweep introspection on this address (e.g. localhost:6060; empty disables)")
-	fastForward := onOff(true)
-	flag.Var(&fastForward, "fast-forward", "next-event clock: on skips provably idle cycles, off single-steps (results are identical)")
 	flag.Parse()
-
-	bench.FastForward = bool(fastForward)
 
 	if *quick {
 		bench.SetQuick()
@@ -129,16 +93,11 @@ func run() int {
 		allJobs = append(allJobs, f.Build(*quick)...)
 	}
 
-	var store *sweep.Store
-	if *out != "" {
-		var err error
-		if store, err = sweep.Open(*out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+	for _, dir := range []string{*out, *metricsDir} {
+		if dir == "" {
+			continue
 		}
-	}
-	if *metricsDir != "" {
-		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -146,8 +105,6 @@ func run() int {
 
 	runner := sweep.Runner{
 		Workers:       *jobs,
-		Store:         store,
-		Force:         *force,
 		WithSnapshots: *metricsDir != "",
 	}
 	if *httpAddr != "" {
@@ -193,7 +150,7 @@ func run() int {
 				if res.Err != nil {
 					continue
 				}
-				fmt.Println("  " + renderRecord(f, res))
+				fmt.Println("  " + renderRecord(f, res.Record))
 			}
 		}
 		for _, res := range group {
@@ -213,16 +170,13 @@ func run() int {
 	}
 
 	records := sweep.Records(results)
-	if store != nil {
+	if *out != "" {
 		mode := "full"
 		if *quick {
 			mode = "quick"
 		}
-		combined := filepath.Join(store.Dir(), sweep.FileName(mode))
-		if err := store.Flush(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit = 1
-		} else if err := sweep.WriteFile(combined, sweep.File{Group: mode, Records: records}); err != nil {
+		path := filepath.Join(*out, sweep.FileName(mode))
+		if err := sweep.WriteFile(path, sweep.File{Group: mode, Records: records}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			exit = 1
 		}
@@ -237,7 +191,7 @@ func run() int {
 		cmp := sweep.Compare(base.Records, records, *gate)
 		fmt.Printf("\n== %s vs %s\n", cmp, *baseline)
 		if !cmp.OK() {
-			fmt.Fprintln(os.Stderr, "regression gate FAILED (intentional perf changes must refresh the baseline; see README)")
+			fmt.Fprintln(os.Stderr, "regression gate FAILED: cycle counts changed (intentional changes must refresh the baseline; see README)")
 			return 1
 		}
 		fmt.Println("regression gate passed")
@@ -259,8 +213,6 @@ func sweepPublisher(srv *introspect.Server, total int) func(sweep.ProgressEvent)
 		switch ev.State {
 		case "done":
 			reg.Counter("sweep", "jobs_done").Inc()
-		case "cached":
-			reg.Counter("sweep", "jobs_cached").Inc()
 		case "failed":
 			reg.Counter("sweep", "jobs_failed").Inc()
 		case "running":
@@ -275,25 +227,19 @@ func sweepPublisher(srv *introspect.Server, total int) func(sweep.ProgressEvent)
 }
 
 // renderRecord formats one human-readable result line.
-func renderRecord(f bench.Figure, res sweep.JobResult) string {
-	r := res.Record
-	cached := ""
-	if res.Cached {
-		cached = "  [store]"
-	}
+func renderRecord(f bench.Figure, r sweep.Record) string {
 	if f.Mops {
-		return fmt.Sprintf("%-28s %-16s %10.3f Mops/s%s", r.Series, r.X, r.Derived["mops"], cached)
+		return fmt.Sprintf("%-28s %-16s %10.3f Mops/s", r.Series, r.X, r.Derived["mops"])
 	}
 	line := fmt.Sprintf("%-24s size=%-8s %12.0f cycles", r.Series, r.X, r.Cycles)
 	if r.Reps > 1 {
 		line += fmt.Sprintf(" (sigma %.1f)", r.Sigma)
 	}
-	return line + cached
+	return line
 }
 
 // writeSidecar writes DIR/<group>.metrics.json with every labeled snapshot
-// the group's jobs emitted, in submission order. Cached jobs re-measured
-// nothing, so they contribute no snapshots.
+// the group's jobs emitted, in submission order.
 func writeSidecar(dir, group string, results []sweep.JobResult) (err error) {
 	var snaps []sweep.LabeledSnapshot
 	for _, res := range results {

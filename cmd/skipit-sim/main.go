@@ -34,8 +34,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"skipit/internal/introspect"
@@ -43,34 +41,6 @@ import (
 	"skipit/internal/sim"
 	"skipit/internal/trace"
 )
-
-// onOff is a boolean flag.Value that also accepts the spellings on/off.
-type onOff bool
-
-func (o *onOff) String() string {
-	if bool(*o) {
-		return "on"
-	}
-	return "off"
-}
-
-func (o *onOff) Set(s string) error {
-	switch strings.ToLower(s) {
-	case "on":
-		*o = true
-	case "off":
-		*o = false
-	default:
-		v, err := strconv.ParseBool(s)
-		if err != nil {
-			return fmt.Errorf("invalid value %q (want on or off)", s)
-		}
-		*o = onOff(v)
-	}
-	return nil
-}
-
-func (o *onOff) IsBoolFlag() bool { return true }
 
 func main() {
 	cores := flag.Int("cores", 1, "number of simulated cores (threads)")
@@ -87,8 +57,6 @@ func main() {
 	httpAddr := flag.String("http", "", "serve live introspection endpoints on this address (e.g. localhost:6060; empty disables)")
 	publishInterval := flag.Int64("publish-interval", 5000, "cycles between snapshot publishes to the -http server")
 	recorderDepth := flag.Int("recorder", 0, "arm a flight recorder holding the last N events per component (0 disables)")
-	fastForward := onOff(true)
-	flag.Var(&fastForward, "fast-forward", "next-event clock: on skips provably idle cycles, off single-steps (results are identical)")
 	flag.Parse()
 
 	clean := false
@@ -103,7 +71,6 @@ func main() {
 	cfg := sim.DefaultConfig(*cores)
 	cfg.L1.Flush.SkipIt = *skipIt
 	s := sim.New(cfg)
-	s.SetFastForward(bool(fastForward))
 	if *recorderDepth > 0 {
 		s.EnableFlightRecorder(*recorderDepth)
 	} else if *httpAddr != "" {

@@ -1,7 +1,8 @@
 // Package determinism implements the skipit-vet analyzer that statically
 // enforces the simulator's reproducibility contract: identical inputs must
-// produce byte-identical results (the property the sweep result store, the
-// chaos replay artifacts and the fast-forward A/B gate all stand on).
+// produce byte-identical results (the property the tolerance-0 sweep gate,
+// the chaos replay artifacts and the fast-forward equivalence tests all
+// stand on).
 //
 // Within the simulator packages (configurable with -pkgs; defaults to the
 // cycle-accurate core: boom, l1, l2, mem, tilelink, sim, memsim, linepool,
@@ -41,7 +42,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: "report wall-clock reads, global rand, goroutines, and order-sensitive map iteration in simulator packages\n\n" +
-		"The sweep result store, chaos replay artifacts and fast-forward A/B gate all require byte-identical reruns; " +
+		"The tolerance-0 sweep gate, chaos replay artifacts and fast-forward equivalence tests all require byte-identical reruns; " +
 		"this analyzer rejects the constructs that silently break that property.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,

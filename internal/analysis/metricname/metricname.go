@@ -1,6 +1,6 @@
 // Package metricname implements the skipit-vet analyzer for the metrics
 // registry's naming contract. Instruments are identified by
-// "component.name" keys (metrics.Key); the sweep result store, the
+// "component.name" keys (metrics.Key); the metrics sidecars, the
 // regression gate and the snapshot aggregator all join on those strings, so
 // they must be:
 //

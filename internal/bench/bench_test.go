@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"skipit/internal/ds"
 	"skipit/internal/persist"
+	"skipit/internal/sweep"
 )
 
 // small shrinks every knob for fast tests and restores on cleanup.
@@ -23,25 +25,49 @@ func small(t *testing.T) {
 	})
 }
 
+// runRecords runs the jobs through the sweep runner and returns their
+// records by name, failing the test on any job error.
+func runRecords(t *testing.T, jobs []sweep.Job) map[string]sweep.Record {
+	t.Helper()
+	results := sweep.Runner{}.Run(jobs)
+	if err := sweep.FirstError(results); err != nil {
+		t.Fatal(err)
+	}
+	recs := map[string]sweep.Record{}
+	for _, r := range sweep.Records(results) {
+		recs[r.Name] = r
+	}
+	return recs
+}
+
+// cycles returns the named record's cycles, failing the test when the jobs
+// produced no such record.
+func cycles(t *testing.T, recs map[string]sweep.Record, name string) float64 {
+	t.Helper()
+	r, ok := recs[name]
+	if !ok {
+		t.Fatalf("no record %q", name)
+	}
+	return r.Cycles
+}
+
 func TestFig9ShapeAndScaling(t *testing.T) {
 	small(t)
-	rows := Fig9(nil, false)
-	if len(rows) != len(Sizes)*len(ThreadCounts) {
-		t.Fatalf("%d rows", len(rows))
+	recs := runRecords(t, Fig9Jobs("fig09", false))
+	if len(recs) != len(Sizes)*len(ThreadCounts) {
+		t.Fatalf("%d records", len(recs))
 	}
-	byKey := map[[2]uint64]float64{}
-	for _, r := range rows {
+	for _, r := range recs {
 		if r.Cycles <= 0 {
 			t.Fatalf("non-positive latency: %+v", r)
 		}
-		byKey[[2]uint64{r.Size, uint64(r.Threads)}] = r.Cycles
 	}
 	// More data takes longer at fixed threads.
-	if byKey[[2]uint64{1024, 1}] <= byKey[[2]uint64{64, 1}] {
+	if cycles(t, recs, "flush/size1024/threads1") <= cycles(t, recs, "flush/size64/threads1") {
 		t.Fatal("latency not increasing with size")
 	}
 	// More threads never slower at the largest size.
-	if byKey[[2]uint64{1024, 2}] > byKey[[2]uint64{1024, 1}] {
+	if cycles(t, recs, "flush/size1024/threads2") > cycles(t, recs, "flush/size1024/threads1") {
 		t.Fatal("two threads slower than one")
 	}
 }
@@ -61,18 +87,9 @@ func TestFig9SingleLineBand(t *testing.T) {
 
 func TestFig10CleanBeatsFlush(t *testing.T) {
 	small(t)
-	rows := Fig10(nil, []int{1})
-	var clean, flush float64
-	for _, r := range rows {
-		if r.Size != 1024 {
-			continue
-		}
-		if r.Clean {
-			clean = r.Cycles
-		} else {
-			flush = r.Cycles
-		}
-	}
+	recs := runRecords(t, Fig10Jobs([]int{1}))
+	clean := cycles(t, recs, "clean/size1024/threads1")
+	flush := cycles(t, recs, "flush/size1024/threads1")
 	if !(flush > clean) {
 		t.Fatalf("flush (%.0f) not slower than clean (%.0f) on re-read workload", flush, clean)
 	}
@@ -80,40 +97,22 @@ func TestFig10CleanBeatsFlush(t *testing.T) {
 
 func TestFig13SkipItWins(t *testing.T) {
 	small(t)
-	rows := Fig13(nil, []int{1}, 10)
-	var naive, skip float64
-	for _, r := range rows {
-		if r.Size != 1024 {
-			continue
-		}
-		if r.SkipIt {
-			skip = r.Cycles
-		} else {
-			naive = r.Cycles
-		}
-	}
+	recs := runRecords(t, Fig13Jobs([]int{1}, 10))
+	naive := cycles(t, recs, "naive/size1024/threads1")
+	skip := cycles(t, recs, "skipit/size1024/threads1")
 	gain := (naive - skip) / naive
 	if gain < 0.05 {
 		t.Fatalf("Skip It gain %.1f%% on redundant cleans, want >5%% (paper: 15-30%%)", gain*100)
 	}
 }
 
+// The paper's literal CBO.FLUSH variant of Figure 13 has no job, so this
+// measures it directly: after the first flush the line is gone, and both
+// modes resolve the redundant flushes at the L2.
 func TestFig13FlushVariantFallsBackToL2Skip(t *testing.T) {
-	small(t)
-	rows := Fig13Flush(nil, []int{1}, 4)
-	var naive, skip float64
-	for _, r := range rows {
-		if r.Size != 1024 {
-			continue
-		}
-		if r.SkipIt {
-			skip = r.Cycles
-		} else {
-			naive = r.Cycles
-		}
-	}
-	// After the first flush the line is gone; both modes resolve the
-	// redundant flushes at the L2 — Skip It must not be slower.
+	naive := measureRedundant(nil, 1024, 1, 4, false, false)
+	skip := measureRedundant(nil, 1024, 1, 4, true, false)
+	// Skip It must not be slower.
 	if skip > naive*1.05 {
 		t.Fatalf("Skip It flush variant slower than naive: %.0f vs %.0f", skip, naive)
 	}
@@ -145,29 +144,22 @@ func TestManualModeNearBaseline(t *testing.T) {
 	}
 }
 
-func TestFig16Runs(t *testing.T) {
-	small(t)
-	rows := Fig16([]uint64{64, 4096})
-	if len(rows) != 2 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Mops <= 0 {
-			t.Fatalf("non-positive throughput: %+v", r)
-		}
-	}
-}
-
+// §7.4: link-and-persist cannot be applied to the BST. Both grids that cross
+// structures with elision schemes must leave out that pair, and only it.
 func TestFig14SkipsLAPForBST(t *testing.T) {
-	small(t)
-	// Just verify the sweep's structure without running everything: the
-	// BST x link-and-persist combination must be absent.
-	PersistOpsPerThr = 50
-	ListKeys, HashKeys, TreeKeys = 16, 32, 32
-	rows := Fig14()
-	for _, r := range rows {
-		if r.Structure == ds.NameBST && r.Policy == PolicyLinkAndPersist {
-			t.Fatal("Fig14 ran link-and-persist on the BST (§7.4: inapplicable)")
+	for _, jobs := range [][]sweep.Job{Fig14Jobs(), Fig15Jobs([]int{0, 50})} {
+		lap := map[string]bool{}
+		for _, j := range jobs {
+			structure, rest, _ := strings.Cut(j.Name, "/")
+			if strings.Contains(rest, PolicyLinkAndPersist.String()) {
+				lap[structure] = true
+			}
+		}
+		for _, structure := range Structures() {
+			if want := structure != ds.NameBST; lap[structure] != want {
+				t.Errorf("%s: link-and-persist jobs on %s = %v, want %v",
+					jobs[0].Group, structure, lap[structure], want)
+			}
 		}
 	}
 }

@@ -3,7 +3,7 @@ package bench
 import "skipit/internal/sweep"
 
 // Figure describes one regenerable section of the paper's evaluation (§7):
-// its -fig selector token, result-store group, presentation metadata, and the
+// its -fig selector token, record group, presentation metadata, and the
 // builder that decomposes it into fingerprinted sweep jobs.
 //
 // The table lives here — not in cmd/skipit-bench — because it is the shared
@@ -12,7 +12,7 @@ import "skipit/internal/sweep"
 // same fingerprints everywhere.
 type Figure struct {
 	Token string // -fig selector ("9", "ablations")
-	Group string // result-store group / sidecar name ("fig09")
+	Group string // record group / sidecar name ("fig09")
 	Title string
 	Note  string // paper anchor, printed under the title
 	Mops  bool   // report Derived["mops"] instead of cycles
@@ -73,8 +73,8 @@ func Figures() []Figure {
 }
 
 // SetQuick shrinks the sweep knobs for a fast pass. The knobs feed the job
-// fingerprints, so quick and full-size records never satisfy each other's
-// store hits or gate comparisons.
+// fingerprints, so quick and full-size records never pass each other's gate
+// comparisons.
 func SetQuick() {
 	Reps = 1
 	Sizes = []uint64{64, 1024, 4096, 32768}

@@ -20,8 +20,8 @@ import (
 //
 // Fingerprints hash the same config values the measurement consumes
 // (templates before per-core wiring, clamped thread counts, repetition
-// counts), so a store hit guarantees the stored cycles describe the point
-// as it would be measured today.
+// counts), so the gate compares cycles only between identical
+// configurations.
 
 // opName names the CBO.X variant in job names and series.
 func opName(clean bool) string {
@@ -57,8 +57,8 @@ func Fig9Jobs(group string, clean bool) []sweep.Job {
 					"reps": Reps, "loopNops": LoopNops,
 				}),
 				Run: func(sink sweep.Sink) (sweep.Outcome, error) {
-					r := measureSweepPoint(sink, size, threads, clean)
-					return sweep.Outcome{Cycles: r.Cycles, Sigma: r.Sigma, Reps: Reps,
+					cycles, sigma := measureSweepPoint(sink, size, threads, clean)
+					return sweep.Outcome{Cycles: cycles, Sigma: sigma, Reps: Reps,
 						Derived: map[string]float64{"size": float64(size), "threads": float64(threads), "clean": b2f(clean)}}, nil
 				},
 			})
@@ -211,6 +211,20 @@ func persistJob(group, name, series, x, structure string, mode persist.Mode, kin
 	}
 }
 
+// policyKindsFor lists the elision schemes the §7.4 grid measures on one
+// structure, in figure order. Link-and-persist cannot be applied to the
+// BST: the algorithm owns the pointer bits.
+func policyKindsFor(structure string) []PolicyKind {
+	var kinds []PolicyKind
+	for _, kind := range PolicyKinds() {
+		if kind == PolicyLinkAndPersist && structure == ds.NameBST {
+			continue
+		}
+		kinds = append(kinds, kind)
+	}
+	return kinds
+}
+
 // Fig14Jobs emits the Figure 14 grid: every structure under every
 // persistence algorithm and elision scheme at 5% updates, plus the
 // non-persistent baseline per structure.
@@ -221,12 +235,7 @@ func Fig14Jobs() []sweep.Job {
 			structure+"/non-persistent", structure+"-"+persist.Manual.String(), PolicyNone.String(),
 			structure, persist.Manual, PolicyNone, 5, FliTDefaultTable))
 		for _, mode := range persist.Modes() {
-			for _, kind := range PolicyKinds() {
-				if kind == PolicyLinkAndPersist && structure == ds.NameBST {
-					// §7.4: link-and-persist cannot be applied to the
-					// BST — the algorithm owns the pointer bits.
-					continue
-				}
+			for _, kind := range policyKindsFor(structure) {
 				jobs = append(jobs, persistJob("fig14",
 					fmt.Sprintf("%s/%s/%s", structure, mode, kind),
 					structure+"-"+mode.String(), kind.String(),
@@ -242,10 +251,7 @@ func Fig14Jobs() []sweep.Job {
 func Fig15Jobs(updatePcts []int) []sweep.Job {
 	var jobs []sweep.Job
 	for _, structure := range Structures() {
-		for _, kind := range PolicyKinds() {
-			if kind == PolicyLinkAndPersist && structure == ds.NameBST {
-				continue
-			}
+		for _, kind := range policyKindsFor(structure) {
 			for _, pct := range updatePcts {
 				jobs = append(jobs, persistJob("fig15",
 					fmt.Sprintf("%s/%s/upd%d", structure, kind, pct),

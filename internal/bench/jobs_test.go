@@ -9,26 +9,6 @@ import (
 	"skipit/internal/sweep"
 )
 
-// Fig9 jobs must reproduce the direct harness point for point.
-func TestFig9JobsMatchDirect(t *testing.T) {
-	small(t)
-	direct := Fig9(nil, false)
-	jobs := Fig9Jobs("fig09", false)
-	if len(jobs) != len(direct) {
-		t.Fatalf("%d jobs for %d rows", len(jobs), len(direct))
-	}
-	results := sweep.Runner{Workers: 1}.Run(jobs)
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		if res.Record.Cycles != direct[i].Cycles || res.Record.Sigma != direct[i].Sigma {
-			t.Fatalf("job %s = %.0f±%.1f, direct row = %+v",
-				res.Record.Name, res.Record.Cycles, res.Record.Sigma, direct[i])
-		}
-	}
-}
-
 // The whole point of the sweep runner: records (and snapshots) from a
 // parallel run are bit-identical to a serial run of the same jobs.
 func TestJobsDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -79,8 +59,8 @@ func TestParallelFiguresNoRace(t *testing.T) {
 }
 
 // The §7.4 harness interleaves thread operations deterministically: two runs
-// of one configuration must agree to the bit, or the result store could
-// never recognize its own records.
+// of one configuration must agree to the bit, or the tolerance-0 gate could
+// never pass.
 func TestPersistConfigDeterministic(t *testing.T) {
 	small(t)
 	a := RunPersistConfig(ds.NameHash, persist.Automatic, PolicySkipIt, 20, FliTDefaultTable)
@@ -97,19 +77,49 @@ func TestPersistConfigDeterministic(t *testing.T) {
 // a derived metric.
 func TestPersistJobOutcome(t *testing.T) {
 	small(t)
-	jobs := Fig16Jobs([]uint64{64})
-	results := sweep.Runner{}.Run(jobs)
-	if err := sweep.FirstError(results); err != nil {
-		t.Fatal(err)
+	recs := runRecords(t, Fig16Jobs([]uint64{64, 4096}))
+	if len(recs) != 2 {
+		t.Fatalf("%d records", len(recs))
 	}
-	rec := results[0].Record
-	if rec.Cycles <= 0 || rec.Derived["mops"] <= 0 {
-		t.Fatalf("record = %+v", rec)
+	for _, rec := range recs {
+		if rec.Cycles <= 0 || rec.Derived["mops"] <= 0 {
+			t.Fatalf("record = %+v", rec)
+		}
+	}
+}
+
+// The next-event clock changes host time only: every cycle-accurate figure
+// job must give the same record single-stepping as fast-forwarding.
+func TestFigureJobsIdenticalWithoutFastForward(t *testing.T) {
+	small(t)
+	saved := FastForward
+	t.Cleanup(func() { FastForward = saved })
+	run := func(ff bool) []sweep.Record {
+		FastForward = ff
+		jobs := Fig9Jobs("fig09", false)
+		jobs = append(jobs, Fig10Jobs(ThreadCounts)...)
+		jobs = append(jobs, Fig13Jobs(ThreadCounts, 10)...)
+		jobs = append(jobs, AblationJobs()...)
+		results := sweep.Runner{}.Run(jobs)
+		if err := sweep.FirstError(results); err != nil {
+			t.Fatal(err)
+		}
+		return sweep.Records(results)
+	}
+	stepped, skipped := run(false), run(true)
+	if len(stepped) != len(skipped) {
+		t.Fatalf("%d records single-stepping, %d fast-forwarding", len(stepped), len(skipped))
+	}
+	for i := range stepped {
+		if !reflect.DeepEqual(stepped[i], skipped[i]) {
+			t.Errorf("%s/%s: single-stepping %+v, fast-forwarding %+v",
+				stepped[i].Group, stepped[i].Name, stepped[i], skipped[i])
+		}
 	}
 }
 
 // Every job across all figures must have a unique (group, name) and a
-// non-empty fingerprint — the store's addressing invariants.
+// non-empty fingerprint — the invariants Compare matches records by.
 func TestJobIdentityInvariants(t *testing.T) {
 	small(t)
 	var jobs []sweep.Job

@@ -1,8 +1,9 @@
-// Package bench contains the workload generators and harnesses that
-// regenerate every table and figure of the paper's evaluation (§7). Each
-// FigNN function returns the rows/series the corresponding figure plots;
-// cmd/skipit-bench prints them and bench_test.go wraps them in testing.B
-// targets. EXPERIMENTS.md records paper-vs-measured values.
+// Package bench contains the workload generators and job builders that
+// regenerate every table and figure of the paper's evaluation (§7).
+// Figures lists them: each builder decomposes its figure into one sweep.Job
+// per measured point, cmd/skipit-bench runs and prints the jobs, and the
+// testing.B targets in bench_test.go read their numbers from the same jobs'
+// records. EXPERIMENTS.md records paper-vs-measured values.
 package bench
 
 import (
@@ -31,9 +32,9 @@ const lineBytes = 64
 const runLimit = 20_000_000
 
 // FastForward controls the simulator's next-event clock for every
-// cycle-accurate measurement (cmd/skipit-bench's -fast-forward flag). It
-// changes host time only — measured cycle counts are identical either way;
-// the committed BENCH_*.json stores prove it at tolerance 0.
+// cycle-accurate measurement. It is a test hook and changes host time only:
+// measured cycle counts are identical either way, which
+// TestFigureJobsIdenticalWithoutFastForward checks on the figure jobs.
 var FastForward = true
 
 // newSystem builds a measurement system honoring the FastForward switch.
@@ -64,19 +65,6 @@ var Sizes = []uint64{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
 
 // ThreadCounts is the thread sweep of §7.2.
 var ThreadCounts = []int{1, 2, 4, 8}
-
-// MicroRow is one point of a latency microbenchmark: the median cycle count
-// (and sigma) to write back Size bytes with Threads threads.
-type MicroRow struct {
-	Size    uint64
-	Threads int
-	Cycles  float64
-	Sigma   float64
-}
-
-func (r MicroRow) String() string {
-	return fmt.Sprintf("size=%6d threads=%d  %10.0f cycles (sigma %.1f)", r.Size, r.Threads, r.Cycles, r.Sigma)
-}
 
 // buildSweep constructs the Fig. 9 per-core program: dirty the region, fence,
 // then one CBO.X per line and a single fence at the end (§7.2). It returns
@@ -148,66 +136,20 @@ func SweepOnce(sink Sink, total uint64, threads int, clean bool) float64 {
 }
 
 // measureSweepPoint runs one (size, threads) Fig. 9 point over Reps
-// repetitions and summarizes it; Fig9 and the fig09 jobs share it.
-func measureSweepPoint(sink Sink, size uint64, threads int, clean bool) MicroRow {
+// repetitions and returns the median cycles and their sigma.
+func measureSweepPoint(sink Sink, size uint64, threads int, clean bool) (cycles, sigma float64) {
 	cfg := sim.DefaultConfig(1)
 	var samples []float64
 	for r := 0; r < Reps; r++ {
 		samples = append(samples, measureSweep(sink, cfg, size, threads, clean, r))
 	}
-	med, sig := stats.MedianSigma(samples)
-	return MicroRow{Size: size, Threads: threads, Cycles: med, Sigma: sig}
+	return stats.MedianSigma(samples)
 }
 
-// Fig9 regenerates Figure 9: CBO.X latency across writeback sizes and thread
-// counts, non-contended regions, fence at the end.
-func Fig9(sink Sink, clean bool) []MicroRow {
-	var rows []MicroRow
-	for _, threads := range ThreadCounts {
-		for _, size := range Sizes {
-			rows = append(rows, measureSweepPoint(sink, size, threads, clean))
-		}
-	}
-	return rows
-}
-
-// Fig10Row is one point of the write–CBO.X–fence–read benchmark.
-type Fig10Row struct {
-	Size    uint64
-	Threads int
-	Clean   bool
-	Cycles  float64
-}
-
-func (r Fig10Row) String() string {
-	op := "flush"
-	if r.Clean {
-		op = "clean"
-	}
-	return fmt.Sprintf("size=%6d threads=%d op=%s  %10.0f cycles", r.Size, r.Threads, op, r.Cycles)
-}
-
-// Fig10 regenerates Figure 10 ("Write - Clean/Flush x 10 - Fence - Read"):
-// per region, write every line, issue ten CBO.X per line, fence, then
-// re-read every line. CBO.CLEAN keeps the lines resident so the re-read
-// hits; CBO.FLUSH forces refetches, costing ~2x.
-func Fig10(sink Sink, threadCounts []int) []Fig10Row {
-	var rows []Fig10Row
-	for _, threads := range threadCounts {
-		for _, clean := range []bool{true, false} {
-			for _, size := range Sizes {
-				rows = append(rows, Fig10Row{
-					Size:    size,
-					Threads: threads,
-					Clean:   clean,
-					Cycles:  measureWriteCboFenceRead(sink, size, threads, clean),
-				})
-			}
-		}
-	}
-	return rows
-}
-
+// measureWriteCboFenceRead runs one Figure 10 point ("Write - Clean/Flush
+// x 10 - Fence - Read"): per region, write every line, issue ten CBO.X per
+// line, fence, then re-read every line. CBO.CLEAN keeps the lines resident
+// so the re-read hits; CBO.FLUSH forces refetches, costing ~2x.
 func measureWriteCboFenceRead(sink Sink, total uint64, threads int, clean bool) float64 {
 	threads = clampThreads(total, threads)
 	cfg := sim.DefaultConfig(threads)
@@ -246,65 +188,6 @@ func measureWriteCboFenceRead(sink Sink, total uint64, threads int, clean bool) 
 	return float64(end - begin)
 }
 
-// Fig13Row is one point of the Skip It redundant-writeback microbenchmark.
-type Fig13Row struct {
-	Size    uint64
-	Threads int
-	SkipIt  bool
-	Cycles  float64
-}
-
-func (r Fig13Row) String() string {
-	mode := "naive "
-	if r.SkipIt {
-		mode = "skipit"
-	}
-	return fmt.Sprintf("size=%6d threads=%d %s  %10.0f cycles", r.Size, r.Threads, mode, r.Cycles)
-}
-
-// Fig13 regenerates Figure 13: per line, a store, one real CBO.X, and ten
-// redundant CBO.X, with Skip It on or off. The paper runs CBO.FLUSH and
-// notes the results are identical for CBO.CLEAN; our reproduction uses
-// CBO.CLEAN so the redundant requests hit a resident line, which is the case
-// the §6.1 skip bit eliminates (see EXPERIMENTS.md for the flush variant,
-// where both modes fall through to the LLC's trivial dirty-bit skip).
-func Fig13(sink Sink, threadCounts []int, redundant int) []Fig13Row {
-	var rows []Fig13Row
-	for _, threads := range threadCounts {
-		for _, skipIt := range []bool{false, true} {
-			for _, size := range Sizes {
-				rows = append(rows, Fig13Row{
-					Size:    size,
-					Threads: threads,
-					SkipIt:  skipIt,
-					Cycles:  measureRedundant(sink, size, threads, redundant, skipIt, true),
-				})
-			}
-		}
-	}
-	return rows
-}
-
-// Fig13Flush is the paper's literal CBO.FLUSH variant of Figure 13: the
-// first flush invalidates the line, so the redundant flushes miss and are
-// eliminated (cheaply) by the LLC's dirty-bit check in both modes.
-func Fig13Flush(sink Sink, threadCounts []int, redundant int) []Fig13Row {
-	var rows []Fig13Row
-	for _, threads := range threadCounts {
-		for _, skipIt := range []bool{false, true} {
-			for _, size := range Sizes {
-				rows = append(rows, Fig13Row{
-					Size:    size,
-					Threads: threads,
-					SkipIt:  skipIt,
-					Cycles:  measureRedundant(sink, size, threads, redundant, skipIt, false),
-				})
-			}
-		}
-	}
-	return rows
-}
-
 // redundantConfig is the system configuration measureRedundant runs under;
 // the fig13 job builders fingerprint exactly this.
 func redundantConfig(threads int, skipIt bool) sim.Config {
@@ -313,6 +196,12 @@ func redundantConfig(threads int, skipIt bool) sim.Config {
 	return cfg
 }
 
+// measureRedundant runs one Figure 13 point: per line, a store, one real
+// CBO.X and `redundant` redundant ones, with Skip It on or off. The fig13
+// jobs use CBO.CLEAN, so the redundant requests hit a resident line, the
+// case the §6.1 skip bit eliminates; under the paper's literal CBO.FLUSH
+// (clean=false) both modes fall through to the LLC's dirty-bit skip (see
+// EXPERIMENTS.md).
 func measureRedundant(sink Sink, total uint64, threads, redundant int, skipIt, clean bool) float64 {
 	threads = clampThreads(total, threads)
 	cfg := redundantConfig(threads, skipIt)

@@ -139,43 +139,12 @@ func BenchmarkRunFigure(b *testing.B) {
 // BenchmarkRunFigureNoFF is the same point with the next-event clock off —
 // the before/after pair quoted in the README.
 func BenchmarkRunFigureNoFF(b *testing.B) {
+	FastForward = false
+	defer func() { FastForward = true }()
 	b.ReportAllocs()
 	for b.Loop() {
-		cfg := sim.DefaultConfig(1)
-		measureSweepNoFF(nil, cfg, 4096, 1, true)
+		SweepOnce(nil, 4096, 1, true)
 	}
-}
-
-// measureSweepNoFF mirrors measureSweep with fast-forwarding disabled.
-func measureSweepNoFF(sink Sink, cfg sim.Config, total uint64, threads int, clean bool) float64 {
-	threads = clampThreads(total, threads)
-	cfg.NumCores = threads
-	cfg.L2.NumClients = threads
-	s := sim.New(cfg)
-	s.SetFastForward(false)
-	progs := make([]*isa.Program, threads)
-	starts := make([]int, threads)
-	ends := make([]int, threads)
-	per := total / uint64(threads)
-	for t := 0; t < threads; t++ {
-		base := uint64(t) * (1 << 16)
-		progs[t], starts[t], ends[t] = buildSweep(base, per, clean)
-	}
-	if _, err := s.Run(progs, runLimit); err != nil {
-		panic(err)
-	}
-	emitSnapshot(sink, s, "sweep_noff_size%d_threads%d_clean%v", total, threads, clean)
-	var begin, end int64 = 1 << 62, 0
-	for t := 0; t < threads; t++ {
-		tm := s.Cores[t].Timings()
-		if is := tm[starts[t]].IssuedAt; is < begin {
-			begin = is
-		}
-		if c := tm[ends[t]].CompletedAt; c > end {
-			end = c
-		}
-	}
-	return float64(end - begin)
 }
 
 // idleHeavyProg is the idle-heavy workload: batches of cold misses sized to

@@ -13,8 +13,8 @@ import (
 // threads for 2 s wall-clock; we run a fixed operation count in virtual
 // time, interleaved round-robin across the simulated threads at operation
 // granularity, which keeps the coherence contention the figures depend on
-// while making every run bit-reproducible — the property the sweep result
-// store and regression gate are built on. Sizes follow the paper (BST with
+// while making every run bit-reproducible — the property the tolerance-0
+// regression gate is built on. Sizes follow the paper (BST with
 // 10k keys, Fig. 16); the list is smaller because O(n) traversals dominate
 // otherwise, as in the original FliT/NVTraverse evaluations.
 var (
@@ -84,14 +84,9 @@ func (r PersistRow) String() string {
 	return fmt.Sprintf("%-11s %-10s %-16s upd=%3d%%  %8.3f Mops/s", r.Structure, r.Mode, r.Policy, r.UpdatePct, r.Mops)
 }
 
-// RunPersistConfig measures one (structure, mode, policy, update%) point;
-// the Fig14/Fig15/Fig16 sweeps and the cmd tools compose it.
+// RunPersistConfig measures one (structure, mode, policy, update%) point
+// and returns its throughput row; the fig14, fig15 and fig16 jobs run it.
 func RunPersistConfig(structure string, mode persist.Mode, kind PolicyKind, updatePct int, flitTable uint64) PersistRow {
-	return runConfig(structure, mode, kind, updatePct, flitTable)
-}
-
-// runConfig measures one configuration and returns its throughput row.
-func runConfig(structure string, mode persist.Mode, kind PolicyKind, updatePct int, flitTable uint64) PersistRow {
 	h := memsim.New(memsim.DefaultConfig(PersistThreads))
 	alloc := memsim.NewAllocator(1 << 20)
 
@@ -179,71 +174,4 @@ func runConfig(structure string, mode persist.Mode, kind PolicyKind, updatePct i
 		Flushes:   st.Flushes,
 		Elided:    st.FlushDropsL1,
 	}
-}
-
-// Fig14 regenerates Figure 14: all four structures under the three
-// persistence algorithms and five elision schemes at 5% updates, plus the
-// non-persistent baseline per structure.
-func Fig14() []PersistRow {
-	var rows []PersistRow
-	for _, structure := range Structures() {
-		rows = append(rows, runConfig(structure, persist.Manual, PolicyNone, 5, FliTDefaultTable))
-		for _, mode := range persist.Modes() {
-			for _, kind := range PolicyKinds() {
-				if kind == PolicyLinkAndPersist && structure == ds.NameBST {
-					// §7.4: link-and-persist cannot be applied to
-					// the BST — the algorithm owns the pointer bits.
-					continue
-				}
-				rows = append(rows, runConfig(structure, mode, kind, 5, FliTDefaultTable))
-			}
-		}
-	}
-	return rows
-}
-
-// Fig15 regenerates Figure 15: throughput across update percentages under
-// the automatic persistence algorithm (the flush-heaviest, where elision
-// schemes differ most).
-func Fig15(updatePcts []int) []PersistRow {
-	if len(updatePcts) == 0 {
-		updatePcts = []int{0, 5, 10, 20, 50, 100}
-	}
-	var rows []PersistRow
-	for _, structure := range Structures() {
-		for _, kind := range PolicyKinds() {
-			if kind == PolicyLinkAndPersist && structure == ds.NameBST {
-				continue
-			}
-			for _, pct := range updatePcts {
-				rows = append(rows, runConfig(structure, persist.Automatic, kind, pct, FliTDefaultTable))
-			}
-		}
-	}
-	return rows
-}
-
-// Fig16Row is one point of the FliT hash-table size sensitivity study.
-type Fig16Row struct {
-	TableEntries uint64
-	Mops         float64
-}
-
-func (r Fig16Row) String() string {
-	return fmt.Sprintf("flit-table=%8d  %8.3f Mops/s", r.TableEntries, r.Mops)
-}
-
-// Fig16 regenerates Figure 16: BST (10k keys, 5% updates, automatic) under
-// FliT with hash tables from tiny (collision-dominated) to huge
-// (footprint-dominated).
-func Fig16(tableSizes []uint64) []Fig16Row {
-	if len(tableSizes) == 0 {
-		tableSizes = []uint64{1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20}
-	}
-	var rows []Fig16Row
-	for _, size := range tableSizes {
-		r := runConfig(ds.NameBST, persist.Automatic, PolicyFliTHash, 5, size)
-		rows = append(rows, Fig16Row{TableEntries: size, Mops: r.Mops})
-	}
-	return rows
 }

@@ -30,8 +30,8 @@ import "skipit/internal/tilelink"
 // byte-identical with fast-forwarding on or off.
 
 // SetFastForward enables or disables next-event fast-forwarding. It is on
-// by default; turning it off forces single-stepping through idle windows
-// (the -fast-forward=off escape hatch for A/B validation).
+// by default; turning it off forces single-stepping through idle windows,
+// the reference the fast-forward equivalence tests compare against.
 func (s *System) SetFastForward(on bool) { s.fastForward = on }
 
 // FastForwardEnabled reports whether fast-forwarding is active.

@@ -83,13 +83,13 @@ type System struct {
 	pool *linepool.Pool
 
 	// fastForward enables the next-event clock (see fastforward.go); on by
-	// default, switchable for A/B validation.
+	// default, off only in the equivalence tests' single-stepping reference.
 	fastForward bool
 	ctrSkipped  *metrics.Counter
 
 	// hostNanos accumulates wall-clock time spent inside Run and Drain, for
 	// the host-throughput figures in Snapshot. Host time never enters the
-	// sweep result store — records would stop being host-independent.
+	// sweep records — they would stop being host-independent.
 	hostNanos int64
 
 	// Forward-progress watchdog state (see ArmWatchdog / StepGuarded).

@@ -61,7 +61,7 @@ func (s *System) Snapshot() metrics.Snapshot {
 	// often the line pool served a buffer without allocating, and — when the
 	// system has run — simulated cycles per host second. The last one is
 	// host-dependent by nature; it lives only in snapshots and metrics
-	// sidecars, never in the sweep result store.
+	// sidecars, never in the sweep records.
 	if r, ok := ratio(c["sim.skipped_cycles"], uint64(s.now)); ok && s.now > 0 {
 		snap.Derived["ff_skipped_cycle_ratio"] = r
 	}

@@ -7,11 +7,11 @@ import (
 	"fmt"
 )
 
-// SchemaVersion is the result-store/code schema version. It is folded into
-// every fingerprint and written into every store file; bump it whenever the
-// meaning of a stored cycle count changes (a simulator timing fix, a new
-// measurement protocol), and every previously stored record becomes stale at
-// once — fingerprints stop matching and old store files are ignored on load.
+// SchemaVersion is the result-file/code schema version. It is folded into
+// every fingerprint and written into every result file; bump it whenever the
+// meaning of a recorded cycle count changes (a new measurement protocol),
+// and every previously recorded baseline becomes stale at once —
+// fingerprints stop matching and LoadFile rejects old files.
 const SchemaVersion = 1
 
 // Fingerprint hashes a measurement's full configuration — simulator configs,

@@ -1,8 +1,6 @@
 package sweep
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"skipit/internal/sim"
@@ -67,38 +65,5 @@ func TestFingerprintOrderAndArityMatter(t *testing.T) {
 	}
 	if Fingerprint("a") == Fingerprint("a", "") {
 		t.Fatal("arity ignored")
-	}
-}
-
-// A schema-version bump must invalidate old stores: files written under
-// another version are rejected on load and their records never hit.
-func TestSchemaVersionInvalidatesStore(t *testing.T) {
-	dir := t.TempDir()
-	stale := `{"schema_version": ` + "0" + `, "group": "fig09", "records": [
-		{"name": "p", "fingerprint": "deadbeef00000000", "cycles": 42, "reps": 1}]}`
-	path := filepath.Join(dir, FileName("fig09"))
-	if err := os.WriteFile(path, []byte(stale), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil {
-		t.Fatal("LoadFile accepted a stale schema version")
-	}
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Lookup("fig09", "p", "deadbeef00000000"); ok {
-		t.Fatal("stale-schema record served from the store")
-	}
-	// The stale file is rewritten under the current schema on Flush.
-	if err := st.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("store did not refresh the stale file: %v", err)
-	}
-	if f.SchemaVersion != SchemaVersion || len(f.Records) != 0 {
-		t.Fatalf("refreshed file = %+v", f)
 	}
 }

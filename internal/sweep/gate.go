@@ -15,8 +15,10 @@ const (
 	StatusOK Status = "ok"
 	// StatusRegression: current cycles exceed baseline beyond tolerance.
 	StatusRegression Status = "regression"
-	// StatusImproved: current cycles undercut baseline beyond tolerance —
-	// not a failure, but a hint that the committed baseline is stale.
+	// StatusImproved: current cycles undercut baseline beyond tolerance.
+	// The gate fails: fewer simulated cycles is a changed result too (a
+	// dropped writeback reads as a speedup), and an intentional change
+	// must refresh the baseline.
 	StatusImproved Status = "improved"
 	// StatusMismatch: the fingerprints differ — the configuration (or the
 	// schema) changed, so the cycle counts are not comparable. The gate
@@ -62,7 +64,8 @@ func key(r Record) string {
 // matching by group-qualified record name. Cycle counts compare only under
 // identical fingerprints; a fingerprint mismatch is its own failure mode
 // (the baseline describes a different configuration). A regression is a
-// cycle-count increase beyond tolerancePct percent.
+// cycle-count increase beyond tolerancePct percent, an improvement a
+// decrease beyond it.
 func Compare(baseline, current []Record, tolerancePct float64) Comparison {
 	cmp := Comparison{TolerancePct: tolerancePct}
 	base := make(map[string]Record, len(baseline))
@@ -104,9 +107,12 @@ func Compare(baseline, current []Record, tolerancePct float64) Comparison {
 	return cmp
 }
 
-// OK reports whether the gate passes: no regressions and no fingerprint
-// mismatches.
-func (c Comparison) OK() bool { return c.Regressions == 0 && c.Mismatches == 0 }
+// OK reports whether the gate passes: no cycle-count change beyond the
+// tolerance in either direction, and no fingerprint mismatches. New and
+// missing points pass, so a run over a figure subset can be gated.
+func (c Comparison) OK() bool {
+	return c.Regressions == 0 && c.Improved == 0 && c.Mismatches == 0
+}
 
 // String renders the summary line plus every non-ok delta (ok rows are
 // elided — a full quick sweep has hundreds).

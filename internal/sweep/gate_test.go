@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestCompareClassifiesDeltas(t *testing.T) {
 		}
 	}
 	if cmp.OK() {
-		t.Fatal("gate passed despite a regression and a mismatch")
+		t.Fatal("gate passed despite a regression, an improvement and a mismatch")
 	}
 	if cmp.Regressions != 1 || cmp.Mismatches != 1 || cmp.Improved != 1 || cmp.New != 1 || cmp.Missing != 1 {
 		t.Fatalf("counts = %+v", cmp)
@@ -64,6 +65,54 @@ func TestComparePassesWithinTolerance(t *testing.T) {
 	// Missing points (a gate targeting -fig subsets) never fail the gate.
 	if cmp := Compare(baseline, current[:1], 10); !cmp.OK() || cmp.Missing != 1 {
 		t.Fatalf("subset gating broken: %+v", cmp)
+	}
+}
+
+// A record below the tolerance band fails the gate as surely as one above
+// it: a dropped writeback reads as a speedup, so only an unchanged cycle
+// count passes.
+func TestGateFailsOnImprovement(t *testing.T) {
+	baseline := []Record{rec("a", "f", 1000), rec("b", "f", 2000)}
+	faster := []Record{rec("a", "f", 1000), rec("b", "f", 1700)}
+	if cmp := Compare(baseline, faster, 10); cmp.OK() || cmp.Improved != 1 {
+		t.Fatalf("15%% speedup passed a 10%% gate: %+v", cmp)
+	}
+	// At tolerance 0, as CI runs it, one cycle fewer fails.
+	oneLess := []Record{rec("a", "f", 999), rec("b", "f", 2000)}
+	cmp := Compare(baseline, oneLess, 0)
+	if cmp.OK() || cmp.Improved != 1 {
+		t.Fatalf("one-cycle speedup passed the tolerance-0 gate: %+v", cmp)
+	}
+	if !strings.Contains(cmp.String(), "IMPROVED") {
+		t.Errorf("summary does not name the improved point:\n%s", cmp)
+	}
+}
+
+// Figures 11 and 12 share point names and differ only by group: Compare
+// matches records by group-qualified name, so one figure's point is never
+// checked against the other's baseline.
+func TestCompareKeysByGroup(t *testing.T) {
+	grouped := func(group string, cycles float64) Record {
+		r := rec("hash/skipit", "f", cycles)
+		r.Group = group
+		return r
+	}
+	baseline := []Record{grouped("fig11", 100), grouped("fig12", 200)}
+	if cmp := Compare(baseline, baseline, 0); !cmp.OK() || len(cmp.Deltas) != 2 {
+		t.Fatalf("identical run failed the gate: %s", cmp)
+	}
+	swapped := []Record{grouped("fig11", 200), grouped("fig12", 100)}
+	cmp := Compare(baseline, swapped, 0)
+	if cmp.OK() || cmp.Regressions != 1 || cmp.Improved != 1 {
+		t.Fatalf("swapped groups: %+v", cmp)
+	}
+	got := map[string]Status{}
+	for _, d := range cmp.Deltas {
+		got[d.Name] = d.Status
+	}
+	want := map[string]Status{"fig11/hash/skipit": StatusRegression, "fig12/hash/skipit": StatusImproved}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("deltas %v, want %v", got, want)
 	}
 }
 

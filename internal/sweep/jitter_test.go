@@ -22,7 +22,7 @@ func jitteredConfig(seed int64) sim.Config {
 
 // TestFingerprintJitterDistinct checks that seed-jittered job configurations
 // fingerprint distinctly: a sweep over split seeds can never silently collapse
-// two different configurations into one cached result.
+// two different configurations into one gated record.
 func TestFingerprintJitterDistinct(t *testing.T) {
 	root := detrand.New(20260808)
 	seen := map[string]int64{}
@@ -37,8 +37,8 @@ func TestFingerprintJitterDistinct(t *testing.T) {
 }
 
 // TestFingerprintJitterStable checks the other direction: replaying the same
-// split chain yields byte-identical fingerprints, so a re-run sweep hits the
-// result store instead of recomputing.
+// split chain yields byte-identical fingerprints, so a re-run sweep matches
+// its baseline instead of reporting a mismatch.
 func TestFingerprintJitterStable(t *testing.T) {
 	run := func() []string {
 		root := detrand.New(42)

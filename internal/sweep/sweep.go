@@ -4,21 +4,18 @@
 // self-contained, deterministic, single-goroutine sim.System or memsim
 // hierarchy (DESIGN.md §3.1) — which makes the grid embarrassingly parallel.
 //
-// The package provides four pieces:
+// The package provides three pieces:
 //
 //   - Job: one named measurement (a figure point, an ablation cell) carrying
-//     a canonical config fingerprint (see Fingerprint) so a result can be
-//     recognized across runs.
-//   - Runner: a bounded worker pool that executes independent jobs
-//     concurrently and collects results in submission order, so the output is
-//     bit-identical to serial execution.
-//   - Store: a content-addressed result store — one BENCH_<group>.json file
-//     per figure; a record whose fingerprint still matches lets re-runs skip
-//     the measurement.
-//   - Compare: the regression gate — a delta table between a baseline store
-//     and the current records, failing on cycle-count regressions beyond a
-//     tolerance (and on fingerprint drift, which means the baseline must be
-//     refreshed).
+//     a canonical config fingerprint (see Fingerprint), so the gate can tell
+//     a changed configuration from a changed result.
+//   - Runner: a bounded worker pool that measures every job afresh,
+//     concurrently, and collects results in submission order, so the output
+//     is bit-identical to serial execution.
+//   - Compare: the regression gate — a delta table between a baseline File
+//     (BENCH_quick.json) and the current records, failing on any cycle-count
+//     change beyond a tolerance, in either direction, and on fingerprint
+//     drift, which means the baseline must be refreshed.
 package sweep
 
 import (
@@ -38,7 +35,7 @@ type Sink func(label string, snap metrics.Snapshot)
 
 // Job is one named, fingerprinted measurement.
 type Job struct {
-	// Group names the result-store file the record lands in ("fig09", …).
+	// Group names the figure the record belongs to ("fig09", …).
 	Group string
 	// Name identifies the point within its group ("flush/size64/threads1").
 	// (Group, Name) must be unique across a sweep.
@@ -47,8 +44,8 @@ type Job struct {
 	Series string
 	X      string
 	// Fingerprint is the canonical hash of everything that determines this
-	// job's result (see Fingerprint). A store hit on (Name, Fingerprint)
-	// skips the measurement.
+	// job's result (see Fingerprint). Compare fails on a record whose
+	// fingerprint differs from the baseline's.
 	Fingerprint string
 	// Run performs the measurement. The sink may be nil. Run must be
 	// self-contained: it owns every simulator instance it creates and
@@ -64,9 +61,9 @@ type Outcome struct {
 	Derived map[string]float64 // secondary metrics (mops, sizes, rates, …)
 }
 
-// Record is one stored result: a job's outcome plus its identity. Records
+// Record is one measured result: a job's outcome plus its identity. Records
 // are deliberately free of wall-clock metadata so a re-run of an unchanged
-// configuration produces byte-identical store files.
+// configuration produces byte-identical result files.
 type Record struct {
 	Group       string             `json:"group"`
 	Name        string             `json:"name"`
@@ -91,27 +88,19 @@ type JobResult struct {
 	Record Record
 	// Snaps holds the labeled snapshots the job emitted, in emission order.
 	Snaps []LabeledSnapshot
-	// Cached reports that the record came from the store and Run was
-	// skipped.
-	Cached bool
-	Err    error
+	Err   error
 }
 
 // Runner executes jobs on a bounded worker pool. The zero value runs with
-// GOMAXPROCS workers, no store, and no snapshot collection.
+// GOMAXPROCS workers and no snapshot collection.
 type Runner struct {
 	// Workers bounds concurrent jobs; <= 0 means GOMAXPROCS.
 	Workers int
-	// Store, when non-nil, is consulted before running a job (a matching
-	// fingerprint skips it) and receives every fresh record afterwards.
-	Store *Store
-	// Force re-measures every job even on a store hit.
-	Force bool
 	// WithSnapshots gives each job a collecting sink; otherwise jobs run
 	// with a nil sink and emit nothing.
 	WithSnapshots bool
 	// Progress, when non-nil, receives a ProgressEvent at every job state
-	// transition (cached, running, done, failed). It is invoked from worker
+	// transition (running, done, failed). It is invoked from worker
 	// goroutines and must be safe for concurrent use. Observability only:
 	// it must not mutate jobs or results.
 	Progress func(ev ProgressEvent)
@@ -125,8 +114,7 @@ type ProgressEvent struct {
 	Total int    `json:"total"`
 	Group string `json:"group"`
 	Name  string `json:"name"`
-	// State is "cached" (store hit, run skipped), "running", "done", or
-	// "failed".
+	// State is "running", "done", or "failed".
 	State string `json:"state"`
 }
 
@@ -147,14 +135,6 @@ func (r Runner) Run(jobs []Job) []JobResult {
 		job := jobs[i]
 		res := &results[i]
 		res.Group = job.Group
-		if r.Store != nil && !r.Force {
-			if rec, ok := r.Store.Lookup(job.Group, job.Name, job.Fingerprint); ok {
-				res.Record = rec
-				res.Cached = true
-				r.notify(i, len(jobs), job, "cached")
-				continue
-			}
-		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -170,15 +150,6 @@ func (r Runner) Run(jobs []Job) []JobResult {
 		}(i)
 	}
 	wg.Wait()
-	if r.Store != nil {
-		// Records enter the store in submission order so the files it
-		// writes are deterministic for any worker count.
-		for i := range results {
-			if !results[i].Cached && results[i].Err == nil {
-				r.Store.Put(results[i].Group, results[i].Record)
-			}
-		}
-	}
 	return results
 }
 

@@ -81,41 +81,91 @@ func TestRunnerOverlapsJobs(t *testing.T) {
 	}
 }
 
-func TestRunnerStoreSkipAndForce(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+// Every run measures every point: running the same jobs twice executes each
+// job twice, and the second run reports what the second execution measured.
+// Nothing carries over from one run to the next.
+func TestRunnerMeasuresEveryRun(t *testing.T) {
+	var mu sync.Mutex
+	runs := map[string]int{}
+	counted := func(name string) Job {
+		return Job{
+			Group: "g", Name: name, Fingerprint: Fingerprint("g", name),
+			Run: func(Sink) (Outcome, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				runs[name]++
+				return Outcome{Cycles: float64(runs[name]), Reps: 1}, nil
+			},
+		}
 	}
-	runs := 0
-	job := Job{
-		Group: "g", Name: "p", Fingerprint: Fingerprint("v1"),
-		Run: func(Sink) (Outcome, error) {
-			runs++
-			return Outcome{Cycles: 10, Reps: 1}, nil
+	jobs := []Job{counted("a"), counted("b")}
+	for pass := 1; pass <= 2; pass++ {
+		for _, res := range (Runner{Workers: 2}).Run(jobs) {
+			if res.Err != nil || res.Record.Cycles != float64(pass) {
+				t.Fatalf("pass %d: %s holds %+v, want cycles %d", pass, res.Record.Name, res, pass)
+			}
+		}
+	}
+	if runs["a"] != 2 || runs["b"] != 2 {
+		t.Fatalf("jobs ran %v times over two runs, want 2 each", runs)
+	}
+}
+
+// Without WithSnapshots a job gets a nil sink and its result holds no
+// snapshots; with it, each job's snapshots come back in emission order.
+func TestRunnerSnapshotsOnlyWhenAsked(t *testing.T) {
+	emit := func(sawNil *bool) Job {
+		return Job{
+			Group: "g", Name: "p", Fingerprint: "f",
+			Run: func(sink Sink) (Outcome, error) {
+				*sawNil = sink == nil
+				if sink != nil {
+					sink("first", metrics.Snapshot{Cycle: 1})
+					sink("second", metrics.Snapshot{Cycle: 2})
+				}
+				return Outcome{Cycles: 1, Reps: 1}, nil
+			},
+		}
+	}
+	var sawNil bool
+	res := Runner{}.Run([]Job{emit(&sawNil)})[0]
+	if !sawNil || res.Snaps != nil {
+		t.Fatalf("without WithSnapshots: nil sink %v, snaps %+v", sawNil, res.Snaps)
+	}
+	res = Runner{WithSnapshots: true}.Run([]Job{emit(&sawNil)})[0]
+	var labels []string
+	for _, s := range res.Snaps {
+		labels = append(labels, s.Label)
+	}
+	if sawNil || !reflect.DeepEqual(labels, []string{"first", "second"}) {
+		t.Fatalf("with WithSnapshots: nil sink %v, labels %v", sawNil, labels)
+	}
+}
+
+// A job that succeeds goes running then done, and every event names its
+// job's index, group and name and the sweep's total.
+func TestRunnerProgressRunningThenDone(t *testing.T) {
+	jobs := []Job{constJob("g", "a", 1), constJob("h", "b", 2), constJob("g", "c", 3)}
+	var mu sync.Mutex
+	states := map[int][]string{}
+	runner := Runner{
+		Workers: 2,
+		Progress: func(ev ProgressEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			if ev.Total != len(jobs) || ev.Group != jobs[ev.Index].Group || ev.Name != jobs[ev.Index].Name {
+				t.Errorf("event %+v does not describe job %d of %d", ev, ev.Index, len(jobs))
+			}
+			states[ev.Index] = append(states[ev.Index], ev.State)
 		},
 	}
-	if res := (&Runner{Store: st}).Run([]Job{job}); res[0].Cached || res[0].Err != nil {
-		t.Fatalf("first run: %+v", res[0])
+	if err := FirstError(runner.Run(jobs)); err != nil {
+		t.Fatal(err)
 	}
-	// Same fingerprint: served from the store, not re-measured.
-	if res := (&Runner{Store: st}).Run([]Job{job}); !res[0].Cached || res[0].Record.Cycles != 10 {
-		t.Fatalf("second run not cached: %+v", res[0])
-	}
-	if runs != 1 {
-		t.Fatalf("job ran %d times", runs)
-	}
-	// -force overrides the hit.
-	if res := (&Runner{Store: st, Force: true}).Run([]Job{job}); res[0].Cached {
-		t.Fatal("Force run served from store")
-	}
-	if runs != 2 {
-		t.Fatalf("job ran %d times after force", runs)
-	}
-	// A changed fingerprint misses.
-	job.Fingerprint = Fingerprint("v2")
-	(&Runner{Store: st}).Run([]Job{job})
-	if runs != 3 {
-		t.Fatalf("changed fingerprint did not re-run (runs=%d)", runs)
+	for i := range jobs {
+		if want := []string{"running", "done"}; !reflect.DeepEqual(states[i], want) {
+			t.Errorf("job %d progress states %v, want %v", i, states[i], want)
+		}
 	}
 }
 
@@ -125,20 +175,13 @@ func TestRunnerCapturesErrorsAndPanics(t *testing.T) {
 		{Group: "g", Name: "err", Run: func(Sink) (Outcome, error) { return Outcome{}, errors.New("nope") }},
 		constJob("g", "fine", 3),
 	}
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := (&Runner{Store: st}).Run(jobs)
+	results := Runner{}.Run(jobs)
 	if results[0].Err == nil || results[1].Err == nil || results[2].Err != nil {
 		t.Fatalf("error routing wrong: %v / %v / %v", results[0].Err, results[1].Err, results[2].Err)
 	}
+	// Failed jobs leave no record behind.
 	if got := Records(results); len(got) != 1 || got[0].Name != "fine" {
 		t.Fatalf("Records = %+v", got)
-	}
-	// Failed jobs must not pollute the store.
-	if recs := st.Records("g"); len(recs) != 1 || recs[0].Name != "fine" {
-		t.Fatalf("store holds %+v", recs)
 	}
 }
 

@@ -29,8 +29,10 @@
 //   - The behavioral persistence layer (Hierarchy, policies, sets): real
 //     lock-free data structures over a fast cache model with virtual time.
 //     Used for the §7.4 throughput study.
-//   - The benchmark harnesses (Fig9 … Fig16) regenerating every figure of
-//     the paper's evaluation; see EXPERIMENTS.md.
+//   - The figure jobs (internal/bench's Figures table, run by
+//     cmd/skipit-bench and read by the testing.B targets in bench_test.go)
+//     regenerating every figure of the paper's evaluation; see
+//     EXPERIMENTS.md.
 package skipit
 
 import (
