@@ -3,7 +3,9 @@ package bench
 import (
 	"testing"
 
+	"skipit/internal/ds"
 	"skipit/internal/isa"
+	"skipit/internal/persist"
 	"skipit/internal/sim"
 )
 
@@ -247,5 +249,24 @@ func BenchmarkRunFigure4Core(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		SweepOnce(nil, 1<<18, 4, true)
+	}
+}
+
+// BenchmarkPersistPoint runs one quick §7.4 point (hash table, automatic
+// persistence, 5% updates) per elision scheme. CI holds each scheme's B/op
+// under the ceiling in testdata/persist_alloc_ceiling.txt, so per-run
+// tables sized by the simulated address space (a dense FliT counter array,
+// say) cannot creep back.
+func BenchmarkPersistPoint(b *testing.B) {
+	reps, sizes, threads, ops := Reps, Sizes, ThreadCounts, PersistOpsPerThr
+	SetQuick()
+	b.Cleanup(func() { Reps, Sizes, ThreadCounts, PersistOpsPerThr = reps, sizes, threads, ops })
+	for _, kind := range PolicyKinds() {
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				RunPersistConfig(ds.NameHash, persist.Automatic, kind, 5, FliTDefaultTable)
+			}
+		})
 	}
 }

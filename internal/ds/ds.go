@@ -21,7 +21,8 @@ const KeyMax = ^uint64(0) - 16
 
 // Set is the common concurrent-set interface. tid identifies the calling
 // thread for virtual-time accounting; callers must use distinct tids for
-// concurrent goroutines.
+// concurrent goroutines, and wrap the Env's policy in persist.Locked, since
+// the policies and the memsim hierarchy are single-goroutine.
 type Set interface {
 	Name() string
 	Insert(tid int, key uint64) bool

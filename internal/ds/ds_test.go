@@ -10,11 +10,12 @@ import (
 	"skipit/internal/persist"
 )
 
-// newEnv returns a fresh non-persistent environment (structure logic under
-// test, not flush policy).
+// newEnv returns a fresh manual-mode environment (structure logic under
+// test, not flush policy). The policy is Locked because the concurrency
+// tests call the structure from several goroutines.
 func newEnv(threads int) (*persist.Env, *memsim.Allocator) {
 	h := memsim.New(memsim.DefaultConfig(threads))
-	return &persist.Env{Pol: persist.NewPlain(h, false), Mode: persist.Manual},
+	return &persist.Env{Pol: persist.Locked(persist.NewPlain(h, false)), Mode: persist.Manual},
 		memsim.NewAllocator(1 << 20)
 }
 
@@ -294,11 +295,11 @@ func TestEveryPolicyRunsEveryStructure(t *testing.T) {
 	h := memsim.New(memsim.DefaultConfig(2))
 	base := uint64(1 << 22)
 	pols := []persist.Policy{
-		persist.NewPlain(h, false),
-		persist.NewSkipIt(h, false),
-		persist.NewFliT(h, true, 0, 0, false),
-		persist.NewFliT(h, false, 1<<12, 1<<41, false),
-		persist.NewLinkAndPersist(h, false),
+		persist.Locked(persist.NewPlain(h, false)),
+		persist.Locked(persist.NewSkipIt(h, false)),
+		persist.Locked(persist.NewFliT(h, true, 0, 0, false)),
+		persist.Locked(persist.NewFliT(h, false, 1<<12, 1<<41, false)),
+		persist.Locked(persist.NewLinkAndPersist(h, false)),
 	}
 	for _, pol := range pols {
 		for _, mode := range persist.Modes() {

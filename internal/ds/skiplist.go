@@ -38,6 +38,9 @@ type Skiplist struct {
 	head *slNode
 	tail *slNode
 
+	// rngMu guards rng by itself: randomHeight runs outside every Policy
+	// call, so a persist.Locked policy does not serialize it, and
+	// concurrent Insert callers share this stream.
 	rngMu sync.Mutex
 	rng   *rand.Rand
 }

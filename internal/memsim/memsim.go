@@ -6,16 +6,17 @@
 // including the Skip It bit, and a virtual cycle clock per thread that every
 // access and writeback charges.
 //
-// Real concurrent Go code (the lock-free structures in internal/ds) calls
-// into a Hierarchy from multiple goroutines; a single mutex guards the tag
-// state. The mutex serializes simulation bookkeeping, not virtual time:
-// throughput is computed from the per-thread virtual clocks, so wall-clock
-// lock contention never distorts results.
+// A Hierarchy is single-goroutine: it holds no lock, and simulated threads
+// are only the tid arguments of its calls. The figure runs interleave their
+// threads round-robin in one goroutine; a caller that drives a hierarchy from
+// several goroutines serializes the calls itself (persist.Locked does so at
+// the Policy edge). Set indices and tags are shifts and masks, so New accepts
+// only power-of-two line sizes and set counts.
 package memsim
 
 import (
 	"fmt"
-	"sync"
+	"math/bits"
 )
 
 // Config sets geometry and the cycle-cost model. The costs are calibrated
@@ -102,23 +103,38 @@ type Stats struct {
 	Fences          uint64
 }
 
-// Hierarchy is the shared two-level tag-only cache model.
+// Hierarchy is the two-level tag-only cache model shared by the simulated
+// threads. It is not safe for concurrent use.
 type Hierarchy struct {
-	mu     sync.Mutex
 	cfg    Config
 	l1     [][]l1Line // [thread][set*ways+way]
 	l2     []l2Line
 	clocks []float64
 	tick   uint64
 	stats  Stats
+
+	// The power-of-two geometry as shifts and masks: a line number is
+	// addr>>lineShift, its L1 set lineNo&l1SetMask and its L1 tag
+	// lineNo>>l1SetBits; likewise for the L2.
+	lineShift, l1SetBits, l2SetBits uint
+	l1SetMask, l2SetMask            uint64
 }
 
-// New builds a hierarchy for cfg.Threads threads.
+// New builds a hierarchy for cfg.Threads threads. It panics unless the
+// thread and set counts are positive and LineBytes, L1Sets and L2Sets
+// are powers of two.
 func New(cfg Config) *Hierarchy {
 	if cfg.Threads <= 0 || cfg.L1Sets <= 0 || cfg.L2Sets <= 0 {
 		panic("memsim: bad config")
 	}
-	h := &Hierarchy{cfg: cfg}
+	h := &Hierarchy{
+		cfg:       cfg,
+		lineShift: log2("LineBytes", cfg.LineBytes),
+		l1SetBits: log2("L1Sets", uint64(cfg.L1Sets)),
+		l2SetBits: log2("L2Sets", uint64(cfg.L2Sets)),
+		l1SetMask: uint64(cfg.L1Sets) - 1,
+		l2SetMask: uint64(cfg.L2Sets) - 1,
+	}
 	h.l1 = make([][]l1Line, cfg.Threads)
 	for t := range h.l1 {
 		h.l1[t] = make([]l1Line, cfg.L1Sets*cfg.L1Ways)
@@ -128,23 +144,29 @@ func New(cfg Config) *Hierarchy {
 	return h
 }
 
+// log2 returns the exponent of n, panicking when n is not a power of two.
+func log2(name string, n uint64) uint {
+	if n == 0 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("memsim: %s = %d is not a power of two", name, n))
+	}
+	return uint(bits.TrailingZeros64(n))
+}
+
 // Config returns the configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-func (h *Hierarchy) line(addr uint64) uint64 { return addr / h.cfg.LineBytes }
+func (h *Hierarchy) line(addr uint64) uint64 { return addr >> h.lineShift }
 
-func (h *Hierarchy) l1Slot(tid int, lineNo uint64) (setBase int, tag uint64) {
-	set := int(lineNo % uint64(h.cfg.L1Sets))
-	return set * h.cfg.L1Ways, lineNo / uint64(h.cfg.L1Sets)
+func (h *Hierarchy) l1Slot(lineNo uint64) (setBase int, tag uint64) {
+	return int(lineNo&h.l1SetMask) * h.cfg.L1Ways, lineNo >> h.l1SetBits
 }
 
 func (h *Hierarchy) l2Slot(lineNo uint64) (setBase int, tag uint64) {
-	set := int(lineNo % uint64(h.cfg.L2Sets))
-	return set * h.cfg.L2Ways, lineNo / uint64(h.cfg.L2Sets)
+	return int(lineNo&h.l2SetMask) * h.cfg.L2Ways, lineNo >> h.l2SetBits
 }
 
 func (h *Hierarchy) findL1(tid int, lineNo uint64) *l1Line {
-	base, tag := h.l1Slot(tid, lineNo)
+	base, tag := h.l1Slot(lineNo)
 	ways := h.l1[tid][base : base+h.cfg.L1Ways]
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
@@ -168,7 +190,7 @@ func (h *Hierarchy) findL2(lineNo uint64) *l2Line {
 // victimL1 returns the way to fill for lineNo in tid's L1, evicting as
 // needed (dirty victims move their dirty bit into L2).
 func (h *Hierarchy) victimL1(tid int, lineNo uint64) *l1Line {
-	base, tag := h.l1Slot(tid, lineNo)
+	base, tag := h.l1Slot(lineNo)
 	ways := h.l1[tid][base : base+h.cfg.L1Ways]
 	var victim *l1Line
 	for i := range ways {
@@ -182,8 +204,7 @@ func (h *Hierarchy) victimL1(tid int, lineNo uint64) *l1Line {
 	}
 	if victim.valid && victim.dirty {
 		// Victim writeback: the dirty data lands in L2 (inclusive).
-		set := int(lineNo % uint64(h.cfg.L1Sets))
-		victimLine := victim.tag*uint64(h.cfg.L1Sets) + uint64(set)
+		victimLine := victim.tag<<h.l1SetBits | lineNo&h.l1SetMask
 		if l2 := h.findL2(victimLine); l2 != nil {
 			l2.dirty = true
 		} else {
@@ -217,8 +238,7 @@ func (h *Hierarchy) fillL2(lineNo uint64) (*l2Line, bool) {
 		}
 	}
 	if victim.valid {
-		set := int(lineNo % uint64(h.cfg.L2Sets))
-		victimLine := victim.tag*uint64(h.cfg.L2Sets) + uint64(set)
+		victimLine := victim.tag<<h.l2SetBits | lineNo&h.l2SetMask
 		for t := 0; t < h.cfg.Threads; t++ {
 			if l1 := h.findL1(t, victimLine); l1 != nil {
 				if l1.dirty {
@@ -240,8 +260,6 @@ func (h *Hierarchy) fillL2(lineNo uint64) (*l2Line, bool) {
 // Access models one 8-byte load or store by thread tid, charging its virtual
 // clock and updating tag/dirty/skip state.
 func (h *Hierarchy) Access(tid int, addr uint64, write bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.tick++
 	h.stats.Accesses++
 	lineNo := h.line(addr)
@@ -336,8 +354,6 @@ func (h *Hierarchy) Access(tid int, addr uint64, write bool) {
 // nothing is dirty, §5.5) or writes the line back to memory. clean selects
 // CBO.CLEAN semantics (copies survive) vs CBO.FLUSH (copies invalidated).
 func (h *Hierarchy) Flush(tid int, addr uint64, clean, skipItHW bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.tick++
 	h.stats.Flushes++
 	lineNo := h.line(addr)
@@ -386,8 +402,6 @@ func (h *Hierarchy) Flush(tid int, addr uint64, clean, skipItHW bool) {
 
 // Fence charges the fence cost to tid's clock.
 func (h *Hierarchy) Fence(tid int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.stats.Fences++
 	h.clocks[tid] += h.cfg.Fence
 }
@@ -395,16 +409,12 @@ func (h *Hierarchy) Fence(tid int) {
 // AddCycles charges raw compute cycles (bit masking, counter arithmetic in
 // software elision schemes) to tid's clock.
 func (h *Hierarchy) AddCycles(tid int, c float64) {
-	h.mu.Lock()
 	h.clocks[tid] += c
-	h.mu.Unlock()
 }
 
 // DirtyAnywhere reports whether addr's line holds unpersisted data in any
 // cache level — the predicate a correct flush-elision scheme must respect.
 func (h *Hierarchy) DirtyAnywhere(addr uint64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	lineNo := h.line(addr)
 	for t := 0; t < h.cfg.Threads; t++ {
 		if l := h.findL1(t, lineNo); l != nil && l.dirty {
@@ -419,15 +429,11 @@ func (h *Hierarchy) DirtyAnywhere(addr uint64) bool {
 
 // Clock returns tid's virtual cycle count.
 func (h *Hierarchy) Clock(tid int) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.clocks[tid]
 }
 
 // MaxSeconds converts the slowest thread's clock to seconds.
 func (h *Hierarchy) MaxSeconds() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	max := 0.0
 	for _, c := range h.clocks {
 		if c > max {
@@ -439,16 +445,12 @@ func (h *Hierarchy) MaxSeconds() float64 {
 
 // Stats returns aggregated counters.
 func (h *Hierarchy) Stats() Stats {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.stats
 }
 
 // ResetClocks zeroes the virtual clocks (e.g. after warmup) while keeping
 // cache state.
 func (h *Hierarchy) ResetClocks() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	for i := range h.clocks {
 		h.clocks[i] = 0
 	}

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -362,4 +363,75 @@ func TestFlushOfL1DirtyUnknownToL2(t *testing.T) {
 	if h.DirtyAnywhere(0x4000) {
 		t.Fatal("dirty after flush")
 	}
+}
+
+// TestGoldenOpStream pins the model's complete behaviour on a fixed-seed
+// stream that exercises what the figure runs do not: four threads, CBO.CLEAN
+// as well as CBO.FLUSH, flushes with and without the Skip It bit, and a
+// geometry small enough (L1 4x2, L2 8x2 against 64 lines) that inclusive
+// back-invalidation and dirty victim writebacks are frequent. The expected
+// values were recorded from the divide-and-modulo indexing that preceded the
+// shifts and masks; an index or eviction change that moves any of them
+// changes simulated results.
+func TestGoldenOpStream(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.L1Sets, cfg.L1Ways = 4, 2
+	cfg.L2Sets, cfg.L2Ways = 8, 2
+	h := New(cfg)
+	rng := rand.New(rand.NewSource(20240427))
+	for i := 0; i < 10_000; i++ {
+		tid := rng.Intn(cfg.Threads)
+		line := rng.Intn(64)
+		if rng.Intn(2) == 0 {
+			line %= 6 // a hot set, so hits, drops and coherence misses recur
+		}
+		addr := uint64(line)*cfg.LineBytes + uint64(rng.Intn(8))*8
+		switch op := rng.Intn(16); {
+		case op < 5:
+			h.Access(tid, addr, false)
+		case op < 10:
+			h.Access(tid, addr, true)
+		case op < 14:
+			h.Flush(tid, addr, op&1 == 0, op&2 == 0)
+		case op == 14:
+			h.Fence(tid)
+		default:
+			h.AddCycles(tid, float64(rng.Intn(10)))
+		}
+	}
+	want := Stats{
+		Accesses: 6242, L1Hits: 917, L2Hits: 1605, MemFills: 3200, CoherenceMisses: 520,
+		Flushes: 2457, FlushDropsL1: 54, FlushSkipsL2: 1673, FlushWrites: 2168, Fences: 653,
+	}
+	if got := h.Stats(); got != want {
+		t.Errorf("Stats() = %+v\nwant %+v", got, want)
+	}
+	for tid, want := range []float64{140728, 142779, 137918, 140160.5} {
+		if got := h.Clock(tid); got != want {
+			t.Errorf("Clock(%d) = %v, want %v", tid, got, want)
+		}
+	}
+}
+
+// TestNewRejectsNonPowerOfTwoGeometry: set indices and tags are shifts and
+// masks, so a geometry they cannot express must be refused at construction
+// rather than silently aliasing sets.
+func TestNewRejectsNonPowerOfTwoGeometry(t *testing.T) {
+	for name, bad := range map[string]func(*Config){
+		"LineBytes": func(c *Config) { c.LineBytes = 48 },
+		"L1Sets":    func(c *Config) { c.L1Sets = 48 },
+		"L2Sets":    func(c *Config) { c.L2Sets = 1000 },
+	} {
+		cfg := DefaultConfig(2)
+		bad(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted a non-power-of-two %s", name)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+	New(DefaultConfig(2))
 }

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"skipit/internal/memsim"
@@ -150,13 +151,13 @@ func TestFliTHashCollisionsAreConservative(t *testing.T) {
 	h := setup(t)
 	f := NewFliT(h, false, 1, 1<<41, false) // one counter: everything collides
 	// A store in flight on one address must force flushes on another.
-	f.counters[0].Add(1) // simulate a concurrent in-flight store
+	f.counters[0]++ // simulate a concurrent in-flight store
 	st0 := h.Stats().Flushes
 	f.Flush(0, 0x5000)
 	if got := h.Stats().Flushes - st0; got != 1 {
 		t.Fatalf("colliding FliT flush elided despite in-flight store (%d flushes)", got)
 	}
-	f.counters[0].Add(-1)
+	f.counters[0]--
 }
 
 func TestLAPSkipsUnmarkedWords(t *testing.T) {
@@ -247,5 +248,62 @@ func TestEnvReadOnlyOpFences(t *testing.T) {
 	env2.EndOp(0, false)
 	if h2m.Stats().Fences != 0 {
 		t.Fatal("manual mode must not fence read-only operations")
+	}
+}
+
+// TestLockedSerializesConcurrentCallers drives one Locked policy from four
+// goroutines, first Plain and then FliT-hash over the same hierarchy. Every
+// call must land whole: the hierarchy's counters equal exactly what the
+// calls imply (a lost update would show as a shortfall, and -race reports
+// any unserialized access), and no FliT flush observes another goroutine's
+// store in flight, so FliT flushes only inside its stores.
+func TestLockedSerializesConcurrentCallers(t *testing.T) {
+	const goroutines, callsPer = 4, 2000
+	h := memsim.New(memsim.DefaultConfig(goroutines))
+	var wantAccesses, wantFlushes uint64
+	for _, tc := range []struct {
+		pol                         Policy
+		loadAcc, storeAcc, flushAcc uint64 // accesses per call
+		storeFl, flushFl            uint64 // flushes per call
+	}{
+		{NewPlain(h, false), 1, 1, 0, 0, 1},
+		{NewFliT(h, false, 64, 1<<41, false), 1, 3, 1, 1, 0},
+	} {
+		p := Locked(tc.pol)
+		var loads, stores, flushes [goroutines]uint64
+		var wg sync.WaitGroup
+		for tid := 0; tid < goroutines; tid++ {
+			wg.Add(1)
+			go func(tid int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(tid)))
+				for i := 0; i < callsPer; i++ {
+					addr := 0x10000 + uint64(rng.Intn(256))*8
+					switch rng.Intn(4) {
+					case 0:
+						p.Load(tid, addr)
+						loads[tid]++
+					case 1:
+						p.Store(tid, addr)
+						stores[tid]++
+					case 2:
+						p.Flush(tid, addr)
+						flushes[tid]++
+					default:
+						p.Fence(tid)
+					}
+				}
+			}(tid)
+		}
+		wg.Wait()
+		for tid := 0; tid < goroutines; tid++ {
+			wantAccesses += loads[tid]*tc.loadAcc + stores[tid]*tc.storeAcc + flushes[tid]*tc.flushAcc
+			wantFlushes += stores[tid]*tc.storeFl + flushes[tid]*tc.flushFl
+		}
+		st := h.Stats()
+		if st.Accesses != wantAccesses || st.Flushes != wantFlushes {
+			t.Fatalf("%s: Accesses = %d, Flushes = %d; the calls imply %d and %d",
+				p.Name(), st.Accesses, st.Flushes, wantAccesses, wantFlushes)
+		}
 	}
 }

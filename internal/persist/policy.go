@@ -10,12 +10,17 @@
 // link-and-persist pays a masking instruction on every load, and Skip It
 // pays nothing in software but one pipeline traversal per (possibly dropped)
 // CBO.X.
+//
+// Like the hierarchy under them, the policies are single-goroutine: their
+// bookkeeping (FliT's counters, link-and-persist's marks) is plain maps. The
+// figure runs call them from one goroutine, interleaving simulated threads
+// by tid; a caller that drives a policy from several goroutines wraps it in
+// Locked, the one lock of the ds → persist → memsim stack.
 package persist
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"skipit/internal/memsim"
 )
@@ -37,6 +42,57 @@ type Policy interface {
 	// NodePad returns the extra bytes per allocated object the scheme
 	// requires (FliT adjacent doubles object footprints).
 	NodePad() uint64
+}
+
+// Locked returns p with every method call serialized by one mutex, for
+// callers that drive a policy from several goroutines (the lock-free
+// structures' concurrency tests). It is the stack's one lock: it holds for a
+// whole Policy call, so another thread never observes a call half done — a
+// FliT store's in-flight counter is never seen by a concurrent flush, as in
+// the round-robin interleaving of the figure runs. Every call that reaches
+// p's hierarchy must go through the same Locked value: two policies that
+// share a hierarchy must not run concurrently, even when each is Locked.
+func Locked(p Policy) Policy { return &locked{p: p} }
+
+type locked struct {
+	mu sync.Mutex
+	p  Policy
+}
+
+func (l *locked) Name() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.p.Name()
+}
+
+func (l *locked) Load(tid int, addr uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.p.Load(tid, addr)
+}
+
+func (l *locked) Store(tid int, addr uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.p.Store(tid, addr)
+}
+
+func (l *locked) Flush(tid int, addr uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.p.Flush(tid, addr)
+}
+
+func (l *locked) Fence(tid int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.p.Fence(tid)
+}
+
+func (l *locked) NodePad() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.p.NodePad()
 }
 
 // --- plain: every flush goes out, no bookkeeping ---
@@ -88,6 +144,11 @@ func NewSkipIt(h *memsim.Hierarchy, clean bool) *Plain {
 // mode places counters in a fixed-size table (collisions cause spurious
 // flushes but never missed ones, since counters only reach zero when every
 // colliding store has flushed).
+//
+// The model keeps only the non-zero counters, keyed by table index: a
+// counter is non-zero only while a Store is in flight, so the tables the
+// scheme would hold in memory are almost entirely zero. Their cache traffic
+// is charged at the counters' simulated addresses all the same.
 type FliT struct {
 	H *memsim.Hierarchy
 	// Adjacent selects per-object counters; otherwise the hash table.
@@ -98,7 +159,7 @@ type FliT struct {
 	TableBase uint64
 	Clean     bool
 
-	counters []atomic.Int64
+	counters map[uint64]int64 // table index -> in-flight stores, if non-zero
 }
 
 // NewFliT builds a FliT policy. For hash mode, tableEntries counters live at
@@ -107,20 +168,13 @@ func NewFliT(h *memsim.Hierarchy, adjacent bool, tableEntries uint64, tableBase 
 	if !adjacent && tableEntries == 0 {
 		panic("persist: FliT hash table needs entries")
 	}
-	n := tableEntries
-	if adjacent {
-		// Adjacent counters are addressed by data address; the backing
-		// slice is still a table, sized generously and indexed by a
-		// collision-free-enough hash of the line address.
-		n = 1 << 22
-	}
 	return &FliT{
 		H:            h,
 		Adjacent:     adjacent,
 		TableEntries: tableEntries,
 		TableBase:    tableBase,
 		Clean:        clean,
-		counters:     make([]atomic.Int64, n),
+		counters:     map[uint64]int64{},
 	}
 }
 
@@ -138,7 +192,8 @@ func (f *FliT) slot(addr uint64) (idx uint64, counterAddr uint64) {
 		// The counter sits in the object's padding: same cache set
 		// behavior as the datum, modeled as a shadow word in a
 		// parallel region so the data line itself stays clean after a
-		// flush.
+		// flush. Its index is a 22-bit hash of the line, collision-free
+		// enough to stand for a counter per object.
 		return (line * 0x9E3779B97F4A7C15) >> 42, addr ^ (1 << 40)
 	}
 	idx = (line * 0x9E3779B97F4A7C15) % f.TableEntries
@@ -162,11 +217,15 @@ func (f *FliT) Store(tid int, addr uint64) {
 	f.H.AddCycles(tid, f.checkCycles())
 	// counter++ (a write to the counter's line), data store, eager
 	// flush, counter--. The second counter touch hits in L1.
-	f.counters[idx].Add(1)
+	f.counters[idx]++
 	f.H.Access(tid, caddr, true)
 	f.H.Access(tid, addr, true)
 	f.H.Flush(tid, addr, f.Clean, false)
-	f.counters[idx].Add(-1)
+	if n := f.counters[idx] - 1; n != 0 {
+		f.counters[idx] = n
+	} else {
+		delete(f.counters, idx)
+	}
 	f.H.Access(tid, caddr, true)
 }
 
@@ -176,7 +235,7 @@ func (f *FliT) Flush(tid int, addr uint64) {
 	// Read the counter (real cache traffic); flush only if a store is in
 	// flight.
 	f.H.Access(tid, caddr, false)
-	if f.counters[idx].Load() != 0 {
+	if f.counters[idx] != 0 {
 		f.H.Flush(tid, addr, f.Clean, false)
 	}
 }
@@ -203,12 +262,12 @@ type LinkAndPersist struct {
 	H     *memsim.Hierarchy
 	Clean bool
 
-	marks markSet
+	marks map[uint64]struct{} // word addresses with a pending mark
 }
 
 // NewLinkAndPersist builds the policy.
 func NewLinkAndPersist(h *memsim.Hierarchy, clean bool) *LinkAndPersist {
-	return &LinkAndPersist{H: h, Clean: clean, marks: newMarkSet()}
+	return &LinkAndPersist{H: h, Clean: clean, marks: map[uint64]struct{}{}}
 }
 
 // Name identifies the configuration in benchmark output.
@@ -224,16 +283,17 @@ func (l *LinkAndPersist) Load(tid int, addr uint64) {
 
 func (l *LinkAndPersist) Store(tid int, addr uint64) {
 	// The mark rides in the stored word: no extra memory traffic.
-	l.marks.set(addr)
+	l.marks[addr] = struct{}{}
 	l.H.Access(tid, addr, true)
 }
 
 func (l *LinkAndPersist) Flush(tid int, addr uint64) {
 	// The caller has the word in hand; testing the bit costs a cycle.
 	l.H.AddCycles(tid, MaskCycles)
-	if !l.marks.testAndClear(addr) {
+	if _, marked := l.marks[addr]; !marked {
 		return
 	}
+	delete(l.marks, addr)
 	l.H.Flush(tid, addr, l.Clean, false)
 	// Clearing the mark is a CAS on the word. Only the stolen bit
 	// changes — it is not persistent data — so the line is not re-marked
@@ -246,43 +306,3 @@ func (l *LinkAndPersist) Fence(tid int) { l.H.Fence(tid) }
 
 // NodePad is zero: the mark lives inside existing words.
 func (l *LinkAndPersist) NodePad() uint64 { return 0 }
-
-// markSet is a sharded concurrent set of word addresses with pending marks.
-type markSet struct {
-	shards []markShard
-}
-
-type markShard struct {
-	mu sync.Mutex
-	m  map[uint64]struct{}
-}
-
-func newMarkSet() markSet {
-	s := markSet{shards: make([]markShard, 64)}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]struct{})
-	}
-	return s
-}
-
-func (s *markSet) shard(addr uint64) *markShard {
-	return &s.shards[(addr>>3)%uint64(len(s.shards))]
-}
-
-func (s *markSet) set(addr uint64) {
-	sh := s.shard(addr)
-	sh.mu.Lock()
-	sh.m[addr] = struct{}{}
-	sh.mu.Unlock()
-}
-
-func (s *markSet) testAndClear(addr uint64) bool {
-	sh := s.shard(addr)
-	sh.mu.Lock()
-	_, ok := sh.m[addr]
-	if ok {
-		delete(sh.m, addr)
-	}
-	sh.mu.Unlock()
-	return ok
-}

@@ -108,7 +108,9 @@ func NVMMValue(s *System, addr uint64) uint64 {
 // --- Behavioral persistence layer (§7.4) ---
 
 // Hierarchy is the fast tag-only cache model under the software persistence
-// study, with one virtual clock per thread.
+// study, with one virtual clock per simulated thread. It is single-goroutine:
+// simulated threads are the tid arguments of its calls, and the caller
+// interleaves them (the figure runs take turns one operation at a time).
 type Hierarchy = memsim.Hierarchy
 
 // HierarchyConfig parameterizes the behavioral model.
@@ -118,6 +120,8 @@ type HierarchyConfig = memsim.Config
 type Allocator = memsim.Allocator
 
 // Policy is a flush-elision scheme (plain, FliT, link-and-persist, Skip It).
+// A Policy is single-goroutine like the Hierarchy under it, so drive the sets
+// built on it from one goroutine.
 type Policy = persist.Policy
 
 // PersistEnv couples a Policy with a persistence algorithm (Mode).
