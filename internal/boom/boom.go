@@ -120,6 +120,13 @@ type Core struct {
 	rob      []*entry // FIFO; index 0 is the ROB head
 	ldqCount int
 	stqCount int
+	// waitingLoads counts the ROB's loads in esWaiting, the only entries
+	// issue's load walk acts on; the walk is skipped while it is zero.
+	waitingLoads int
+
+	// lineMask is the L1's line-offset mask (LineBytes-1), read once here
+	// so loadForward does not copy the cache config per older entry.
+	lineMask uint64
 
 	nextReqID int
 	// inflight holds the entries with an outstanding data cache request,
@@ -148,7 +155,8 @@ func New(cfg Config, id int, dc *l1.DCache) *Core {
 		reg = metrics.NewRegistry()
 	}
 	name := fmt.Sprintf("core[%d]", id)
-	return &Core{cfg: cfg, id: id, dc: dc, ctr: newCoreCounters(reg, name)}
+	return &Core{cfg: cfg, id: id, dc: dc, ctr: newCoreCounters(reg, name),
+		lineMask: dc.Config().LineBytes - 1}
 }
 
 // ID returns the core's index.
@@ -168,6 +176,7 @@ func (c *Core) SetProgram(p *isa.Program) {
 	c.rob = c.rob[:0]
 	c.ldqCount = 0
 	c.stqCount = 0
+	c.waitingLoads = 0
 	c.inflight = c.inflight[:0]
 	c.prevTick = -1
 	c.done = p.Len() == 0
@@ -207,6 +216,9 @@ func (c *Core) pollResponses(now int64) {
 			t.Nacks++
 			c.ctr.nackRetries.Inc()
 			e.state = esWaiting
+			if e.instr.Op == isa.OpLoad {
+				c.waitingLoads++
+			}
 			e.nextTryAt = now + int64(c.cfg.RetryDelay)
 			continue
 		}
@@ -258,6 +270,7 @@ func (c *Core) dispatch(now int64) {
 				return
 			}
 			c.ldqCount++
+			c.waitingLoads++
 		case in.Op.IsStoreQueue():
 			if c.stqCount >= c.cfg.STQEntries {
 				return
@@ -296,6 +309,9 @@ func (c *Core) issue(now int64) {
 		}
 	}
 
+	if c.waitingLoads == 0 {
+		return
+	}
 	for _, e := range c.rob {
 		if fired >= c.cfg.MemWidth {
 			return
@@ -307,11 +323,13 @@ func (c *Core) issue(now int64) {
 			continue
 		} else if forwarded {
 			e.state = esDone
+			c.waitingLoads--
 			c.timings[e.instrIdx].CompletedAt = now
 			c.timings[e.instrIdx].LoadValue = v
 			continue
 		}
 		if c.fire(now, e) {
+			c.waitingLoads--
 			fired++
 		}
 	}
@@ -368,7 +386,7 @@ func (c *Core) tryCompleteFence(now int64, e *entry) {
 // happened, and whether the load is blocked.
 func (c *Core) loadForward(e *entry) (val uint64, forwarded, blocked bool) {
 	wordAddr := e.instr.Addr &^ 7
-	lineAddr := e.instr.Addr &^ (c.dc.Config().LineBytes - 1)
+	lineAddr := e.instr.Addr &^ c.lineMask
 	var fwd *entry
 	for _, o := range c.rob {
 		if o == e {
@@ -399,7 +417,7 @@ func (c *Core) loadForward(e *entry) (val uint64, forwarded, blocked bool) {
 		case isa.OpCboClean, isa.OpCboFlush:
 			// §5.3: loads dependent on a CBO.X proceed only after
 			// it is buffered (done).
-			if o.state != esDone && o.instr.Addr&^(c.dc.Config().LineBytes-1) == lineAddr {
+			if o.state != esDone && o.instr.Addr&^c.lineMask == lineAddr {
 				return 0, false, true
 			}
 		}
@@ -527,6 +545,27 @@ func (c *Core) NextEvent(now int64) int64 {
 // Committed returns the number of retired instructions; the watchdog reads
 // it as the core's forward-progress signal.
 func (c *Core) Committed() uint64 { return c.ctr.committed.Value() }
+
+// WaitingLoads returns the core's running count of loads waiting to fire,
+// which gates issue's walk over the ROB.
+func (c *Core) WaitingLoads() int { return c.waitingLoads }
+
+// CountWaitingLoads recounts the waiting loads from the ROB itself, for the
+// invariant checker to hold WaitingLoads against.
+func (c *Core) CountWaitingLoads() int {
+	n := 0
+	for _, e := range c.rob {
+		if e.instr.Op == isa.OpLoad && e.state == esWaiting {
+			n++
+		}
+	}
+	return n
+}
+
+// PokeWaitingLoads skews the waiting-load count by delta, bypassing the LSU.
+// Test-only: it exists so invariant-checker tests can seed the LSU
+// accounting violation.
+func (c *Core) PokeWaitingLoads(delta int) { c.waitingLoads += delta }
 
 // CoreDebug snapshots the core's ROB/LSU state for hang reports.
 type CoreDebug struct {

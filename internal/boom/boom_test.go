@@ -29,15 +29,20 @@ func newStack(t *testing.T) *stack {
 	return &stack{core: New(DefaultConfig(), 0, dc), dc: dc, l2c: l2c, m: m}
 }
 
+// tick advances the whole stack one cycle, in sim.System.Step's order.
+func (s *stack) tick() {
+	s.m.Tick(s.now)
+	s.l2c.Tick(s.now)
+	s.dc.Tick(s.now)
+	s.core.Tick(s.now)
+	s.now++
+}
+
 func (s *stack) run(t *testing.T, p *isa.Program, limit int64) {
 	t.Helper()
 	s.core.SetProgram(p)
 	for i := int64(0); i < limit; i++ {
-		s.m.Tick(s.now)
-		s.l2c.Tick(s.now)
-		s.dc.Tick(s.now)
-		s.core.Tick(s.now)
-		s.now++
+		s.tick()
 		if s.core.Done() {
 			return
 		}
@@ -215,6 +220,38 @@ func TestNackRetryEventuallySucceeds(t *testing.T) {
 	}
 	if totalNacks == 0 {
 		t.Log("no nacks observed (acceptable but unexpected); retry path unexercised")
+	}
+}
+
+// TestWaitingLoadCountTracksROB holds the running count that gates issue's
+// load walk against a recount of the ROB on every cycle, through dispatch,
+// forwarding, fence blocking, firing and nack retries.
+func TestWaitingLoadCountTracksROB(t *testing.T) {
+	s := newStack(t)
+	b := isa.NewBuilder().Store(0x1000, 1).Load(0x1000) // forwards
+	for i := 0; i < 24; i++ {
+		b.Load(0x10000 + uint64(i)*64) // more lines than MSHRs: nacks
+	}
+	b.Fence().Load(0x1000) // held behind the fence
+	s.core.SetProgram(b.Build())
+	for !s.core.Done() {
+		if s.now > 100_000 {
+			t.Fatal("program did not finish")
+		}
+		s.tick()
+		if got, want := s.core.WaitingLoads(), s.core.CountWaitingLoads(); got != want {
+			t.Fatalf("cycle %d: waiting-load count %d, ROB holds %d", s.now, got, want)
+		}
+	}
+	nacks := 0
+	for _, tm := range s.core.Timings() {
+		nacks += tm.Nacks
+	}
+	if nacks == 0 {
+		t.Fatal("no load was nacked: the retry path went unchecked")
+	}
+	if got := s.core.Timing(1).LoadValue; got != 1 {
+		t.Fatalf("forwarded load = %d, want 1", got)
 	}
 }
 

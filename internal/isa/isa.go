@@ -7,7 +7,10 @@
 // package gives them timing, the sim package gives them memory.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Op is an instruction opcode.
 type Op uint8
@@ -155,8 +158,12 @@ func (b *Builder) Nop() *Builder {
 // Nops appends n compute no-ops, modeling the address arithmetic and branch
 // overhead of a benchmark loop iteration.
 func (b *Builder) Nops(n int) *Builder {
+	if n <= 0 {
+		return b
+	}
+	b.instrs = slices.Grow(b.instrs, n)
 	for i := 0; i < n; i++ {
-		b.Nop()
+		b.instrs = append(b.instrs, Instr{Op: OpNop})
 	}
 	return b
 }

@@ -1,6 +1,9 @@
 package isa
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestOpcodePredicates(t *testing.T) {
 	cases := []struct {
@@ -86,6 +89,22 @@ func TestCboRegionLoopAddsNops(t *testing.T) {
 	}
 	if p.Instrs[0].Op != OpCboClean || p.Instrs[1].Op != OpNop {
 		t.Fatal("loop layout wrong")
+	}
+}
+
+// TestNopsMatchesRepeatedNop: Nops(n) appends exactly what n Nop calls do,
+// and a zero or negative count appends nothing.
+func TestNopsMatchesRepeatedNop(t *testing.T) {
+	for _, n := range []int{-1, 0, 1, 7} {
+		got := NewBuilder().Store(0, 1).Nops(n).Fence().Build()
+		ref := NewBuilder().Store(0, 1)
+		for i := 0; i < n; i++ {
+			ref.Nop()
+		}
+		want := ref.Fence().Build()
+		if !reflect.DeepEqual(got.Instrs, want.Instrs) {
+			t.Fatalf("Nops(%d) = %v, want %v", n, got.Instrs, want.Instrs)
+		}
 	}
 }
 

@@ -252,14 +252,21 @@ func New(cfg Config, port *tilelink.ClientPort) *DCache {
 	}
 	d := &DCache{cfg: cfg, port: port, name: fmt.Sprintf("l1[%d]", cfg.Source)}
 	d.ctr = newL1Counters(reg, d.name)
+	// The metadata and data arrays are capacity-capped windows into flat
+	// backing arrays: a handful of allocations per cache, not one per line.
+	n, lb := cfg.Sets*cfg.Ways, int(cfg.LineBytes)
+	meta := make([]wayMeta, n)
+	rows := make([][]byte, n)
+	buf := make([]byte, n*lb)
+	for i := range rows {
+		rows[i] = buf[i*lb : (i+1)*lb : (i+1)*lb]
+	}
 	d.meta = make([][]wayMeta, cfg.Sets)
 	d.data = make([][][]byte, cfg.Sets)
 	for s := 0; s < cfg.Sets; s++ {
-		d.meta[s] = make([]wayMeta, cfg.Ways)
-		d.data[s] = make([][]byte, cfg.Ways)
-		for w := 0; w < cfg.Ways; w++ {
-			d.data[s][w] = make([]byte, cfg.LineBytes)
-		}
+		lo, hi := s*cfg.Ways, (s+1)*cfg.Ways
+		d.meta[s] = meta[lo:hi:hi]
+		d.data[s] = rows[lo:hi:hi]
 	}
 	d.mshrs = make([]mshr, cfg.NumMSHRs)
 	fcfg := cfg.Flush

@@ -225,8 +225,9 @@ func (d *DCache) onGrant(now int64, msg tilelink.Msg) {
 
 // tickVictim finds a way for the granted line, evicting as needed. Victim
 // selection honors the §5.4.2 interlocks: it stalls while flush_rdy is low,
-// never chooses a line the flush unit holds a request for, and uses the
-// writeback unit (one eviction at a time) for the release.
+// never chooses a line the flush unit holds a request for or the probe unit
+// is serving, and uses the writeback unit (one eviction at a time) for the
+// release.
 func (d *DCache) tickVictim(now int64, m *mshr) {
 	set := d.index(m.addr)
 
@@ -260,6 +261,13 @@ func (d *DCache) tickVictim(now int64, m *mshr) {
 			continue
 		}
 		if d.mshrFor(victimAddr) != nil {
+			continue
+		}
+		// A line the probe unit has accepted is answered from the
+		// metadata it finds next cycle: evicting it now would ack the
+		// probe NtoN without data while this Release is still in
+		// flight, and the L2 would drop the line under it.
+		if d.probe.state != pIdle && d.lineAddr(d.probe.cur.Addr) == victimAddr {
 			continue
 		}
 		if meta.lastUsed < bestUsed {

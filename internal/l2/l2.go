@@ -213,13 +213,20 @@ func New(cfg Config, ports []*tilelink.ClientPort, m *mem.Memory) *Cache {
 		outD:  make([][]tilelink.Msg, cfg.NumClients),
 		ctr:   newL2Counters(reg, "l2"),
 	}
+	// Every frame, directory row and data row is a capacity-capped window
+	// into one of three flat arrays, so construction costs a handful of
+	// allocations instead of two per line.
+	n, lb := cfg.NumClients, int(cfg.LineBytes)
+	frames := make([]line, cfg.Sets*cfg.Ways)
+	perms := make([]tilelink.Perm, len(frames)*n)
+	data := make([]byte, len(frames)*lb)
 	c.lines = make([][]line, cfg.Sets)
 	for s := range c.lines {
-		c.lines[s] = make([]line, cfg.Ways)
-		for w := range c.lines[s] {
-			c.lines[s][w].perms = make([]tilelink.Perm, cfg.NumClients)
-			c.lines[s][w].data = make([]byte, cfg.LineBytes)
-		}
+		c.lines[s] = frames[s*cfg.Ways : (s+1)*cfg.Ways : (s+1)*cfg.Ways]
+	}
+	for i := range frames {
+		frames[i].perms = perms[i*n : (i+1)*n : (i+1)*n]
+		frames[i].data = data[i*lb : (i+1)*lb : (i+1)*lb]
 	}
 	return c
 }

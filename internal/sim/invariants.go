@@ -85,6 +85,14 @@ func (s *System) CheckInvariants() error {
 				i, u.PendingCount(), u.QueueLen(), u.ActiveFSHRs())
 		}
 	}
+
+	// LSU accounting: the waiting-load count that gates the core's issue
+	// walk equals the loads actually waiting in its ROB.
+	for i, c := range s.Cores {
+		if got, want := c.WaitingLoads(), c.CountWaitingLoads(); got != want {
+			return fmt.Errorf("lsu accounting: core[%d] waiting-load count=%d, rob holds %d", i, got, want)
+		}
+	}
 	return nil
 }
 

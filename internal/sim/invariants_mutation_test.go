@@ -98,3 +98,9 @@ func TestMutationFlushCounter(t *testing.T) {
 	s.L1s[0].FlushUnit().PokePendingCount(1)
 	wantViolation(t, s, "flush counter")
 }
+
+func TestMutationWaitingLoadCount(t *testing.T) {
+	s := mutationSystem(t, 1)
+	s.Cores[0].PokeWaitingLoads(1)
+	wantViolation(t, s, "lsu accounting")
+}
