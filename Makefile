@@ -17,8 +17,7 @@ race:
 # go/analysis suite: the interprocedural analyzers (detflow, hotalloc) plus
 # determinism, poolown, nextevent, metricname and staleignore. The ./... pattern covers internal/analysis and cmd/ too, so
 # the analyzers lint themselves. See internal/analysis/README.md for the
-# rules and the waiver syntax; pass `-cache DIR` to skipit-vet (as CI does)
-# to replay unchanged packages from the fact-store cache.
+# rules and the waiver syntax.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/skipit-vet ./...

@@ -10,14 +10,10 @@
 //     -V=full version probe, and handles package loading, caching and fact
 //     serialization itself.
 //
-//   - standalone mode: `skipit-vet [-json] [-tests] [-cache dir] [packages]`
-//     loads and type-checks packages in-process (internal/analysis/driver)
-//     and prints findings, one per line, or as a JSON array for machine
-//     consumers such as cmd/ghannotate. With -cache, per-package results
-//     (findings plus exported facts) are stored content-addressed under dir
-//     and replayed on later runs for packages whose sources, dependencies,
-//     toolchain and analyzer binary are unchanged. Exit status: 0 clean,
-//     1 findings, 2 failure.
+//   - standalone mode: `skipit-vet [-json] [-tests] [packages]` loads and
+//     type-checks packages in-process (internal/analysis/driver) and prints
+//     findings, one per line, or as a JSON array for machine consumers such
+//     as cmd/ghannotate. Exit status: 0 clean, 1 findings, 2 failure.
 package main
 
 import (
@@ -53,9 +49,8 @@ func main() {
 
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array")
 	tests := flag.Bool("tests", true, "also analyze _test.go compilation units")
-	cacheDir := flag.String("cache", "", "fact-store cache directory: packages whose content hash matches replay cached findings and facts instead of re-running analyzers")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: skipit-vet [-json] [-tests=false] [-cache dir] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: skipit-vet [-json] [-tests=false] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Analyzers:\n")
 		for _, a := range skipvet.Analyzers {
 			doc, _, _ := strings.Cut(a.Doc, "\n")
@@ -77,11 +72,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "skipit-vet: %v\n", err)
 		os.Exit(2)
 	}
-	var cache *driver.Cache
-	if *cacheDir != "" {
-		cache = &driver.Cache{Dir: *cacheDir}
-	}
-	diags, err := driver.RunCached(pkgs, l.Fset, skipvet.Analyzers, cache)
+	diags, err := driver.Run(pkgs, l.Fset, skipvet.Analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skipit-vet: %v\n", err)
 		os.Exit(2)

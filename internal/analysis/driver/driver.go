@@ -40,7 +40,6 @@ type listPkg struct {
 	Standard   bool
 	GoFiles    []string
 	ForTest    string
-	Imports    []string
 	ImportMap  map[string]string
 	Module     *struct {
 		Path      string
@@ -61,7 +60,6 @@ type Package struct {
 	TypesInfo *types.Info
 	Module    *analysis.Module
 	importMap map[string]string
-	imports   []string
 	// Listed reports whether the package matched the load patterns itself
 	// (as opposed to being pulled in as a dependency).
 	Listed bool
@@ -93,7 +91,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	l.built = make(map[string]*Package)
 	l.src = importer.ForCompiler(l.Fset, "source", nil)
 
-	args := []string{"list", "-e", "-json=ImportPath,Dir,Name,Standard,GoFiles,ForTest,Imports,ImportMap,Module,Error", "-deps"}
+	args := []string{"list", "-e", "-json=ImportPath,Dir,Name,Standard,GoFiles,ForTest,ImportMap,Module,Error", "-deps"}
 	if l.Tests {
 		args = append(args, "-test")
 	}
@@ -208,7 +206,6 @@ func (l *Loader) typecheck(m *listPkg) (*Package, error) {
 		GoFiles:   goFiles,
 		TypesInfo: info,
 		importMap: m.ImportMap,
-		imports:   m.Imports,
 	}
 	if m.Module != nil {
 		p.Module = &analysis.Module{Path: m.Module.Path, Version: m.Module.Version, GoVersion: m.Module.GoVersion}
@@ -256,18 +253,6 @@ func (i *pkgImporter) Import(path string) (*types.Package, error) {
 // Identical findings reported for both a package and its test variant are
 // deduplicated.
 func Run(pkgs []*Package, fset *token.FileSet, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
-	return RunCached(pkgs, fset, analyzers, nil)
-}
-
-// RunCached is Run with an optional fact-store cache (nil disables caching).
-// A package whose cache key matches skips analysis entirely: its stored
-// diagnostics replay through the normal sink and its exported facts decode
-// back into the fact store for downstream cache-miss packages. Caching is
-// per package, whole-suite: either every analyzer's result for a package
-// comes from the cache, or every analyzer runs — so the cross-analyzer
-// coupling inside a package (staleignore reading which directives the rest
-// of the suite consumed) is preserved bit for bit.
-func RunCached(pkgs []*Package, fset *token.FileSet, analyzers []*analysis.Analyzer, cache *Cache) ([]Diagnostic, error) {
 	for _, a := range analyzers {
 		if err := analysis.Validate([]*analysis.Analyzer{a}); err != nil {
 			return nil, err
@@ -276,75 +261,19 @@ func RunCached(pkgs []*Package, fset *token.FileSet, analyzers []*analysis.Analy
 	facts := newFactStore()
 	var diags []Diagnostic
 	seen := make(map[string]bool)
-	emit := func(d Diagnostic) {
-		key := fmt.Sprintf("%s|%s|%s", d.Analyzer, d.Posn, d.Message)
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		diags = append(diags, d)
-	}
-	var reg map[string]reflect.Type
-	depKeys := make(map[string]string)
-	if cache != nil {
-		reg = factRegistry(analyzers)
-	}
 	for _, p := range pkgs {
-		var key string
-		if cache != nil {
-			k, err := cache.key(p, analyzers, depKeys)
-			if err != nil {
-				return nil, err
-			}
-			key = k
-			depKeys[p.ID] = k
-			if e, ok := cache.load(k); ok {
-				// Decode into a scratch store first: a torn or foreign entry
-				// must fall back to a live run, not half-apply its facts.
-				scratch := newFactStore()
-				if err := scratch.restore(p, e, reg); err == nil {
-					facts.merge(scratch)
-					for _, cd := range e.Diags {
-						emit(Diagnostic{
-							Analyzer: cd.Analyzer,
-							Posn:     token.Position{Filename: cd.File, Line: cd.Line, Column: cd.Col},
-							Message:  cd.Message,
-						})
-					}
-					continue
-				}
-			}
-		}
-		rec := &cacheEntry{Package: p.ID}
-		recSeen := make(map[string]bool)
 		results := make(map[*analysis.Analyzer]interface{})
 		for _, a := range analyzers {
 			if err := runAnalyzer(a, p, fset, facts, results, func(name string, d analysis.Diagnostic) {
 				posn := fset.Position(d.Pos)
-				emit(Diagnostic{Analyzer: name, Posn: posn, Message: d.Message})
-				if cache != nil {
-					k := fmt.Sprintf("%s|%s|%s", name, posn, d.Message)
-					if !recSeen[k] {
-						recSeen[k] = true
-						rec.Diags = append(rec.Diags, cacheDiag{
-							Analyzer: name,
-							File:     posn.Filename,
-							Line:     posn.Line,
-							Col:      posn.Column,
-							Message:  d.Message,
-						})
-					}
+				key := fmt.Sprintf("%s|%s|%s", name, posn, d.Message)
+				if seen[key] {
+					return
 				}
+				seen[key] = true
+				diags = append(diags, Diagnostic{Analyzer: name, Posn: posn, Message: d.Message})
 			}); err != nil {
 				return nil, fmt.Errorf("%s: %s: %v", a.Name, p.ID, err)
-			}
-		}
-		if cache != nil {
-			if err := facts.snapshot(p, rec); err != nil {
-				return nil, fmt.Errorf("cache snapshot %s: %v", p.ID, err)
-			}
-			if err := cache.store(key, rec); err != nil {
-				return nil, fmt.Errorf("cache store %s: %v", p.ID, err)
 			}
 		}
 	}
@@ -419,31 +348,6 @@ func newFactStore() *factStore {
 	return &factStore{
 		pkgFacts: make(map[string]map[reflect.Type]analysis.Fact),
 		objFacts: make(map[types.Object]map[reflect.Type]analysis.Fact),
-	}
-}
-
-// merge copies every fact in other into s (cache restores decode into a
-// scratch store so a mid-restore failure cannot half-apply).
-func (s *factStore) merge(other *factStore) {
-	for path, m := range other.pkgFacts {
-		dst := s.pkgFacts[path]
-		if dst == nil {
-			dst = make(map[reflect.Type]analysis.Fact)
-			s.pkgFacts[path] = dst
-		}
-		for t, f := range m {
-			dst[t] = f
-		}
-	}
-	for obj, m := range other.objFacts {
-		dst := s.objFacts[obj]
-		if dst == nil {
-			dst = make(map[reflect.Type]analysis.Fact)
-			s.objFacts[obj] = dst
-		}
-		for t, f := range m {
-			dst[t] = f
-		}
 	}
 }
 

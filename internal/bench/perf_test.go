@@ -132,8 +132,9 @@ func TestStepRecorderSteadyStateZeroAlloc(t *testing.T) {
 // BenchmarkRunFigure measures one real evaluation point (a Fig. 9 sweep,
 // 4 KiB / 1 thread) end to end, fast-forward clock on, as the sweep runner
 // executes it. Building the SoC is most of its allocations, so CI holds its
-// allocs/op under testdata/runfigure_alloc_ceiling.txt: per-line cache
-// storage cannot creep back.
+// allocs/op under testdata/runfigure_alloc_ceiling.txt and its B/op under
+// testdata/runfigure_bytes_ceiling.txt: neither per-line cache storage nor
+// eagerly allocated L2 data can creep back.
 func BenchmarkRunFigure(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {

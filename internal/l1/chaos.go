@@ -69,7 +69,7 @@ func (d *DCache) InjectBitFlip(addr uint64, bit uint64) FlipOutcome {
 	set := d.index(lineAddr)
 	way := d.findWay(lineAddr, true)
 	bit %= d.cfg.LineBytes * 8
-	d.data[set][way][bit/8] ^= 1 << (bit % 8)
+	d.row(set, way)[bit/8] ^= 1 << (bit % 8)
 	if d.poisoned == nil {
 		d.poisoned = make(map[uint64]struct{})
 	}

@@ -208,7 +208,8 @@ type timedResp struct {
 type DCache struct {
 	cfg  Config
 	meta [][]wayMeta
-	data [][][]byte
+	// data holds every line's bytes, row set*Ways+way; see row.
+	data []byte
 	port *tilelink.ClientPort
 
 	flush *core.FlushUnit
@@ -252,21 +253,15 @@ func New(cfg Config, port *tilelink.ClientPort) *DCache {
 	}
 	d := &DCache{cfg: cfg, port: port, name: fmt.Sprintf("l1[%d]", cfg.Source)}
 	d.ctr = newL1Counters(reg, d.name)
-	// The metadata and data arrays are capacity-capped windows into flat
-	// backing arrays: a handful of allocations per cache, not one per line.
-	n, lb := cfg.Sets*cfg.Ways, int(cfg.LineBytes)
-	meta := make([]wayMeta, n)
-	rows := make([][]byte, n)
-	buf := make([]byte, n*lb)
-	for i := range rows {
-		rows[i] = buf[i*lb : (i+1)*lb : (i+1)*lb]
-	}
+	// The metadata sets are capacity-capped windows into one flat array,
+	// and the data array is one flat byte slice cut by row: a handful of
+	// allocations per cache, not one per line.
+	meta := make([]wayMeta, cfg.Sets*cfg.Ways)
+	d.data = make([]byte, len(meta)*int(cfg.LineBytes))
 	d.meta = make([][]wayMeta, cfg.Sets)
-	d.data = make([][][]byte, cfg.Sets)
 	for s := 0; s < cfg.Sets; s++ {
 		lo, hi := s*cfg.Ways, (s+1)*cfg.Ways
 		d.meta[s] = meta[lo:hi:hi]
-		d.data[s] = rows[lo:hi:hi]
 	}
 	d.mshrs = make([]mshr, cfg.NumMSHRs)
 	fcfg := cfg.Flush
@@ -463,10 +458,10 @@ func (d *DCache) Reset() {
 	for s := range d.meta {
 		for w := range d.meta[s] {
 			d.meta[s][w] = wayMeta{}
-			for i := range d.data[s][w] {
-				d.data[s][w][i] = 0
-			}
 		}
+	}
+	for i := range d.data {
+		d.data[i] = 0
 	}
 	for i := range d.mshrs {
 		d.mshrs[i] = mshr{}
@@ -479,12 +474,19 @@ func (d *DCache) Reset() {
 	d.flush.Reset()
 }
 
+// row returns the data array row of (set, way).
+func (d *DCache) row(set, way int) []byte {
+	lb := int(d.cfg.LineBytes)
+	i := (set*d.cfg.Ways + way) * lb
+	return d.data[i : i+lb : i+lb]
+}
+
 func (d *DCache) readWord(set, way int, addr uint64) uint64 {
 	off := addr & (d.cfg.LineBytes - 1)
 	if off%8 != 0 {
 		panic(fmt.Sprintf("l1: unaligned word access %#x", addr))
 	}
-	line := d.data[set][way]
+	line := d.row(set, way)
 	var v uint64
 	for i := uint64(0); i < 8; i++ {
 		v |= uint64(line[off+i]) << (8 * i)
@@ -497,7 +499,7 @@ func (d *DCache) writeWord(set, way int, addr uint64, v uint64) {
 	if off%8 != 0 {
 		panic(fmt.Sprintf("l1: unaligned word access %#x", addr))
 	}
-	line := d.data[set][way]
+	line := d.row(set, way)
 	for i := uint64(0); i < 8; i++ {
 		line[off+i] = byte(v >> (8 * i))
 	}
@@ -548,7 +550,7 @@ func (p *flushPorts) DataRead(addr uint64) []byte {
 	}
 	set := d.index(addr)
 	out := d.cfg.Pool.Get(int(d.cfg.LineBytes))
-	copy(out, d.data[set][way])
+	copy(out, d.row(set, way))
 	return out
 }
 

@@ -171,7 +171,7 @@ func (d *DCache) tickMSHR(now int64, m *mshr) {
 			skip:     !m.grantDirty, // GrantData sets, GrantDataDirty unsets (§6.1)
 			lastUsed: now,
 		}
-		copy(d.data[set][m.way], m.grantData)
+		copy(d.row(set, m.way), m.grantData)
 		d.clearPoison(m.addr)
 		// The grant payload's transaction retires here: recycle it.
 		d.cfg.Pool.Put(m.grantData)
@@ -286,7 +286,7 @@ func (d *DCache) tickVictim(now int64, m *mshr) {
 	// The eviction's Release→ReleaseAck chain is its own transaction,
 	// distinct from the Acquire that triggered it.
 	wbTxn := d.cfg.Txns.Next()
-	d.wb.start(d.cfg.Pool, victimAddr, d.data[set][best], meta.dirty, meta.perm, wbTxn)
+	d.wb.start(d.cfg.Pool, victimAddr, d.row(set, best), meta.dirty, meta.perm, wbTxn)
 	d.ctr.writebacks.Inc()
 	d.rec.Record(now, trace.RecEvict, trace.CauseNone, wbTxn, victimAddr, 0)
 	if d.tr != nil {

@@ -201,7 +201,10 @@ func (d *DCache) amoApply(set, way int, req Req) uint64 {
 // processCflushDL1 implements the SiFive vendor instruction: evict the line
 // from the L1 to the L2 via the writeback unit. A miss completes
 // immediately; a hit needs the WBU free (one eviction at a time) and must
-// not collide with the flush unit's bookkeeping.
+// not collide with the flush unit's bookkeeping: neither a queued request
+// nor an active FSHR may hold the line. While an FSHR's RootRelease is
+// still writing the line's older data to DRAM, the write's completion
+// would mark the evicted newer data clean in the L2.
 func (d *DCache) processCflushDL1(now int64, req Req, lineAddr uint64) {
 	// An in-flight miss will install the line after us; wait for it so
 	// the eviction actually evicts (same hazard as processCbo).
@@ -216,7 +219,7 @@ func (d *DCache) processCflushDL1(now int64, req Req, lineAddr uint64) {
 		d.respond(now+int64(d.cfg.CboLatency), Resp{ID: req.ID})
 		return
 	}
-	if d.flush.QueuedConflict(lineAddr) || !d.flush.FlushRdy() || !d.wb.idle() {
+	if d.flush.VictimBlocked(lineAddr) || !d.flush.FlushRdy() || !d.wb.idle() {
 		d.nack(now, req, d.ctr.nackFlushConflict)
 		return
 	}
@@ -224,7 +227,7 @@ func (d *DCache) processCflushDL1(now int64, req Req, lineAddr uint64) {
 	d.clearPoison(lineAddr)
 	way := d.findWay(lineAddr, true)
 	set := d.index(lineAddr)
-	d.wb.start(d.cfg.Pool, lineAddr, d.data[set][way], meta.dirty, meta.perm, d.cfg.Txns.Next())
+	d.wb.start(d.cfg.Pool, lineAddr, d.row(set, way), meta.dirty, meta.perm, d.cfg.Txns.Next())
 	d.ctr.writebacks.Inc()
 	meta.valid = false
 	meta.dirty = false

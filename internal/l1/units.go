@@ -204,7 +204,7 @@ func (d *DCache) buildProbeAck(now int64, probe tilelink.Msg) tilelink.Msg {
 		way := d.findWay(addr, true)
 		set := d.index(addr)
 		data := d.cfg.Pool.Get(int(d.cfg.LineBytes))
-		copy(data, d.data[set][way])
+		copy(data, d.row(set, way))
 		msg.Op = tilelink.OpProbeAckData
 		msg.Data = data
 		meta.dirty = false

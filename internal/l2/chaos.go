@@ -67,7 +67,7 @@ func (c *Cache) InjectBitFlip(addr uint64, bit uint64) FlipOutcome {
 		return FlipBlocked
 	}
 	bit %= c.cfg.LineBytes * 8
-	l.data[bit/8] ^= 1 << (bit % 8)
+	c.dataOf(l)[bit/8] ^= 1 << (bit % 8)
 	if c.poisoned == nil {
 		c.poisoned = make(map[uint64]struct{})
 	}
@@ -89,7 +89,7 @@ func (c *Cache) eccRestore(now int64, l *line, addr uint64) {
 	if _, bad := c.poisoned[addr]; !bad {
 		return
 	}
-	copy(l.data, c.mem.PeekLine(addr))
+	copy(c.dataOf(l), c.mem.PeekLine(addr))
 	delete(c.poisoned, addr)
 	c.ctr.refetchRecoveries.Inc()
 	trace.Emit(c.tr, now, "l2", "ecc-restore", addr, "poisoned line refetched from DRAM")
@@ -123,7 +123,7 @@ func (c *Cache) PokePerm(addr uint64, client int, p tilelink.Perm) bool {
 	if l == nil {
 		return false
 	}
-	l.perms[client] = p
+	c.permsOf(l)[client] = p
 	return true
 }
 

@@ -58,19 +58,26 @@ func DefaultConfig(numClients int) Config {
 	}
 }
 
-// line is one L2 frame: data (BankedStore row), tag/valid/dirty metadata and
-// the full-map directory of client permissions (Directory in Fig. 4).
+// line is one L2 frame's tag/valid/dirty metadata. Its BankedStore row and
+// its full-map directory entry (Directory in Fig. 4) live in the Cache,
+// reached through row with dataOf and permsOf, so a frame holds no pointer
+// and the garbage collector never scans the frame array.
 type line struct {
-	valid    bool
 	tag      uint64
-	dirty    bool
-	perms    []tilelink.Perm // indexed by client
-	data     []byte
 	lastUsed int64
+	// row numbers the frame's data row and directory entry, way-major
+	// (way*Sets + set); fixed at construction.
+	row   uint32
+	valid bool
+	dirty bool
 	// reserved marks a way claimed by an in-flight refill so concurrent
 	// misses to the set cannot double-allocate it.
 	reserved bool
 }
+
+// rowsPerSlab is the number of data rows in one BankedStore slab: 64 rows of
+// 64 B lines make 4 KiB.
+const rowsPerSlab = 64
 
 // LineState is a read-only snapshot for invariant checks and tests.
 type LineState struct {
@@ -148,6 +155,12 @@ func newL2Counters(reg *metrics.Registry, name string) l2Counters {
 type Cache struct {
 	cfg   Config
 	lines [][]line // [set][way]
+	// perms is the directory: NumClients permissions per frame row.
+	perms []tilelink.Perm
+	// slabs holds the BankedStore, rowsPerSlab data rows per slab. A slab
+	// is made by the first dataOf that needs it and never moves, so a job
+	// pays only for the rows it touches.
+	slabs [][]byte
 	ports []*tilelink.ClientPort
 	mem   *mem.Memory
 
@@ -213,22 +226,42 @@ func New(cfg Config, ports []*tilelink.ClientPort, m *mem.Memory) *Cache {
 		outD:  make([][]tilelink.Msg, cfg.NumClients),
 		ctr:   newL2Counters(reg, "l2"),
 	}
-	// Every frame, directory row and data row is a capacity-capped window
-	// into one of three flat arrays, so construction costs a handful of
-	// allocations instead of two per line.
-	n, lb := cfg.NumClients, int(cfg.LineBytes)
-	frames := make([]line, cfg.Sets*cfg.Ways)
-	perms := make([]tilelink.Perm, len(frames)*n)
-	data := make([]byte, len(frames)*lb)
+	// Every set is a capacity-capped window into one flat frame array and
+	// the directory is one flat array. Data rows are numbered way-major:
+	// the L2 fills the first invalid way, so a job's lines land in way 0 of
+	// consecutive sets and share slabs.
+	rows := cfg.Sets * cfg.Ways
+	frames := make([]line, rows)
+	c.perms = make([]tilelink.Perm, rows*cfg.NumClients)
+	c.slabs = make([][]byte, (rows+rowsPerSlab-1)/rowsPerSlab)
 	c.lines = make([][]line, cfg.Sets)
 	for s := range c.lines {
 		c.lines[s] = frames[s*cfg.Ways : (s+1)*cfg.Ways : (s+1)*cfg.Ways]
-	}
-	for i := range frames {
-		frames[i].perms = perms[i*n : (i+1)*n : (i+1)*n]
-		frames[i].data = data[i*lb : (i+1)*lb : (i+1)*lb]
+		for w := range c.lines[s] {
+			c.lines[s][w].row = uint32(w*cfg.Sets + s)
+		}
 	}
 	return c
+}
+
+// permsOf returns frame l's directory entry, one permission per client.
+func (c *Cache) permsOf(l *line) []tilelink.Perm {
+	n := c.cfg.NumClients
+	i := int(l.row) * n
+	return c.perms[i : i+n : i+n]
+}
+
+// dataOf returns frame l's BankedStore row, making its slab on first use. A
+// row never written reads as zeros.
+func (c *Cache) dataOf(l *line) []byte {
+	slab := c.slabs[l.row/rowsPerSlab]
+	if slab == nil {
+		slab = make([]byte, rowsPerSlab*c.cfg.LineBytes) //skipit:ignore hotalloc the BankedStore materializes a slab on first touch; a system makes at most Sets*Ways/rowsPerSlab of them and none once its working set is resident
+		c.slabs[l.row/rowsPerSlab] = slab
+	}
+	lb := int(c.cfg.LineBytes)
+	i := int(l.row%rowsPerSlab) * lb
+	return slab[i : i+lb : i+lb]
 }
 
 // Config returns the cache configuration.
@@ -294,8 +327,8 @@ func (c *Cache) LineState(addr uint64) LineState {
 	if l == nil {
 		return LineState{}
 	}
-	perms := make([]tilelink.Perm, len(l.perms))
-	copy(perms, l.perms)
+	perms := make([]tilelink.Perm, c.cfg.NumClients)
+	copy(perms, c.permsOf(l))
 	return LineState{Present: true, Dirty: l.dirty, Perms: perms}
 }
 
@@ -305,8 +338,8 @@ func (c *Cache) PeekLine(addr uint64) ([]byte, bool) {
 	if l == nil {
 		return nil, false
 	}
-	out := make([]byte, len(l.data))
-	copy(out, l.data)
+	out := make([]byte, c.cfg.LineBytes)
+	copy(out, c.dataOf(l))
 	return out, true
 }
 
@@ -371,7 +404,8 @@ func (c *Cache) NextEvent(now int64) int64 {
 	return next
 }
 
-// Reset clears all volatile state (simulated crash).
+// Reset clears all volatile state (simulated crash). Data rows keep their
+// bytes: every frame is invalid, and a refill overwrites its row.
 func (c *Cache) Reset() {
 	for s := range c.lines {
 		for w := range c.lines[s] {
@@ -379,10 +413,10 @@ func (c *Cache) Reset() {
 			l.valid = false
 			l.dirty = false
 			l.reserved = false
-			for i := range l.perms {
-				l.perms[i] = tilelink.PermNone
-			}
 		}
+	}
+	for i := range c.perms {
+		c.perms[i] = tilelink.PermNone
 	}
 	for i := range c.mshrs {
 		c.mshrs[i] = mshr{}

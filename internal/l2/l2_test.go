@@ -19,12 +19,16 @@ type rig struct {
 
 func newRig(t *testing.T, clients int) *rig {
 	t.Helper()
-	ports := make([]*tilelink.ClientPort, clients)
+	return newRigConfig(t, DefaultConfig(clients))
+}
+
+func newRigConfig(t *testing.T, cfg Config) *rig {
+	t.Helper()
+	ports := make([]*tilelink.ClientPort, cfg.NumClients)
 	for i := range ports {
 		ports[i] = tilelink.NewClientPort("t", 16, 64, 1)
 	}
 	m := mem.New(mem.DefaultConfig())
-	cfg := DefaultConfig(clients)
 	return &rig{t: t, c: New(cfg, ports, m), m: m, ports: ports}
 }
 

@@ -160,7 +160,7 @@ func (c *Cache) startAcquire(now int64, m *mshr) {
 			// Inclusive policy: revoke all client copies of the
 			// victim before dropping it (§3.4).
 			probed := false
-			for cl, p := range v.perms {
+			for cl, p := range c.permsOf(v) {
 				if p != tilelink.PermNone {
 					c.sendProbe(m, cl, victimAddr, tilelink.CapToN)
 					probed = true
@@ -196,13 +196,13 @@ func (c *Cache) startAcquire(now int64, m *mshr) {
 func (c *Cache) probeForAcquire(m *mshr, l *line) {
 	switch m.grow {
 	case tilelink.GrowNtoT, tilelink.GrowBtoT:
-		for cl, p := range l.perms {
+		for cl, p := range c.permsOf(l) {
 			if cl != m.client && p != tilelink.PermNone {
 				c.sendProbe(m, cl, m.addr, tilelink.CapToN)
 			}
 		}
 	case tilelink.GrowNtoB:
-		for cl, p := range l.perms {
+		for cl, p := range c.permsOf(l) {
 			if cl != m.client && p == tilelink.PermTrunk {
 				c.sendProbe(m, cl, m.addr, tilelink.CapToB)
 			}
@@ -256,7 +256,7 @@ func (c *Cache) startRootRelease(now int64, m *mshr) {
 		// The line was evicted and then re-installed between SinkC and
 		// dispatch; apply the carried data now, exactly as SinkC would
 		// have with the line present.
-		copy(l.data, m.wbData)
+		copy(c.dataOf(l), m.wbData)
 		l.dirty = true
 		c.clearPoison(m.addr)
 		c.cfg.Pool.Put(m.wbData)
@@ -266,7 +266,7 @@ func (c *Cache) startRootRelease(now int64, m *mshr) {
 	if m.clean {
 		// RootReleaseClean: extract dirty data from a foreign trunk
 		// owner, if one exists; copies stay readable.
-		for cl, p := range l.perms {
+		for cl, p := range c.permsOf(l) {
 			if cl != m.client && p == tilelink.PermTrunk {
 				c.sendProbe(m, cl, m.addr, tilelink.CapToB)
 			}
@@ -276,8 +276,8 @@ func (c *Cache) startRootRelease(now int64, m *mshr) {
 		// registration of the requester (its L1 already invalidated
 		// its own copy in the FSHR meta_write state and reported so
 		// in the RootRelease).
-		l.perms[m.client] = tilelink.PermNone
-		for cl, p := range l.perms {
+		c.permsOf(l)[m.client] = tilelink.PermNone
+		for cl, p := range c.permsOf(l) {
 			if cl != m.client && p != tilelink.PermNone {
 				c.sendProbe(m, cl, m.addr, tilelink.CapToN)
 			}
@@ -305,7 +305,7 @@ func (c *Cache) rootReleaseWriteback(now int64, m *mshr) {
 		return
 	}
 	data := c.cfg.Pool.Get(int(c.cfg.LineBytes))
-	copy(data, l.data)
+	copy(data, c.dataOf(l))
 	m.state = msMemWrite
 	// Skip-audit: dirty in the LLC — the flush issues a real DRAM write.
 	c.rec.Record(now, trace.RecSkipAudit, trace.CauseDirtyLine, m.txn, m.addr, 1)
@@ -326,8 +326,9 @@ func (c *Cache) finishRootRelease(m *mshr) {
 		if l := c.lookup(m.addr); l != nil {
 			l.valid = false
 			l.dirty = false
-			for i := range l.perms {
-				l.perms[i] = tilelink.PermNone
+			perms := c.permsOf(l)
+			for i := range perms {
+				perms[i] = tilelink.PermNone
 			}
 			c.clearPoison(m.addr)
 		}
@@ -342,7 +343,7 @@ func (c *Cache) finishEvict(now int64, m *mshr) {
 	if v.dirty {
 		victimAddr := c.addrOf(m.victimSet, v.tag)
 		data := c.cfg.Pool.Get(int(c.cfg.LineBytes))
-		copy(data, v.data)
+		copy(data, c.dataOf(v))
 		m.state = msEvictMemWrite
 		if c.mem.Submit(now, mem.Request{Kind: mem.Write, Addr: victimAddr, Data: data, Tag: c.mshrIndex(m), Txn: m.txn}) {
 			c.ctr.memWrites.Inc()
@@ -402,7 +403,7 @@ func (c *Cache) sendGrant(now int64, m *mshr) {
 		capTo = tilelink.CapToB
 	}
 	data := c.cfg.Pool.Get(int(c.cfg.LineBytes))
-	copy(data, l.data)
+	copy(data, c.dataOf(l))
 	c.outD[m.client] = append(c.outD[m.client], tilelink.Msg{ //skipit:ignore hotalloc per-client outD depth is bounded by outstanding transactions; append reuses its backing after warmup
 		Op:   op,
 		Addr: m.addr,
@@ -410,7 +411,7 @@ func (c *Cache) sendGrant(now int64, m *mshr) {
 		Data: data,
 		Txn:  m.txn,
 	})
-	l.perms[m.client] = capTo.Perm()
+	c.permsOf(l)[m.client] = capTo.Perm()
 	l.lastUsed = now
 	m.state = msGrant
 }

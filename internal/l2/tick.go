@@ -63,8 +63,9 @@ func (c *Cache) pollMemory(now int64) {
 			v := &c.lines[m.victimSet][m.victimWay]
 			v.valid = false
 			v.dirty = false
-			for i := range v.perms {
-				v.perms[i] = tilelink.PermNone
+			perms := c.permsOf(v)
+			for i := range perms {
+				perms[i] = tilelink.PermNone
 			}
 			c.submitMemRead(now, m)
 		case m.state == msMemRead && r.Kind == mem.Read:
@@ -88,10 +89,11 @@ func (c *Cache) install(now int64, m *mshr, data []byte) {
 	l.valid = true
 	l.tag = c.tag(m.addr)
 	l.dirty = false
-	copy(l.data, data)
+	copy(c.dataOf(l), data)
 	c.clearPoison(m.addr)
-	for i := range l.perms {
-		l.perms[i] = tilelink.PermNone
+	perms := c.permsOf(l)
+	for i := range perms {
+		perms[i] = tilelink.PermNone
 	}
 	l.lastUsed = now
 	l.reserved = false
@@ -150,7 +152,7 @@ func (c *Cache) sinkC(now int64, cl int) {
 			var wbData []byte
 			if msg.Op.HasData() {
 				if l := c.lookup(msg.Addr); l != nil {
-					copy(l.data, msg.Data)
+					copy(c.dataOf(l), msg.Data)
 					l.dirty = true
 					c.clearPoison(msg.Addr)
 				} else {
@@ -183,9 +185,9 @@ func (c *Cache) sinkC(now int64, cl int) {
 func (c *Cache) onProbeAck(now int64, cl int, msg tilelink.Msg) {
 	l := c.lookup(msg.Addr)
 	if l != nil {
-		l.perms[cl] = msg.Shrink.To()
+		c.permsOf(l)[cl] = msg.Shrink.To()
 		if msg.Op == tilelink.OpProbeAckData {
-			copy(l.data, msg.Data)
+			copy(c.dataOf(l), msg.Data)
 			l.dirty = true
 			c.clearPoison(msg.Addr)
 		}
@@ -246,9 +248,9 @@ func (c *Cache) onRelease(now int64, cl int, msg tilelink.Msg) {
 	if l == nil {
 		panic(fmt.Sprintf("l2: Release for absent line %#x (inclusion violated)", msg.Addr))
 	}
-	l.perms[cl] = msg.Shrink.To()
+	c.permsOf(l)[cl] = msg.Shrink.To()
 	if msg.Op == tilelink.OpReleaseData {
-		copy(l.data, msg.Data)
+		copy(c.dataOf(l), msg.Data)
 		l.dirty = true
 		c.clearPoison(msg.Addr)
 		c.cfg.Pool.Put(msg.Data)
@@ -395,7 +397,7 @@ func (c *Cache) resubmitWrite(now int64, m *mshr) {
 	var data []byte
 	if l != nil {
 		data = c.cfg.Pool.Get(int(c.cfg.LineBytes))
-		copy(data, l.data)
+		copy(data, c.dataOf(l))
 	} else if len(m.wbData) > 0 {
 		// RootRelease write-through for a line evicted in flight: the
 		// data lives only in the MSHR (see startRootRelease).

@@ -15,7 +15,6 @@ package metrics
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,19 +27,60 @@ import (
 // metricname analyzer enforces statically on call sites with literal
 // arguments; the runtime check below catches computed names the analyzer
 // cannot see.
-var (
-	componentRE = regexp.MustCompile(`^[a-z0-9_]+(\[[0-9]+\])?$`)
-	nameRE      = regexp.MustCompile(`^[a-z0-9_]+(\.[a-z0-9_]+)*$`)
-)
+
+// snakeByte reports whether b is in [a-z0-9_].
+func snakeByte(b byte) bool {
+	return 'a' <= b && b <= 'z' || '0' <= b && b <= '9' || b == '_'
+}
+
+// validComponent reports whether s matches ^[a-z0-9_]+(\[[0-9]+\])?$.
+func validComponent(s string) bool {
+	i := 0
+	for i < len(s) && snakeByte(s[i]) {
+		i++
+	}
+	if i == 0 {
+		return false
+	}
+	if i == len(s) {
+		return true
+	}
+	// The rest must be "[digits]".
+	if s[i] != '[' || s[len(s)-1] != ']' || i+2 == len(s) {
+		return false
+	}
+	for j := i + 1; j < len(s)-1; j++ {
+		if s[j] < '0' || s[j] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// validName reports whether s matches ^[a-z0-9_]+(\.[a-z0-9_]+)*$.
+func validName(s string) bool {
+	seg := 0 // bytes in the current dot-separated segment
+	for i := 0; i < len(s); i++ {
+		switch {
+		case snakeByte(s[i]):
+			seg++
+		case s[i] == '.' && seg > 0:
+			seg = 0
+		default:
+			return false
+		}
+	}
+	return seg > 0
+}
 
 // validateKey panics on an instrument key that could not be exposed as a
 // Prometheus metric. It runs only on the create path of the get-or-create
-// methods, so steady-state lookups never pay for the regexes.
+// methods, so steady-state lookups never pay for it.
 func validateKey(kind, component, name string) {
-	if !componentRE.MatchString(component) {
+	if !validComponent(component) {
 		panic(fmt.Sprintf("metrics: %s component %q invalid (want lower_snake with optional [index], e.g. \"l1[0]\")", kind, component))
 	}
-	if !nameRE.MatchString(name) {
+	if !validName(name) {
 		panic(fmt.Sprintf("metrics: %s name %q invalid (want dot-separated lower_snake, e.g. \"writebacks\" or \"inflight.depth\")", kind, name))
 	}
 }

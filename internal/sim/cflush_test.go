@@ -84,6 +84,42 @@ func TestCflushDL1ThenCboFlushPersists(t *testing.T) {
 	}
 }
 
+// TestCflushDL1WaitsForActiveFSHR pins a lost write: CFLUSH.D.L1 issued
+// while an FSHR is still cleaning the line must wait for it. Evicting
+// early released the newer store to the L2 while the L2 was writing the
+// CBO.CLEAN's older data to DRAM. That write's completion marked the line
+// clean, so the CBO.FLUSH found nothing to write back, and the load
+// refetched the stale DRAM copy.
+func TestCflushDL1WaitsForActiveFSHR(t *testing.T) {
+	const x = 0x1000
+	p := isa.NewBuilder().
+		Store(x, 0x37).
+		CboClean(x).
+		Store(x, 0x38).
+		CflushDL1(x).
+		CboFlush(x).
+		Fence().
+		Load(x).
+		Build()
+	for _, skipIt := range []bool{true, false} {
+		cfg := DefaultConfig(1)
+		cfg.L1.Flush.SkipIt = skipIt
+		s := New(cfg)
+		if _, err := s.Run([]*isa.Program{p}, runLimit); err != nil {
+			t.Fatalf("skipit=%v: %v", skipIt, err)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("skipit=%v: %v", skipIt, err)
+		}
+		if got := s.Cores[0].Timing(6).LoadValue; got != 0x38 {
+			t.Errorf("skipit=%v: load = %#x, want 0x38", skipIt, got)
+		}
+		if got := s.Mem.PeekUint64(x); got != 0x38 {
+			t.Errorf("skipit=%v: DRAM = %#x, want 0x38", skipIt, got)
+		}
+	}
+}
+
 func TestCflushDL1RegionLatencyVsCboFlush(t *testing.T) {
 	// CFLUSH.D.L1 is cheaper per line than a full CBO.FLUSH (no DRAM
 	// round trip on the fence), the flip side of its weaker guarantee.
