@@ -15,7 +15,7 @@ race:
 
 # lint runs the stock vet suite plus skipit-vet, the project's own
 # go/analysis suite: the interprocedural analyzers (detflow, hotalloc) plus
-# determinism, poolown, nextevent, metricname and staleignore. The ./... pattern covers internal/analysis and cmd/ too, so
+# determinism, nextevent, metricname and staleignore. The ./... pattern covers internal/analysis and cmd/ too, so
 # the analyzers lint themselves. See internal/analysis/README.md for the
 # rules and the waiver syntax.
 lint:

@@ -35,10 +35,10 @@ func TestDedupAcrossConcatenatedArrays(t *testing.T) {
 	// absolute path under the workspace while the first is already relative —
 	// dedup happens after relativization, so they still collapse.
 	in := `[
-		{"file": "pkg/a.go", "line": 5, "col": 1, "analyzer": "poolown", "message": "pooled buffer leaks on a return path"}
+		{"file": "pkg/a.go", "line": 5, "col": 1, "analyzer": "nextevent", "message": "component missing from the NextEvent fold"}
 	]
 	[
-		{"file": "/repo/pkg/a.go", "line": 5, "col": 1, "analyzer": "poolown", "message": "pooled buffer leaks on a return path"},
+		{"file": "/repo/pkg/a.go", "line": 5, "col": 1, "analyzer": "nextevent", "message": "component missing from the NextEvent fold"},
 		{"file": "/repo/pkg/b.go", "line": 9, "col": 2, "analyzer": "hotalloc", "message": "allocation in a hot path"}
 	]`
 	var out, errw strings.Builder

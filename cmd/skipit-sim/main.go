@@ -186,17 +186,11 @@ func main() {
 }
 
 // printHostStats reports the simulator's own throughput: how many cycles the
-// next-event clock skipped and how often the line pool avoided an allocation.
+// next-event clock skipped.
 func printHostStats(s *sim.System) {
-	reg := s.Metrics()
-	hits := reg.Counter("pool", "hits").Value()
-	misses := reg.Counter("pool", "misses").Value()
 	line := fmt.Sprintf("host: %d cycles simulated, %d fast-forwarded", s.Now(), s.SkippedCycles())
 	if s.Now() > 0 {
 		line += fmt.Sprintf(" (%.1f%%)", 100*float64(s.SkippedCycles())/float64(s.Now()))
-	}
-	if hits+misses > 0 {
-		line += fmt.Sprintf(", pool hit-rate %.1f%%", 100*float64(hits)/float64(hits+misses))
 	}
 	fmt.Println(line)
 }

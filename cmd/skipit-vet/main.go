@@ -1,6 +1,6 @@
 // Command skipit-vet runs the skipit static-analysis suite
-// (internal/analysis): determinism, hotalloc, poolown, nextevent and
-// metricname.
+// (internal/analysis): determinism, detflow, hotalloc, nextevent,
+// metricname and staleignore.
 //
 // It supports two modes:
 //

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"skipit"
 )
@@ -36,7 +38,8 @@ func appendRecords(from, to int) *skipit.Program {
 	return b.Build()
 }
 
-func main() {
+// report crashes the appender, recovers, and finishes the log.
+func report(w io.Writer) {
 	sys := skipit.NewSystem(1)
 
 	// Run the appender but pull the plug after a fixed number of cycles —
@@ -46,20 +49,20 @@ func main() {
 	for sys.Now() < crashCycle && !sys.Cores[0].Done() {
 		sys.Step()
 	}
-	fmt.Printf("power failure at cycle %d (appender mid-flight)\n", sys.Now())
+	fmt.Fprintf(w, "power failure at cycle %d (appender mid-flight)\n", sys.Now())
 	sys.Crash(false)
 
 	// Recovery: the durable count tells us how many records are valid;
 	// every one of them must be intact.
 	count := int(skipit.NVMMValue(sys, countAddr))
-	fmt.Printf("recovered record count: %d\n", count)
+	fmt.Fprintf(w, "recovered record count: %d\n", count)
 	for i := 0; i < count; i++ {
 		got := skipit.NVMMValue(sys, recordAddr(i))
 		if got != uint64(1000+i) {
 			log.Fatalf("CORRUPT: record %d = %d, want %d", i, got, 1000+i)
 		}
 	}
-	fmt.Printf("all %d counted records intact; records beyond the count are garbage by design\n", count)
+	fmt.Fprintf(w, "all %d counted records intact; records beyond the count are garbage by design\n", count)
 
 	// The machine reboots and keeps appending from the recovered count.
 	if _, err := sys.Run([]*skipit.Program{appendRecords(count, 20)}, 10_000_000); err != nil {
@@ -67,11 +70,13 @@ func main() {
 	}
 	sys.Crash(false) // even another crash cannot hurt now
 	final := int(skipit.NVMMValue(sys, countAddr))
-	fmt.Printf("after recovery run + second crash: count = %d (want 20)\n", final)
+	fmt.Fprintf(w, "after recovery run + second crash: count = %d (want 20)\n", final)
 	for i := 0; i < final; i++ {
 		if skipit.NVMMValue(sys, recordAddr(i)) != uint64(1000+i) {
 			log.Fatalf("CORRUPT record %d after recovery", i)
 		}
 	}
-	fmt.Println("log fully recovered: crash consistency holds end to end")
+	fmt.Fprintln(w, "log fully recovered: crash consistency holds end to end")
 }
+
+func main() { report(os.Stdout) }

@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 
 	"skipit"
 )
@@ -38,7 +40,7 @@ func prepare(withClean bool) *skipit.Program {
 	return b.Build()
 }
 
-func run(withClean bool) {
+func run(w io.Writer, withClean bool) {
 	sys := skipit.NewSystem(1)
 	if _, err := sys.Run([]*skipit.Program{prepare(withClean)}, 1_000_000); err != nil {
 		panic(err)
@@ -54,16 +56,19 @@ func run(withClean bool) {
 	if withClean {
 		mode = "store + CBO.CLEAN + fence"
 	}
-	fmt.Printf("%s -> device sees %v", mode, got)
+	fmt.Fprintf(w, "%s -> device sees %v", mode, got)
 	if ok {
-		fmt.Println("  (complete: DMA-safe)")
+		fmt.Fprintln(w, "  (complete: DMA-safe)")
 	} else {
-		fmt.Println("  (STALE: the buffer is still in the CPU caches)")
+		fmt.Fprintln(w, "  (STALE: the buffer is still in the CPU caches)")
 	}
 }
 
-func main() {
-	fmt.Println("device performs DMA reads from main memory, bypassing CPU caches:")
-	run(false) // fence alone orders, but does not write anything back
-	run(true)  // explicit clean makes the buffer visible to the device
+// report prepares the buffer without and with the explicit clean.
+func report(w io.Writer) {
+	fmt.Fprintln(w, "device performs DMA reads from main memory, bypassing CPU caches:")
+	run(w, false) // fence alone orders, but does not write anything back
+	run(w, true)  // explicit clean makes the buffer visible to the device
 }
+
+func main() { report(os.Stdout) }

@@ -6,12 +6,15 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"skipit"
 )
 
-func main() {
+// report runs the three demonstrations.
+func report(w io.Writer) {
 	// 1. The basic durability chain: store -> CBO.CLEAN -> FENCE.
 	sys := skipit.NewSystem(1)
 	prog := skipit.NewProgram().
@@ -22,7 +25,7 @@ func main() {
 	if _, err := sys.Run([]*skipit.Program{prog}, 1_000_000); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after store+clean+fence: NVMM[0x1000] = %d (want 42)\n",
+	fmt.Fprintf(w, "after store+clean+fence: NVMM[0x1000] = %d (want 42)\n",
 		skipit.NVMMValue(sys, 0x1000))
 
 	// 2. Without the writeback, the store stays volatile: a crash loses it.
@@ -32,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sys2.Crash(false)
-	fmt.Printf("after store+crash (no writeback): NVMM[0x2000] = %d (want 0)\n",
+	fmt.Fprintf(w, "after store+crash (no writeback): NVMM[0x2000] = %d (want 0)\n",
 		skipit.NVMMValue(sys2, 0x2000))
 
 	// 3. Skip It drops redundant writebacks in the L1 (§6). Issue one real
@@ -50,8 +53,10 @@ func main() {
 			log.Fatal(err)
 		}
 		st := s.L1s[0].FlushUnit().Stats()
-		fmt.Printf("skipit=%-5v: %2d CBO.CLEAN offered, %2d dropped by the skip bit, "+
+		fmt.Fprintf(w, "skipit=%-5v: %2d CBO.CLEAN offered, %2d dropped by the skip bit, "+
 			"%d RootReleases reached the L2\n",
 			skipIt, st.Offered, st.SkipDropped, st.RootReleases)
 	}
 }
+
+func main() { report(os.Stdout) }

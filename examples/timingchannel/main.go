@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"skipit"
 )
@@ -74,17 +76,21 @@ func guess(lat0, lat1 int64) string {
 	return "indistinguishable (channel closed)"
 }
 
-func show(label string, mitigate, skipIt bool) {
-	fmt.Println(label)
+func show(w io.Writer, label string, mitigate, skipIt bool) {
+	fmt.Fprintln(w, label)
 	for secret := 0; secret <= 1; secret++ {
 		l0, l1 := run(secret, mitigate, skipIt)
-		fmt.Printf("  real secret=%d: probe latencies %3d / %3d cycles -> %s\n",
+		fmt.Fprintf(w, "  real secret=%d: probe latencies %3d / %3d cycles -> %s\n",
 			secret, l0, l1, guess(l0, l1))
 	}
 }
 
-func main() {
-	show("no mitigation (victim state survives the context switch):", false, true)
-	show("boundary CBO.FLUSH with Skip It ON — §6.1 drops the flush of the clean victim line, so it stays cached and STILL leaks:", true, true)
-	show("boundary CBO.FLUSH with Skip It OFF — the flush really invalidates:", true, false)
+// report probes both secrets without mitigation, then with boundary flushes
+// under Skip It on and off.
+func report(w io.Writer) {
+	show(w, "no mitigation (victim state survives the context switch):", false, true)
+	show(w, "boundary CBO.FLUSH with Skip It ON — §6.1 drops the flush of the clean victim line, so it stays cached and STILL leaks:", true, true)
+	show(w, "boundary CBO.FLUSH with Skip It OFF — the flush really invalidates:", true, false)
 }
+
+func main() { report(os.Stdout) }

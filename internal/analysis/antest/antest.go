@@ -55,8 +55,8 @@ func Run(t *testing.T, a *analysis.Analyzer, dirs ...string) {
 	}
 
 	// Only the named fixture packages carry expectations; dependencies (for
-	// example the real linepool or metrics packages) are analyzed for facts
-	// but must stay diagnostic-free in fixtures.
+	// example the real metrics package) are analyzed for facts but must
+	// stay diagnostic-free in fixtures.
 	wants := make(map[string][]*want) // file:line -> expectations
 	fixtureFiles := make(map[string]bool)
 	for _, p := range pkgs {

@@ -5,8 +5,8 @@
 // stand on).
 //
 // Within the simulator packages (configurable with -pkgs; defaults to the
-// cycle-accurate core: boom, l1, l2, mem, tilelink, sim, memsim, linepool,
-// chaos) it reports:
+// cycle-accurate core: boom, l1, l2, mem, tilelink, sim, memsim, chaos,
+// detrand, tlctest) it reports:
 //
 //   - wall-clock reads: time.Now / time.Since / time.Until. Host time must
 //     never influence simulated state; the one legitimate use (host
@@ -53,7 +53,7 @@ var Analyzer = &analysis.Analyzer{
 // scope when its import path ends with a fragment or contains it as an
 // interior path segment (so fixture trees mirroring the real layout under
 // testdata/src/ are matched too).
-var pkgs = "internal/boom,internal/l1,internal/l2,internal/mem,internal/tilelink,internal/sim,internal/memsim,internal/linepool,internal/chaos,internal/detrand,internal/tlctest"
+var pkgs = "internal/boom,internal/l1,internal/l2,internal/mem,internal/tilelink,internal/sim,internal/memsim,internal/chaos,internal/detrand,internal/tlctest"
 
 func init() {
 	Analyzer.Flags.StringVar(&pkgs, "pkgs", pkgs, "comma-separated import-path fragments of deterministic simulator packages")

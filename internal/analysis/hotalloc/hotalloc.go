@@ -5,10 +5,10 @@
 //	//skipit:hotpath
 //
 // directive in their doc comment are the per-cycle paths — Step, the
-// NextEvent fold, the linepool and tilelink fast paths. Inside them the
-// analyzer reports every construct that allocates (or is indistinguishable,
-// statically, from one that allocates), with the precise source position the
-// benchmark-based gate cannot give:
+// NextEvent fold, the tilelink fast paths. Inside them the analyzer reports
+// every construct that allocates (or is indistinguishable, statically, from
+// one that allocates), with the precise source position the benchmark-based
+// gate cannot give:
 //
 //   - make / new
 //   - append (growth cannot be bounded statically, so any append is suspect)
@@ -20,9 +20,9 @@
 //   - string <-> []byte / []rune conversions
 //   - defer inside a loop (deferred records are heap-allocated there)
 //
-// Cold fallbacks that live inside a hot function (the linepool's make on
-// pool miss) carry //skipit:ignore waivers with reasons, keeping every
-// intentional allocation documented at its site.
+// Amortized or cold allocations that live inside a hot function (the link
+// queue's append in Send) carry //skipit:ignore waivers with reasons,
+// keeping every intentional allocation documented at its site.
 //
 // The analyzer is also interprocedural: every function that is NOT hotpath-
 // annotated but contains an unwaived allocation site (or transitively calls

@@ -8,7 +8,7 @@ import (
 )
 
 func TestHotAlloc(t *testing.T) {
-	antest.Run(t, hotalloc.Analyzer, antest.Dir(t, "internal/linepool"))
+	antest.Run(t, hotalloc.Analyzer, antest.Dir(t, "hotalloc"))
 }
 
 // TestHotAllocCrossPackage proves Allocates facts survive the cross-package

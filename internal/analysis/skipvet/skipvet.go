@@ -1,6 +1,6 @@
 // Package skipvet assembles the skipit-vet analyzer suite: the analyzers
 // that statically enforce the simulator's determinism, zero-alloc and
-// ownership invariants. cmd/skipit-vet runs exactly this list; tests and
+// fast-forward invariants. cmd/skipit-vet runs exactly this list; tests and
 // future tools should import it rather than enumerating analyzers
 // themselves so the suite cannot drift between entry points.
 package skipvet
@@ -12,7 +12,6 @@ import (
 	"skipit/internal/analysis/hotalloc"
 	"skipit/internal/analysis/metricname"
 	"skipit/internal/analysis/nextevent"
-	"skipit/internal/analysis/poolown"
 	"skipit/internal/analysis/staleignore"
 )
 
@@ -25,7 +24,6 @@ var Analyzers = []*analysis.Analyzer{
 	determinism.Analyzer,
 	detflow.Analyzer,
 	hotalloc.Analyzer,
-	poolown.Analyzer,
 	nextevent.Analyzer,
 	metricname.Analyzer,
 	staleignore.Analyzer,

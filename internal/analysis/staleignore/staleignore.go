@@ -30,7 +30,6 @@ import (
 	"skipit/internal/analysis/hotalloc"
 	"skipit/internal/analysis/metricname"
 	"skipit/internal/analysis/nextevent"
-	"skipit/internal/analysis/poolown"
 	"skipit/internal/analysis/suppress"
 )
 
@@ -43,7 +42,6 @@ var Analyzer = &analysis.Analyzer{
 		determinism.Analyzer,
 		detflow.Analyzer,
 		hotalloc.Analyzer,
-		poolown.Analyzer,
 		nextevent.Analyzer,
 		metricname.Analyzer,
 	},

@@ -11,8 +11,8 @@ import (
 
 // stepWorkload builds a program that keeps the whole hierarchy busy: stores
 // dirty lines, CBOs push them down, loads pull them back. Used by the
-// steady-state benchmarks, so its shape should exercise every pooled
-// allocation site (DRAM reads, L2 grants, L1 writebacks, flush-unit FSHRs).
+// steady-state benchmarks, so its shape should exercise every path a line
+// moves on (DRAM reads, L2 grants, L1 writebacks, flush-unit FSHRs).
 func stepWorkload(rep int) *isa.Program {
 	b := isa.NewBuilder()
 	base := uint64(0x1000 + rep*0x40000)
@@ -47,14 +47,14 @@ func runSteadyState(s *sim.System, rounds int) int64 {
 }
 
 // TestStepSteadyStateZeroAlloc is the zero-allocation guard for the cycle
-// loop: after one warm-up round fills the line pool and the per-component
-// scratch slices, a full additional workload must allocate (amortized)
-// nothing per cycle. The small fixed budget covers per-Run setup
-// (SetProgram's timing slice, builder output) — what must not appear is
-// anything proportional to cycles or misses.
+// loop: after one warm-up round fills the per-component scratch slices and
+// touches the DRAM backing store, a full additional workload must allocate
+// (amortized) nothing per cycle. The small fixed budget covers per-Run
+// setup (SetProgram's timing slice, builder output) — what must not appear
+// is anything proportional to cycles or misses.
 func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	s := sim.New(sim.DefaultConfig(1))
-	runSteadyState(s, 2*len(steadyProgs)) // warm: pool, scratch slices, DRAM first-touch
+	runSteadyState(s, 2*len(steadyProgs)) // warm: scratch slices, DRAM first-touch
 	var cycles int64
 	allocs := testing.AllocsPerRun(1, func() {
 		cycles = runSteadyState(s, 4)
@@ -64,9 +64,9 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	}
 	perKCycle := allocs / float64(cycles) * 1000
 	// The only allocations left should be per-Run setup (SetProgram's timing
-	// slice — one per round, not per cycle). The pre-pool hot loop allocated
-	// one line buffer per miss, hundreds per round, >100 allocs/kcycle; hold
-	// the steady state two orders of magnitude below that.
+	// slice — one per round, not per cycle). A hot loop that allocated one
+	// line buffer per miss would make hundreds per round, >100 allocs/kcycle;
+	// hold the steady state two orders of magnitude below that.
 	if perKCycle > 2 {
 		t.Fatalf("steady state allocates %.0f objects over %d cycles (%.1f per kcycle)",
 			allocs, cycles, perKCycle)
@@ -80,7 +80,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 func BenchmarkStep(b *testing.B) {
 	s := sim.New(sim.DefaultConfig(1))
 	s.SetFastForward(false)               // measure the honest per-cycle cost
-	runSteadyState(s, 2*len(steadyProgs)) // warm the pool and DRAM backing store
+	runSteadyState(s, 2*len(steadyProgs)) // warm the scratch slices and DRAM backing store
 	b.ReportAllocs()
 	b.ResetTimer()
 	cycles := int64(0)
@@ -99,7 +99,7 @@ func BenchmarkStepRecorder(b *testing.B) {
 	s := sim.New(sim.DefaultConfig(1))
 	s.SetFastForward(false) // measure the honest per-cycle cost
 	s.EnableFlightRecorder(64)
-	runSteadyState(s, 2*len(steadyProgs)) // warm the pool and DRAM backing store
+	runSteadyState(s, 2*len(steadyProgs)) // warm the scratch slices and DRAM backing store
 	b.ReportAllocs()
 	b.ResetTimer()
 	cycles := int64(0)
@@ -115,7 +115,7 @@ func BenchmarkStepRecorder(b *testing.B) {
 func TestStepRecorderSteadyStateZeroAlloc(t *testing.T) {
 	s := sim.New(sim.DefaultConfig(1))
 	s.EnableFlightRecorder(64)
-	runSteadyState(s, 2*len(steadyProgs)) // warm: pool, scratch slices, DRAM first-touch
+	runSteadyState(s, 2*len(steadyProgs)) // warm: scratch slices, DRAM first-touch
 	var cycles int64
 	allocs := testing.AllocsPerRun(1, func() {
 		cycles = runSteadyState(s, 4)
@@ -237,7 +237,7 @@ func runDense(s *sim.System, rotation [][]*isa.Program, rounds int) int64 {
 func BenchmarkDense4Core(b *testing.B) {
 	rotation := [][]*isa.Program{denseProgs(4, 0), denseProgs(4, 1)}
 	s := sim.New(sim.DefaultConfig(4))
-	runDense(s, rotation, 2*len(rotation)) // warm the pools and DRAM backing store
+	runDense(s, rotation, 2*len(rotation)) // warm the scratch slices and DRAM backing store
 	b.ReportAllocs()
 	b.ResetTimer()
 	cycles := int64(0)

@@ -80,8 +80,8 @@ func NewFlushUnit(cfg Config, ports CachePorts) *FlushUnit {
 	if cfg.QueueDepth <= 0 || cfg.NumFSHRs <= 0 {
 		panic("core: flush unit needs positive queue depth and FSHR count")
 	}
-	if cfg.LineBytes == 0 {
-		panic("core: zero line size")
+	if cfg.LineBytes != tilelink.LineBytes {
+		panic(fmt.Sprintf("core: line size %d, want %d", cfg.LineBytes, tilelink.LineBytes))
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -355,11 +355,6 @@ func (u *FlushUnit) OnRootReleaseAck(now int64, addr uint64) {
 		}
 		u.ctr.flushLatency.Observe(uint64(now - f.allocAt))
 		f.state = FSHRInvalid
-		// The FSHR owned its buffer through the whole writeback (loads
-		// forwarded from it, §5.3); its transaction retires here, so the
-		// buffer is recycled here and nowhere else.
-		u.cfg.Pool.Put(f.buffer)
-		f.buffer = nil
 		f.bufferFilled = false
 		u.counter--
 		if u.counter < 0 {
@@ -422,16 +417,15 @@ func (u *FlushUnit) EvictInvalidate(addr uint64) {
 // filled buffer, the load must be nacked. Entries that are only queued never
 // conflict with loads: a load hit leaves metadata untouched, and a load miss
 // cannot alias a queued hit entry.
-func (u *FlushUnit) LoadConflict(addr uint64) (forward []byte, nack bool) {
+func (u *FlushUnit) LoadConflict(addr uint64) (forward *tilelink.Line, nack bool) {
 	f := u.fshrFor(addr)
 	if f == nil {
 		return nil, false
 	}
 	if f.bufferFilled {
-		// The returned slice aliases the FSHR's buffer: the caller reads
-		// the word it needs in the same cycle and must not retain the
-		// slice (the buffer is recycled at the RootReleaseAck).
-		return f.buffer, false
+		// The returned pointer aliases the FSHR's buffer: the caller
+		// reads the word it needs in the same cycle.
+		return &f.buffer, false
 	}
 	return nil, true
 }

@@ -12,7 +12,7 @@ import (
 // in isolation.
 type fakePorts struct {
 	lines   map[uint64]*fakeLine
-	dataArr map[uint64][]byte // survives metadata invalidation, like SRAM
+	dataArr map[uint64]tilelink.Line // survives metadata invalidation, like SRAM
 	// sent collects RootRelease messages; acceptEvery models TL-C
 	// occupancy by rejecting sends except when now%acceptEvery == 0
 	// (acceptEvery <= 1 accepts always).
@@ -31,13 +31,13 @@ type fakeLine struct {
 func newFakePorts() *fakePorts {
 	return &fakePorts{
 		lines:       map[uint64]*fakeLine{},
-		dataArr:     map[uint64][]byte{},
+		dataArr:     map[uint64]tilelink.Line{},
 		acceptEvery: 1,
 	}
 }
 
 func (p *fakePorts) addLine(addr uint64, dirty, skip bool) {
-	data := make([]byte, 64)
+	var data tilelink.Line
 	for i := range data {
 		data[i] = byte(addr>>6) + byte(i)
 	}
@@ -73,15 +73,7 @@ func (p *fakePorts) MetaSetSkip(addr uint64, v bool) {
 	}
 }
 
-func (p *fakePorts) DataRead(addr uint64) []byte {
-	d, ok := p.dataArr[addr]
-	if !ok {
-		return make([]byte, 64)
-	}
-	out := make([]byte, len(d))
-	copy(out, d)
-	return out
-}
+func (p *fakePorts) DataRead(addr uint64) tilelink.Line { return p.dataArr[addr] }
 
 func (p *fakePorts) SendRootRelease(now int64, m tilelink.Msg) bool {
 	if p.acceptEvery > 1 && now%p.acceptEvery != 0 {

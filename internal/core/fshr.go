@@ -58,7 +58,7 @@ type fshr struct {
 
 	// buffer is the per-FSHR data buffer (§5.2) holding the dirty line
 	// being written back.
-	buffer       []byte
+	buffer       tilelink.Line
 	bufferFilled bool
 	// fillCycles counts remaining data-array read cycles; one with the
 	// widened array, lineBytes/8 without (§5.2).

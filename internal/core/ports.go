@@ -10,7 +10,6 @@
 package core
 
 import (
-	"skipit/internal/linepool"
 	"skipit/internal/metrics"
 	"skipit/internal/tilelink"
 	"skipit/internal/trace"
@@ -42,8 +41,8 @@ type CachePorts interface {
 	MetaLineState(addr uint64) LineMeta
 	// MetaSetSkip sets the line's skip bit if the line is present.
 	MetaSetSkip(addr uint64, v bool)
-	// DataRead returns a copy of the line's contents from the data array.
-	DataRead(addr uint64) []byte
+	// DataRead returns the line's contents from the data array.
+	DataRead(addr uint64) tilelink.Line
 	// SendRootRelease offers a RootRelease message to the TL-C channel at
 	// cycle now and reports whether the channel accepted it.
 	SendRootRelease(now int64, m tilelink.Msg) bool
@@ -85,11 +84,6 @@ type Config struct {
 	// standalone units (unit tests) work unchanged; the system simulator
 	// injects one shared registry for the whole SoC.
 	Metrics *metrics.Registry
-	// Pool recycles the FSHR data buffers. The buffer an FSHR fills via
-	// DataRead is owned by the FSHR until its RootReleaseAck arrives (loads
-	// forward from it, §5.3), so the FSHR — not the L2 — returns it to the
-	// pool. Nil degrades to plain allocation (unit tests).
-	Pool *linepool.Pool `json:"-"`
 	// Txns hands out coherence-transaction ids for CBO lifecycles (enqueue
 	// through RootReleaseAck); the embedding L1 injects the SoC-wide
 	// sequence. Nil gets a private sequence (standalone unit tests).

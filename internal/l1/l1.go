@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"skipit/internal/core"
-	"skipit/internal/linepool"
 	"skipit/internal/metrics"
 	"skipit/internal/tilelink"
 	"skipit/internal/trace"
@@ -78,9 +77,6 @@ type Config struct {
 	// the instance name "l1[Source]"; the embedded flush unit inherits it
 	// as "flush[Source]". Nil gets a private registry.
 	Metrics *metrics.Registry
-	// Pool recycles line buffers for writebacks, probe downgrades and FSHR
-	// fills; the embedded flush unit inherits it. Nil disables pooling.
-	Pool *linepool.Pool `json:"-"`
 	// Txns hands out coherence-transaction ids; sim.New injects the SoC-wide
 	// sequence and the embedded flush unit inherits it. Nil gets a private
 	// sequence (standalone unit tests). Excluded from fingerprints: ids are
@@ -209,7 +205,7 @@ type DCache struct {
 	cfg  Config
 	meta [][]wayMeta
 	// data holds every line's bytes, row set*Ways+way; see row.
-	data []byte
+	data []tilelink.Line
 	port *tilelink.ClientPort
 
 	flush *core.FlushUnit
@@ -241,8 +237,11 @@ type DCache struct {
 
 // New builds a data cache over the given TileLink port (client side).
 func New(cfg Config, port *tilelink.ClientPort) *DCache {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.LineBytes == 0 {
+	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic("l1: bad geometry")
+	}
+	if cfg.LineBytes != tilelink.LineBytes {
+		panic(fmt.Sprintf("l1: line size %d, want %d", cfg.LineBytes, tilelink.LineBytes))
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -254,10 +253,10 @@ func New(cfg Config, port *tilelink.ClientPort) *DCache {
 	d := &DCache{cfg: cfg, port: port, name: fmt.Sprintf("l1[%d]", cfg.Source)}
 	d.ctr = newL1Counters(reg, d.name)
 	// The metadata sets are capacity-capped windows into one flat array,
-	// and the data array is one flat byte slice cut by row: a handful of
+	// and the data array is one flat array of lines: a handful of
 	// allocations per cache, not one per line.
 	meta := make([]wayMeta, cfg.Sets*cfg.Ways)
-	d.data = make([]byte, len(meta)*int(cfg.LineBytes))
+	d.data = make([]tilelink.Line, len(meta))
 	d.meta = make([][]wayMeta, cfg.Sets)
 	for s := 0; s < cfg.Sets; s++ {
 		lo, hi := s*cfg.Ways, (s+1)*cfg.Ways
@@ -268,7 +267,6 @@ func New(cfg Config, port *tilelink.ClientPort) *DCache {
 	fcfg.LineBytes = cfg.LineBytes
 	fcfg.Source = cfg.Source
 	fcfg.Metrics = reg
-	fcfg.Pool = cfg.Pool
 	fcfg.Txns = cfg.Txns
 	d.flush = core.NewFlushUnit(fcfg, (*flushPorts)(d))
 	return d
@@ -460,9 +458,7 @@ func (d *DCache) Reset() {
 			d.meta[s][w] = wayMeta{}
 		}
 	}
-	for i := range d.data {
-		d.data[i] = 0
-	}
+	clear(d.data)
 	for i := range d.mshrs {
 		d.mshrs[i] = mshr{}
 	}
@@ -475,10 +471,8 @@ func (d *DCache) Reset() {
 }
 
 // row returns the data array row of (set, way).
-func (d *DCache) row(set, way int) []byte {
-	lb := int(d.cfg.LineBytes)
-	i := (set*d.cfg.Ways + way) * lb
-	return d.data[i : i+lb : i+lb]
+func (d *DCache) row(set, way int) *tilelink.Line {
+	return &d.data[set*d.cfg.Ways+way]
 }
 
 func (d *DCache) readWord(set, way int, addr uint64) uint64 {
@@ -542,16 +536,13 @@ func (p *flushPorts) MetaSetSkip(addr uint64, v bool) {
 	}
 }
 
-func (p *flushPorts) DataRead(addr uint64) []byte {
+func (p *flushPorts) DataRead(addr uint64) tilelink.Line {
 	d := p.d()
 	way := d.findWay(addr, false)
 	if way < 0 {
 		panic(fmt.Sprintf("l1: FSHR data read for unknown line %#x", addr))
 	}
-	set := d.index(addr)
-	out := d.cfg.Pool.Get(int(d.cfg.LineBytes))
-	copy(out, d.row(set, way))
-	return out
+	return *d.row(d.index(addr), way)
 }
 
 func (p *flushPorts) SendRootRelease(now int64, m tilelink.Msg) bool {

@@ -32,7 +32,7 @@ func (m *mockManager) tick(now int64) {
 		m.outD = m.outD[1:]
 	}
 	if msg, ok := m.port.A.Recv(now); ok {
-		m.acquires = append(m.acquires, msg)
+		m.acquires = append(m.acquires, *msg)
 		op := tilelink.OpGrantData
 		if m.grantDirty[msg.Addr] {
 			op = tilelink.OpGrantDataDirty
@@ -41,7 +41,7 @@ func (m *mockManager) tick(now int64) {
 		if msg.Grow == tilelink.GrowNtoB {
 			cap = tilelink.CapToB
 		}
-		data := make([]byte, 64)
+		var data tilelink.Line
 		v := m.fill[msg.Addr]
 		for i := uint64(0); i < 8; i++ {
 			data[i] = byte(v >> (8 * i))
@@ -51,13 +51,13 @@ func (m *mockManager) tick(now int64) {
 	if msg, ok := m.port.C.Recv(now); ok {
 		switch {
 		case msg.Op.IsRootRelease():
-			m.rootReleases = append(m.rootReleases, msg)
+			m.rootReleases = append(m.rootReleases, *msg)
 			m.outD = append(m.outD, tilelink.Msg{Op: tilelink.OpRootReleaseAck, Addr: msg.Addr})
 		case msg.Op == tilelink.OpRelease || msg.Op == tilelink.OpReleaseData:
-			m.releases = append(m.releases, msg)
+			m.releases = append(m.releases, *msg)
 			m.outD = append(m.outD, tilelink.Msg{Op: tilelink.OpReleaseAck, Addr: msg.Addr})
 		default:
-			m.probeAcks = append(m.probeAcks, msg)
+			m.probeAcks = append(m.probeAcks, *msg)
 		}
 	}
 	if _, ok := m.port.E.Recv(now); ok {

@@ -35,7 +35,7 @@ type mshr struct {
 	txn   uint64 // transaction id of the miss's Acquire→Grant→GrantAck chain
 
 	// Grant payload, held until install.
-	grantData  []byte
+	grantData  tilelink.Line
 	grantCap   tilelink.Cap
 	grantDirty bool // GrantDataDirty: leave the skip bit unset (§6.1)
 
@@ -171,11 +171,8 @@ func (d *DCache) tickMSHR(now int64, m *mshr) {
 			skip:     !m.grantDirty, // GrantData sets, GrantDataDirty unsets (§6.1)
 			lastUsed: now,
 		}
-		copy(d.row(set, m.way), m.grantData)
+		*d.row(set, m.way) = m.grantData
 		d.clearPoison(m.addr)
-		// The grant payload's transaction retires here: recycle it.
-		d.cfg.Pool.Put(m.grantData)
-		m.grantData = nil
 		m.state = mReplay
 
 	case mReplay:
@@ -201,7 +198,7 @@ func (d *DCache) tickMSHR(now int64, m *mshr) {
 }
 
 // onGrant accepts the TL-D grant for an MSHR and begins victim selection.
-func (d *DCache) onGrant(now int64, msg tilelink.Msg) {
+func (d *DCache) onGrant(now int64, msg *tilelink.Msg) {
 	m := d.mshrFor(msg.Addr)
 	if m == nil || m.state != mWaitGrant {
 		panic(fmt.Sprintf("l1[%d]: stray grant %v", d.cfg.Source, msg))
@@ -286,7 +283,7 @@ func (d *DCache) tickVictim(now int64, m *mshr) {
 	// The eviction's Release→ReleaseAck chain is its own transaction,
 	// distinct from the Acquire that triggered it.
 	wbTxn := d.cfg.Txns.Next()
-	d.wb.start(d.cfg.Pool, victimAddr, d.row(set, best), meta.dirty, meta.perm, wbTxn)
+	d.wb.start(victimAddr, d.row(set, best), meta.dirty, meta.perm, wbTxn)
 	d.ctr.writebacks.Inc()
 	d.rec.Record(now, trace.RecEvict, trace.CauseNone, wbTxn, victimAddr, 0)
 	if d.tr != nil {

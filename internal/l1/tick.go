@@ -227,7 +227,7 @@ func (d *DCache) processCflushDL1(now int64, req Req, lineAddr uint64) {
 	d.clearPoison(lineAddr)
 	way := d.findWay(lineAddr, true)
 	set := d.index(lineAddr)
-	d.wb.start(d.cfg.Pool, lineAddr, d.row(set, way), meta.dirty, meta.perm, d.cfg.Txns.Next())
+	d.wb.start(lineAddr, d.row(set, way), meta.dirty, meta.perm, d.cfg.Txns.Next())
 	d.ctr.writebacks.Inc()
 	meta.valid = false
 	meta.dirty = false

@@ -3,7 +3,6 @@ package l1
 import (
 	"fmt"
 
-	"skipit/internal/linepool"
 	"skipit/internal/tilelink"
 	"skipit/internal/trace"
 )
@@ -14,7 +13,7 @@ import (
 type wbUnit struct {
 	state wbState
 	addr  uint64
-	data  []byte
+	data  tilelink.Line
 	dirty bool
 	perm  tilelink.Perm
 	txn   uint64 // transaction id of the Release→ReleaseAck chain
@@ -31,22 +30,16 @@ const (
 func (w *wbUnit) idle() bool { return w.state == wbIdle }
 
 // start snapshots an eviction. Only a dirty line's data travels with the
-// Release, so only that case draws a (pooled) buffer; a clean Release carries
-// no payload and needs no copy at all.
-func (w *wbUnit) start(pool *linepool.Pool, addr uint64, data []byte, dirty bool, perm tilelink.Perm, txn uint64) {
+// Release, so only that case copies the line; a clean Release carries no
+// payload.
+func (w *wbUnit) start(addr uint64, data *tilelink.Line, dirty bool, perm tilelink.Perm, txn uint64) {
 	if w.state != wbIdle {
 		panic("l1: writeback unit double start")
 	}
-	w.addr = addr
-	w.dirty = dirty
-	w.perm = perm
-	w.txn = txn
-	w.data = nil
+	*w = wbUnit{state: wbSendRelease, addr: addr, dirty: dirty, perm: perm, txn: txn}
 	if dirty {
-		w.data = pool.Get(len(data))
-		copy(w.data, data)
+		w.data = *data
 	}
-	w.state = wbSendRelease
 }
 
 func (d *DCache) tickWB(now int64) {
@@ -72,7 +65,7 @@ func (d *DCache) tickWB(now int64) {
 }
 
 // onReleaseAck completes the in-flight eviction.
-func (d *DCache) onReleaseAck(now int64, msg tilelink.Msg) {
+func (d *DCache) onReleaseAck(now int64, msg *tilelink.Msg) {
 	if d.wb.state != wbWaitAck || d.wb.addr != msg.Addr {
 		panic(fmt.Sprintf("l1[%d]: stray ReleaseAck %#x", d.cfg.Source, msg.Addr))
 	}
@@ -108,8 +101,8 @@ func (p *probeUnit) busy() bool { return p.state != pIdle || len(p.q) > 0 }
 // probe unit finishes with it.
 func (d *DCache) probeRdy() bool { return !d.probe.busy() }
 
-func (d *DCache) enqueueProbe(msg tilelink.Msg) {
-	d.probe.q = append(d.probe.q, msg) //skipit:ignore hotalloc probe queue depth is bounded by outstanding L2 probes (one per MSHR); append reuses its backing
+func (d *DCache) enqueueProbe(msg *tilelink.Msg) {
+	d.probe.q = append(d.probe.q, *msg) //skipit:ignore hotalloc probe queue depth is bounded by outstanding L2 probes (one per MSHR); append reuses its backing
 }
 
 func (d *DCache) tickProbe(now int64) {
@@ -202,11 +195,8 @@ func (d *DCache) buildProbeAck(now int64, probe tilelink.Msg) tilelink.Msg {
 	msg := tilelink.Msg{Op: tilelink.OpProbeAck, Addr: addr, Source: d.cfg.Source, Shrink: shrink, Txn: probe.Txn}
 	if meta.dirty {
 		way := d.findWay(addr, true)
-		set := d.index(addr)
-		data := d.cfg.Pool.Get(int(d.cfg.LineBytes))
-		copy(data, d.row(set, way))
 		msg.Op = tilelink.OpProbeAckData
-		msg.Data = data
+		msg.Data = *d.row(d.index(addr), way)
 		meta.dirty = false
 	}
 	switch probe.Cap {

@@ -89,7 +89,7 @@ func (c *Cache) eccRestore(now int64, l *line, addr uint64) {
 	if _, bad := c.poisoned[addr]; !bad {
 		return
 	}
-	copy(c.dataOf(l), c.mem.PeekLine(addr))
+	*c.dataOf(l) = c.mem.PeekLine(addr)
 	delete(c.poisoned, addr)
 	c.ctr.refetchRecoveries.Inc()
 	trace.Emit(c.tr, now, "l2", "ecc-restore", addr, "poisoned line refetched from DRAM")

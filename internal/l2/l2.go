@@ -16,7 +16,6 @@ package l2
 import (
 	"fmt"
 
-	"skipit/internal/linepool"
 	"skipit/internal/mem"
 	"skipit/internal/metrics"
 	"skipit/internal/tilelink"
@@ -39,9 +38,6 @@ type Config struct {
 	// Metrics is the registry the cache registers its counters with, under
 	// the instance name "l2". Nil gets a private registry.
 	Metrics *metrics.Registry
-	// Pool recycles line buffers for grants and DRAM writebacks. Nil
-	// disables pooling (plain allocation).
-	Pool *linepool.Pool `json:"-"`
 }
 
 // DefaultConfig returns the paper's L2: 512 KiB, 8-way, 64 B lines
@@ -75,8 +71,8 @@ type line struct {
 	reserved bool
 }
 
-// rowsPerSlab is the number of data rows in one BankedStore slab: 64 rows of
-// 64 B lines make 4 KiB.
+// rowsPerSlab is the number of data rows in one BankedStore slab: 64 lines
+// make 4 KiB.
 const rowsPerSlab = 64
 
 // LineState is a read-only snapshot for invariant checks and tests.
@@ -160,7 +156,7 @@ type Cache struct {
 	// slabs holds the BankedStore, rowsPerSlab data rows per slab. A slab
 	// is made by the first dataOf that needs it and never moves, so a job
 	// pays only for the rows it touches.
-	slabs [][]byte
+	slabs [][]tilelink.Line
 	ports []*tilelink.ClientPort
 	mem   *mem.Memory
 
@@ -197,10 +193,10 @@ type buffered struct {
 	msg     tilelink.Msg
 	client  int
 	readyAt int64
-	// wbData carries RootRelease dirty data that arrived for a line the
-	// L2 had concurrently evicted (the flush raced an eviction); the
-	// MSHR writes it through to DRAM instead of the absent line.
-	wbData []byte
+	// raced marks RootRelease dirty data that arrived for a line the L2
+	// had concurrently evicted (the flush raced an eviction): the MSHR
+	// writes msg.Data through to DRAM instead of the absent line.
+	raced bool
 }
 
 // New builds the L2 over the given client ports and memory. ports[i] is the
@@ -212,6 +208,9 @@ func New(cfg Config, ports []*tilelink.ClientPort, m *mem.Memory) *Cache {
 	}
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic("l2: bad geometry")
+	}
+	if cfg.LineBytes != tilelink.LineBytes {
+		panic(fmt.Sprintf("l2: line size %d, want %d", cfg.LineBytes, tilelink.LineBytes))
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -233,7 +232,7 @@ func New(cfg Config, ports []*tilelink.ClientPort, m *mem.Memory) *Cache {
 	rows := cfg.Sets * cfg.Ways
 	frames := make([]line, rows)
 	c.perms = make([]tilelink.Perm, rows*cfg.NumClients)
-	c.slabs = make([][]byte, (rows+rowsPerSlab-1)/rowsPerSlab)
+	c.slabs = make([][]tilelink.Line, (rows+rowsPerSlab-1)/rowsPerSlab)
 	c.lines = make([][]line, cfg.Sets)
 	for s := range c.lines {
 		c.lines[s] = frames[s*cfg.Ways : (s+1)*cfg.Ways : (s+1)*cfg.Ways]
@@ -253,15 +252,13 @@ func (c *Cache) permsOf(l *line) []tilelink.Perm {
 
 // dataOf returns frame l's BankedStore row, making its slab on first use. A
 // row never written reads as zeros.
-func (c *Cache) dataOf(l *line) []byte {
+func (c *Cache) dataOf(l *line) *tilelink.Line {
 	slab := c.slabs[l.row/rowsPerSlab]
 	if slab == nil {
-		slab = make([]byte, rowsPerSlab*c.cfg.LineBytes) //skipit:ignore hotalloc the BankedStore materializes a slab on first touch; a system makes at most Sets*Ways/rowsPerSlab of them and none once its working set is resident
+		slab = make([]tilelink.Line, rowsPerSlab) //skipit:ignore hotalloc the BankedStore materializes a slab on first touch; a system makes at most Sets*Ways/rowsPerSlab of them and none once its working set is resident
 		c.slabs[l.row/rowsPerSlab] = slab
 	}
-	lb := int(c.cfg.LineBytes)
-	i := int(l.row%rowsPerSlab) * lb
-	return slab[i : i+lb : i+lb]
+	return &slab[l.row%rowsPerSlab]
 }
 
 // Config returns the cache configuration.
@@ -332,15 +329,13 @@ func (c *Cache) LineState(addr uint64) LineState {
 	return LineState{Present: true, Dirty: l.dirty, Perms: perms}
 }
 
-// PeekLine returns a copy of the line's data if present in L2.
-func (c *Cache) PeekLine(addr uint64) ([]byte, bool) {
+// PeekLine returns the line's data if present in L2.
+func (c *Cache) PeekLine(addr uint64) (tilelink.Line, bool) {
 	l := c.lookup(addr &^ (c.cfg.LineBytes - 1))
 	if l == nil {
-		return nil, false
+		return tilelink.Line{}, false
 	}
-	out := make([]byte, c.cfg.LineBytes)
-	copy(out, c.dataOf(l))
-	return out, true
+	return *c.dataOf(l), true
 }
 
 // Busy reports whether any MSHR is active or any request is buffered; used

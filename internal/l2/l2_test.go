@@ -67,10 +67,10 @@ func (r *rig) expect(client int, limit int) tilelink.Msg {
 	r.t.Helper()
 	for i := 0; i < limit; i++ {
 		if m, ok := r.ports[client].B.Recv(r.now); ok {
-			return m
+			return *m
 		}
 		if m, ok := r.ports[client].D.Recv(r.now); ok {
-			return m
+			return *m
 		}
 		r.step()
 	}
@@ -156,7 +156,7 @@ func TestSharedAcquireDowngradesTrunkAndGrantsDirty(t *testing.T) {
 	if probe.Cap != tilelink.CapToB {
 		t.Fatalf("trunk owner probed %v, want toB", probe.Cap)
 	}
-	dirty := make([]byte, 64)
+	var dirty tilelink.Line
 	dirty[0] = 99
 	r.send(0, tilelink.Msg{Op: tilelink.OpProbeAckData, Addr: 0x1000, Source: 0,
 		Shrink: tilelink.ShrinkTtoB, Data: dirty})
@@ -177,7 +177,7 @@ func TestSharedAcquireDowngradesTrunkAndGrantsDirty(t *testing.T) {
 func TestVoluntaryReleaseData(t *testing.T) {
 	r := newRig(t, 1)
 	r.acquire(0, 0x1000, tilelink.GrowNtoT)
-	data := make([]byte, 64)
+	var data tilelink.Line
 	data[0] = 5
 	r.send(0, tilelink.Msg{Op: tilelink.OpReleaseData, Addr: 0x1000, Source: 0,
 		Shrink: tilelink.ShrinkTtoN, Data: data})
@@ -194,7 +194,7 @@ func TestVoluntaryReleaseData(t *testing.T) {
 func TestRootReleaseFlushWritesBackAndInvalidates(t *testing.T) {
 	r := newRig(t, 1)
 	r.acquire(0, 0x1000, tilelink.GrowNtoT)
-	dirty := make([]byte, 64)
+	var dirty tilelink.Line
 	dirty[0] = 123
 	// The L1's FSHR invalidated its copy and ships the dirty line (§5.5).
 	r.send(0, tilelink.Msg{Op: tilelink.OpRootReleaseFlushData, Addr: 0x1000, Source: 0,
@@ -214,7 +214,7 @@ func TestRootReleaseFlushWritesBackAndInvalidates(t *testing.T) {
 func TestRootReleaseCleanKeepsLine(t *testing.T) {
 	r := newRig(t, 1)
 	r.acquire(0, 0x1000, tilelink.GrowNtoT)
-	dirty := make([]byte, 64)
+	var dirty tilelink.Line
 	dirty[0] = 9
 	r.send(0, tilelink.Msg{Op: tilelink.OpRootReleaseCleanData, Addr: 0x1000, Source: 0,
 		Dirty: true, Data: dirty})
@@ -246,7 +246,7 @@ func TestRootReleaseProbesRemoteOwner(t *testing.T) {
 	if probe.Op != tilelink.OpProbe || probe.Cap != tilelink.CapToN {
 		t.Fatalf("owner got %v, want Probe toN", probe)
 	}
-	dirty := make([]byte, 64)
+	var dirty tilelink.Line
 	dirty[0] = 55
 	r.send(0, tilelink.Msg{Op: tilelink.OpProbeAckData, Addr: 0x1000, Source: 0,
 		Shrink: tilelink.ShrinkTtoN, Data: dirty})
@@ -381,7 +381,7 @@ func TestSameLineRootReleasesSerializeInOrder(t *testing.T) {
 	// trivial skip.
 	r := newRig(t, 1)
 	r.acquire(0, 0x1000, tilelink.GrowNtoT)
-	dirty := make([]byte, 64)
+	var dirty tilelink.Line
 	dirty[0] = 77
 	r.send(0, tilelink.Msg{Op: tilelink.OpRootReleaseCleanData, Addr: 0x1000, Source: 0,
 		Dirty: true, Data: dirty})
@@ -416,7 +416,7 @@ func TestGrantAfterFlushIsCleanGrantData(t *testing.T) {
 	// (not Dirty): the refill comes from memory, so the skip bit is valid.
 	r := newRig(t, 1)
 	r.acquire(0, 0x1000, tilelink.GrowNtoT)
-	dirty := make([]byte, 64)
+	var dirty tilelink.Line
 	r.send(0, tilelink.Msg{Op: tilelink.OpRootReleaseFlushData, Addr: 0x1000, Source: 0,
 		Dirty: true, Data: dirty})
 	if ack := r.expect(0, 1000); ack.Op != tilelink.OpRootReleaseAck {

@@ -49,9 +49,11 @@ type mshr struct {
 
 	// RootRelease fields.
 	clean bool
-	// wbData is dirty RootRelease data whose line was evicted while the
-	// message was in flight; written straight to DRAM (see sinkC).
-	wbData []byte
+	// raced marks dirty RootRelease data whose line was evicted while the
+	// message was in flight; wbData holds it, written straight to DRAM
+	// (see sinkC).
+	raced  bool
+	wbData tilelink.Line
 
 	pendingProbes int
 	memSubmitted  bool // current memory request accepted by the controller
@@ -226,7 +228,7 @@ func (c *Cache) startRootRelease(now int64, m *mshr) {
 	}
 	l := c.lookup(m.addr)
 	if l == nil {
-		if len(m.wbData) > 0 {
+		if m.raced {
 			// The flush raced an eviction: the RootRelease data
 			// arrived after the L2 dropped the line, so it never
 			// reached the BankedStore. It is the freshest copy —
@@ -252,15 +254,14 @@ func (c *Cache) startRootRelease(now int64, m *mshr) {
 		m.state = msFinish
 		return
 	}
-	if len(m.wbData) > 0 {
+	if m.raced {
 		// The line was evicted and then re-installed between SinkC and
 		// dispatch; apply the carried data now, exactly as SinkC would
 		// have with the line present.
-		copy(c.dataOf(l), m.wbData)
+		*c.dataOf(l) = m.wbData
 		l.dirty = true
 		c.clearPoison(m.addr)
-		c.cfg.Pool.Put(m.wbData)
-		m.wbData = nil
+		m.raced = false
 	}
 
 	if m.clean {
@@ -304,18 +305,15 @@ func (c *Cache) rootReleaseWriteback(now int64, m *mshr) {
 		c.finishRootRelease(m)
 		return
 	}
-	data := c.cfg.Pool.Get(int(c.cfg.LineBytes))
-	copy(data, c.dataOf(l))
 	m.state = msMemWrite
 	// Skip-audit: dirty in the LLC — the flush issues a real DRAM write.
 	c.rec.Record(now, trace.RecSkipAudit, trace.CauseDirtyLine, m.txn, m.addr, 1)
-	if c.mem.Submit(now, mem.Request{Kind: mem.Write, Addr: m.addr, Data: data, Tag: c.mshrIndex(m), Txn: m.txn}) {
+	if c.mem.Submit(now, mem.Request{Kind: mem.Write, Addr: m.addr, Data: *c.dataOf(l), Tag: c.mshrIndex(m), Txn: m.txn}) {
 		c.ctr.memWrites.Inc()
 		m.memSubmitted = true
 	} else {
 		// Memory controller busy: retry from Tick next cycle.
 		m.memSubmitted = false
-		c.cfg.Pool.Put(data)
 	}
 }
 
@@ -342,15 +340,12 @@ func (c *Cache) finishEvict(now int64, m *mshr) {
 	v := &c.lines[m.victimSet][m.victimWay]
 	if v.dirty {
 		victimAddr := c.addrOf(m.victimSet, v.tag)
-		data := c.cfg.Pool.Get(int(c.cfg.LineBytes))
-		copy(data, c.dataOf(v))
 		m.state = msEvictMemWrite
-		if c.mem.Submit(now, mem.Request{Kind: mem.Write, Addr: victimAddr, Data: data, Tag: c.mshrIndex(m), Txn: m.txn}) {
+		if c.mem.Submit(now, mem.Request{Kind: mem.Write, Addr: victimAddr, Data: *c.dataOf(v), Tag: c.mshrIndex(m), Txn: m.txn}) {
 			c.ctr.memWrites.Inc()
 			m.memSubmitted = true
 		} else {
 			m.memSubmitted = false
-			c.cfg.Pool.Put(data)
 		}
 		return
 	}
@@ -402,13 +397,11 @@ func (c *Cache) sendGrant(now int64, m *mshr) {
 	if m.grow == tilelink.GrowNtoB {
 		capTo = tilelink.CapToB
 	}
-	data := c.cfg.Pool.Get(int(c.cfg.LineBytes))
-	copy(data, c.dataOf(l))
 	c.outD[m.client] = append(c.outD[m.client], tilelink.Msg{ //skipit:ignore hotalloc per-client outD depth is bounded by outstanding transactions; append reuses its backing after warmup
 		Op:   op,
 		Addr: m.addr,
 		Cap:  capTo,
-		Data: data,
+		Data: *c.dataOf(l),
 		Txn:  m.txn,
 	})
 	c.permsOf(l)[m.client] = capTo.Perm()

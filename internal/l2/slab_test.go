@@ -13,7 +13,7 @@ import (
 func (r *rig) fill(addr uint64, val byte) {
 	r.t.Helper()
 	r.acquire(0, addr, tilelink.GrowNtoT)
-	data := make([]byte, 64)
+	var data tilelink.Line
 	data[0] = val
 	r.send(0, tilelink.Msg{Op: tilelink.OpReleaseData, Addr: addr, Source: 0,
 		Shrink: tilelink.ShrinkTtoN, Data: data})

@@ -69,9 +69,7 @@ func (c *Cache) pollMemory(now int64) {
 			}
 			c.submitMemRead(now, m)
 		case m.state == msMemRead && r.Kind == mem.Read:
-			c.install(now, m, r.Data)
-			// The read response's transaction retires at install.
-			c.cfg.Pool.Put(r.Data)
+			c.install(now, m, &r.Data)
 		case m.state == msMemWrite && r.Kind == mem.Write:
 			if l := c.lookup(m.addr); l != nil {
 				l.dirty = false
@@ -84,12 +82,12 @@ func (c *Cache) pollMemory(now int64) {
 }
 
 // install writes a refilled line into the reserved way and grants it.
-func (c *Cache) install(now int64, m *mshr, data []byte) {
+func (c *Cache) install(now int64, m *mshr, data *tilelink.Line) {
 	l := &c.lines[m.victimSet][m.victimWay]
 	l.valid = true
 	l.tag = c.tag(m.addr)
 	l.dirty = false
-	copy(c.dataOf(l), data)
+	*c.dataOf(l) = *data
 	c.clearPoison(m.addr)
 	perms := c.permsOf(l)
 	for i := range perms {
@@ -145,14 +143,10 @@ func (c *Cache) sinkC(now int64, cl int) {
 			c.ports[cl].C.Recv(now)
 			// §5.5: dirty data is written to the BankedStore
 			// immediately upon arrival.
-			// RootRelease payloads are NOT recycled here: the sending
-			// FSHR keeps forwarding loads from its buffer until the
-			// acknowledgement, so the buffer stays owned by the FSHR
-			// (which recycles it at OnRootReleaseAck).
-			var wbData []byte
+			raced := false
 			if msg.Op.HasData() {
 				if l := c.lookup(msg.Addr); l != nil {
-					copy(c.dataOf(l), msg.Data)
+					*c.dataOf(l) = msg.Data
 					l.dirty = true
 					c.clearPoison(msg.Addr)
 				} else {
@@ -160,18 +154,14 @@ func (c *Cache) sinkC(now int64, cl int) {
 					// was in flight on the C channel (the FSHR's
 					// L1 copy was already invalidated, so the
 					// evict probe saw nothing to hold it back).
-					// The carried data is the only live copy;
-					// copy it for the MSHR's direct DRAM
-					// write-through (the FSHR still owns — and
-					// forwards loads from — the original).
+					// The carried data is the only live copy; the
+					// buffered message keeps it for the MSHR's
+					// direct DRAM write-through.
 					c.ctr.rootReleaseRaces.Inc()
-					if !c.bugDropRaceWB {
-						wbData = c.cfg.Pool.Get(int(c.cfg.LineBytes))
-						copy(wbData, msg.Data)
-					}
+					raced = !c.bugDropRaceWB
 				}
 			}
-			c.listBuffer = append(c.listBuffer, buffered{msg: msg, client: cl, readyAt: now + int64(c.cfg.TagLatency), wbData: wbData}) //skipit:ignore hotalloc listBuffer is bounded by cfg.ListBufferDepth; append reuses its backing after warmup
+			c.listBuffer = append(c.listBuffer, buffered{msg: *msg, client: cl, readyAt: now + int64(c.cfg.TagLatency), raced: raced}) //skipit:ignore hotalloc listBuffer is bounded by cfg.ListBufferDepth; append reuses its backing after warmup
 
 		default:
 			panic(fmt.Sprintf("l2: %v on channel C", msg.Op))
@@ -182,18 +172,15 @@ func (c *Cache) sinkC(now int64, cl int) {
 // onProbeAck applies a probe acknowledgement: directory downgrade for the
 // sender, dirty data into the BankedStore, and progress for the MSHR that
 // issued the probe.
-func (c *Cache) onProbeAck(now int64, cl int, msg tilelink.Msg) {
+func (c *Cache) onProbeAck(now int64, cl int, msg *tilelink.Msg) {
 	l := c.lookup(msg.Addr)
 	if l != nil {
 		c.permsOf(l)[cl] = msg.Shrink.To()
 		if msg.Op == tilelink.OpProbeAckData {
-			copy(c.dataOf(l), msg.Data)
+			*c.dataOf(l) = msg.Data
 			l.dirty = true
 			c.clearPoison(msg.Addr)
 		}
-	}
-	if msg.Op == tilelink.OpProbeAckData {
-		c.cfg.Pool.Put(msg.Data)
 	}
 	m := c.probeOwner(msg.Addr)
 	if m == nil {
@@ -242,7 +229,7 @@ func (c *Cache) probeOwner(addr uint64) *mshr {
 // applied inline — even when an MSHR is transacting on the line — because
 // the releasing client's probe acknowledgement is ordered after the release
 // on its C channel, and the MSHR's grant must see the released data.
-func (c *Cache) onRelease(now int64, cl int, msg tilelink.Msg) {
+func (c *Cache) onRelease(now int64, cl int, msg *tilelink.Msg) {
 	c.ctr.voluntaryReleases.Inc()
 	l := c.lookup(msg.Addr)
 	if l == nil {
@@ -250,10 +237,9 @@ func (c *Cache) onRelease(now int64, cl int, msg tilelink.Msg) {
 	}
 	c.permsOf(l)[cl] = msg.Shrink.To()
 	if msg.Op == tilelink.OpReleaseData {
-		copy(c.dataOf(l), msg.Data)
+		*c.dataOf(l) = msg.Data
 		l.dirty = true
 		c.clearPoison(msg.Addr)
-		c.cfg.Pool.Put(msg.Data)
 	}
 	l.lastUsed = now
 	c.outD[cl] = append(c.outD[cl], tilelink.Msg{Op: tilelink.OpReleaseAck, Addr: msg.Addr, Txn: msg.Txn}) //skipit:ignore hotalloc per-client outD depth is bounded by outstanding transactions; append reuses its backing after warmup
@@ -278,7 +264,7 @@ func (c *Cache) sinkA(now int64, cl int) {
 		}
 		c.ports[cl].A.Recv(now)
 		c.ctr.acquires.Inc()
-		c.listBuffer = append(c.listBuffer, buffered{msg: msg, client: cl, readyAt: now + int64(c.cfg.TagLatency)}) //skipit:ignore hotalloc listBuffer is bounded by listBufferLimit (checked above); append reuses its backing after warmup
+		c.listBuffer = append(c.listBuffer, buffered{msg: *msg, client: cl, readyAt: now + int64(c.cfg.TagLatency)}) //skipit:ignore hotalloc listBuffer is bounded by listBufferLimit (checked above); append reuses its backing after warmup
 	}
 }
 
@@ -301,18 +287,24 @@ func (c *Cache) retryListBuffer(now int64) {
 		}
 		return false
 	}
-	kept := c.listBuffer[:0]
-	for _, b := range c.listBuffer {
-		if b.readyAt > now || isBlocked(b.msg.Addr) || c.lineBusy(b.msg.Addr) {
-			blocked = append(blocked, b.msg.Addr) //skipit:ignore hotalloc blocked reuses blockedScratch whose backing persists on the Cache
-			kept = append(kept, b)                //skipit:ignore hotalloc filter-in-place reslice of listBuffer; never exceeds the original backing array
-			continue
+	// Entries that stay are compacted in place by index, skipping the
+	// self-copy: a buffered message carries a whole line.
+	kept := 0
+	for i := range c.listBuffer {
+		b := &c.listBuffer[i]
+		var m *mshr
+		if b.readyAt <= now && !isBlocked(b.msg.Addr) && !c.lineBusy(b.msg.Addr) {
+			if m = c.freeMSHR(now); m == nil {
+				c.ctr.mshrFullDefers.Inc()
+			}
 		}
-		m := c.freeMSHR(now)
+		// Serialize same-line entries, whether this one stays or starts.
+		blocked = append(blocked, b.msg.Addr) //skipit:ignore hotalloc blocked reuses blockedScratch whose backing persists on the Cache
 		if m == nil {
-			c.ctr.mshrFullDefers.Inc()
-			blocked = append(blocked, b.msg.Addr) //skipit:ignore hotalloc blocked reuses blockedScratch whose backing persists on the Cache
-			kept = append(kept, b)                //skipit:ignore hotalloc filter-in-place reslice of listBuffer; never exceeds the original backing array
+			if kept != i {
+				c.listBuffer[kept] = *b
+			}
+			kept++
 			continue
 		}
 		*m = mshr{state: msStart, addr: b.msg.Addr, client: b.client, since: now, txn: b.msg.Txn}
@@ -322,12 +314,13 @@ func (c *Cache) retryListBuffer(now int64) {
 		} else {
 			m.kind = txnRootRelease
 			m.clean = b.msg.Op.IsRootReleaseClean()
-			m.wbData = b.wbData
+			if b.raced {
+				m.raced = true
+				m.wbData = b.msg.Data
+			}
 		}
-		// Serialize same-line entries.
-		blocked = append(blocked, b.msg.Addr) //skipit:ignore hotalloc blocked reuses blockedScratch whose backing persists on the Cache
 	}
-	c.listBuffer = kept
+	c.listBuffer = c.listBuffer[:kept]
 	c.blockedScratch = blocked
 }
 
@@ -394,22 +387,18 @@ func (c *Cache) resubmitWrite(now int64, m *mshr) {
 		addr = m.addr
 		l = c.lookup(m.addr)
 	}
-	var data []byte
+	var data *tilelink.Line
 	if l != nil {
-		data = c.cfg.Pool.Get(int(c.cfg.LineBytes))
-		copy(data, c.dataOf(l))
-	} else if len(m.wbData) > 0 {
+		data = c.dataOf(l)
+	} else if m.raced {
 		// RootRelease write-through for a line evicted in flight: the
 		// data lives only in the MSHR (see startRootRelease).
-		data = m.wbData
+		data = &m.wbData
 	} else {
 		panic("l2: write retry for absent line")
 	}
-	if c.mem.Submit(now, mem.Request{Kind: mem.Write, Addr: addr, Data: data, Tag: c.mshrIndex(m), Txn: m.txn}) {
+	if c.mem.Submit(now, mem.Request{Kind: mem.Write, Addr: addr, Data: *data, Tag: c.mshrIndex(m), Txn: m.txn}) {
 		c.ctr.memWrites.Inc()
 		m.memSubmitted = true
-	} else if l != nil {
-		// The freshly drawn copy goes back; m.wbData stays with the MSHR.
-		c.cfg.Pool.Put(data)
 	}
 }

@@ -12,16 +12,11 @@ package mem
 
 import (
 	"fmt"
-	"math"
 
-	"skipit/internal/linepool"
 	"skipit/internal/metrics"
+	"skipit/internal/tilelink"
 	"skipit/internal/trace"
 )
-
-// noEvent mirrors tilelink.NoEvent without importing it: the sentinel for "no
-// self-generated future event".
-const noEvent int64 = math.MaxInt64 / 2
 
 // Config sets the controller's timing and geometry.
 type Config struct {
@@ -33,9 +28,6 @@ type Config struct {
 	// Metrics is the registry the controller registers its counters with,
 	// under the instance name "mem". Nil gets a private registry.
 	Metrics *metrics.Registry
-	// Pool recycles line buffers: read responses draw from it, applied
-	// write payloads return to it. Nil disables pooling (plain allocation).
-	Pool *linepool.Pool `json:"-"`
 }
 
 // DefaultConfig mirrors the calibration in DESIGN.md §3: ~60-cycle read
@@ -73,19 +65,19 @@ func (k Kind) String() string {
 type Request struct {
 	Kind Kind
 	Addr uint64
-	Data []byte // nil for reads
+	Data tilelink.Line // zero for reads
 	Tag  int
 	// Txn is the coherence-transaction id that caused this memory
 	// operation, echoed for observability only; 0 means unattributed.
 	Txn uint64
 }
 
-// Response completes a Request. Data is the line contents for reads and nil
+// Response completes a Request. Data is the line contents for reads and zero
 // for write acknowledgements.
 type Response struct {
 	Kind Kind
 	Addr uint64
-	Data []byte
+	Data tilelink.Line
 	Tag  int
 }
 
@@ -122,7 +114,7 @@ func newMemCounters(reg *metrics.Registry, name string) memCounters {
 // usable; construct with New.
 type Memory struct {
 	cfg        Config
-	data       map[uint64][]byte // durable contents, line granular
+	data       map[uint64]*tilelink.Line // durable contents, line granular
 	inflight   []pending
 	done       []Response
 	nextAccept int64
@@ -136,8 +128,8 @@ func (m *Memory) SetRecorder(r *trace.Rec) { m.rec = r }
 
 // New returns an empty memory with the given configuration.
 func New(cfg Config) *Memory {
-	if cfg.LineBytes == 0 {
-		panic("mem: zero line size")
+	if cfg.LineBytes != tilelink.LineBytes {
+		panic(fmt.Sprintf("mem: line size %d, want %d", cfg.LineBytes, tilelink.LineBytes))
 	}
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 1
@@ -146,7 +138,7 @@ func New(cfg Config) *Memory {
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Memory{cfg: cfg, data: make(map[uint64][]byte), ctr: newMemCounters(reg, "mem")}
+	return &Memory{cfg: cfg, data: make(map[uint64]*tilelink.Line), ctr: newMemCounters(reg, "mem")}
 }
 
 // Config returns the controller configuration.
@@ -172,15 +164,12 @@ func (m *Memory) Submit(now int64, req Request) bool {
 	switch req.Kind {
 	case Read:
 		lat = m.cfg.ReadLatency
-		if req.Data != nil {
+		if req.Data != (tilelink.Line{}) {
 			panic("mem: read with payload")
 		}
 		m.ctr.reads.Inc()
 	case Write:
 		lat = m.cfg.WriteLatency
-		if uint64(len(req.Data)) != m.cfg.LineBytes {
-			panic(fmt.Sprintf("mem: write payload %d bytes, want %d", len(req.Data), m.cfg.LineBytes))
-		}
 		m.ctr.writes.Inc()
 	}
 	m.inflight = append(m.inflight, pending{req: req, readyAt: now + int64(lat)}) //skipit:ignore hotalloc inflight depth is bounded by AcceptInterval backpressure; append reuses its backing after warmup
@@ -192,27 +181,29 @@ func (m *Memory) Submit(now int64, req Request) bool {
 // Tick retires requests whose latency has elapsed at cycle now, applying
 // writes to the durable store and queueing responses.
 func (m *Memory) Tick(now int64) {
-	kept := m.inflight[:0]
-	for _, p := range m.inflight {
+	// Requests that stay are compacted in place by index, skipping the
+	// self-copy: a write carries a whole line.
+	kept := 0
+	for i := range m.inflight {
+		p := &m.inflight[i]
 		if p.readyAt > now {
-			kept = append(kept, p)
+			if kept != i {
+				m.inflight[kept] = *p
+			}
+			kept++
 			continue
 		}
 		switch p.req.Kind {
 		case Read:
-			line := m.cfg.Pool.Get(int(m.cfg.LineBytes))
-			copy(line, m.line(p.req.Addr))
 			m.rec.Record(now, trace.RecMemRead, trace.CauseNone, p.req.Txn, p.req.Addr, 0)
-			m.done = append(m.done, Response{Kind: Read, Addr: p.req.Addr, Data: line, Tag: p.req.Tag})
+			m.done = append(m.done, Response{Kind: Read, Addr: p.req.Addr, Data: *m.line(p.req.Addr), Tag: p.req.Tag})
 		case Write:
-			copy(m.line(p.req.Addr), p.req.Data)
-			// The write payload's transaction retires here: recycle it.
-			m.cfg.Pool.Put(p.req.Data)
+			*m.line(p.req.Addr) = p.req.Data
 			m.rec.Record(now, trace.RecMemWrite, trace.CauseNone, p.req.Txn, p.req.Addr, 0)
 			m.done = append(m.done, Response{Kind: Write, Addr: p.req.Addr, Tag: p.req.Tag})
 		}
 	}
-	m.inflight = kept
+	m.inflight = m.inflight[:kept]
 	m.ctr.inflightDepth.Set(int64(len(m.inflight)))
 }
 
@@ -242,7 +233,7 @@ func (m *Memory) NextEvent(now int64) int64 {
 	if len(m.done) > 0 {
 		return now + 1
 	}
-	next := noEvent
+	next := tilelink.NoEvent
 	for i := range m.inflight {
 		r := m.inflight[i].readyAt
 		if r <= now {
@@ -265,10 +256,10 @@ func (m *Memory) Stats() Stats {
 	}
 }
 
-func (m *Memory) line(addr uint64) []byte {
+func (m *Memory) line(addr uint64) *tilelink.Line {
 	l, ok := m.data[addr]
 	if !ok {
-		l = make([]byte, m.cfg.LineBytes) //skipit:ignore hotalloc sparse backing store materializes a line on first touch; a resident working set is allocation-free
+		l = new(tilelink.Line) //skipit:ignore hotalloc sparse backing store materializes a line on first touch; a resident working set is allocation-free
 		m.data[addr] = l
 	}
 	return l
@@ -276,13 +267,10 @@ func (m *Memory) line(addr uint64) []byte {
 
 // --- Persistence-domain (NVMM) inspection and crash injection ---
 
-// PeekLine returns a copy of the durable contents of the line containing
-// addr. Unwritten memory reads as zero.
-func (m *Memory) PeekLine(addr uint64) []byte {
-	base := addr &^ (m.cfg.LineBytes - 1)
-	line := make([]byte, m.cfg.LineBytes) //skipit:ignore hotalloc PeekLine is a debug/chaos-recovery accessor; the unpoisoned steady-state path never calls it
-	copy(line, m.line(base))
-	return line
+// PeekLine returns the durable contents of the line containing addr.
+// Unwritten memory reads as zero.
+func (m *Memory) PeekLine(addr uint64) tilelink.Line {
+	return *m.line(addr &^ (m.cfg.LineBytes - 1))
 }
 
 // PeekUint64 returns the durable 8-byte little-endian value at addr, which
@@ -315,14 +303,11 @@ func (m *Memory) PokeUint64(addr uint64, v uint64) {
 
 // PokeLine writes a full line directly into the durable store, bypassing
 // timing. Intended for initialization.
-func (m *Memory) PokeLine(addr uint64, data []byte) {
+func (m *Memory) PokeLine(addr uint64, data tilelink.Line) {
 	if addr%m.cfg.LineBytes != 0 {
 		panic("mem: unaligned PokeLine")
 	}
-	if uint64(len(data)) != m.cfg.LineBytes {
-		panic("mem: PokeLine payload size")
-	}
-	copy(m.line(addr), data)
+	*m.line(addr) = data
 }
 
 // Crash simulates power loss at the memory controller. In-flight writes that
@@ -334,7 +319,7 @@ func (m *Memory) Crash(drainInflight bool) {
 	if drainInflight {
 		for _, p := range m.inflight {
 			if p.req.Kind == Write {
-				copy(m.line(p.req.Addr), p.req.Data)
+				*m.line(p.req.Addr) = p.req.Data
 			}
 		}
 	}

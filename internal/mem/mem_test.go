@@ -1,14 +1,24 @@
 package mem
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"skipit/internal/tilelink"
 )
 
 func testConfig() Config {
 	return Config{LineBytes: 64, ReadLatency: 10, WriteLatency: 12, AcceptInterval: 2, MaxOutstanding: 4}
+}
+
+// filled returns a line with every byte set to b.
+func filled(b byte) tilelink.Line {
+	var l tilelink.Line
+	for i := range l {
+		l[i] = b
+	}
+	return l
 }
 
 func drain(t *testing.T, m *Memory, now *int64) []Response {
@@ -33,7 +43,7 @@ func drain(t *testing.T, m *Memory, now *int64) []Response {
 
 func TestWriteThenReadRoundTrip(t *testing.T) {
 	m := New(testConfig())
-	line := make([]byte, 64)
+	var line tilelink.Line
 	for i := range line {
 		line[i] = byte(i)
 	}
@@ -49,9 +59,21 @@ func TestWriteThenReadRoundTrip(t *testing.T) {
 		t.Fatal("read rejected")
 	}
 	rs = drain(t, m, &now)
-	if len(rs) != 1 || !bytes.Equal(rs[0].Data, line) {
+	if len(rs) != 1 || rs[0].Data != line {
 		t.Fatalf("read returned wrong data: %+v", rs)
 	}
+}
+
+// TestSubmitRejectsReadWithPayload: a read carries no line, so a non-zero
+// Data on a read is a caller bug, caught at submission.
+func TestSubmitRejectsReadWithPayload(t *testing.T) {
+	m := New(testConfig())
+	defer func() {
+		if recover() == nil {
+			t.Fatal("read with a payload accepted")
+		}
+	}()
+	m.Submit(0, Request{Kind: Read, Addr: 0, Data: filled(1)})
 }
 
 func TestReadLatencyHonored(t *testing.T) {
@@ -101,7 +123,7 @@ func TestMaxOutstandingBounds(t *testing.T) {
 
 func TestUnackedWriteLostOnCrashWithoutADR(t *testing.T) {
 	m := New(testConfig())
-	line := bytes.Repeat([]byte{0xAB}, 64)
+	line := filled(0xAB)
 	m.Submit(0, Request{Kind: Write, Addr: 0, Data: line})
 	m.Crash(false)
 	if m.PeekLine(0)[0] != 0 {
@@ -114,7 +136,7 @@ func TestUnackedWriteLostOnCrashWithoutADR(t *testing.T) {
 
 func TestUnackedWriteDrainsOnCrashWithADR(t *testing.T) {
 	m := New(testConfig())
-	line := bytes.Repeat([]byte{0xAB}, 64)
+	line := filled(0xAB)
 	m.Submit(0, Request{Kind: Write, Addr: 0, Data: line})
 	m.Crash(true)
 	if m.PeekLine(0)[0] != 0xAB {
@@ -124,7 +146,7 @@ func TestUnackedWriteDrainsOnCrashWithADR(t *testing.T) {
 
 func TestAckedWriteAlwaysSurvives(t *testing.T) {
 	m := New(testConfig())
-	line := bytes.Repeat([]byte{0xCD}, 64)
+	line := filled(0xCD)
 	now := int64(0)
 	m.Submit(now, Request{Kind: Write, Addr: 64, Data: line})
 	drain(t, m, &now)
@@ -152,9 +174,9 @@ func TestPeekPokeUint64(t *testing.T) {
 
 func TestPokeLineRoundTrip(t *testing.T) {
 	m := New(testConfig())
-	line := bytes.Repeat([]byte{7}, 64)
+	line := filled(7)
 	m.PokeLine(0x40, line)
-	if !bytes.Equal(m.PeekLine(0x40), line) {
+	if m.PeekLine(0x40) != line {
 		t.Fatal("PokeLine/PeekLine mismatch")
 	}
 }
@@ -182,7 +204,7 @@ func TestMemoryCompletenessProperty(t *testing.T) {
 				var req Request
 				if rng.Intn(2) == 0 {
 					b := byte(rng.Intn(256))
-					req = Request{Kind: Write, Addr: addr, Data: bytes.Repeat([]byte{b}, 64), Tag: len(sent)}
+					req = Request{Kind: Write, Addr: addr, Data: filled(b), Tag: len(sent)}
 				} else {
 					req = Request{Kind: Read, Addr: addr, Tag: len(sent)}
 				}

@@ -15,7 +15,6 @@ import (
 	"skipit/internal/isa"
 	"skipit/internal/l1"
 	"skipit/internal/l2"
-	"skipit/internal/linepool"
 	"skipit/internal/mem"
 	"skipit/internal/metrics"
 	"skipit/internal/tilelink"
@@ -78,10 +77,6 @@ type System struct {
 
 	now int64
 
-	// pool recycles cache-line buffers across mem, L2, L1s and flush units;
-	// see package linepool for the ownership discipline.
-	pool *linepool.Pool
-
 	// fastForward enables the next-event clock (see fastforward.go); on by
 	// default, off only in the equivalence tests' single-stepping reference.
 	fastForward bool
@@ -115,19 +110,17 @@ type System struct {
 }
 
 // NewBare assembles the memory side of a system: one TileLink client port
-// per core, the shared L2 behind them, DRAM, and the metrics registry and
-// line pool every component shares. No port has a driver yet: New puts a
-// core+L1 tile on each, and a protocol-level harness attaches its own
-// Clients instead. Port i is named for the L1 that New puts on it.
+// per core, the shared L2 behind them, DRAM, and the metrics registry every
+// component shares. No port has a driver yet: New puts a core+L1 tile on
+// each, and a protocol-level harness attaches its own Clients instead. Port
+// i is named for the L1 that New puts on it.
 func NewBare(cfg Config) *System {
 	if cfg.NumCores <= 0 {
 		panic("sim: need at least one core")
 	}
 	s := &System{cfg: cfg, reg: metrics.NewRegistry(), fastForward: true, txns: &trace.TxnSeq{}}
-	s.pool = linepool.New(int(cfg.L1.LineBytes), s.reg)
 	memCfg := cfg.Mem
 	memCfg.Metrics = s.reg
-	memCfg.Pool = s.pool
 	s.Mem = mem.New(memCfg)
 	s.ports = make([]*tilelink.ClientPort, cfg.NumCores)
 	for i := range s.ports {
@@ -137,7 +130,6 @@ func NewBare(cfg Config) *System {
 	l2cfg := cfg.L2
 	l2cfg.NumClients = cfg.NumCores
 	l2cfg.Metrics = s.reg
-	l2cfg.Pool = s.pool
 	s.L2 = l2.New(l2cfg, s.ports, s.Mem)
 	// Pre-register the chaos and watchdog instruments so they appear in
 	// every Snapshot even when nothing is armed (get-or-create: the L1/L2
@@ -166,7 +158,6 @@ func New(cfg Config) *System {
 		l1cfg := cfg.L1
 		l1cfg.Source = i
 		l1cfg.Metrics = s.reg
-		l1cfg.Pool = s.pool
 		l1cfg.Txns = s.txns
 		s.L1s[i] = l1.New(l1cfg, p)
 		coreCfg := cfg.Core
@@ -194,10 +185,6 @@ func (s *System) Ports() []*tilelink.ClientPort { return s.ports }
 
 // Metrics returns the SoC-wide metrics registry.
 func (s *System) Metrics() *metrics.Registry { return s.reg }
-
-// Pool returns the SoC-wide line-buffer pool, for clients that exchange line
-// data with the L2.
-func (s *System) Pool() *linepool.Pool { return s.pool }
 
 // EnableSampling snapshots the named counters (all counters when none are
 // given) every interval cycles as the system steps; the resulting time

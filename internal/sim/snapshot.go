@@ -56,17 +56,13 @@ func (s *System) Snapshot() metrics.Snapshot {
 		snap.Derived["l1_store_hit_rate"] = r
 	}
 
-	// Host-throughput view of the run (see fastforward.go and linepool):
-	// what fraction of simulated cycles the next-event clock skipped, how
-	// often the line pool served a buffer without allocating, and — when the
-	// system has run — simulated cycles per host second. The last one is
+	// Host-throughput view of the run (see fastforward.go): what fraction
+	// of simulated cycles the next-event clock skipped and — when the
+	// system has run — simulated cycles per host second. The latter is
 	// host-dependent by nature; it lives only in snapshots and metrics
 	// sidecars, never in the sweep records.
 	if r, ok := ratio(c["sim.skipped_cycles"], uint64(s.now)); ok && s.now > 0 {
 		snap.Derived["ff_skipped_cycle_ratio"] = r
-	}
-	if r, ok := ratio(c["pool.hits"], c["pool.hits"]+c["pool.misses"]); ok {
-		snap.Derived["pool_hit_rate"] = r
 	}
 	if s.hostNanos > 0 && s.now > 0 {
 		snap.Derived["host_sim_cycles_per_sec"] = float64(s.now) / (float64(s.hostNanos) / 1e9)

@@ -13,7 +13,7 @@ func TestLinkNextEvent(t *testing.T) {
 	if got := l.NextEvent(0); got != NoEvent {
 		t.Fatalf("empty link NextEvent = %d, want NoEvent", got)
 	}
-	l.Send(0, Msg{Op: OpGrantData, Addr: 0, Data: make([]byte, 64)}) // 4 beats + 2 wire
+	l.Send(0, Msg{Op: OpGrantData, Addr: 0}) // 4 beats + 2 wire
 	if got := l.NextEvent(0); got != 6 {
 		t.Fatalf("in-flight NextEvent = %d, want 6", got)
 	}
@@ -31,8 +31,8 @@ func TestLinkNextEvent(t *testing.T) {
 	if got := p.NextEvent(0); got != NoEvent {
 		t.Fatalf("quiescent port NextEvent = %d, want NoEvent", got)
 	}
-	p.C.Send(0, Msg{Op: OpReleaseData, Addr: 0, Shrink: ShrinkTtoN, Data: make([]byte, 64)}) // ready at 5
-	p.E.Send(1, Msg{Op: OpGrantAck, Addr: 0})                                                // ready at 3
+	p.C.Send(0, Msg{Op: OpReleaseData, Addr: 0, Shrink: ShrinkTtoN}) // ready at 5
+	p.E.Send(1, Msg{Op: OpGrantAck, Addr: 0})                        // ready at 3
 	if got := p.NextEvent(1); got != 3 {
 		t.Fatalf("port NextEvent = %d, want the earliest channel (3)", got)
 	}
@@ -155,7 +155,7 @@ func TestLinkChaosHook(t *testing.T) {
 // in-flight messages in delivery order, channels in A..E order.
 func TestLinkDebugSnapshot(t *testing.T) {
 	p := NewClientPort("l1", 16, 64, 1)
-	p.C.Send(0, Msg{Op: OpReleaseData, Addr: 0x40, Shrink: ShrinkTtoN, Data: make([]byte, 64)})
+	p.C.Send(0, Msg{Op: OpReleaseData, Addr: 0x40, Shrink: ShrinkTtoN})
 	p.C.Send(4, Msg{Op: OpProbeAck, Addr: 0x80, Shrink: ShrinkBtoN})
 	d := p.Debug()
 	var names []string

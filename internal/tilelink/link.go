@@ -46,9 +46,13 @@ type Link struct {
 	Latency   int // wire cycles added after the final beat
 
 	busyUntil int64 // last cycle at which the channel is occupied
-	q         []inflight
-	chaos     Chaos  // nil unless a fault schedule is armed
-	events    uint64 // successful Send+Recv count (watchdog progress signal)
+	// q[head:] are the in-flight messages, oldest first. Recv advances
+	// head instead of shifting the queue, so the *Msg it returns stays in
+	// place until this link's next Send.
+	q      []inflight
+	head   int
+	chaos  Chaos  // nil unless a fault schedule is armed
+	events uint64 // successful Send+Recv count (watchdog progress signal)
 }
 
 type inflight struct {
@@ -60,6 +64,9 @@ type inflight struct {
 // number of cycles between the last beat leaving the sender and the message
 // becoming receivable.
 func NewLink(name string, beatBytes, lineBytes uint64, latency int) *Link {
+	if lineBytes != LineBytes {
+		panic(fmt.Sprintf("tilelink: link %s: line size %d, want %d", name, lineBytes, LineBytes))
+	}
 	if beatBytes == 0 || lineBytes%beatBytes != 0 {
 		panic(fmt.Sprintf("tilelink: link %s: line %d not a multiple of beat %d", name, lineBytes, beatBytes))
 	}
@@ -104,44 +111,55 @@ func (l *Link) Send(now int64, m Msg) bool {
 	}
 	beats := l.Beats(m)
 	l.busyUntil = now + beats
+	if l.head > 0 && len(l.q) == cap(l.q) {
+		// Full but with delivered slots in front: compact rather than
+		// grow, so capacity stays bounded by the peak in-flight depth.
+		l.q = l.q[:copy(l.q, l.q[l.head:])]
+		l.head = 0
+	}
 	l.q = append(l.q, inflight{msg: m, readyAt: now + beats + int64(l.Latency) + extra}) //skipit:ignore hotalloc queue growth is amortized, capacity is bounded by channel occupancy
 	l.events++
 	return true
 }
 
 // Recv returns the oldest message that has fully arrived by cycle now, or
-// ok=false. Messages are delivered strictly in send order.
+// ok=false. Messages are delivered strictly in send order. The returned
+// message lives in the link's queue and is valid until the link's next
+// Send; a consumer never sends on the link it receives from, and components
+// tick in turn, so it is always used before then.
 //
 //skipit:hotpath
-func (l *Link) Recv(now int64) (Msg, bool) {
-	if len(l.q) == 0 || l.q[0].readyAt > now {
-		return Msg{}, false
+func (l *Link) Recv(now int64) (*Msg, bool) {
+	if l.head == len(l.q) || l.q[l.head].readyAt > now {
+		return nil, false
 	}
 	if l.chaos != nil && l.chaos.RecvStall(now) {
-		return Msg{}, false
+		return nil, false
 	}
-	m := l.q[0].msg
-	// Shift rather than re-slice so the backing array does not grow
-	// without bound over long simulations.
-	copy(l.q, l.q[1:])
-	l.q = l.q[:len(l.q)-1]
+	m := &l.q[l.head].msg
+	l.head++
+	if l.head == len(l.q) {
+		l.q = l.q[:0]
+		l.head = 0
+	}
 	l.events++
 	return m, true
 }
 
-// Peek is Recv without consuming the message. It consults the same chaos
-// stall predicate as Recv so that a Peek-then-Recv sequence within one cycle
-// sees consistent answers.
+// Peek is Recv without consuming the message; the returned message is valid
+// until the link's next Send. It consults the same chaos stall predicate as
+// Recv so that a Peek-then-Recv sequence within one cycle sees consistent
+// answers.
 //
 //skipit:hotpath
-func (l *Link) Peek(now int64) (Msg, bool) {
-	if len(l.q) == 0 || l.q[0].readyAt > now {
-		return Msg{}, false
+func (l *Link) Peek(now int64) (*Msg, bool) {
+	if l.head == len(l.q) || l.q[l.head].readyAt > now {
+		return nil, false
 	}
 	if l.chaos != nil && l.chaos.RecvStall(now) {
-		return Msg{}, false
+		return nil, false
 	}
-	return l.q[0].msg, true
+	return &l.q[l.head].msg, true
 }
 
 // NextEvent returns the earliest cycle after now at which this channel can
@@ -155,10 +173,10 @@ func (l *Link) Peek(now int64) (Msg, bool) {
 //
 //skipit:hotpath
 func (l *Link) NextEvent(now int64) int64 {
-	if len(l.q) == 0 {
+	if l.head == len(l.q) {
 		return NoEvent
 	}
-	if r := l.q[0].readyAt; r > now {
+	if r := l.q[l.head].readyAt; r > now {
 		return r
 	}
 	return now + 1
@@ -173,12 +191,13 @@ func (l *Link) SetChaos(c Chaos) { l.chaos = c }
 func (l *Link) Events() uint64 { return l.events }
 
 // Pending returns the number of in-flight messages (sent, not yet received).
-func (l *Link) Pending() int { return len(l.q) }
+func (l *Link) Pending() int { return len(l.q) - l.head }
 
 // Reset drops all in-flight messages, e.g. when simulating a crash that
 // destroys volatile state.
 func (l *Link) Reset() {
 	l.q = l.q[:0]
+	l.head = 0
 	l.busyUntil = 0
 }
 
@@ -258,7 +277,7 @@ type LinkDebug struct {
 // Debug snapshots the channel's in-flight queue for diagnostics.
 func (l *Link) Debug() LinkDebug {
 	d := LinkDebug{Name: l.Name, BusyUntil: l.busyUntil}
-	for _, f := range l.q {
+	for _, f := range l.q[l.head:] {
 		d.Pending = append(d.Pending, MsgDebug{Op: f.msg.Op.String(), Addr: f.msg.Addr, ReadyAt: f.readyAt})
 	}
 	return d

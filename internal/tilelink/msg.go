@@ -153,9 +153,19 @@ func (o Opcode) WireEncoding() (Opcode, string) {
 	return o, ""
 }
 
+// LineBytes is the cache-line size of every cycle-simulator component: the
+// SonicBOOM L1, the inclusive L2 and DRAM all move 64 B lines (§3.3), four
+// 16 B beats on the system bus. Component constructors reject any other size.
+const LineBytes = 64
+
+// Line is one cache line of data. Lines are carried by value wherever they
+// move — a Msg payload, a memory request or response, an MSHR, a writeback
+// or flush buffer — so a line in flight has no owner and nothing to release.
+type Line [LineBytes]byte
+
 // Msg is a single TileLink message. Addr is always cache-line aligned; Data
-// is nil unless Op.HasData(). Source identifies the client agent on links
-// that multiplex several clients (our point-to-point links keep it for
+// is all zeros unless Op.HasData(). Source identifies the client agent on
+// links that multiplex several clients (our point-to-point links keep it for
 // bookkeeping and assertions).
 type Msg struct {
 	Op     Opcode
@@ -179,7 +189,7 @@ type Msg struct {
 	// no component's behavior may depend on it. 0 means unassigned.
 	Txn uint64
 
-	Data []byte
+	Data Line
 }
 
 func (m Msg) String() string {
@@ -204,17 +214,14 @@ func (m Msg) String() string {
 	return s
 }
 
-// Validate checks structural legality of the message: opcode/payload
-// agreement and line alignment. It is used in tests and in link assertions.
+// Validate checks structural legality of the message: line alignment, and
+// no payload on a data-less opcode. It is used in tests and in link
+// assertions.
 func (m Msg) Validate(lineBytes uint64) error {
 	if m.Addr%lineBytes != 0 {
 		return fmt.Errorf("tilelink: %v: address not line aligned", m)
 	}
-	if m.Op.HasData() {
-		if uint64(len(m.Data)) != lineBytes {
-			return fmt.Errorf("tilelink: %v: payload %d bytes, want %d", m, len(m.Data), lineBytes)
-		}
-	} else if m.Data != nil {
+	if !m.Op.HasData() && m.Data != (Line{}) {
 		return fmt.Errorf("tilelink: %v: unexpected payload on data-less opcode", m)
 	}
 	return nil

@@ -59,7 +59,7 @@ func TestOpcodeClassification(t *testing.T) {
 // TestMsgString: the debug rendering shows the parameter meaningful on the
 // message's channel, and only that one.
 func TestMsgString(t *testing.T) {
-	line := make([]byte, 64)
+	var line Line
 	cases := []struct {
 		name string
 		msg  Msg

@@ -113,13 +113,14 @@ func TestWireEncoding(t *testing.T) {
 }
 
 func TestMsgValidate(t *testing.T) {
-	line := make([]byte, 64)
+	var line Line
+	line[5] = 1
 	good := Msg{Op: OpGrantData, Addr: 0x1000, Data: line, Cap: CapToT}
 	if err := good.Validate(64); err != nil {
 		t.Errorf("valid message rejected: %v", err)
 	}
-	if err := (Msg{Op: OpGrantData, Addr: 0x1000, Data: line[:8]}).Validate(64); err == nil {
-		t.Error("short payload accepted")
+	if err := (Msg{Op: OpGrantData, Addr: 0x1000}).Validate(64); err != nil {
+		t.Errorf("all-zero line rejected: %v", err)
 	}
 	if err := (Msg{Op: OpGrant, Addr: 0x1000, Data: line}).Validate(64); err == nil {
 		t.Error("payload on data-less opcode accepted")
@@ -131,7 +132,7 @@ func TestMsgValidate(t *testing.T) {
 
 func TestLinkBeatOccupancy(t *testing.T) {
 	l := NewLink("t", 16, 64, 0)
-	data := Msg{Op: OpGrantData, Addr: 0, Data: make([]byte, 64)}
+	data := Msg{Op: OpGrantData, Addr: 0}
 	if !l.Send(0, data) {
 		t.Fatal("send rejected on idle link")
 	}
@@ -173,7 +174,7 @@ func TestLinkDataLessSingleBeat(t *testing.T) {
 
 func TestLinkLatencyAddsAfterBeats(t *testing.T) {
 	l := NewLink("t", 16, 64, 5)
-	l.Send(0, Msg{Op: OpProbeAckData, Addr: 0, Shrink: ShrinkTtoN, Data: make([]byte, 64)})
+	l.Send(0, Msg{Op: OpProbeAckData, Addr: 0, Shrink: ShrinkTtoN})
 	if _, ok := l.Recv(8); ok {
 		t.Error("delivered before beats+latency")
 	}
@@ -215,6 +216,60 @@ func TestLinkPeekDoesNotConsume(t *testing.T) {
 	}
 	if _, ok := l.Recv(1); ok {
 		t.Fatal("message delivered twice")
+	}
+}
+
+// TestLinkPeekPointerSurvivesRecv: Peek hands out the head message in
+// place. The next Recv returns that same message, and its fields survive the
+// Recv — here the one that empties the link — until the link's next Send.
+func TestLinkPeekPointerSurvivesRecv(t *testing.T) {
+	l := NewLink("t", 16, 64, 0)
+	var line Line
+	line[0], line[63] = 0xAB, 0xCD
+	sent := Msg{Op: OpGrantData, Addr: 0x40, Cap: CapToT, Txn: 7, Data: line}
+	l.Send(0, sent)
+	p, ok := l.Peek(4)
+	if !ok {
+		t.Fatal("peek missed delivered message")
+	}
+	r, ok := l.Recv(4)
+	if !ok || r != p {
+		t.Fatalf("Recv = %p,%v, want the peeked message %p", r, ok, p)
+	}
+	if *p != sent {
+		t.Fatalf("peeked message after Recv = %v, want %v", *p, sent)
+	}
+	if l.Pending() != 0 {
+		t.Fatalf("Pending() = %d after draining the link", l.Pending())
+	}
+}
+
+// TestLinkQueueCapacityBounded: a long send/receive stream that never drains
+// the link keeps the queue's capacity bounded by its peak depth. Recv only
+// advances the head, so Send must reuse the delivered slots in front of it
+// rather than grow the backing array.
+func TestLinkQueueCapacityBounded(t *testing.T) {
+	l := NewLink("t", 16, 64, 3)
+	peak, sent, early := 0, 0, 0
+	for now := int64(0); sent < 10_000; now++ {
+		if l.Send(now, Msg{Op: OpGrant, Addr: uint64(sent) * 64}) {
+			sent++
+		}
+		if n := l.Pending(); n > peak {
+			peak = n
+		}
+		if m, ok := l.Recv(now); ok && m.Addr != uint64(sent-l.Pending()-1)*64 {
+			t.Fatalf("cycle %d: delivered %#x out of order", now, m.Addr)
+		}
+		if now > 4 && l.Pending() == 0 {
+			t.Fatalf("cycle %d: link drained; the stream must keep it busy", now)
+		}
+		if sent == 100 {
+			early = cap(l.q)
+		}
+	}
+	if c := cap(l.q); c > early || c > 2*peak {
+		t.Fatalf("queue capacity %d after 10,000 messages (%d after 100, peak depth %d)", c, early, peak)
 	}
 }
 
@@ -266,7 +321,7 @@ func TestLinkDeliveryProperty(t *testing.T) {
 				var m Msg
 				if rng.Intn(2) == 0 {
 					m = Msg{Op: OpReleaseData, Addr: uint64(len(log)) * 64,
-						Shrink: ShrinkTtoN, Data: make([]byte, 64)}
+						Shrink: ShrinkTtoN}
 				} else {
 					m = Msg{Op: OpRelease, Addr: uint64(len(log)) * 64, Shrink: ShrinkBtoN}
 				}
@@ -276,7 +331,7 @@ func TestLinkDeliveryProperty(t *testing.T) {
 			}
 			if m, ok := l.Recv(now); ok {
 				i := len(got)
-				got = append(got, m)
+				got = append(got, *m)
 				if i >= len(log) || log[i].addr != m.Addr {
 					return false // out of order or phantom
 				}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"skipit/internal/detrand"
-	"skipit/internal/linepool"
 	"skipit/internal/metrics"
 	"skipit/internal/tilelink"
 	"skipit/internal/trace"
@@ -70,7 +69,6 @@ type agentBlock struct {
 	relSent      bool // ...and the message has actually left on C
 	flushPending bool // RootRelease committed locally, ack outstanding
 	flushSent    bool // ...and the message has actually left on C
-	flushBuf     []byte
 }
 
 // outMsg is a queued outbound message: readyAt models the agent's internal
@@ -128,8 +126,6 @@ func newAgentCounters(reg *metrics.Registry) agentCounters {
 type AgentConfig struct {
 	ID         int
 	Port       *tilelink.ClientPort
-	Pool       *linepool.Pool
-	LineBytes  uint64
 	Addrs      []uint64
 	Ops        []Op // this agent's ops only, in program order
 	Seed       int64
@@ -158,12 +154,10 @@ type AgentConfig struct {
 // selectively revert those disciplines to make the PR 3 races reachable.
 // Once a message is on the link, FIFO order is preserved.
 type Agent struct {
-	id        int
-	name      string
-	port      *tilelink.ClientPort
-	pool      *linepool.Pool
-	lineBytes uint64
-	blocks    []agentBlock
+	id     int
+	name   string
+	port   *tilelink.ClientPort
+	blocks []agentBlock
 
 	ops     []Op
 	opIdx   int
@@ -198,19 +192,17 @@ func NewAgent(cfg AgentConfig) *Agent {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	a := &Agent{
-		id:        cfg.ID,
-		name:      fmt.Sprintf("tlc%d", cfg.ID),
-		port:      cfg.Port,
-		pool:      cfg.Pool,
-		lineBytes: cfg.LineBytes,
-		ops:       cfg.Ops,
-		rng:       detrand.New(cfg.Seed),
-		sb:        cfg.Scoreboard,
-		txns:      cfg.Txns,
-		tr:        cfg.Tracer,
-		bug:       cfg.Bug,
-		memPeek:   cfg.MemPeek,
-		ctr:       newAgentCounters(cfg.Metrics),
+		id:      cfg.ID,
+		name:    fmt.Sprintf("tlc%d", cfg.ID),
+		port:    cfg.Port,
+		ops:     cfg.Ops,
+		rng:     detrand.New(cfg.Seed),
+		sb:      cfg.Scoreboard,
+		txns:    cfg.Txns,
+		tr:      cfg.Tracer,
+		bug:     cfg.Bug,
+		memPeek: cfg.MemPeek,
+		ctr:     newAgentCounters(cfg.Metrics),
 	}
 	for _, addr := range cfg.Addrs {
 		a.blocks = append(a.blocks, agentBlock{addr: addr})
@@ -230,19 +222,15 @@ func (a *Agent) blockIndex(addr uint64) int {
 	panic(fmt.Sprintf("tlctest: agent %d: message for unknown address %#x", a.id, addr))
 }
 
-// encode builds a full line carrying val in its first eight bytes. Pool
-// buffers recycle dirty, so the tail is explicitly zeroed — the value
-// checks decode only the head, but DRAM comparisons see whole lines.
-func (a *Agent) encode(val uint64) []byte {
-	buf := a.pool.Get(int(a.lineBytes))
-	for i := range buf {
-		buf[i] = 0
-	}
-	binary.LittleEndian.PutUint64(buf[:8], val)
-	return buf
+// encode builds a full line carrying val in its first eight bytes and zeros
+// in the rest.
+func encode(val uint64) tilelink.Line {
+	var l tilelink.Line
+	binary.LittleEndian.PutUint64(l[:8], val)
+	return l
 }
 
-func decodeVal(b []byte) uint64 { return binary.LittleEndian.Uint64(b[:8]) }
+func decodeVal(l *tilelink.Line) uint64 { return binary.LittleEndian.Uint64(l[:8]) }
 
 // Tick runs one cycle: consume responses and probes, answer due probes,
 // advance the scripted op, then arbitrate the outbound queues.
@@ -282,16 +270,14 @@ func (a *Agent) recvD(now int64) {
 		case tilelink.OpGrantData, tilelink.OpGrantDataDirty:
 			if !blk.grantPending {
 				a.sb.OnUnexpectedGrant(now, a.id, m.Addr, m.Op)
-				a.pool.Put(m.Data)
 				continue
 			}
-			val := decodeVal(m.Data)
+			val := decodeVal(&m.Data)
 			a.sb.OnGrant(now, a.id, m.Addr, m.Cap, tilelink.GrantCap(blk.grantGrow), val)
 			blk.perm = m.Cap.Perm()
 			blk.val = val
 			blk.dirty = false
 			blk.grantPending = false
-			a.pool.Put(m.Data)
 			a.ctr.grants.Inc()
 			trace.EmitTxn(a.tr, now, a.name, "grant", m.Txn, m.Addr, m.Cap.String())
 			a.outE = append(a.outE, outMsg{
@@ -314,8 +300,6 @@ func (a *Agent) recvD(now int64) {
 			}
 		case tilelink.OpRootReleaseAck:
 			blk.flushPending, blk.flushSent = false, false
-			a.pool.Put(blk.flushBuf)
-			blk.flushBuf = nil
 			trace.EmitTxn(a.tr, now, a.name, "rootreleaseack", m.Txn, m.Addr, "")
 			// §5.5: the ack promises the line is durable in DRAM now.
 			a.sb.CheckDurable(now, a.id, blk.addr, a.memPeek(blk.addr))
@@ -364,7 +348,7 @@ func (a *Agent) answerProbes(now int64) {
 		op, sh, to, carry := tilelink.ProbeResp(blk.perm, blk.dirty, p.cap)
 		m := tilelink.Msg{Op: op, Addr: blk.addr, Source: a.id, Shrink: sh, Txn: p.txn}
 		if carry {
-			m.Data = a.encode(blk.val)
+			m.Data = encode(blk.val)
 		}
 		a.sb.OnSurrender(now, a.id, blk.addr, to, carry, blk.val)
 		blk.perm = to
@@ -442,7 +426,7 @@ func (a *Agent) dispatch(now int64) {
 		m := tilelink.Msg{Op: rop, Addr: blk.addr, Source: a.id, Shrink: sh, Txn: a.txns.Next()}
 		carried := rop == tilelink.OpReleaseData
 		if carried {
-			m.Data = a.encode(blk.val)
+			m.Data = encode(blk.val)
 		}
 		a.sb.OnSurrender(now, a.id, blk.addr, target, carried, blk.val)
 		blk.perm = target
@@ -507,8 +491,7 @@ func (a *Agent) issueRootRelease(now int64, bi int, op Op) {
 			if carried {
 				m.Op = tilelink.OpRootReleaseFlushData
 				m.Dirty = true
-				m.Data = a.encode(blk.val)
-				blk.flushBuf = m.Data
+				m.Data = encode(blk.val)
 			}
 			a.sb.OnSurrender(now, a.id, blk.addr, tilelink.PermNone, carried, blk.val)
 			blk.perm = tilelink.PermNone
@@ -519,8 +502,7 @@ func (a *Agent) issueRootRelease(now int64, bi int, op Op) {
 		if blk.perm == tilelink.PermTrunk && blk.dirty {
 			m.Op = tilelink.OpRootReleaseCleanData
 			m.Dirty = true
-			m.Data = a.encode(blk.val)
-			blk.flushBuf = m.Data
+			m.Data = encode(blk.val)
 			a.sb.OnSurrender(now, a.id, blk.addr, blk.perm, true, blk.val)
 			blk.dirty = false
 		}

@@ -238,8 +238,6 @@ func runScript(s Script, fastForward bool) (*Failure, Stats) {
 		clients[i] = NewAgent(AgentConfig{
 			ID:         i,
 			Port:       sys.Ports()[i],
-			Pool:       sys.Pool(),
-			LineBytes:  sys.L2.Config().LineBytes,
 			Addrs:      s.Addrs,
 			Ops:        ops,
 			Seed:       s.AgentSeeds[i],
@@ -294,7 +292,7 @@ func runScript(s Script, fastForward bool) (*Failure, Stats) {
 		for _, addr := range s.Addrs {
 			got := sys.Mem.PeekUint64(addr)
 			if line, ok := sys.L2.PeekLine(addr); ok {
-				got = decodeVal(line)
+				got = decodeVal(&line)
 			}
 			sb.CheckFinal(sys.Now(), addr, got)
 		}
