@@ -1,7 +1,8 @@
 // Command skipit-bench regenerates every table and figure of the paper's
 // evaluation (§7) through the internal/sweep orchestrator: each figure is
 // decomposed into independent, fingerprinted jobs that run on a bounded
-// worker pool, and every run measures every point afresh. See
+// worker pool, and every run measures each distinct configuration afresh,
+// copying the record to the other points that share its fingerprint. See
 // EXPERIMENTS.md for the side-by-side comparison with the published results
 // and README.md ("Regenerating the figures") for the sweep workflow.
 //
@@ -191,7 +192,7 @@ func run() int {
 		cmp := sweep.Compare(base.Records, records, *gate)
 		fmt.Printf("\n== %s vs %s\n", cmp, *baseline)
 		if !cmp.OK() {
-			fmt.Fprintln(os.Stderr, "regression gate FAILED: cycle counts changed (intentional changes must refresh the baseline; see README)")
+			fmt.Fprintln(os.Stderr, "regression gate FAILED: cycle counts or derived metrics changed (intentional changes must refresh the baseline; see README)")
 			return 1
 		}
 		fmt.Println("regression gate passed")

@@ -21,7 +21,10 @@ import (
 // Fingerprints hash the same config values the measurement consumes
 // (templates before per-core wiring, clamped thread counts, repetition
 // counts), so the gate compares cycles only between identical
-// configurations.
+// configurations. A fingerprint must determine the whole Outcome, derived
+// metrics included, because sweep.Runner measures each fingerprint once and
+// copies the result: a derived "threads" therefore reports the clamped count
+// the simulation ran, not the requested one.
 
 // opName names the CBO.X variant in job names and series.
 func opName(clean bool) string {
@@ -59,7 +62,7 @@ func Fig9Jobs(group string, clean bool) []sweep.Job {
 				Run: func(sink sweep.Sink) (sweep.Outcome, error) {
 					cycles, sigma := measureSweepPoint(sink, size, threads, clean)
 					return sweep.Outcome{Cycles: cycles, Sigma: sigma, Reps: Reps,
-						Derived: map[string]float64{"size": float64(size), "threads": float64(threads), "clean": b2f(clean)}}, nil
+						Derived: map[string]float64{"size": float64(size), "threads": float64(clampThreads(size, threads)), "clean": b2f(clean)}}, nil
 				},
 			})
 		}
@@ -89,7 +92,7 @@ func Fig10Jobs(threadCounts []int) []sweep.Job {
 					Run: func(sink sweep.Sink) (sweep.Outcome, error) {
 						cy := measureWriteCboFenceRead(sink, size, threads, clean)
 						return sweep.Outcome{Cycles: cy, Reps: 1,
-							Derived: map[string]float64{"size": float64(size), "threads": float64(threads), "clean": b2f(clean)}}, nil
+							Derived: map[string]float64{"size": float64(size), "threads": float64(clampThreads(size, threads)), "clean": b2f(clean)}}, nil
 					},
 				})
 			}
@@ -123,7 +126,7 @@ func ComparativeJobs(group string, threads int) []sweep.Job {
 				Run: func(sink sweep.Sink) (sweep.Outcome, error) {
 					cy := SweepOnce(sink, size, threads, clean)
 					return sweep.Outcome{Cycles: cy, Reps: 1,
-						Derived: map[string]float64{"size": float64(size), "threads": float64(threads), "clean": b2f(clean)}}, nil
+						Derived: map[string]float64{"size": float64(size), "threads": float64(clampThreads(size, threads)), "clean": b2f(clean)}}, nil
 				},
 			})
 		}
@@ -175,7 +178,7 @@ func Fig13Jobs(threadCounts []int, redundant int) []sweep.Job {
 					Run: func(sink sweep.Sink) (sweep.Outcome, error) {
 						cy := measureRedundant(sink, size, threads, redundant, skipIt, true)
 						return sweep.Outcome{Cycles: cy, Reps: 1,
-							Derived: map[string]float64{"size": float64(size), "threads": float64(threads), "skipit": b2f(skipIt)}}, nil
+							Derived: map[string]float64{"size": float64(size), "threads": float64(clampThreads(size, threads)), "skipit": b2f(skipIt)}}, nil
 					},
 				})
 			}

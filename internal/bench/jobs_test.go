@@ -150,3 +150,45 @@ func TestJobIdentityInvariants(t *testing.T) {
 		t.Fatalf("suspiciously small full grid: %d jobs", len(jobs))
 	}
 }
+
+// sweep.Runner measures each fingerprint once and copies the outcome to the
+// other jobs that share it, which is sound only if a fingerprint determines
+// the whole Outcome, derived metrics included. Run every job of every
+// shared fingerprint directly and require equal outcomes.
+func TestEqualFingerprintsGiveEqualOutcomes(t *testing.T) {
+	small(t)
+	jobs := FigureJobs(true, nil)
+	var order []string
+	groups := map[string][]sweep.Job{}
+	for _, j := range jobs {
+		if len(groups[j.Fingerprint]) == 0 {
+			order = append(order, j.Fingerprint)
+		}
+		groups[j.Fingerprint] = append(groups[j.Fingerprint], j)
+	}
+	shared := 0
+	for _, fp := range order {
+		group := groups[fp]
+		if len(group) < 2 {
+			continue
+		}
+		shared++
+		first, err := group[0].Run(nil)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", group[0].Group, group[0].Name, err)
+		}
+		for _, j := range group[1:] {
+			out, err := j.Run(nil)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", j.Group, j.Name, err)
+			}
+			if !reflect.DeepEqual(out, first) {
+				t.Errorf("%s/%s and %s/%s share fingerprint %s but measured\n%+v\n%+v",
+					group[0].Group, group[0].Name, j.Group, j.Name, fp, first, out)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two jobs share a fingerprint; the test checks nothing")
+	}
+}

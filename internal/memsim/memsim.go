@@ -6,6 +6,14 @@
 // including the Skip It bit, and a virtual cycle clock per thread that every
 // access and writeback charges.
 //
+// The L2 is inclusive and doubles as the coherence directory. Every valid L1
+// line is also in the L2 (an L2 eviction invalidates the line's L1 copies
+// first), each L1 way records the L2 frame that holds its line, and each L2
+// frame records, per thread, which way of that thread's L1 set holds its
+// line, if any. Access and Flush therefore search only the calling thread's
+// L1 set and reach every other copy through the frame, as a directory
+// protocol tracks sharers instead of snooping every cache.
+//
 // A Hierarchy is single-goroutine: it holds no lock, and simulated threads
 // are only the tid arguments of its calls. The figure runs interleave their
 // threads round-robin in one goroutine; a caller that drives a hierarchy from
@@ -74,21 +82,6 @@ func DefaultConfig(threads int) Config {
 	}
 }
 
-type l1Line struct {
-	valid bool
-	tag   uint64
-	dirty bool
-	skip  bool
-	used  uint64
-}
-
-type l2Line struct {
-	valid bool
-	tag   uint64
-	dirty bool
-	used  uint64
-}
-
 // Stats counts hierarchy traffic, aggregated across threads.
 type Stats struct {
 	Accesses        uint64
@@ -105,13 +98,29 @@ type Stats struct {
 
 // Hierarchy is the two-level tag-only cache model shared by the simulated
 // threads. It is not safe for concurrent use.
+//
+// Each level keeps one flat slice per field. A way's key is its tag plus
+// one, so key 0 marks an invalid way. Thread t's L1 way w of set s sits at
+// index t*l1Size + s*L1Ways + w; L2 frame w of set s at s*L2Ways + w.
 type Hierarchy struct {
 	cfg    Config
-	l1     [][]l1Line // [thread][set*ways+way]
-	l2     []l2Line
 	clocks []float64
 	tick   uint64
 	stats  Stats
+
+	l1Key   []uint64
+	l1Used  []uint64
+	l1Frame []int32 // the L2 frame holding the way's line
+	l1Dirty []bool
+	l1Skip  []bool
+	l1Size  int // L1 ways per thread
+
+	l2Key   []uint64
+	l2Used  []uint64
+	l2Dirty []bool
+	// l2Dir[f*Threads+t] is 1 + the way of thread t's L1 set that holds
+	// frame f's line, or 0 when thread t holds no copy.
+	l2Dir []uint8
 
 	// The power-of-two geometry as shifts and masks: a line number is
 	// addr>>lineShift, its L1 set lineNo&l1SetMask and its L1 tag
@@ -121,10 +130,12 @@ type Hierarchy struct {
 }
 
 // New builds a hierarchy for cfg.Threads threads. It panics unless the
-// thread and set counts are positive and LineBytes, L1Sets and L2Sets
-// are powers of two.
+// thread, set and way counts are positive, L1Ways is at most 255 (the
+// directory's per-thread entry is one byte), and LineBytes, L1Sets and
+// L2Sets are powers of two.
 func New(cfg Config) *Hierarchy {
-	if cfg.Threads <= 0 || cfg.L1Sets <= 0 || cfg.L2Sets <= 0 {
+	if cfg.Threads <= 0 || cfg.L1Sets <= 0 || cfg.L2Sets <= 0 ||
+		cfg.L1Ways <= 0 || cfg.L1Ways > 255 || cfg.L2Ways <= 0 {
 		panic("memsim: bad config")
 	}
 	h := &Hierarchy{
@@ -135,11 +146,18 @@ func New(cfg Config) *Hierarchy {
 		l1SetMask: uint64(cfg.L1Sets) - 1,
 		l2SetMask: uint64(cfg.L2Sets) - 1,
 	}
-	h.l1 = make([][]l1Line, cfg.Threads)
-	for t := range h.l1 {
-		h.l1[t] = make([]l1Line, cfg.L1Sets*cfg.L1Ways)
-	}
-	h.l2 = make([]l2Line, cfg.L2Sets*cfg.L2Ways)
+	h.l1Size = cfg.L1Sets * cfg.L1Ways
+	l1 := cfg.Threads * h.l1Size
+	h.l1Key = make([]uint64, l1)
+	h.l1Used = make([]uint64, l1)
+	h.l1Frame = make([]int32, l1)
+	h.l1Dirty = make([]bool, l1)
+	h.l1Skip = make([]bool, l1)
+	l2 := cfg.L2Sets * cfg.L2Ways
+	h.l2Key = make([]uint64, l2)
+	h.l2Used = make([]uint64, l2)
+	h.l2Dirty = make([]bool, l2)
+	h.l2Dir = make([]uint8, l2*cfg.Threads)
 	h.clocks = make([]float64, cfg.Threads)
 	return h
 }
@@ -157,104 +175,119 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 
 func (h *Hierarchy) line(addr uint64) uint64 { return addr >> h.lineShift }
 
-func (h *Hierarchy) l1Slot(lineNo uint64) (setBase int, tag uint64) {
-	return int(lineNo&h.l1SetMask) * h.cfg.L1Ways, lineNo >> h.l1SetBits
+// l1SetOff is lineNo's L1 set offset within any thread's L1.
+func (h *Hierarchy) l1SetOff(lineNo uint64) int {
+	return int(lineNo&h.l1SetMask) * h.cfg.L1Ways
 }
 
-func (h *Hierarchy) l2Slot(lineNo uint64) (setBase int, tag uint64) {
-	return int(lineNo&h.l2SetMask) * h.cfg.L2Ways, lineNo >> h.l2SetBits
+// findL1 returns the index of tid's L1 way holding lineNo, or -1.
+func (h *Hierarchy) findL1(tid int, lineNo uint64) int {
+	base := tid*h.l1Size + h.l1SetOff(lineNo)
+	key := lineNo>>h.l1SetBits + 1
+	for i, k := range h.l1Key[base : base+h.cfg.L1Ways] {
+		if k == key {
+			return base + i
+		}
+	}
+	return -1
 }
 
-func (h *Hierarchy) findL1(tid int, lineNo uint64) *l1Line {
-	base, tag := h.l1Slot(lineNo)
-	ways := h.l1[tid][base : base+h.cfg.L1Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return &ways[i]
+// findL2 returns the L2 frame holding lineNo, or -1.
+func (h *Hierarchy) findL2(lineNo uint64) int {
+	base := int(lineNo&h.l2SetMask) * h.cfg.L2Ways
+	key := lineNo>>h.l2SetBits + 1
+	for i, k := range h.l2Key[base : base+h.cfg.L2Ways] {
+		if k == key {
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (h *Hierarchy) findL2(lineNo uint64) *l2Line {
-	base, tag := h.l2Slot(lineNo)
-	ways := h.l2[base : base+h.cfg.L2Ways]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			return &ways[i]
-		}
+// frameOf returns the L2 frame holding lineNo, given own, the caller's L1
+// way for it or -1. By inclusion, a line with no frame has no L1 copies.
+func (h *Hierarchy) frameOf(own int, lineNo uint64) int {
+	if own >= 0 {
+		return int(h.l1Frame[own])
 	}
-	return nil
+	return h.findL2(lineNo)
 }
 
-// victimL1 returns the way to fill for lineNo in tid's L1, evicting as
-// needed (dirty victims move their dirty bit into L2).
-func (h *Hierarchy) victimL1(tid int, lineNo uint64) *l1Line {
-	base, tag := h.l1Slot(lineNo)
-	ways := h.l1[tid][base : base+h.cfg.L1Ways]
-	var victim *l1Line
-	for i := range ways {
-		if !ways[i].valid {
-			victim = &ways[i]
-			break
-		}
-		if victim == nil || ways[i].used < victim.used {
-			victim = &ways[i]
-		}
-	}
-	if victim.valid && victim.dirty {
-		// Victim writeback: the dirty data lands in L2 (inclusive).
-		victimLine := victim.tag<<h.l1SetBits | lineNo&h.l1SetMask
-		if l2 := h.findL2(victimLine); l2 != nil {
-			l2.dirty = true
-		} else {
-			// The L2 lost the line (inclusive eviction is modeled
-			// lazily); treat the victim as persisted via memory.
-			h.stats.FlushWrites++
-		}
-	}
-	victim.valid = false
-	victim.tag = tag
-	return victim
+// dir returns frame f's directory entries, one per thread.
+func (h *Hierarchy) dir(f int) []uint8 {
+	t := h.cfg.Threads
+	return h.l2Dir[f*t : f*t+t]
 }
 
-// fillL2 ensures lineNo is resident in L2, returning the entry and whether
-// it missed. A dirty L2 victim is written to memory; L1 copies of the victim
-// are invalidated (inclusion).
-func (h *Hierarchy) fillL2(lineNo uint64) (*l2Line, bool) {
-	if l := h.findL2(lineNo); l != nil {
-		return l, false
-	}
-	base, tag := h.l2Slot(lineNo)
-	ways := h.l2[base : base+h.cfg.L2Ways]
-	var victim *l2Line
-	for i := range ways {
-		if !ways[i].valid {
-			victim = &ways[i]
-			break
+// l1Way returns the index of the L1 way a directory entry w (nonzero) names
+// for thread t, in the L1 set at offset set.
+func (h *Hierarchy) l1Way(t, set int, w uint8) int {
+	return t*h.l1Size + set + int(w) - 1
+}
+
+// lruWay returns the way to fill among ways[base:base+n]: the first invalid
+// one, else the least recently used.
+func lruWay(keys, used []uint64, base, n int) int {
+	v := base
+	for i := base; i < base+n; i++ {
+		if keys[i] == 0 {
+			return i
 		}
-		if victim == nil || ways[i].used < victim.used {
-			victim = &ways[i]
+		if used[i] < used[v] {
+			v = i
 		}
 	}
-	if victim.valid {
-		victimLine := victim.tag<<h.l2SetBits | lineNo&h.l2SetMask
-		for t := 0; t < h.cfg.Threads; t++ {
-			if l1 := h.findL1(t, victimLine); l1 != nil {
-				if l1.dirty {
-					victim.dirty = true
-				}
-				l1.valid = false
+	return v
+}
+
+// fillL1 installs lineNo, held by L2 frame f, in tid's L1. A dirty victim's
+// data moves into the victim's own L2 frame, which inclusion guarantees.
+func (h *Hierarchy) fillL1(tid int, lineNo uint64, f int, dirty, skip bool) {
+	base := tid*h.l1Size + h.l1SetOff(lineNo)
+	v := lruWay(h.l1Key, h.l1Used, base, h.cfg.L1Ways)
+	if h.l1Key[v] != 0 {
+		vf := int(h.l1Frame[v])
+		if h.l1Dirty[v] {
+			h.l2Dirty[vf] = true
+		}
+		h.dir(vf)[tid] = 0
+	}
+	h.l1Key[v] = lineNo>>h.l1SetBits + 1
+	h.l1Used[v] = h.tick
+	h.l1Frame[v] = int32(f)
+	h.l1Dirty[v] = dirty
+	h.l1Skip[v] = skip
+	h.dir(f)[tid] = uint8(v-base) + 1
+}
+
+// fillL2 installs lineNo, which must be absent, in the L2 and returns its
+// frame. The victim's L1 copies are invalidated first (inclusion), their
+// dirty data merging into the victim, and a dirty victim is written to
+// memory.
+func (h *Hierarchy) fillL2(lineNo uint64) int {
+	base := int(lineNo&h.l2SetMask) * h.cfg.L2Ways
+	v := lruWay(h.l2Key, h.l2Used, base, h.cfg.L2Ways)
+	if k := h.l2Key[v]; k != 0 {
+		set := h.l1SetOff((k-1)<<h.l2SetBits | lineNo&h.l2SetMask)
+		dir := h.dir(v)
+		for t, w := range dir {
+			if w == 0 {
+				continue
 			}
+			i := h.l1Way(t, set, w)
+			if h.l1Dirty[i] {
+				h.l2Dirty[v] = true
+			}
+			h.l1Key[i] = 0
+			dir[t] = 0
 		}
-		if victim.dirty {
+		if h.l2Dirty[v] {
 			h.stats.FlushWrites++ // inclusive eviction writeback
 		}
 	}
-	victim.valid = true
-	victim.tag = tag
-	victim.dirty = false
-	return victim, true
+	h.l2Key[v] = lineNo>>h.l2SetBits + 1
+	h.l2Dirty[v] = false
+	return v
 }
 
 // Access models one 8-byte load or store by thread tid, charging its virtual
@@ -265,66 +298,61 @@ func (h *Hierarchy) Access(tid int, addr uint64, write bool) {
 	lineNo := h.line(addr)
 
 	own := h.findL1(tid, lineNo)
-	if own != nil && (!write || own.dirty) {
+	if own >= 0 && (!write || h.l1Dirty[own]) {
 		// Read hit, or write hit on a line we already own dirty.
-		own.used = h.tick
-		if write {
-			own.dirty = true
-		}
+		h.l1Used[own] = h.tick
 		h.clocks[tid] += h.cfg.L1Hit
 		h.stats.L1Hits++
 		return
 	}
 
+	// Visit the other copies. A write invalidates them (write-invalidate
+	// coherence), collecting remote dirty data into L2; a read miss
+	// pulls a remote dirty copy's data into L2 and leaves the copy clean.
 	cost := h.cfg.L1Hit
-	if write {
-		// Invalidate every other copy (write-invalidate coherence),
-		// collecting remote dirty data into L2.
-		for t := 0; t < h.cfg.Threads; t++ {
-			if t == tid {
+	remoteDirty := false
+	f := h.frameOf(own, lineNo)
+	if f >= 0 {
+		set := h.l1SetOff(lineNo)
+		dir := h.dir(f)
+		for t, w := range dir {
+			if w == 0 || t == tid {
 				continue
 			}
-			if other := h.findL1(t, lineNo); other != nil {
-				if other.dirty {
-					l2, _ := h.fillL2(lineNo)
-					l2.dirty = true
+			i := h.l1Way(t, set, w)
+			switch {
+			case write:
+				if h.l1Dirty[i] {
+					h.l2Dirty[f] = true
 					cost += h.cfg.Coherence
 				}
-				other.valid = false
+				h.l1Key[i] = 0
+				dir[t] = 0
+			case h.l1Dirty[i]:
+				remoteDirty = true
+				h.l2Dirty[f] = true
+				h.l1Dirty[i] = false
+				h.l1Skip[i] = false
 			}
 		}
 	}
 
-	if own != nil {
+	if own >= 0 {
 		// Write hit on a clean (possibly shared) line: an upgrade.
-		own.dirty = true
-		own.used = h.tick
+		h.l1Dirty[own] = true
+		h.l1Used[own] = h.tick
 		h.clocks[tid] += cost + h.cfg.Coherence/2
 		h.stats.L1Hits++
 		return
 	}
 
-	// L1 miss: find the data. A dirty copy in another L1 is the expensive
-	// coherence path; otherwise L2, otherwise memory.
-	skip := true
-	var remoteDirty bool
-	for t := 0; t < h.cfg.Threads; t++ {
-		if t == tid {
-			continue
-		}
-		if other := h.findL1(t, lineNo); other != nil && other.dirty {
-			remoteDirty = true
-			l2, _ := h.fillL2(lineNo)
-			l2.dirty = true
-			other.dirty = false
-			other.skip = false
-			if write {
-				other.valid = false
-			}
-		}
+	// L1 miss: a dirty copy in another L1 is the expensive coherence
+	// path; otherwise L2, otherwise memory.
+	missed := f < 0
+	if missed {
+		f = h.fillL2(lineNo)
 	}
-	l2, missed := h.fillL2(lineNo)
-	l2.used = h.tick
+	h.l2Used[f] = h.tick
 	switch {
 	case remoteDirty:
 		cost += h.cfg.L2Hit + h.cfg.Coherence
@@ -338,13 +366,7 @@ func (h *Hierarchy) Access(tid int, addr uint64, write bool) {
 	}
 	// GrantData vs GrantDataDirty (§6.1): the skip bit is set only when
 	// the granted line is not dirty in L2.
-	skip = !l2.dirty
-
-	v := h.victimL1(tid, lineNo)
-	v.valid = true
-	v.dirty = write
-	v.skip = skip
-	v.used = h.tick
+	h.fillL1(tid, lineNo, f, write, !h.l2Dirty[f])
 	h.clocks[tid] += cost
 }
 
@@ -359,7 +381,7 @@ func (h *Hierarchy) Flush(tid int, addr uint64, clean, skipItHW bool) {
 	lineNo := h.line(addr)
 
 	own := h.findL1(tid, lineNo)
-	if skipItHW && own != nil && !own.dirty && own.skip {
+	if skipItHW && own >= 0 && !h.l1Dirty[own] && h.l1Skip[own] {
 		h.clocks[tid] += h.cfg.CboPipeline
 		h.stats.FlushDropsL1++
 		return
@@ -367,27 +389,31 @@ func (h *Hierarchy) Flush(tid int, addr uint64, clean, skipItHW bool) {
 
 	// Collect dirtiness across the hierarchy.
 	dirty := false
-	for t := 0; t < h.cfg.Threads; t++ {
-		if l := h.findL1(t, lineNo); l != nil {
-			if l.dirty {
+	if f := h.frameOf(own, lineNo); f >= 0 {
+		set := h.l1SetOff(lineNo)
+		dir := h.dir(f)
+		for t, w := range dir {
+			if w == 0 {
+				continue
+			}
+			i := h.l1Way(t, set, w)
+			if h.l1Dirty[i] {
 				dirty = true
 			}
-			l.dirty = false
+			h.l1Dirty[i] = false
 			if clean {
-				l.skip = t == tid // §6.1: the requester's ack sets its bit
+				h.l1Skip[i] = t == tid // §6.1: the requester's ack sets its bit
 			} else {
-				l.valid = false
+				h.l1Key[i] = 0
+				dir[t] = 0
 			}
 		}
-	}
-	l2 := h.findL2(lineNo)
-	if l2 != nil {
-		if l2.dirty {
+		if h.l2Dirty[f] {
 			dirty = true
 		}
-		l2.dirty = false
+		h.l2Dirty[f] = false
 		if !clean {
-			l2.valid = false
+			h.l2Key[f] = 0
 		}
 	}
 
@@ -416,13 +442,18 @@ func (h *Hierarchy) AddCycles(tid int, c float64) {
 // cache level — the predicate a correct flush-elision scheme must respect.
 func (h *Hierarchy) DirtyAnywhere(addr uint64) bool {
 	lineNo := h.line(addr)
-	for t := 0; t < h.cfg.Threads; t++ {
-		if l := h.findL1(t, lineNo); l != nil && l.dirty {
+	f := h.findL2(lineNo)
+	if f < 0 {
+		return false
+	}
+	if h.l2Dirty[f] {
+		return true
+	}
+	set := h.l1SetOff(lineNo)
+	for t, w := range h.dir(f) {
+		if w != 0 && h.l1Dirty[h.l1Way(t, set, w)] {
 			return true
 		}
-	}
-	if l := h.findL2(lineNo); l != nil && l.dirty {
-		return true
 	}
 	return false
 }
@@ -448,8 +479,10 @@ func (h *Hierarchy) Stats() Stats {
 	return h.stats
 }
 
-// ResetClocks zeroes the virtual clocks (e.g. after warmup) while keeping
-// cache state.
+// ResetClocks zeroes the virtual clocks and the Stats counters while keeping
+// cache state, so a measurement can start after a warm-up: RunPersistConfig
+// calls it after the prefill, and its Flushes and Elided count the timed
+// phase alone.
 func (h *Hierarchy) ResetClocks() {
 	for i := range h.clocks {
 		h.clocks[i] = 0

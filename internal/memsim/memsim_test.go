@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -294,11 +295,15 @@ func TestSkipDropImpliesNotDirtyProperty(t *testing.T) {
 			case 3:
 				h.Flush(tid, addr, false, true)
 			}
+			if err := h.checkDirectory(); err != nil {
+				t.Log(err)
+				return false
+			}
 			// Check the §6.2 predicate for every line and thread.
 			for _, a := range lines {
 				for t2 := 0; t2 < 2; t2++ {
-					l := h.findL1(t2, h.line(a))
-					if l != nil && l.valid && !l.dirty && l.skip && h.DirtyAnywhere(a) {
+					l := h.l1State(t2, a)
+					if l.valid && !l.dirty && l.skip && h.DirtyAnywhere(a) {
 						return false
 					}
 				}
@@ -325,7 +330,7 @@ func TestFourThreadCoherenceRotation(t *testing.T) {
 	// Exactly one dirty copy exists.
 	holders := 0
 	for tid := 0; tid < 4; tid++ {
-		if l := h.findL1(tid, h.line(0x1000)); l != nil && l.valid {
+		if l := h.l1State(tid, 0x1000); l.valid {
 			holders++
 			if !l.dirty {
 				t.Fatal("final owner not dirty")
@@ -346,7 +351,7 @@ func TestL2EvictionInvalidatesL1Copies(t *testing.T) {
 	for i := uint64(1); i <= uint64(h.cfg.L2Ways); i++ {
 		h.Access(0, i*stride, false)
 	}
-	if l := h.findL1(0, 0); l != nil && l.valid {
+	if h.l1State(0, 0).valid {
 		t.Fatal("L1 kept a line the inclusive L2 evicted")
 	}
 }
@@ -398,6 +403,9 @@ func TestGoldenOpStream(t *testing.T) {
 		default:
 			h.AddCycles(tid, float64(rng.Intn(10)))
 		}
+		if err := h.checkDirectory(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
 	}
 	want := Stats{
 		Accesses: 6242, L1Hits: 917, L2Hits: 1605, MemFills: 3200, CoherenceMisses: 520,
@@ -413,25 +421,92 @@ func TestGoldenOpStream(t *testing.T) {
 	}
 }
 
-// TestNewRejectsNonPowerOfTwoGeometry: set indices and tags are shifts and
-// masks, so a geometry they cannot express must be refused at construction
-// rather than silently aliasing sets.
-func TestNewRejectsNonPowerOfTwoGeometry(t *testing.T) {
+// TestNewRejectsBadGeometry: set indices and tags are shifts and masks, so
+// a geometry they cannot express must be refused at construction rather than
+// silently aliasing sets. A way count the arrays cannot hold (none, a
+// negative one, or more L1 ways than a directory entry can name) must be
+// refused too, rather than failing on the first miss.
+func TestNewRejectsBadGeometry(t *testing.T) {
 	for name, bad := range map[string]func(*Config){
-		"LineBytes": func(c *Config) { c.LineBytes = 48 },
-		"L1Sets":    func(c *Config) { c.L1Sets = 48 },
-		"L2Sets":    func(c *Config) { c.L2Sets = 1000 },
+		"non-power-of-two LineBytes": func(c *Config) { c.LineBytes = 48 },
+		"non-power-of-two L1Sets":    func(c *Config) { c.L1Sets = 48 },
+		"non-power-of-two L2Sets":    func(c *Config) { c.L2Sets = 1000 },
+		"zero L1Ways":                func(c *Config) { c.L1Ways = 0 },
+		"negative L1Ways":            func(c *Config) { c.L1Ways = -1 },
+		"256 L1Ways":                 func(c *Config) { c.L1Ways = 256 },
+		"zero L2Ways":                func(c *Config) { c.L2Ways = 0 },
+		"negative L2Ways":            func(c *Config) { c.L2Ways = -1 },
 	} {
 		cfg := DefaultConfig(2)
 		bad(&cfg)
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("New accepted a non-power-of-two %s", name)
+					t.Errorf("New accepted a %s", name)
 				}
 			}()
 			New(cfg)
 		}()
 	}
 	New(DefaultConfig(2))
+	cfg := DefaultConfig(2)
+	cfg.L1Sets, cfg.L1Ways = 1, 255
+	New(cfg).Access(0, 0, true)
+}
+
+// l1Line is one L1 way's state as the tests see it.
+type l1Line struct{ valid, dirty, skip bool }
+
+// l1State returns the state of tid's L1 copy of addr's line; valid is false
+// when tid holds no copy.
+func (h *Hierarchy) l1State(tid int, addr uint64) l1Line {
+	i := h.findL1(tid, h.line(addr))
+	if i < 0 {
+		return l1Line{}
+	}
+	return l1Line{valid: true, dirty: h.l1Dirty[i], skip: h.l1Skip[i]}
+}
+
+// checkDirectory checks the L2 directory against the L1s: each valid L1
+// way's frame holds the way's line and records the way, and each recorded
+// way is valid and holds its frame's line. Inclusion follows: every valid
+// L1 line is in the L2.
+func (h *Hierarchy) checkDirectory() error {
+	threads, ways := h.cfg.Threads, h.cfg.L1Ways
+	for t := 0; t < threads; t++ {
+		for set := 0; set < h.cfg.L1Sets; set++ {
+			for w := 0; w < ways; w++ {
+				i := t*h.l1Size + set*ways + w
+				if h.l1Key[i] == 0 {
+					continue
+				}
+				lineNo := (h.l1Key[i]-1)<<h.l1SetBits | uint64(set)
+				f := int(h.l1Frame[i])
+				if got := h.findL2(lineNo); got != f {
+					return fmt.Errorf("thread %d L1 way %d holds line %#x and names frame %d, but the L2 holds it in frame %d",
+						t, i, lineNo, f, got)
+				}
+				if got := h.dir(f)[t]; got != uint8(w+1) {
+					return fmt.Errorf("thread %d L1 way %d holds line %#x, but frame %d records way %d for it",
+						t, i, lineNo, f, int(got)-1)
+				}
+			}
+		}
+	}
+	for f, key := range h.l2Key {
+		for t, w := range h.dir(f) {
+			if w == 0 {
+				continue
+			}
+			if key == 0 || int(w) > ways {
+				return fmt.Errorf("frame %d (key %d) records way %d for thread %d", f, key, int(w)-1, t)
+			}
+			lineNo := (key-1)<<h.l2SetBits | uint64(f/h.cfg.L2Ways)
+			if h.l1Key[h.l1Way(t, h.l1SetOff(lineNo), w)] != lineNo>>h.l1SetBits+1 {
+				return fmt.Errorf("frame %d records thread %d's way %d for line %#x, which that way does not hold",
+					f, t, int(w)-1, lineNo)
+			}
+		}
+	}
+	return nil
 }

@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"skipit/internal/stats"
@@ -24,6 +26,11 @@ const (
 	// schema) changed, so the cycle counts are not comparable. The gate
 	// fails: an intentional perf change must refresh the baseline.
 	StatusMismatch Status = "mismatch"
+	// StatusDerived: the cycles pass, but a derived metric was added,
+	// dropped, or moved beyond tolerance. The gate fails: Figs. 14–16 plot
+	// Derived["mops"], and a changed flush or elision count is a changed
+	// result too.
+	StatusDerived Status = "derived"
 	// StatusNew: present only in the current run.
 	StatusNew Status = "new"
 	// StatusMissing: present only in the baseline (e.g. the gate targeted a
@@ -38,6 +45,9 @@ type Delta struct {
 	Current  float64
 	DeltaPct float64
 	Status   Status
+	// Derived names, on a StatusDerived row, the first derived metric that
+	// differs and its two values ("threads: 8 -> 1").
+	Derived string
 }
 
 // Comparison is the regression gate's verdict over a whole sweep.
@@ -47,6 +57,7 @@ type Comparison struct {
 	Regressions  int
 	Mismatches   int
 	Improved     int
+	Derived      int
 	New          int
 	Missing      int
 }
@@ -65,7 +76,8 @@ func key(r Record) string {
 // identical fingerprints; a fingerprint mismatch is its own failure mode
 // (the baseline describes a different configuration). A regression is a
 // cycle-count increase beyond tolerancePct percent, an improvement a
-// decrease beyond it.
+// decrease beyond it. A record whose cycles pass still fails when a derived
+// metric was added, dropped, or moved by more than tolerancePct percent.
 func Compare(baseline, current []Record, tolerancePct float64) Comparison {
 	cmp := Comparison{TolerancePct: tolerancePct}
 	base := make(map[string]Record, len(baseline))
@@ -94,7 +106,13 @@ func Compare(baseline, current []Record, tolerancePct float64) Comparison {
 			d.Status = StatusImproved
 			cmp.Improved++
 		default:
-			d.Status = StatusOK
+			d.Derived = derivedDiff(b.Derived, cur.Derived, tolerancePct)
+			if d.Derived != "" {
+				d.Status = StatusDerived
+				cmp.Derived++
+			} else {
+				d.Status = StatusOK
+			}
 		}
 		cmp.Deltas = append(cmp.Deltas, d)
 	}
@@ -107,21 +125,49 @@ func Compare(baseline, current []Record, tolerancePct float64) Comparison {
 	return cmp
 }
 
+// derivedDiff describes the first derived key, in sorted order, that only
+// one of base and cur has or whose value moved by more than tolerancePct
+// percent; it returns "" when there is none.
+func derivedDiff(base, cur map[string]float64, tolerancePct float64) string {
+	keys := make([]string, 0, len(base)+len(cur))
+	for k := range base {
+		keys = append(keys, k)
+	}
+	for k := range cur {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		b, inBase := base[k]
+		c, inCur := cur[k]
+		switch {
+		case !inBase:
+			return fmt.Sprintf("%s: none -> %g", k, c)
+		case !inCur:
+			return fmt.Sprintf("%s: %g -> none", k, b)
+		case !(math.Abs(stats.PctDelta(b, c)) <= tolerancePct): // NaN fails too
+			return fmt.Sprintf("%s: %g -> %g", k, b, c)
+		}
+	}
+	return ""
+}
+
 // OK reports whether the gate passes: no cycle-count change beyond the
-// tolerance in either direction, and no fingerprint mismatches. New and
-// missing points pass, so a run over a figure subset can be gated.
+// tolerance in either direction, no derived-metric change, and no
+// fingerprint mismatches. New and missing points pass, so a run over a
+// figure subset can be gated.
 func (c Comparison) OK() bool {
-	return c.Regressions == 0 && c.Improved == 0 && c.Mismatches == 0
+	return c.Regressions == 0 && c.Improved == 0 && c.Mismatches == 0 && c.Derived == 0
 }
 
 // String renders the summary line plus every non-ok delta (ok rows are
 // elided — a full quick sweep has hundreds).
 func (c Comparison) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "gate: tolerance %.1f%%, %d points: %d ok, %d regressions, %d mismatches, %d improved, %d new, %d missing",
+	fmt.Fprintf(&sb, "gate: tolerance %.1f%%, %d points: %d ok, %d regressions, %d mismatches, %d improved, %d derived, %d new, %d missing",
 		c.TolerancePct, len(c.Deltas),
-		len(c.Deltas)-c.Regressions-c.Mismatches-c.Improved-c.New-c.Missing,
-		c.Regressions, c.Mismatches, c.Improved, c.New, c.Missing)
+		len(c.Deltas)-c.Regressions-c.Mismatches-c.Improved-c.Derived-c.New-c.Missing,
+		c.Regressions, c.Mismatches, c.Improved, c.Derived, c.New, c.Missing)
 	for _, d := range c.Deltas {
 		switch d.Status {
 		case StatusOK:
@@ -132,6 +178,8 @@ func (c Comparison) String() string {
 		case StatusMismatch:
 			fmt.Fprintf(&sb, "\n  %-10s %-44s fingerprint changed (config or schema); refresh the baseline",
 				"MISMATCH", d.Name)
+		case StatusDerived:
+			fmt.Fprintf(&sb, "\n  %-10s %-44s derived %s", "DERIVED", d.Name, d.Derived)
 		case StatusNew:
 			fmt.Fprintf(&sb, "\n  %-10s %-44s %12.0f cycles (not in baseline)", "NEW", d.Name, d.Current)
 		case StatusMissing:

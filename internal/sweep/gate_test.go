@@ -14,12 +14,18 @@ func rec(name, fp string, cycles float64) Record {
 }
 
 func TestCompareClassifiesDeltas(t *testing.T) {
+	relabelled := func(threads float64) Record {
+		r := rec("relabelled", "f", 100)
+		r.Derived = map[string]float64{"threads": threads}
+		return r
+	}
 	baseline := []Record{
 		rec("ok", "f", 100),
 		rec("slow", "f", 100),
 		rec("fast", "f", 100),
 		rec("drift", "f1", 100),
 		rec("gone", "f", 100),
+		relabelled(8),
 	}
 	current := []Record{
 		rec("ok", "f", 105),
@@ -27,11 +33,13 @@ func TestCompareClassifiesDeltas(t *testing.T) {
 		rec("fast", "f", 70),
 		rec("drift", "f2", 100),
 		rec("fresh", "f", 10),
+		relabelled(1),
 	}
 	cmp := Compare(baseline, current, 10)
 	want := map[string]Status{
 		"ok": StatusOK, "slow": StatusRegression, "fast": StatusImproved,
 		"drift": StatusMismatch, "gone": StatusMissing, "fresh": StatusNew,
+		"relabelled": StatusDerived,
 	}
 	got := map[string]Status{}
 	for _, d := range cmp.Deltas {
@@ -45,11 +53,11 @@ func TestCompareClassifiesDeltas(t *testing.T) {
 	if cmp.OK() {
 		t.Fatal("gate passed despite a regression, an improvement and a mismatch")
 	}
-	if cmp.Regressions != 1 || cmp.Mismatches != 1 || cmp.Improved != 1 || cmp.New != 1 || cmp.Missing != 1 {
+	if cmp.Regressions != 1 || cmp.Mismatches != 1 || cmp.Improved != 1 || cmp.Derived != 1 || cmp.New != 1 || cmp.Missing != 1 {
 		t.Fatalf("counts = %+v", cmp)
 	}
 	out := cmp.String()
-	for _, frag := range []string{"REGRESSION", "MISMATCH", "slow", "+25.0%"} {
+	for _, frag := range []string{"REGRESSION", "MISMATCH", "slow", "+25.0%", "DERIVED", "threads: 8 -> 1", "1 ok,"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("summary missing %q:\n%s", frag, out)
 		}
@@ -138,5 +146,41 @@ func TestGateCatchesInflatedLatencyConstant(t *testing.T) {
 	slower.Cycles = 200
 	if cmp := Compare(baseline, []Record{slower}, 10); cmp.OK() || cmp.Regressions != 1 {
 		t.Fatalf("2x cycle regression passed the gate: %+v", cmp)
+	}
+}
+
+// A record whose cycles match still fails the gate when its derived metrics
+// changed: Figs. 14–16 plot Derived["mops"]. A key added, a key dropped and
+// a value moved beyond the tolerance each fail, and the report names the
+// key; a move within the tolerance passes.
+func TestCompareFailsOnDerivedChange(t *testing.T) {
+	withDerived := func(derived map[string]float64) Record {
+		r := rec("fig14/bst/automatic/skipit", "f", 100)
+		r.Derived = derived
+		return r
+	}
+	baseline := []Record{withDerived(map[string]float64{"mops": 2, "threads": 8})}
+	for name, tc := range map[string]struct {
+		derived map[string]float64
+		tol     float64
+		key     string
+	}{
+		"moved":          {map[string]float64{"mops": 2, "threads": 1}, 0, "threads: 8 -> 1"},
+		"moved past 10%": {map[string]float64{"mops": 2.5, "threads": 8}, 10, "mops: 2 -> 2.5"},
+		"added":          {map[string]float64{"mops": 2, "threads": 8, "elided": 3}, 0, "elided: none -> 3"},
+		"dropped":        {map[string]float64{"threads": 8}, 0, "mops: 2 -> none"},
+		"all gone":       {nil, 0, "mops: 2 -> none"},
+	} {
+		cmp := Compare(baseline, []Record{withDerived(tc.derived)}, tc.tol)
+		if cmp.OK() || cmp.Deltas[0].Status == StatusOK {
+			t.Errorf("%s: derived change passed the gate: %s", name, cmp)
+		}
+		if !strings.Contains(cmp.String(), tc.key) {
+			t.Errorf("%s: report does not name %q:\n%s", name, tc.key, cmp)
+		}
+	}
+	within := []Record{withDerived(map[string]float64{"mops": 2.1, "threads": 8})}
+	if cmp := Compare(baseline, within, 10); !cmp.OK() {
+		t.Errorf("a 5%% derived move failed a 10%% gate: %s", cmp)
 	}
 }

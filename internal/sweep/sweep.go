@@ -9,18 +9,24 @@
 //   - Job: one named measurement (a figure point, an ablation cell) carrying
 //     a canonical config fingerprint (see Fingerprint), so the gate can tell
 //     a changed configuration from a changed result.
-//   - Runner: a bounded worker pool that measures every job afresh,
-//     concurrently, and collects results in submission order, so the output
-//     is bit-identical to serial execution.
+//   - Runner: a bounded worker pool that measures each distinct
+//     configuration (each distinct fingerprint) once per run, concurrently,
+//     copies that result to every later job sharing the fingerprint, and
+//     collects results in submission order, so the output is bit-identical
+//     to serial execution. Nothing outlives a run: the next run measures
+//     afresh.
 //   - Compare: the regression gate — a delta table between a baseline File
 //     (BENCH_quick.json) and the current records, failing on any cycle-count
-//     change beyond a tolerance, in either direction, and on fingerprint
-//     drift, which means the baseline must be refreshed.
+//     change beyond a tolerance, in either direction, on any derived-metric
+//     change, and on fingerprint drift, which means the baseline must be
+//     refreshed.
 package sweep
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 
 	"skipit/internal/metrics"
@@ -44,8 +50,10 @@ type Job struct {
 	Series string
 	X      string
 	// Fingerprint is the canonical hash of everything that determines this
-	// job's result (see Fingerprint). Compare fails on a record whose
-	// fingerprint differs from the baseline's.
+	// job's result (see Fingerprint): two jobs with one non-empty
+	// fingerprint must return equal Outcomes, and Runner measures only the
+	// first of them. Compare fails on a record whose fingerprint differs
+	// from the baseline's.
 	Fingerprint string
 	// Run performs the measurement. The sink may be nil. Run must be
 	// self-contained: it owns every simulator instance it creates and
@@ -123,18 +131,36 @@ type ProgressEvent struct {
 // records are bit-identical to what serial execution produces; only
 // wall-clock time depends on Workers. Errors (including recovered panics)
 // are captured per job, never propagated across jobs.
+//
+// Only the first job of each non-empty fingerprint runs. Once every such job
+// has finished, each later job sharing its fingerprint gets a copy of its
+// result (cycles, error, and deep copies of the derived metrics and
+// snapshots) under its own group, name, series and x, in submission order,
+// with its own running and done (or failed) events.
 func (r Runner) Run(jobs []Job) []JobResult {
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	results := make([]JobResult, len(jobs))
+	// first[i] is the job whose result jobs[i] takes: the earliest job with
+	// the same non-empty fingerprint, else i itself.
+	first := make([]int, len(jobs))
+	byFingerprint := make(map[string]int, len(jobs))
 	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := range jobs {
 		job := jobs[i]
 		res := &results[i]
 		res.Group = job.Group
+		first[i] = i
+		if job.Fingerprint != "" {
+			if j, ok := byFingerprint[job.Fingerprint]; ok {
+				first[i] = j
+				continue
+			}
+			byFingerprint[job.Fingerprint] = i
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -150,7 +176,60 @@ func (r Runner) Run(jobs []Job) []JobResult {
 		}(i)
 	}
 	wg.Wait()
+	for i, j := range first {
+		if j == i {
+			continue
+		}
+		r.notify(i, len(jobs), jobs[i], "running")
+		copyResult(&results[i], &results[j], jobs[i])
+		if results[i].Err != nil {
+			r.notify(i, len(jobs), jobs[i], "failed")
+		} else {
+			r.notify(i, len(jobs), jobs[i], "done")
+		}
+	}
 	return results
+}
+
+// copyResult gives job the measured result src of an earlier job with the
+// same fingerprint. The copy shares no map or slice with src.
+func copyResult(dst, src *JobResult, job Job) {
+	dst.Err = src.Err
+	if src.Err == nil {
+		dst.Record = src.Record
+		dst.Record.Group, dst.Record.Name = job.Group, job.Name
+		dst.Record.Series, dst.Record.X = job.Series, job.X
+		dst.Record.Derived = maps.Clone(src.Record.Derived)
+	}
+	for _, ls := range src.Snaps {
+		dst.Snaps = append(dst.Snaps, LabeledSnapshot{Label: ls.Label, Snapshot: cloneSnapshot(ls.Snapshot)})
+	}
+}
+
+// cloneSnapshot returns a deep copy of s.
+func cloneSnapshot(s metrics.Snapshot) metrics.Snapshot {
+	c := s
+	c.Counters = maps.Clone(s.Counters)
+	c.Gauges = maps.Clone(s.Gauges)
+	c.Derived = maps.Clone(s.Derived)
+	if s.Histograms != nil {
+		c.Histograms = make(map[string]metrics.HistogramSnapshot, len(s.Histograms))
+		for k, hs := range s.Histograms {
+			hs.Bounds = slices.Clone(hs.Bounds)
+			hs.Buckets = slices.Clone(hs.Buckets)
+			c.Histograms[k] = hs
+		}
+	}
+	if s.Series != nil {
+		c.Series = make([]metrics.SeriesSnapshot, len(s.Series))
+		for i, ss := range s.Series {
+			ss.Cycles = slices.Clone(ss.Cycles)
+			ss.Values = slices.Clone(ss.Values)
+			ss.Deltas = slices.Clone(ss.Deltas)
+			c.Series[i] = ss
+		}
+	}
+	return c
 }
 
 // notify delivers one progress event, if a listener is installed.

@@ -81,9 +81,9 @@ func TestRunnerOverlapsJobs(t *testing.T) {
 	}
 }
 
-// Every run measures every point: running the same jobs twice executes each
-// job twice, and the second run reports what the second execution measured.
-// Nothing carries over from one run to the next.
+// Every run measures every distinct point: running the same jobs twice
+// executes each job twice, and the second run reports what the second
+// execution measured. Nothing carries over from one run to the next.
 func TestRunnerMeasuresEveryRun(t *testing.T) {
 	var mu sync.Mutex
 	runs := map[string]int{}
@@ -143,11 +143,15 @@ func TestRunnerSnapshotsOnlyWhenAsked(t *testing.T) {
 }
 
 // A job that succeeds goes running then done, and every event names its
-// job's index, group and name and the sweep's total.
+// job's index, group and name and the sweep's total. Copies of a measured
+// job (d and e share a's fingerprint) do too, last and in index order.
 func TestRunnerProgressRunningThenDone(t *testing.T) {
-	jobs := []Job{constJob("g", "a", 1), constJob("h", "b", 2), constJob("g", "c", 3)}
+	jobs := []Job{constJob("g", "a", 1), constJob("h", "b", 2), constJob("g", "c", 3),
+		constJob("g", "d", 1), constJob("g", "e", 1)}
+	jobs[3].Fingerprint, jobs[4].Fingerprint = jobs[0].Fingerprint, jobs[0].Fingerprint
 	var mu sync.Mutex
 	states := map[int][]string{}
+	var last []string
 	runner := Runner{
 		Workers: 2,
 		Progress: func(ev ProgressEvent) {
@@ -157,6 +161,7 @@ func TestRunnerProgressRunningThenDone(t *testing.T) {
 				t.Errorf("event %+v does not describe job %d of %d", ev, ev.Index, len(jobs))
 			}
 			states[ev.Index] = append(states[ev.Index], ev.State)
+			last = append(last, ev.Name+" "+ev.State)
 		},
 	}
 	if err := FirstError(runner.Run(jobs)); err != nil {
@@ -166,6 +171,9 @@ func TestRunnerProgressRunningThenDone(t *testing.T) {
 		if want := []string{"running", "done"}; !reflect.DeepEqual(states[i], want) {
 			t.Errorf("job %d progress states %v, want %v", i, states[i], want)
 		}
+	}
+	if want := []string{"d running", "d done", "e running", "e done"}; !reflect.DeepEqual(last[len(last)-4:], want) {
+		t.Errorf("last events %v, want %v", last[len(last)-4:], want)
 	}
 }
 
@@ -212,5 +220,112 @@ func TestRunnerHangErrorReachesProgress(t *testing.T) {
 	var hang *sim.HangError
 	if !errors.As(results[0].Err, &hang) || hang.Report != report {
 		t.Fatalf("hang lost its type or report through the runner: %v", results[0].Err)
+	}
+}
+
+// dupJobs returns jobs a, b, c, d and e: b and d share a's fingerprint, e has
+// none, and each run is counted in runs. Every job emits one snapshot and
+// returns one derived metric.
+func dupJobs(runs map[string]int, mu *sync.Mutex, err error) []Job {
+	job := func(name, fp string) Job {
+		return Job{
+			Group: "g-" + name, Name: name, Series: "s-" + name, X: "x-" + name, Fingerprint: fp,
+			Run: func(sink Sink) (Outcome, error) {
+				mu.Lock()
+				runs[name]++
+				mu.Unlock()
+				if sink != nil {
+					sink("label", metrics.Snapshot{Cycle: 7,
+						Counters:   map[string]uint64{"c": 1},
+						Histograms: map[string]metrics.HistogramSnapshot{"h": {Count: 1, Buckets: []uint64{1, 0}}},
+						Series:     []metrics.SeriesSnapshot{{Key: "c", Values: []uint64{1}}},
+					})
+				}
+				if err != nil && name == "a" {
+					return Outcome{}, err
+				}
+				return Outcome{Cycles: 42, Sigma: 1.5, Reps: 3, Derived: map[string]float64{"mops": 2}}, nil
+			},
+		}
+	}
+	return []Job{job("a", "fa"), job("b", "fa"), job("c", "fc"), job("d", "fa"), job("e", "")}
+}
+
+// Jobs that share a fingerprint run once per run; each later one gets the
+// first one's outcome under its own identity. Jobs without a fingerprint
+// always run.
+func TestRunnerMeasuresEachFingerprintOnce(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		var mu sync.Mutex
+		runs := map[string]int{}
+		jobs := dupJobs(runs, &mu, nil)
+		jobs = append(jobs, jobs[4])
+		jobs[5].Name = "f"
+		results := Runner{Workers: workers, WithSnapshots: true}.Run(jobs)
+		if want := map[string]int{"a": 1, "c": 1, "e": 2}; !reflect.DeepEqual(runs, want) {
+			t.Fatalf("workers=%d: jobs ran %v, want %v", workers, runs, want)
+		}
+		for i, res := range results {
+			j := jobs[i]
+			want := Record{Group: j.Group, Name: j.Name, Fingerprint: j.Fingerprint, Series: j.Series, X: j.X,
+				Cycles: 42, Sigma: 1.5, Reps: 3, Derived: map[string]float64{"mops": 2}}
+			if res.Err != nil || res.Group != j.Group || !reflect.DeepEqual(res.Record, want) {
+				t.Errorf("workers=%d: job %d result %+v, want record %+v", workers, i, res, want)
+			}
+			if len(res.Snaps) != 1 || res.Snaps[0].Label != "label" || res.Snaps[0].Snapshot.Counters["c"] != 1 {
+				t.Errorf("workers=%d: job %d snapshots %+v", workers, i, res.Snaps)
+			}
+		}
+	}
+}
+
+// A copied result shares no map or slice with the result it was copied from:
+// editing one result's derived metrics or snapshot leaves all others alone.
+func TestRunnerCopiesShareNothing(t *testing.T) {
+	var mu sync.Mutex
+	run := func() []JobResult {
+		return Runner{Workers: 2, WithSnapshots: true}.Run(dupJobs(map[string]int{}, &mu, nil))
+	}
+	for i := range 5 {
+		results, want := run(), run()
+		results[i].Record.Derived["mops"] = -1
+		results[i].Record.Derived["extra"] = 1
+		snap := results[i].Snaps[0].Snapshot
+		snap.Counters["c"] = 99
+		snap.Histograms["h"].Buckets[0] = 99
+		snap.Series[0].Values[0] = 99
+		for j := range results {
+			if j != i && !reflect.DeepEqual(results[j], want[j]) {
+				t.Fatalf("editing result %d changed result %d: %+v", i, j, results[j])
+			}
+		}
+	}
+}
+
+// The first job's error reaches every job sharing its fingerprint, and each
+// copy reports failed.
+func TestRunnerCopiesCarryTheError(t *testing.T) {
+	var mu sync.Mutex
+	boom := errors.New("boom")
+	failed := map[string]bool{}
+	runner := Runner{Workers: 2, Progress: func(ev ProgressEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.State == "failed" {
+			failed[ev.Name] = true
+		}
+	}}
+	results := runner.Run(dupJobs(map[string]int{}, &mu, boom))
+	for i, name := range []string{"a", "b", "c", "d", "e"} {
+		err, wantErr := results[i].Err, name == "a" || name == "b" || name == "d"
+		if wantErr && !errors.Is(err, boom) || !wantErr && err != nil {
+			t.Errorf("job %s: error %v, want boom: %v", name, err, wantErr)
+		}
+		if failed[name] != wantErr {
+			t.Errorf("job %s: failed event %v, want %v", name, failed[name], wantErr)
+		}
+	}
+	if got := Records(results); len(got) != 2 || got[0].Name != "c" || got[1].Name != "e" {
+		t.Fatalf("Records = %+v, want c and e", got)
 	}
 }
