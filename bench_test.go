@@ -145,7 +145,7 @@ func BenchmarkFig13SkipItMicro(b *testing.B) {
 // hash table (5% updates, 2 threads): Skip It vs FliT vs plain.
 func BenchmarkFig14Structures(b *testing.B) {
 	set(b, &bench.PersistOpsPerThr, 4000)
-	benchPoints(b, bench.Fig14Jobs(), "Mops/s", recordMops,
+	benchPoints(b, bench.Fig14Jobs(bench.Prefills{}), "Mops/s", recordMops,
 		point{"plain", "hash-table/automatic/plain"},
 		point{"flit-hash", "hash-table/automatic/flit-hash"},
 		point{"link-and-persist", "hash-table/automatic/link-and-persist"},
@@ -156,7 +156,7 @@ func BenchmarkFig14Structures(b *testing.B) {
 // read-only vs update-only throughput under Skip It.
 func BenchmarkFig15UpdateSweep(b *testing.B) {
 	set(b, &bench.PersistOpsPerThr, 4000)
-	benchPoints(b, bench.Fig15Jobs([]int{0, 50}), "Mops/s", recordMops,
+	benchPoints(b, bench.Fig15Jobs(bench.Prefills{}, []int{0, 50}), "Mops/s", recordMops,
 		point{"reads", "bst/skipit/upd0"}, point{"updates", "bst/skipit/upd50"})
 }
 
@@ -164,7 +164,7 @@ func BenchmarkFig15UpdateSweep(b *testing.B) {
 // FliT with a small vs large counter table.
 func BenchmarkFig16FliTSensitivity(b *testing.B) {
 	set(b, &bench.PersistOpsPerThr, 4000)
-	recs := runJobs(b, bench.Fig16Jobs([]uint64{1 << 6, 1 << 16}), "flit-table64", "flit-table65536")
+	recs := runJobs(b, bench.Fig16Jobs(bench.Prefills{}, []uint64{1 << 6, 1 << 16}), "flit-table64", "flit-table65536")
 	b.ReportMetric(recordMops(recs["flit-table64"]), "Mops/s-tiny-table")
 	b.ReportMetric(recordMops(recs["flit-table65536"]), "Mops/s-large-table")
 }

@@ -147,7 +147,7 @@ func TestManualModeNearBaseline(t *testing.T) {
 // §7.4: link-and-persist cannot be applied to the BST. Both grids that cross
 // structures with elision schemes must leave out that pair, and only it.
 func TestFig14SkipsLAPForBST(t *testing.T) {
-	for _, jobs := range [][]sweep.Job{Fig14Jobs(), Fig15Jobs([]int{0, 50})} {
+	for _, jobs := range [][]sweep.Job{Fig14Jobs(Prefills{}), Fig15Jobs(Prefills{}, []int{0, 50})} {
 		lap := map[string]bool{}
 		for _, j := range jobs {
 			structure, rest, _ := strings.Cut(j.Name, "/")

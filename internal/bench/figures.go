@@ -21,8 +21,11 @@ type Figure struct {
 
 // Figures lists the evaluation's sections in figure order. Job builders read
 // the package's sweep knobs at call time, so apply SetQuick first when
-// running in quick mode.
+// running in quick mode. The §7.4 figures of one table share one Prefills,
+// so Fig. 14's automatic points prefill for their Fig. 15 update rates and
+// for Fig. 16's default-size table in the same run.
 func Figures() []Figure {
+	pre := Prefills{}
 	return []Figure{
 		{Token: "9", Group: "fig09",
 			Title: "Figure 9 — CBO.X latency vs writeback size and thread count (cycles)",
@@ -45,7 +48,7 @@ func Figures() []Figure {
 		{Token: "14", Group: "fig14", Mops: true,
 			Title: "Figure 14 — §7.4 throughput, 5% updates, 2 threads (Mops/s)",
 			Note:  "paper: Skip It >= FliT variants; link-and-persist ahead on automatic list/hash",
-			Build: func(bool) []sweep.Job { return Fig14Jobs() }},
+			Build: func(bool) []sweep.Job { return Fig14Jobs(pre) }},
 		{Token: "15", Group: "fig15", Mops: true,
 			Title: "Figure 15 — throughput vs update percentage, automatic algorithm (Mops/s)",
 			Build: func(quick bool) []sweep.Job {
@@ -53,7 +56,7 @@ func Figures() []Figure {
 				if quick {
 					pcts = []int{0, 5, 20, 50}
 				}
-				return Fig15Jobs(pcts)
+				return Fig15Jobs(pre, pcts)
 			}},
 		{Token: "16", Group: "fig16", Mops: true,
 			Title: "Figure 16 — BST (10k keys) throughput vs FliT hash-table size (Mops/s)",
@@ -63,7 +66,7 @@ func Figures() []Figure {
 				if quick {
 					sizes = []uint64{1 << 6, 1 << 12, 1 << 16, 1 << 20}
 				}
-				return Fig16Jobs(sizes)
+				return Fig16Jobs(pre, sizes)
 			}},
 		{Token: "ablations", Group: "ablations",
 			Title: "Ablations — §5 design choices (cycles)",

@@ -198,14 +198,33 @@ func persistFingerprint(structure string, mode persist.Mode, kind PolicyKind, up
 	})
 }
 
-// persistJob wraps one RunPersistConfig point. The gated metric is the
+// Prefills hands the §7.4 jobs of one job list one sweep.Shared per prefill
+// key, so that the jobs that warm up alike run as a group and prefill once
+// per run (see sweep.Shared). Make one with Prefills{}.
+type Prefills map[prefillKey]*sweep.Shared
+
+// shared returns k's Shared, made on first use.
+func (p Prefills) shared(k prefillKey) *sweep.Shared {
+	s, ok := p[k]
+	if !ok {
+		s = new(sweep.Shared)
+		p[k] = s
+	}
+	return s
+}
+
+// persistJob wraps one §7.4 point, measured as RunPersistConfig measures
+// it, with the Shared of its prefill key from pre. The gated metric is the
 // slowest thread's virtual cycle count; throughput rides along in Derived.
-func persistJob(group, name, series, x, structure string, mode persist.Mode, kind PolicyKind, updatePct int, flitTable uint64) sweep.Job {
+func persistJob(pre Prefills, group, name, series, x, structure string, mode persist.Mode, kind PolicyKind, updatePct int, flitTable uint64) sweep.Job {
+	k := prefillKey{structure, mode, kind, flitTable}
+	sh := pre.shared(k)
 	return sweep.Job{
 		Group: group, Name: name, Series: series, X: x,
 		Fingerprint: persistFingerprint(structure, mode, kind, updatePct, flitTable),
+		Shared:      sh,
 		Run: func(sweep.Sink) (sweep.Outcome, error) {
-			row := RunPersistConfig(structure, mode, kind, updatePct, flitTable)
+			row := runPersist(sh, k, updatePct)
 			return sweep.Outcome{Cycles: row.Cycles, Reps: 1, Derived: map[string]float64{
 				"mops": row.Mops, "flushes": float64(row.Flushes), "elided": float64(row.Elided),
 				"update_pct": float64(updatePct),
@@ -230,16 +249,17 @@ func policyKindsFor(structure string) []PolicyKind {
 
 // Fig14Jobs emits the Figure 14 grid: every structure under every
 // persistence algorithm and elision scheme at 5% updates, plus the
-// non-persistent baseline per structure.
-func Fig14Jobs() []sweep.Job {
+// non-persistent baseline per structure. Its jobs take their prefills'
+// Shareds from pre.
+func Fig14Jobs(pre Prefills) []sweep.Job {
 	var jobs []sweep.Job
 	for _, structure := range Structures() {
-		jobs = append(jobs, persistJob("fig14",
+		jobs = append(jobs, persistJob(pre, "fig14",
 			structure+"/non-persistent", structure+"-"+persist.Manual.String(), PolicyNone.String(),
 			structure, persist.Manual, PolicyNone, 5, FliTDefaultTable))
 		for _, mode := range persist.Modes() {
 			for _, kind := range policyKindsFor(structure) {
-				jobs = append(jobs, persistJob("fig14",
+				jobs = append(jobs, persistJob(pre, "fig14",
 					fmt.Sprintf("%s/%s/%s", structure, mode, kind),
 					structure+"-"+mode.String(), kind.String(),
 					structure, mode, kind, 5, FliTDefaultTable))
@@ -250,13 +270,14 @@ func Fig14Jobs() []sweep.Job {
 }
 
 // Fig15Jobs emits the Figure 15 grid: throughput across update percentages
-// under the automatic persistence algorithm.
-func Fig15Jobs(updatePcts []int) []sweep.Job {
+// under the automatic persistence algorithm. Its jobs take their prefills'
+// Shareds from pre.
+func Fig15Jobs(pre Prefills, updatePcts []int) []sweep.Job {
 	var jobs []sweep.Job
 	for _, structure := range Structures() {
 		for _, kind := range policyKindsFor(structure) {
 			for _, pct := range updatePcts {
-				jobs = append(jobs, persistJob("fig15",
+				jobs = append(jobs, persistJob(pre, "fig15",
 					fmt.Sprintf("%s/%s/upd%d", structure, kind, pct),
 					structure+"-"+kind.String(), fmt.Sprint(pct),
 					structure, persist.Automatic, kind, pct, FliTDefaultTable))
@@ -267,11 +288,12 @@ func Fig15Jobs(updatePcts []int) []sweep.Job {
 }
 
 // Fig16Jobs emits the Figure 16 sensitivity sweep: the BST under FliT with
-// hash tables from tiny to huge.
-func Fig16Jobs(tableSizes []uint64) []sweep.Job {
+// hash tables from tiny to huge. Its jobs take their prefills' Shareds from
+// pre.
+func Fig16Jobs(pre Prefills, tableSizes []uint64) []sweep.Job {
 	var jobs []sweep.Job
 	for _, size := range tableSizes {
-		jobs = append(jobs, persistJob("fig16",
+		jobs = append(jobs, persistJob(pre, "fig16",
 			fmt.Sprintf("flit-table%d", size), "flit-hash", fmt.Sprint(size),
 			ds.NameBST, persist.Automatic, PolicyFliTHash, 5, size))
 	}

@@ -77,7 +77,7 @@ func TestPersistConfigDeterministic(t *testing.T) {
 // a derived metric.
 func TestPersistJobOutcome(t *testing.T) {
 	small(t)
-	recs := runRecords(t, Fig16Jobs([]uint64{64, 4096}))
+	recs := runRecords(t, Fig16Jobs(Prefills{}, []uint64{64, 4096}))
 	if len(recs) != 2 {
 		t.Fatalf("%d records", len(recs))
 	}
@@ -128,9 +128,9 @@ func TestJobIdentityInvariants(t *testing.T) {
 	jobs = append(jobs, ComparativeJobs("fig11", 1)...)
 	jobs = append(jobs, ComparativeJobs("fig12", 8)...)
 	jobs = append(jobs, Fig13Jobs(ThreadCounts, 10)...)
-	jobs = append(jobs, Fig14Jobs()...)
-	jobs = append(jobs, Fig15Jobs([]int{0, 50})...)
-	jobs = append(jobs, Fig16Jobs([]uint64{64, 4096})...)
+	jobs = append(jobs, Fig14Jobs(Prefills{})...)
+	jobs = append(jobs, Fig15Jobs(Prefills{}, []int{0, 50})...)
+	jobs = append(jobs, Fig16Jobs(Prefills{}, []uint64{64, 4096})...)
 	jobs = append(jobs, AblationJobs()...)
 	seen := map[string]bool{}
 	for _, j := range jobs {
@@ -190,5 +190,42 @@ func TestEqualFingerprintsGiveEqualOutcomes(t *testing.T) {
 	}
 	if shared == 0 {
 		t.Fatal("no two jobs share a fingerprint; the test checks nothing")
+	}
+}
+
+// sweep.Runner runs the §7.4 jobs that share a prefill key as one group: one
+// of them prefills, and the others rebuild the structure by replay and run
+// on a copy of the warm state. Every job must measure through the Runner
+// exactly what it measures run directly, which prefills afresh. The quick
+// list measures 121 distinct points over 64 prefill keys.
+func TestSharedPrefillEqualsFreshPrefill(t *testing.T) {
+	small(t)
+	jobs := FigureJobs(true, map[string]bool{"14": true, "15": true, "16": true})
+	results := sweep.Runner{Workers: 4}.Run(jobs)
+	measured := map[string]bool{}
+	shareds := map[*sweep.Shared]bool{}
+	for i, j := range jobs {
+		if measured[j.Fingerprint] {
+			continue
+		}
+		measured[j.Fingerprint] = true
+		shareds[j.Shared] = true
+		res := results[i]
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		fresh, err := j.Run(nil)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", j.Group, j.Name, err)
+		}
+		rec := res.Record
+		got := sweep.Outcome{Cycles: rec.Cycles, Sigma: rec.Sigma, Reps: rec.Reps, Derived: rec.Derived}
+		if !reflect.DeepEqual(got, fresh) {
+			t.Errorf("%s/%s: through the Runner %+v, prefilled afresh %+v", j.Group, j.Name, got, fresh)
+		}
+	}
+	if len(measured) != 121 || len(shareds) != 64 || shareds[nil] {
+		t.Fatalf("%d measured jobs over %d Shareds (nil among them: %v), want 121 over 64",
+			len(measured), len(shareds), shareds[nil])
 	}
 }

@@ -25,6 +25,7 @@ package memsim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Config sets geometry and the cycle-cost model. The costs are calibrated
@@ -480,14 +481,33 @@ func (h *Hierarchy) Stats() Stats {
 }
 
 // ResetClocks zeroes the virtual clocks and the Stats counters while keeping
-// cache state, so a measurement can start after a warm-up: RunPersistConfig
-// calls it after the prefill, and its Flushes and Elided count the timed
-// phase alone.
+// cache state, so a measurement can start after a warm-up: the §7.4 prefill
+// (package bench) calls it before it hands the warm hierarchy to the timed
+// phase, so a point's Flushes and Elided count the timed phase alone.
 func (h *Hierarchy) ResetClocks() {
 	for i := range h.clocks {
 		h.clocks[i] = 0
 	}
 	h.stats = Stats{}
+}
+
+// Clone returns a copy of h that shares no state with it: cache contents,
+// directory, LRU ages, clocks and Stats are copied, and what one of the two
+// does later leaves the other as it was. Several §7.4 points that warm up
+// alike each run on a clone of one prefilled hierarchy.
+func (h *Hierarchy) Clone() *Hierarchy {
+	c := *h
+	c.clocks = slices.Clone(h.clocks)
+	c.l1Key = slices.Clone(h.l1Key)
+	c.l1Used = slices.Clone(h.l1Used)
+	c.l1Frame = slices.Clone(h.l1Frame)
+	c.l1Dirty = slices.Clone(h.l1Dirty)
+	c.l1Skip = slices.Clone(h.l1Skip)
+	c.l2Key = slices.Clone(h.l2Key)
+	c.l2Used = slices.Clone(h.l2Used)
+	c.l2Dirty = slices.Clone(h.l2Dirty)
+	c.l2Dir = slices.Clone(h.l2Dir)
+	return &c
 }
 
 func (h *Hierarchy) String() string {

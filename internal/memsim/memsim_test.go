@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -509,4 +510,141 @@ func (h *Hierarchy) checkDirectory() error {
 		}
 	}
 	return nil
+}
+
+// tinyConfig is TestGoldenOpStream's geometry: four threads over L1 4x2 and
+// L2 8x2, small enough that a short stream evicts, back-invalidates and
+// drops flushes in every set.
+func tinyConfig() Config {
+	cfg := DefaultConfig(4)
+	cfg.L1Sets, cfg.L1Ways = 4, 2
+	cfg.L2Sets, cfg.L2Ways = 8, 2
+	return cfg
+}
+
+// tinyOp applies one op of a random stream to h: a load or a store (three
+// in eight each), or a CBO.CLEAN or CBO.FLUSH on Skip It hardware, over 64
+// lines, half the time over a hot six that the threads share.
+func tinyOp(h *Hierarchy, rng *rand.Rand) {
+	tid := rng.Intn(h.cfg.Threads)
+	line := rng.Intn(64)
+	if rng.Intn(2) == 0 {
+		line %= 6
+	}
+	addr := uint64(line) * h.cfg.LineBytes
+	switch op := rng.Intn(8); {
+	case op < 6:
+		h.Access(tid, addr, op >= 3)
+	default:
+		h.Flush(tid, addr, op == 6, true)
+	}
+}
+
+// diff returns how a's observable state differs from b's: Stats, clocks and
+// DirtyAnywhere over the 64 lines tinyOp touches, or "" when they agree.
+func diff(a, b *Hierarchy) string {
+	if a.Stats() != b.Stats() {
+		return fmt.Sprintf("Stats %+v, want %+v", a.Stats(), b.Stats())
+	}
+	for tid := 0; tid < a.cfg.Threads; tid++ {
+		if a.Clock(tid) != b.Clock(tid) {
+			return fmt.Sprintf("Clock(%d) %v, want %v", tid, a.Clock(tid), b.Clock(tid))
+		}
+	}
+	for line := uint64(0); line < 64; line++ {
+		if addr := line * a.cfg.LineBytes; a.DirtyAnywhere(addr) != b.DirtyAnywhere(addr) {
+			return fmt.Sprintf("DirtyAnywhere(%#x) %v, want %v", addr, a.DirtyAnywhere(addr), b.DirtyAnywhere(addr))
+		}
+	}
+	return ""
+}
+
+// cloneLeak warms a hierarchy and an identical twin, takes a copy of the
+// first with clone and drives the copy on its own. The source must still
+// answer as the twin does, and hold the same state: much of what the copy
+// writes (an L2 dirty bit under a dirty L1 copy, say) no answer shows until
+// later. It then drives the source and the twin with one further stream and
+// returns the first way in which the copy's work showed in its source, or ""
+// when it never did.
+func cloneLeak(clone func(*Hierarchy) *Hierarchy) string {
+	src, twin := New(tinyConfig()), New(tinyConfig())
+	warm, warmTwin := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		tinyOp(src, warm)
+		tinyOp(twin, warmTwin)
+	}
+	c := clone(src)
+	own := rand.New(rand.NewSource(2))
+	for i := 0; i < 2000; i++ {
+		tinyOp(c, own)
+	}
+	if d := diff(src, twin); d != "" {
+		return "after the copy ran: " + d
+	}
+	if !reflect.DeepEqual(src, twin) {
+		return "after the copy ran, the source's state differs from the twin's"
+	}
+	next, nextTwin := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		tinyOp(src, next)
+		tinyOp(twin, nextTwin)
+		if d := diff(src, twin); d != "" {
+			return fmt.Sprintf("op %d after the copy ran: %s", i, d)
+		}
+	}
+	if err := src.checkDirectory(); err != nil {
+		return err.Error()
+	}
+	return ""
+}
+
+// A clone's later work never shows in its source, which goes on exactly as
+// an untouched twin does. The check is sensitive: a planted copy that
+// shares any one of the hierarchy's slices with its source fails it.
+func TestCloneIsIndependentOfItsSource(t *testing.T) {
+	if leak := cloneLeak((*Hierarchy).Clone); leak != "" {
+		t.Fatalf("Clone shares state with its source: %s", leak)
+	}
+	for name, alias := range map[string]func(c, h *Hierarchy){
+		"clocks":  func(c, h *Hierarchy) { c.clocks = h.clocks },
+		"l1Key":   func(c, h *Hierarchy) { c.l1Key = h.l1Key },
+		"l1Used":  func(c, h *Hierarchy) { c.l1Used = h.l1Used },
+		"l1Frame": func(c, h *Hierarchy) { c.l1Frame = h.l1Frame },
+		"l1Dirty": func(c, h *Hierarchy) { c.l1Dirty = h.l1Dirty },
+		"l1Skip":  func(c, h *Hierarchy) { c.l1Skip = h.l1Skip },
+		"l2Key":   func(c, h *Hierarchy) { c.l2Key = h.l2Key },
+		"l2Used":  func(c, h *Hierarchy) { c.l2Used = h.l2Used },
+		"l2Dirty": func(c, h *Hierarchy) { c.l2Dirty = h.l2Dirty },
+		"l2Dir":   func(c, h *Hierarchy) { c.l2Dir = h.l2Dir },
+	} {
+		planted := func(h *Hierarchy) *Hierarchy {
+			c := h.Clone()
+			alias(c, h)
+			return c
+		}
+		if cloneLeak(planted) == "" {
+			t.Errorf("a copy sharing %s with its source went unnoticed", name)
+		}
+	}
+}
+
+// A clone starts where its source stands: both go on to the same results.
+func TestCloneContinuesLikeItsSource(t *testing.T) {
+	h := New(tinyConfig())
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 2000; i++ {
+		tinyOp(h, rng)
+	}
+	c := h.Clone()
+	a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		tinyOp(h, a)
+		tinyOp(c, b)
+	}
+	if d := diff(c, h); d != "" {
+		t.Fatalf("clone diverged from its source: %s", d)
+	}
+	if err := c.checkDirectory(); err != nil {
+		t.Fatal(err)
+	}
 }

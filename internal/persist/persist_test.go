@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -306,4 +307,156 @@ func TestLockedSerializesConcurrentCallers(t *testing.T) {
 				p.Name(), st.Accesses, st.Flushes, wantAccesses, wantFlushes)
 		}
 	}
+}
+
+// policyWords are the 32 words, over four lines, that policyOp touches.
+var policyWords = func() []uint64 {
+	words := make([]uint64, 32)
+	for i := range words {
+		words[i] = 0x20000 + uint64(i)*8
+	}
+	return words
+}()
+
+// policyOp applies one op of a random two-thread stream to p: a load or a
+// store (three in eight each), a flush or a fence.
+func policyOp(p Policy, rng *rand.Rand) {
+	tid := rng.Intn(2)
+	addr := policyWords[rng.Intn(len(policyWords))]
+	switch op := rng.Intn(8); {
+	case op < 3:
+		p.Load(tid, addr)
+	case op < 6:
+		p.Store(tid, addr)
+	case op == 6:
+		p.Flush(tid, addr)
+	default:
+		p.Fence(tid)
+	}
+}
+
+// copyable builds each scheme Copy takes; FliT's hash table is tiny, so
+// counters collide.
+var copyable = map[string]func(h *memsim.Hierarchy) Policy{
+	"plain":            func(h *memsim.Hierarchy) Policy { return NewPlain(h, false) },
+	"skipit":           func(h *memsim.Hierarchy) Policy { return NewSkipIt(h, false) },
+	"flit-adjacent":    func(h *memsim.Hierarchy) Policy { return NewFliT(h, true, 0, 0, false) },
+	"flit-hash":        func(h *memsim.Hierarchy) Policy { return NewFliT(h, false, 4, 1<<41, false) },
+	"link-and-persist": func(h *memsim.Hierarchy) Policy { return NewLinkAndPersist(h, true) },
+}
+
+// copyLeak builds a policy with build, and a twin, and drives both alike. It
+// copies the first with cp over a clone of its hierarchy and drives the copy
+// on its own, leaving a store in flight on every word of a FliT copy, as if
+// each of the copy's threads stood inside a Store. The source and the twin
+// then run one further stream; copyLeak returns the first way in which the
+// copy's work showed in its source's hierarchy, or "" when it never did.
+func copyLeak(build func(*memsim.Hierarchy) Policy, cp func(Policy, *memsim.Hierarchy) Policy) string {
+	h, th := memsim.New(memsim.DefaultConfig(2)), memsim.New(memsim.DefaultConfig(2))
+	p, twin := build(h), build(th)
+	a, b := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		policyOp(p, a)
+		policyOp(twin, b)
+	}
+	c := cp(p, h.Clone())
+	own := rand.New(rand.NewSource(2))
+	for i := 0; i < 2000; i++ {
+		policyOp(c, own)
+	}
+	if f, ok := c.(*FliT); ok {
+		for _, w := range policyWords {
+			idx, _ := f.slot(w)
+			f.counters[idx]++
+		}
+	}
+	a, b = rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	for i := 0; i < 2000; i++ {
+		policyOp(p, a)
+		policyOp(twin, b)
+		if h.Stats() != th.Stats() || h.Clock(0) != th.Clock(0) || h.Clock(1) != th.Clock(1) {
+			return fmt.Sprintf("op %d: Stats %+v and clocks %v, %v; the twin's %+v and %v, %v",
+				i, h.Stats(), h.Clock(0), h.Clock(1), th.Stats(), th.Clock(0), th.Clock(1))
+		}
+	}
+	return ""
+}
+
+// A copy's later work never shows in its source. The check is sensitive: a
+// planted copy that shares link-and-persist's marks or FliT's counters with
+// its source, or that runs over the source's hierarchy, fails it.
+func TestCopyIsIndependentOfItsSource(t *testing.T) {
+	for name, build := range copyable {
+		if leak := copyLeak(build, Copy); leak != "" {
+			t.Errorf("%s: Copy shares state with its source: %s", name, leak)
+		}
+	}
+	planted := map[string]func(p, c Policy){
+		"flit-hash":        func(p, c Policy) { c.(*FliT).counters = p.(*FliT).counters },
+		"link-and-persist": func(p, c Policy) { c.(*LinkAndPersist).marks = p.(*LinkAndPersist).marks },
+		"plain":            func(p, c Policy) { c.(*Plain).H = p.(*Plain).H },
+	}
+	for name, alias := range planted {
+		cp := func(p Policy, h *memsim.Hierarchy) Policy {
+			c := Copy(p, h)
+			alias(p, c)
+			return c
+		}
+		if copyLeak(copyable[name], cp) == "" {
+			t.Errorf("%s: a planted copy sharing state with its source went unnoticed", name)
+		}
+	}
+}
+
+// A copy over a clone of its source's hierarchy resumes where the source
+// stands: both go on to the same results.
+func TestCopyResumesWhereItsSourceStands(t *testing.T) {
+	for name, build := range copyable {
+		h := memsim.New(memsim.DefaultConfig(2))
+		p := build(h)
+		rng := rand.New(rand.NewSource(4))
+		for i := 0; i < 2000; i++ {
+			policyOp(p, rng)
+		}
+		ch := h.Clone()
+		c := Copy(p, ch)
+		if c.Name() != p.Name() || c.NodePad() != p.NodePad() {
+			t.Errorf("%s: copy is %s with pad %d", name, c.Name(), c.NodePad())
+		}
+		a, b := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+		for i := 0; i < 2000; i++ {
+			policyOp(p, a)
+			policyOp(c, b)
+		}
+		if h.Stats() != ch.Stats() || h.Clock(0) != ch.Clock(0) || h.Clock(1) != ch.Clock(1) {
+			t.Errorf("%s: copy diverged: Stats %+v, source's %+v", name, ch.Stats(), h.Stats())
+		}
+	}
+}
+
+// A FliT counter is non-zero only inside a Store: between calls the model
+// holds no counter at all, so a copy made between calls has nothing in
+// flight to carry.
+func TestFliTCountersEmptyBetweenCalls(t *testing.T) {
+	for _, name := range []string{"flit-adjacent", "flit-hash"} {
+		f := copyable[name](memsim.New(memsim.DefaultConfig(2))).(*FliT)
+		rng := rand.New(rand.NewSource(6))
+		for i := 0; i < 5000; i++ {
+			policyOp(f, rng)
+			if len(f.counters) != 0 {
+				t.Fatalf("%s: op %d left counters %v", name, i, f.counters)
+			}
+		}
+	}
+}
+
+// Copy takes only the schemes this package builds.
+func TestCopyRejectsLocked(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Copy copied a Locked policy")
+		}
+	}()
+	h := memsim.New(memsim.DefaultConfig(2))
+	Copy(Locked(NewPlain(h, false)), h)
 }

@@ -20,6 +20,7 @@ package persist
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"skipit/internal/memsim"
@@ -42,6 +43,29 @@ type Policy interface {
 	// NodePad returns the extra bytes per allocated object the scheme
 	// requires (FliT adjacent doubles object footprints).
 	NodePad() uint64
+}
+
+// Copy returns a copy of p that runs over h: the same scheme and settings,
+// with its own copy of p's bookkeeping (FliT's counters, link-and-persist's
+// marks), so that neither sees what the other does later. With a copy of
+// p's hierarchy as h, it resumes where p stands. p must be a Plain, FliT or
+// LinkAndPersist; Copy panics on anything else, a Locked policy included.
+func Copy(p Policy, h *memsim.Hierarchy) Policy {
+	switch p := p.(type) {
+	case *Plain:
+		c := *p
+		c.H = h
+		return &c
+	case *FliT:
+		c := *p
+		c.H, c.counters = h, maps.Clone(p.counters)
+		return &c
+	case *LinkAndPersist:
+		c := *p
+		c.H, c.marks = h, maps.Clone(p.marks)
+		return &c
+	}
+	panic(fmt.Sprintf("persist: cannot copy a %T", p))
 }
 
 // Locked returns p with every method call serialized by one mutex, for

@@ -13,8 +13,9 @@
 //     configuration (each distinct fingerprint) once per run, concurrently,
 //     copies that result to every later job sharing the fingerprint, and
 //     collects results in submission order, so the output is bit-identical
-//     to serial execution. Nothing outlives a run: the next run measures
-//     afresh.
+//     to serial execution. Jobs that share set-up work name one Shared and
+//     run as a group that does the set-up once. Nothing outlives a run: the
+//     next run measures afresh.
 //   - Compare: the regression gate — a delta table between a baseline File
 //     (BENCH_quick.json) and the current records, failing on any cycle-count
 //     change beyond a tolerance, in either direction, on any derived-metric
@@ -55,9 +56,16 @@ type Job struct {
 	// first of them. Compare fails on a record whose fingerprint differs
 	// from the baseline's.
 	Fingerprint string
+	// Shared, when non-nil, names set-up work this job shares with other
+	// jobs of the run: Run gets its part of it through Take, and the
+	// Runner runs the distinct-fingerprint jobs naming one Shared as a
+	// group (see Shared). A job whose fingerprint an earlier job has is
+	// not run, so it takes nothing.
+	Shared *Shared
 	// Run performs the measurement. The sink may be nil. Run must be
 	// self-contained: it owns every simulator instance it creates and
-	// touches no shared mutable state, so jobs can run on any goroutine.
+	// touches no shared mutable state outside its Shared, so jobs can run
+	// on any goroutine.
 	Run func(sink Sink) (Outcome, error)
 }
 
@@ -100,7 +108,15 @@ type JobResult struct {
 }
 
 // Runner executes jobs on a bounded worker pool. The zero value runs with
-// GOMAXPROCS workers and no snapshot collection.
+// GOMAXPROCS workers and no snapshot collection. Workers take jobs only
+// roughly in submission order: each job (or group) waits for a free worker
+// on its own goroutine, and the Go scheduler need not wake the waiters in
+// the order they started; the goroutine started last often runs first.
+// Only results, not start times, follow submission order. A group of jobs
+// naming one Shared never runs its jobs concurrently, so a run's
+// parallelism is capped at its groups plus its ungrouped jobs, and on a
+// host with more workers than that its wall time is bounded by its longest
+// group rather than its longest job.
 type Runner struct {
 	// Workers bounds concurrent jobs; <= 0 means GOMAXPROCS.
 	Workers int
@@ -132,9 +148,11 @@ type ProgressEvent struct {
 // wall-clock time depends on Workers. Errors (including recovered panics)
 // are captured per job, never propagated across jobs.
 //
-// Only the first job of each non-empty fingerprint runs. Once every such job
-// has finished, each later job sharing its fingerprint gets a copy of its
-// result (cycles, error, and deep copies of the derived metrics and
+// Only the first job of each non-empty fingerprint runs. The jobs that run
+// and name one Shared run as a group, back to back on one worker, starting
+// at the first one's turn; every other job runs alone. Once every job has
+// finished, each later job sharing a fingerprint gets a copy of its first
+// job's result (cycles, error, and deep copies of the derived metrics and
 // snapshots) under its own group, name, series and x, in submission order,
 // with its own running and done (or failed) events.
 func (r Runner) Run(jobs []Job) []JobResult {
@@ -147,33 +165,49 @@ func (r Runner) Run(jobs []Job) []JobResult {
 	// the same non-empty fingerprint, else i itself.
 	first := make([]int, len(jobs))
 	byFingerprint := make(map[string]int, len(jobs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
+	// groups lists each Shared's takers, the jobs that run and name it, in
+	// submission order.
+	var groups map[*Shared][]int
 	for i := range jobs {
-		job := jobs[i]
-		res := &results[i]
-		res.Group = job.Group
+		results[i].Group = jobs[i].Group
 		first[i] = i
-		if job.Fingerprint != "" {
-			if j, ok := byFingerprint[job.Fingerprint]; ok {
+		if fp := jobs[i].Fingerprint; fp != "" {
+			if j, ok := byFingerprint[fp]; ok {
 				first[i] = j
 				continue
 			}
-			byFingerprint[job.Fingerprint] = i
+			byFingerprint[fp] = i
+		}
+		if s := jobs[i].Shared; s != nil {
+			if groups == nil {
+				groups = make(map[*Shared][]int)
+			}
+			groups[s] = append(groups[s], i)
+		}
+	}
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		s := jobs[i].Shared
+		if first[i] != i || s != nil && groups[s][0] != i {
+			continue // a copy, or a group member that runs at its first one's turn
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			r.notify(i, len(jobs), job, "running")
-			runJob(job, res, r.WithSnapshots)
-			if res.Err != nil {
-				r.notify(i, len(jobs), job, "failed")
-			} else {
-				r.notify(i, len(jobs), job, "done")
+			if s == nil {
+				r.runOne(jobs, results, i)
+				return
 			}
-		}(i)
+			group := groups[s]
+			s.begin(len(group))
+			defer s.drop()
+			for _, k := range group {
+				r.runOne(jobs, results, k)
+			}
+		}()
 	}
 	wg.Wait()
 	for i, j := range first {
@@ -182,13 +216,17 @@ func (r Runner) Run(jobs []Job) []JobResult {
 		}
 		r.notify(i, len(jobs), jobs[i], "running")
 		copyResult(&results[i], &results[j], jobs[i])
-		if results[i].Err != nil {
-			r.notify(i, len(jobs), jobs[i], "failed")
-		} else {
-			r.notify(i, len(jobs), jobs[i], "done")
-		}
+		r.notifyEnd(i, len(jobs), jobs[i], results[i].Err)
 	}
 	return results
+}
+
+// runOne runs jobs[i] into results[i] between its running and its done (or
+// failed) event.
+func (r Runner) runOne(jobs []Job, results []JobResult, i int) {
+	r.notify(i, len(jobs), jobs[i], "running")
+	runJob(jobs[i], &results[i], r.WithSnapshots)
+	r.notifyEnd(i, len(jobs), jobs[i], results[i].Err)
 }
 
 // copyResult gives job the measured result src of an earlier job with the
@@ -238,6 +276,16 @@ func (r Runner) notify(index, total int, job Job, state string) {
 		return
 	}
 	r.Progress(ProgressEvent{Index: index, Total: total, Group: job.Group, Name: job.Name, State: state})
+}
+
+// notifyEnd delivers a job's last event: failed when it ended with err,
+// else done.
+func (r Runner) notifyEnd(index, total int, job Job, err error) {
+	state := "done"
+	if err != nil {
+		state = "failed"
+	}
+	r.notify(index, total, job, state)
 }
 
 // runJob executes one job, converting panics (the measure harnesses panic on
