@@ -10,7 +10,7 @@
 //
 //	skipit-bench [-fig 9|10|...|16|ablations|all | comma list, e.g. -fig 9,13]
 //	             [-quick] [-csv] [-jobs N] [-out DIR]
-//	             [-baseline FILE] [-gate PCT] [-metrics-dir DIR] [-http ADDR]
+//	             [-baseline FILE] [-gate PCT] [-metrics-dir DIR]
 //
 // -quick shrinks sweep sizes and operation counts so the full set completes
 // in well under a minute; -csv emits machine-readable rows (figure,series,
@@ -37,11 +37,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 
 	"skipit/internal/bench"
-	"skipit/internal/introspect"
-	"skipit/internal/metrics"
 	"skipit/internal/sweep"
 )
 
@@ -58,7 +55,6 @@ func run() int {
 	baseline := flag.String("baseline", "", "baseline BENCH_*.json file to gate against")
 	gate := flag.Float64("gate", 10, "tolerance in percent for a cycle-count change in either direction (with -baseline)")
 	metricsDir := flag.String("metrics-dir", "", "write per-figure metrics sidecar JSON files into this directory")
-	httpAddr := flag.String("http", "", "serve live sweep introspection on this address (e.g. localhost:6060; empty disables)")
 	flag.Parse()
 
 	if *quick {
@@ -104,21 +100,7 @@ func run() int {
 		}
 	}
 
-	runner := sweep.Runner{
-		Workers:       *jobs,
-		WithSnapshots: *metricsDir != "",
-	}
-	if *httpAddr != "" {
-		srv, err := introspect.New(*httpAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer srv.Close()
-		runner.Progress = sweepPublisher(srv, len(allJobs))
-		fmt.Fprintf(os.Stderr, "introspection server on http://%s (/metrics /snapshot /events)\n", srv.Addr())
-	}
-	results := runner.Run(allJobs)
+	results := sweep.Runner{Workers: *jobs, WithSnapshots: *metricsDir != ""}.Run(allJobs)
 
 	exit := 0
 	if *csv {
@@ -198,33 +180,6 @@ func run() int {
 		fmt.Println("regression gate passed")
 	}
 	return exit
-}
-
-// sweepPublisher bridges the runner's progress callback onto the
-// introspection server: every job transition goes out as an SSE "sweep"
-// event, and a registry of sweep-level counters is published as a fresh
-// snapshot so /metrics and /snapshot track completion live. The callback
-// runs on worker goroutines; the counters are atomic and PublishSnapshot is
-// safe for concurrent use.
-func sweepPublisher(srv *introspect.Server, total int) func(sweep.ProgressEvent) {
-	reg := metrics.NewRegistry()
-	reg.Gauge("sweep", "jobs_total").Set(int64(total))
-	var published atomic.Int64
-	return func(ev sweep.ProgressEvent) {
-		switch ev.State {
-		case "done":
-			reg.Counter("sweep", "jobs_done").Inc()
-		case "failed":
-			reg.Counter("sweep", "jobs_failed").Inc()
-		case "running":
-			reg.Gauge("sweep", "jobs_running").Add(1)
-		}
-		if ev.State == "done" || ev.State == "failed" {
-			reg.Gauge("sweep", "jobs_running").Add(-1)
-		}
-		srv.PublishEvent("sweep", ev)
-		srv.PublishSnapshot(reg.Snapshot(published.Add(1)))
-	}
 }
 
 // renderRecord formats one human-readable result line.

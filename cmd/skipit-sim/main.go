@@ -7,7 +7,7 @@
 //	skipit-sim [-cores N] [-size BYTES] [-op clean|flush] [-redundant K]
 //	           [-skipit=true|false] [-trace] [-trace-format text|chrome]
 //	           [-trace-out FILE] [-metrics FILE] [-sample-interval K]
-//	           [-http ADDR] [-publish-interval K] [-recorder N]
+//	           [-recorder N]
 //	skipit-sim -file prog.s [-skipit=...] [-trace]
 //
 // With -file, the program is read from an assembly file (one instruction per
@@ -19,11 +19,9 @@
 // series) as JSON. -trace-format=chrome writes the event trace in Chrome
 // trace_event format, loadable in Perfetto.
 //
-// -http serves live introspection endpoints (/metrics in Prometheus text,
-// /snapshot, /trace, /recorder, /events SSE) while the run is in flight;
-// -publish-interval sets the snapshot cadence in cycles. -recorder N arms a
-// per-component flight recorder whose last-N-events dump rides along in hang
-// reports and is served at /recorder.
+// -recorder N arms a per-component flight recorder whose last-N-events dump
+// rides along in hang reports. On SIGINT or SIGTERM, skipit-sim writes the
+// Chrome trace buffered so far, dumps the recorder to stderr and exits 130.
 package main
 
 import (
@@ -34,9 +32,9 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 
-	"skipit/internal/introspect"
 	"skipit/internal/isa"
 	"skipit/internal/sim"
 	"skipit/internal/trace"
@@ -54,8 +52,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write the aggregated metrics snapshot as JSON to this file (- for stdout)")
 	sampleInterval := flag.Int64("sample-interval", 0, "sample all counters into time series every K cycles (0 disables)")
 	file := flag.String("file", "", "run an assembly file instead of the built-in sweep")
-	httpAddr := flag.String("http", "", "serve live introspection endpoints on this address (e.g. localhost:6060; empty disables)")
-	publishInterval := flag.Int64("publish-interval", 5000, "cycles between snapshot publishes to the -http server")
 	recorderDepth := flag.Int("recorder", 0, "arm a flight recorder holding the last N events per component (0 disables)")
 	flag.Parse()
 
@@ -73,42 +69,13 @@ func main() {
 	s := sim.New(cfg)
 	if *recorderDepth > 0 {
 		s.EnableFlightRecorder(*recorderDepth)
-	} else if *httpAddr != "" {
-		// The /recorder endpoint is only useful with a ring armed; give the
-		// debug server a sensible default depth.
-		s.EnableFlightRecorder(64)
 	}
-	finishTrace, chromeTracer := setupTracer(s, *doTrace, *traceFormat, *traceOut)
+	finishTrace := setupTracer(s, *doTrace, *traceFormat, *traceOut)
 	defer finishTrace()
-	if *httpAddr != "" {
-		srv, err := introspect.New(*httpAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer srv.Close()
-		if chromeTracer != nil {
-			srv.AttachChromeTrace(chromeTracer)
-		}
-		srv.AttachRecorder(s.FlightRecorder())
-		s.SetProgressHook(*publishInterval, func(int64) {
-			srv.PublishSnapshot(s.Snapshot())
-		})
-		fmt.Fprintf(os.Stderr, "introspection server on http://%s (/metrics /snapshot /trace /recorder /events)\n", srv.Addr())
-	}
-	// On SIGINT/SIGTERM, flush the buffered Chrome trace and dump the flight
-	// recorder before exiting: an interrupted run used to lose both (the
-	// deferred Close never ran past log.Fatal or a signal).
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		sig := <-sigC
-		fmt.Fprintf(os.Stderr, "skipit-sim: %v: flushing trace and flight recorder\n", sig)
-		finishTrace()
-		if rec := s.FlightRecorder(); rec != nil {
-			if b, err := json.MarshalIndent(rec.Dump(), "", "  "); err == nil {
-				fmt.Fprintf(os.Stderr, "flight recorder dump:\n%s\n", b)
-			}
-		}
+		flushOnSignal(os.Stderr, <-sigC, s, finishTrace)
 		os.Exit(130)
 	}()
 	if *sampleInterval > 0 {
@@ -195,13 +162,27 @@ func printHostStats(s *sim.System) {
 	fmt.Println(line)
 }
 
+// flushOnSignal is what an interrupted run does before it exits: a signal
+// never reaches main's deferred cleanups, so it writes the Chrome trace
+// buffered so far and dumps the flight recorder to w. It runs on the signal
+// goroutine while the simulation may still be stepping; the tracer's and the
+// recorder's locks make that safe.
+func flushOnSignal(w io.Writer, sig os.Signal, s *sim.System, finishTrace func()) {
+	fmt.Fprintf(w, "skipit-sim: %v: flushing trace and flight recorder\n", sig)
+	finishTrace()
+	if rec := s.FlightRecorder(); rec != nil {
+		if b, err := json.MarshalIndent(rec.Dump(), "", "  "); err == nil {
+			fmt.Fprintf(w, "flight recorder dump:\n%s\n", b)
+		}
+	}
+}
+
 // setupTracer attaches the requested tracer and returns a cleanup that
-// flushes buffered formats, plus the Chrome tracer when that format is
-// selected (for the introspection server's /trace endpoint). The cleanup is
-// idempotent so both the defer and the signal handler may call it.
-func setupTracer(s *sim.System, enabled bool, format, out string) (func(), *trace.ChromeTracer) {
+// flushes buffered formats. The cleanup is idempotent so both the defer and
+// the signal handler may call it.
+func setupTracer(s *sim.System, enabled bool, format, out string) func() {
 	if !enabled {
-		return func() {}, nil
+		return func() {}
 	}
 	var w io.Writer = os.Stderr
 	if out != "" {
@@ -214,23 +195,21 @@ func setupTracer(s *sim.System, enabled bool, format, out string) (func(), *trac
 	switch format {
 	case "text":
 		s.SetTracer(trace.NewWriter(w))
-		return func() {}, nil
+		return func() {}
 	case "chrome":
 		ct := trace.NewChromeTracer(w)
 		s.SetTracer(ct)
-		closed := false
+		var once sync.Once
 		return func() {
-			if closed {
-				return
-			}
-			closed = true
-			if err := ct.Close(); err != nil {
-				log.Fatalf("writing chrome trace: %v", err)
-			}
-		}, ct
+			once.Do(func() {
+				if err := ct.Close(); err != nil {
+					log.Fatalf("writing chrome trace: %v", err)
+				}
+			})
+		}
 	default:
 		log.Fatalf("unknown -trace-format %q (want text or chrome)", format)
-		return nil, nil
+		return nil
 	}
 }
 

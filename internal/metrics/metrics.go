@@ -20,13 +20,13 @@ import (
 	"sync/atomic"
 )
 
-// Instrument keys must be mechanically convertible to valid Prometheus
-// exposition-format metric names (see WritePrometheus): lower_snake
-// components with an optional numeric instance index, and dot-separated
-// lower_snake metric names. These are the same rules the skipit-vet
-// metricname analyzer enforces statically on call sites with literal
-// arguments; the runtime check below catches computed names the analyzer
-// cannot see.
+// Instrument keys are lower_snake components with an optional numeric
+// instance index, and dot-separated lower_snake metric names. The index is
+// what sim.Snapshot strips to sum a component's instances ("l1[0]" and
+// "l1[1]" into "l1"), so it must be the only bracketed part of a key. These
+// are the same rules the skipit-vet metricname analyzer enforces statically
+// on call sites with literal arguments; the runtime check below catches
+// computed names the analyzer cannot see.
 
 // snakeByte reports whether b is in [a-z0-9_].
 func snakeByte(b byte) bool {
@@ -73,9 +73,9 @@ func validName(s string) bool {
 	return seg > 0
 }
 
-// validateKey panics on an instrument key that could not be exposed as a
-// Prometheus metric. It runs only on the create path of the get-or-create
-// methods, so steady-state lookups never pay for it.
+// validateKey panics on an instrument key outside the grammar above. It runs
+// only on the create path of the get-or-create methods, so steady-state
+// lookups never pay for it.
 func validateKey(kind, component, name string) {
 	if !validComponent(component) {
 		panic(fmt.Sprintf("metrics: %s component %q invalid (want lower_snake with optional [index], e.g. \"l1[0]\")", kind, component))

@@ -199,9 +199,10 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 // TestKeyValidation pins the registration-time guard: any component or name
-// that could not be rendered as a legal Prometheus series (see prom.go and
-// the skipit-vet metricname analyzer) must panic at the instrument's creation
-// site, not surface later as a scrape error.
+// outside the key grammar (the one the skipit-vet metricname analyzer checks,
+// and whose instance index sim.Snapshot strips to aggregate) must panic at
+// the instrument's creation site, not surface later as a mis-summed
+// aggregate.
 func TestKeyValidation(t *testing.T) {
 	valid := [][2]string{
 		{"l1[0]", "writebacks"},

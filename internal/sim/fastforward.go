@@ -89,18 +89,6 @@ func (s *System) FastForward(limits ...int64) int64 {
 			next = b
 		}
 	}
-	if s.hookInterval > 0 {
-		// The progress hook fires whenever a ticked cycle is a multiple of
-		// its interval; land exactly on the next boundary, like the sampler.
-		iv := s.hookInterval
-		b := s.now
-		if r := b % iv; r != 0 {
-			b += iv - r
-		}
-		if b < next {
-			next = b
-		}
-	}
 	if s.wdLimit > 0 {
 		// StepGuarded trips after ticking cycle c when c+1-wdLastChange >=
 		// wdLimit; the first such c must be ticked, not skipped, so the

@@ -102,11 +102,6 @@ type System struct {
 	// recorder, when armed via EnableFlightRecorder, holds the per-component
 	// flight-recorder rings; its dump rides along in HangReports.
 	recorder *trace.Recorder
-
-	// progress hook (see SetProgressHook): called every hookInterval ticked
-	// cycles with the current cycle, for live introspection publishers.
-	hookInterval int64
-	hook         func(now int64)
 }
 
 // NewBare assembles the memory side of a system: one TileLink client port
@@ -208,7 +203,8 @@ func (s *System) SetTracer(t trace.Tracer) {
 // depth structured events for each of "l1[i]", "flush[i]", "l2", and "mem".
 // The rings are preallocated here; recording on the hot path is a plain
 // struct store. The dump rides along in every HangReport (and in chaos
-// artifacts built from them) and is available live via FlightRecorder.
+// artifacts built from them); skipit-sim's signal handler dumps it through
+// FlightRecorder.
 func (s *System) EnableFlightRecorder(depth int) {
 	s.recorder = trace.NewRecorder(depth)
 	for i, d := range s.L1s {
@@ -221,20 +217,6 @@ func (s *System) EnableFlightRecorder(depth int) {
 
 // FlightRecorder returns the armed recorder, or nil.
 func (s *System) FlightRecorder() *trace.Recorder { return s.recorder }
-
-// SetProgressHook installs a callback invoked every interval ticked cycles
-// (before the cycle counter advances), used by the live introspection server
-// to publish snapshots from the simulation goroutine. The fast-forward clock
-// lands on hook boundaries exactly as it does on sampler boundaries, so the
-// hook fires at the same cycles with fast-forwarding on or off. Interval <= 0
-// or fn == nil uninstalls the hook.
-func (s *System) SetProgressHook(interval int64, fn func(now int64)) {
-	if interval <= 0 || fn == nil {
-		s.hookInterval, s.hook = 0, nil
-		return
-	}
-	s.hookInterval, s.hook = interval, fn
-}
 
 // Now returns the current cycle.
 func (s *System) Now() int64 { return s.now }
@@ -258,9 +240,6 @@ func (s *System) Step() {
 	}
 	if s.sampler != nil {
 		s.sampler.Tick(s.now) //skipit:ignore hotalloc Sample allocates only on first observation of a key; steady-state samples are allocation-free
-	}
-	if s.hookInterval > 0 && s.now%s.hookInterval == 0 {
-		s.hook(s.now)
 	}
 	s.now++
 }

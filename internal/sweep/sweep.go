@@ -130,16 +130,15 @@ type Runner struct {
 	Progress func(ev ProgressEvent)
 }
 
-// ProgressEvent is one job state transition, for live sweep introspection.
+// ProgressEvent is one job state transition, for timing each job from
+// outside the runner.
 type ProgressEvent struct {
-	// Index is the job's position in the submitted slice; Total the slice
-	// length.
-	Index int    `json:"index"`
-	Total int    `json:"total"`
-	Group string `json:"group"`
-	Name  string `json:"name"`
+	// Index is the job's position in the submitted slice.
+	Index int
+	Group string
+	Name  string
 	// State is "running", "done", or "failed".
-	State string `json:"state"`
+	State string
 }
 
 // Run executes the jobs and returns one result per job, in submission order
@@ -214,9 +213,9 @@ func (r Runner) Run(jobs []Job) []JobResult {
 		if j == i {
 			continue
 		}
-		r.notify(i, len(jobs), jobs[i], "running")
+		r.notify(i, jobs[i], "running")
 		copyResult(&results[i], &results[j], jobs[i])
-		r.notifyEnd(i, len(jobs), jobs[i], results[i].Err)
+		r.notifyEnd(i, jobs[i], results[i].Err)
 	}
 	return results
 }
@@ -224,9 +223,9 @@ func (r Runner) Run(jobs []Job) []JobResult {
 // runOne runs jobs[i] into results[i] between its running and its done (or
 // failed) event.
 func (r Runner) runOne(jobs []Job, results []JobResult, i int) {
-	r.notify(i, len(jobs), jobs[i], "running")
+	r.notify(i, jobs[i], "running")
 	runJob(jobs[i], &results[i], r.WithSnapshots)
-	r.notifyEnd(i, len(jobs), jobs[i], results[i].Err)
+	r.notifyEnd(i, jobs[i], results[i].Err)
 }
 
 // copyResult gives job the measured result src of an earlier job with the
@@ -271,21 +270,21 @@ func cloneSnapshot(s metrics.Snapshot) metrics.Snapshot {
 }
 
 // notify delivers one progress event, if a listener is installed.
-func (r Runner) notify(index, total int, job Job, state string) {
+func (r Runner) notify(index int, job Job, state string) {
 	if r.Progress == nil {
 		return
 	}
-	r.Progress(ProgressEvent{Index: index, Total: total, Group: job.Group, Name: job.Name, State: state})
+	r.Progress(ProgressEvent{Index: index, Group: job.Group, Name: job.Name, State: state})
 }
 
 // notifyEnd delivers a job's last event: failed when it ended with err,
 // else done.
-func (r Runner) notifyEnd(index, total int, job Job, err error) {
+func (r Runner) notifyEnd(index int, job Job, err error) {
 	state := "done"
 	if err != nil {
 		state = "failed"
 	}
-	r.notify(index, total, job, state)
+	r.notify(index, job, state)
 }
 
 // runJob executes one job, converting panics (the measure harnesses panic on

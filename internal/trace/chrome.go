@@ -18,7 +18,8 @@ import (
 // length is its latency; all other events render as thread-scoped instants.
 //
 // Events are buffered in memory; Close writes the whole document. The
-// tracer is safe for concurrent Emit.
+// tracer is safe for concurrent use: skipit-sim's signal handler Closes it
+// while the simulation goroutine may still Emit.
 type ChromeTracer struct {
 	mu     sync.Mutex
 	w      io.Writer
@@ -144,11 +145,12 @@ func (t *ChromeTracer) Emit(e Event) {
 	t.events = append(t.events, ce)
 }
 
-// document assembles the trace_event document from the buffered events.
-// Callers must hold t.mu.
-func (t *ChromeTracer) documentLocked() chromeDoc {
+// Close writes the buffered document, thread-name metadata first so viewers
+// label rows by component. Events emitted after Close are never written.
+func (t *ChromeTracer) Close() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	doc := chromeDoc{DisplayTimeUnit: "ms"}
-	// Thread-name metadata first, so viewers label rows by component.
 	for tid, src := range t.order {
 		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 			Name:  "thread_name",
@@ -158,25 +160,7 @@ func (t *ChromeTracer) documentLocked() chromeDoc {
 		})
 	}
 	doc.TraceEvents = append(doc.TraceEvents, t.events...)
-	return doc
-}
-
-// WriteSnapshot writes the document as buffered so far to w, leaving the
-// tracer usable. The live introspection server's /trace endpoint uses it to
-// serve a loadable mid-run trace.
-func (t *ChromeTracer) WriteSnapshot(w io.Writer) error {
-	t.mu.Lock()
-	doc := t.documentLocked()
-	t.mu.Unlock()
-	return json.NewEncoder(w).Encode(doc)
-}
-
-// Close writes the buffered document. The tracer must not be used after.
-func (t *ChromeTracer) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	enc := json.NewEncoder(t.w)
-	if err := enc.Encode(t.documentLocked()); err != nil {
+	if err := json.NewEncoder(t.w).Encode(doc); err != nil {
 		return err
 	}
 	if c, ok := t.w.(io.Closer); ok {

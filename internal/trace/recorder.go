@@ -127,9 +127,10 @@ type RecEvent struct {
 
 // Rec is one component's flight-recorder ring: a fixed-size buffer of the
 // last N events, preallocated at construction so the recording path never
-// allocates. The mutex exists only for the live introspection server, which
-// reads rings from its own goroutine; the simulator itself is
-// single-goroutine, so the lock is always uncontended on the hot path.
+// allocates. The mutex exists only for skipit-sim's signal handler, which
+// dumps the rings from its own goroutine while the run may still record; the
+// simulator itself is single-goroutine, so the lock is always uncontended on
+// the hot path.
 type Rec struct {
 	mu    sync.Mutex
 	name  string

@@ -182,34 +182,3 @@ func TestEmitTxnCarriesTxnAndAddr(t *testing.T) {
 		t.Fatalf("event = %+v", e)
 	}
 }
-
-// TestChromeWriteSnapshotLeavesTracerUsable: a mid-run snapshot is a
-// loadable document of what was buffered so far, and events emitted
-// afterwards still land in the final document.
-func TestChromeWriteSnapshotLeavesTracerUsable(t *testing.T) {
-	var final strings.Builder
-	ct := NewChromeTracer(&final)
-	Emit(ct, 10, "l1[0]", "load-miss", 0x40, "")
-	var mid strings.Builder
-	if err := ct.WriteSnapshot(&mid); err != nil {
-		t.Fatal(err)
-	}
-	Emit(ct, 20, "l2", "grant", 0x40, "")
-	if err := ct.Close(); err != nil {
-		t.Fatal(err)
-	}
-	count := func(doc chromeDoc) (events int) {
-		for _, e := range doc.TraceEvents {
-			if e.Phase != "M" {
-				events++
-			}
-		}
-		return events
-	}
-	if got := count(decodeChrome(t, mid.String())); got != 1 {
-		t.Fatalf("snapshot holds %d events, want 1", got)
-	}
-	if got := count(decodeChrome(t, final.String())); got != 2 {
-		t.Fatalf("final document holds %d events, want 2", got)
-	}
-}
