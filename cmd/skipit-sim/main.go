@@ -12,7 +12,8 @@
 //
 // With -file, the program is read from an assembly file (one instruction per
 // line: sd/ld/cbo.clean/cbo.flush/cflush.d.l1/fence/nop; see isa.Parse) and
-// run on a single core; per-instruction timings are printed.
+// run on a single core; one row of timings is printed per program
+// instruction, so a "nop N" run is one row.
 //
 // -metrics writes the system's aggregated telemetry snapshot (every
 // counter, gauge and histogram, plus derived rates and sampled time
@@ -20,8 +21,8 @@
 // trace_event format, loadable in Perfetto.
 //
 // -recorder N arms a per-component flight recorder whose last-N-events dump
-// rides along in hang reports. On SIGINT or SIGTERM, skipit-sim writes the
-// Chrome trace buffered so far, dumps the recorder to stderr and exits 130.
+// rides along in hang reports. On SIGINT or SIGTERM, skipit-sim ends the
+// Chrome trace written so far, dumps the recorder to stderr and exits 130.
 package main
 
 import (
@@ -32,7 +33,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sync"
+	"slices"
 	"syscall"
 
 	"skipit/internal/isa"
@@ -48,7 +49,7 @@ func main() {
 	skipIt := flag.Bool("skipit", true, "enable the Skip It optimization")
 	doTrace := flag.Bool("trace", false, "trace component events")
 	traceFormat := flag.String("trace-format", "text", "trace output format: text or chrome (Perfetto-compatible)")
-	traceOut := flag.String("trace-out", "", "trace output file (default stderr; chrome format writes on exit)")
+	traceOut := flag.String("trace-out", "", "trace output file (default stderr)")
 	metricsOut := flag.String("metrics", "", "write the aggregated metrics snapshot as JSON to this file (- for stdout)")
 	sampleInterval := flag.Int64("sample-interval", 0, "sample all counters into time series every K cycles (0 disables)")
 	file := flag.String("file", "", "run an assembly file instead of the built-in sweep")
@@ -163,13 +164,15 @@ func printHostStats(s *sim.System) {
 }
 
 // flushOnSignal is what an interrupted run does before it exits: a signal
-// never reaches main's deferred cleanups, so it writes the Chrome trace
-// buffered so far and dumps the flight recorder to w. It runs on the signal
+// never reaches main's deferred cleanups, so it ends the Chrome trace written
+// so far, then writes a banner and the flight recorder dump to w. The trace
+// ends first because without -trace-out it streams to stderr too, and the
+// banner must not land inside one of its records. It runs on the signal
 // goroutine while the simulation may still be stepping; the tracer's and the
 // recorder's locks make that safe.
 func flushOnSignal(w io.Writer, sig os.Signal, s *sim.System, finishTrace func()) {
-	fmt.Fprintf(w, "skipit-sim: %v: flushing trace and flight recorder\n", sig)
 	finishTrace()
+	fmt.Fprintf(w, "skipit-sim: %v: flushing trace and flight recorder\n", sig)
 	if rec := s.FlightRecorder(); rec != nil {
 		if b, err := json.MarshalIndent(rec.Dump(), "", "  "); err == nil {
 			fmt.Fprintf(w, "flight recorder dump:\n%s\n", b)
@@ -177,14 +180,20 @@ func flushOnSignal(w io.Writer, sig os.Signal, s *sim.System, finishTrace func()
 	}
 }
 
-// setupTracer attaches the requested tracer and returns a cleanup that
-// flushes buffered formats. The cleanup is idempotent so both the defer and
-// the signal handler may call it.
+// setupTracer attaches the requested tracer and returns a cleanup that ends
+// the Chrome document. The cleanup is idempotent so both the defer and the
+// signal handler may call it. A bad format is rejected before out is
+// created, so it leaves an existing file alone.
 func setupTracer(s *sim.System, enabled bool, format, out string) func() {
 	if !enabled {
 		return func() {}
 	}
-	var w io.Writer = os.Stderr
+	if format != "text" && format != "chrome" {
+		log.Fatalf("unknown -trace-format %q (want text or chrome)", format)
+	}
+	// The Chrome tracer's Close closes a writer that is an io.Closer. Stderr
+	// goes in without its Close: the signal path writes there afterwards.
+	var w io.Writer = struct{ io.Writer }{os.Stderr}
 	if out != "" {
 		f, err := os.Create(out)
 		if err != nil {
@@ -192,24 +201,16 @@ func setupTracer(s *sim.System, enabled bool, format, out string) func() {
 		}
 		w = f
 	}
-	switch format {
-	case "text":
+	if format == "text" {
 		s.SetTracer(trace.NewWriter(w))
 		return func() {}
-	case "chrome":
-		ct := trace.NewChromeTracer(w)
-		s.SetTracer(ct)
-		var once sync.Once
-		return func() {
-			once.Do(func() {
-				if err := ct.Close(); err != nil {
-					log.Fatalf("writing chrome trace: %v", err)
-				}
-			})
+	}
+	ct := trace.NewChromeTracer(w)
+	s.SetTracer(ct)
+	return func() {
+		if err := ct.Close(); err != nil {
+			log.Fatalf("writing chrome trace: %v", err)
 		}
-	default:
-		log.Fatalf("unknown -trace-format %q (want text or chrome)", format)
-		return nil
 	}
 }
 
@@ -234,8 +235,9 @@ func writeMetrics(s *sim.System, path string) {
 	}
 }
 
-// runFile assembles and runs a program file on core 0, printing per-
-// instruction timings and the resulting NVMM view of every touched line.
+// runFile assembles and runs a program file on core 0, printing each
+// program instruction's timings (a nop run is one instruction) and the
+// resulting NVMM view of every touched line, in address order.
 func runFile(s *sim.System, path string) {
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -268,7 +270,12 @@ func runFile(s *sim.System, path string) {
 		}
 	}
 	fmt.Println()
+	lines := make([]uint64, 0, len(touched))
 	for addr := range touched {
+		lines = append(lines, addr)
+	}
+	slices.Sort(lines)
+	for _, addr := range lines {
 		fmt.Printf("NVMM[%#x] = %d\n", addr, s.Mem.PeekUint64(addr))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -168,6 +169,44 @@ func TestFlushOnSignalDuringRun(t *testing.T) {
 	}
 }
 
+// TestFlushOnSignalChromeOnStderr: without -trace-out the Chrome trace
+// streams to stderr. An interrupt ends the document before it prints the
+// banner, and leaves stderr open, so stderr holds the whole document followed
+// by the banner and the recorder dump.
+func TestFlushOnSignalChromeOnStderr(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = stderr }()
+	s := sim.New(sim.DefaultConfig(1))
+	s.EnableFlightRecorder(4)
+	finish := setupTracer(s, true, "chrome", "")
+	runFlush(t, s, 1<<10)
+	flushOnSignal(os.Stderr, syscall.SIGINT, s, finish)
+	if err := f.Close(); err != nil {
+		t.Fatalf("stderr was closed by the trace: %v", err)
+	}
+	raw, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	var doc json.RawMessage
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatalf("stderr does not open with the trace document: %v", err)
+	}
+	if chromeEvents(t, doc) == 0 {
+		t.Fatal("trace document holds no events")
+	}
+	rest := strings.TrimLeft(string(raw[dec.InputOffset():]), "\n")
+	if !strings.HasPrefix(rest, "skipit-sim: interrupt: flushing") || !strings.Contains(rest, "flight recorder dump:\n") {
+		t.Fatalf("the trace document is not followed by the banner and the recorder dump:\n%.300s", rest)
+	}
+}
+
 // TestFlushOnSignalWithoutRecorder: without -recorder the signal path still
 // finishes the trace, once, and prints its banner but no dump.
 func TestFlushOnSignalWithoutRecorder(t *testing.T) {
@@ -193,6 +232,41 @@ func TestSetupTracerDisabledWritesNothing(t *testing.T) {
 	finish()
 	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("untraced run left %s behind (stat: %v)", path, err)
+	}
+}
+
+// TestBadTraceFormatKeepsTraceOut: skipit-sim -trace -trace-format bogus
+// -trace-out FILE exits 1 naming the bad format and leaves an existing FILE
+// byte for byte as it was. The test runs main in a child process, since the
+// rejection exits.
+func TestBadTraceFormatKeepsTraceOut(t *testing.T) {
+	const env = "SKIPIT_SIM_TRACE_OUT"
+	if path := os.Getenv(env); path != "" {
+		os.Args = []string{"skipit-sim", "-trace", "-trace-format", "bogus", "-trace-out", path}
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "x.json")
+	want := []byte(`{"displayTimeUnit":"ms","traceEvents":[]}` + "\n")
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestBadTraceFormatKeepsTraceOut$")
+	cmd.Env = append(os.Environ(), env+"="+path)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("skipit-sim with a bad -trace-format: %v, want exit status 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `unknown -trace-format "bogus"`) {
+		t.Fatalf("output does not name the bad format:\n%s", out)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("-trace-out file changed from %q to %q", want, got)
 	}
 }
 
@@ -311,11 +385,11 @@ func TestWriteMetricsIsDeterministic(t *testing.T) {
 }
 
 // TestRunFilePrintsTimingsAndNVMM: assembly mode prints one timing row per
-// instruction, the value each load returned, and the NVMM view of every
-// touched line.
+// program instruction (a nop run is one), the value each load returned, and
+// the NVMM view of every touched line in address order.
 func TestRunFilePrintsTimingsAndNVMM(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "prog.s")
-	src := "sd 0x1000 42\ncbo.flush 0x1000 # persist it\nfence\nld 0x1000\n"
+	src := "sd 0x3000 7\nsd 0x1000 42\ncbo.flush 0x1000 # persist it\nnop 70\nfence\nld 0x1000\n"
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -327,13 +401,17 @@ func TestRunFilePrintsTimingsAndNVMM(t *testing.T) {
 		t.Fatalf("output lacks the blank line between timings and NVMM:\n%s", out)
 	}
 	rows := strings.Split(table, "\n")
-	if len(rows) != 5 || !strings.HasPrefix(rows[0], "idx") {
-		t.Fatalf("timing table = %q, want a header and 4 rows", rows)
+	if len(rows) != 7 || !strings.HasPrefix(rows[0], "idx") {
+		t.Fatalf("timing table = %q, want a header and 6 rows", rows)
 	}
-	if !strings.HasSuffix(rows[4], "  = 42") {
-		t.Errorf("load row %q does not show the loaded value 42", rows[4])
+	if !strings.HasPrefix(rows[4], "3    nop 70 ") {
+		t.Errorf("nop run row %q, want instruction 3 printed as nop 70", rows[4])
 	}
-	if want := "NVMM[0x1000] = 42\n"; nvmm != want {
+	if !strings.HasSuffix(rows[6], "  = 42") {
+		t.Errorf("load row %q does not show the loaded value 42", rows[6])
+	}
+	// The store to 0x3000 was never written back: NVMM still reads 0.
+	if want := "NVMM[0x1000] = 42\nNVMM[0x3000] = 0\n"; nvmm != want {
 		t.Errorf("NVMM view = %q, want %q", nvmm, want)
 	}
 }

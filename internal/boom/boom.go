@@ -56,6 +56,11 @@ func DefaultConfig() Config {
 
 // Timing records one instruction's lifecycle; -1 marks events that have not
 // happened. Benches derive all figure measurements from these.
+//
+// A nop run (isa.Builder.Nops) is one instruction and has one record:
+// DispatchedAt is when its first nop dispatched, CompletedAt when its last
+// nop dispatched (a nop completes at dispatch), and CommittedAt when its last
+// nop committed.
 type Timing struct {
 	DispatchedAt int64
 	IssuedAt     int64
@@ -73,10 +78,14 @@ const (
 	esDone
 )
 
-// entry is one in-flight instruction: a ROB slot plus its LDQ/STQ view.
+// entry is one in-flight instruction: a ROB slot plus its LDQ/STQ view. The
+// dispatched nops of a run share one entry, which holds a ROB slot per nop.
 type entry struct {
-	instrIdx  int
-	instr     isa.Instr
+	instrIdx int
+	instr    isa.Instr
+	// slots is how many ROB slots the entry holds: 1, or for a nop run the
+	// nops of it that have dispatched and not yet committed.
+	slots     int
 	state     entryState
 	nextTryAt int64
 	reqID     int
@@ -116,8 +125,14 @@ type Core struct {
 	prog    *isa.Program
 	timings []Timing
 
-	pc       int
-	rob      []*entry // FIFO; index 0 is the ROB head
+	pc int
+	// runDispatched counts the nops of the run at pc already dispatched;
+	// pc moves past a run once its last nop dispatches.
+	runDispatched int
+	rob           []*entry // FIFO; index 0 is the ROB head
+	// robLen is the ROB occupancy in instructions, a nop run counting one
+	// per nop; it, not len(rob), is what ROBEntries bounds.
+	robLen   int
 	ldqCount int
 	stqCount int
 	// waitingLoads counts the ROB's loads in esWaiting, the only entries
@@ -173,7 +188,9 @@ func (c *Core) SetProgram(p *isa.Program) {
 		c.timings[i] = Timing{DispatchedAt: -1, IssuedAt: -1, CompletedAt: -1, CommittedAt: -1}
 	}
 	c.pc = 0
+	c.runDispatched = 0
 	c.rob = c.rob[:0]
+	c.robLen = 0
 	c.ldqCount = 0
 	c.stqCount = 0
 	c.waitingLoads = 0
@@ -201,7 +218,7 @@ func (c *Core) Tick(now int64) {
 	c.dispatch(now)
 	c.issue(now)
 	c.commit(now)
-	c.ctr.robOccupancy.Set(int64(len(c.rob)))
+	c.ctr.robOccupancy.Set(int64(c.robLen))
 	c.prevTick = now
 }
 
@@ -258,9 +275,11 @@ func (c *Core) newEntry() *entry {
 	return e
 }
 
+// dispatch moves up to DispatchWidth instructions into the ROB; each nop of
+// a run takes one of those slots and one ROB slot.
 func (c *Core) dispatch(now int64) {
 	for n := 0; n < c.cfg.DispatchWidth && c.pc < c.prog.Len(); n++ {
-		if len(c.rob) >= c.cfg.ROBEntries {
+		if c.robLen >= c.cfg.ROBEntries {
 			return
 		}
 		in := c.prog.Instrs[c.pc]
@@ -277,15 +296,30 @@ func (c *Core) dispatch(now int64) {
 			}
 			c.stqCount++
 		}
-		e := c.newEntry()
-		e.instrIdx = c.pc
-		e.instr = in
-		if in.Op == isa.OpNop {
-			e.state = esDone
-			c.timings[c.pc].CompletedAt = now
+		c.robLen++
+		t := &c.timings[c.pc]
+		if t.DispatchedAt < 0 {
+			t.DispatchedAt = now
 		}
-		c.timings[c.pc].DispatchedAt = now
-		c.rob = append(c.rob, e) //skipit:ignore hotalloc ROB is capacity-bounded by cfg.ROBEntries; append reuses its backing after warmup
+		if tail := len(c.rob) - 1; tail >= 0 && c.rob[tail].instrIdx == c.pc {
+			c.rob[tail].slots++ // the next nop of the run the tail entry holds
+		} else {
+			e := c.newEntry()
+			e.instrIdx = c.pc
+			e.instr = in
+			e.slots = 1
+			if in.Op == isa.OpNop {
+				e.state = esDone
+			}
+			c.rob = append(c.rob, e) //skipit:ignore hotalloc ROB is capacity-bounded by cfg.ROBEntries; append reuses its backing after warmup
+		}
+		if in.Op == isa.OpNop {
+			t.CompletedAt = now
+			if c.runDispatched++; c.runDispatched < in.NopCount() {
+				continue
+			}
+			c.runDispatched = 0
+		}
 		c.pc++
 	}
 }
@@ -476,7 +510,7 @@ func (c *Core) NextEvent(now int64) int64 {
 		return tilelink.NoEvent
 	}
 	// Anything dispatchable keeps the front end active every cycle.
-	if c.pc < c.prog.Len() && len(c.rob) < c.cfg.ROBEntries {
+	if c.pc < c.prog.Len() && c.robLen < c.cfg.ROBEntries {
 		in := c.prog.Instrs[c.pc]
 		roomOK := true
 		switch {
@@ -584,7 +618,7 @@ func (c *Core) Debug() CoreDebug {
 	dbg := CoreDebug{
 		Done:      c.done,
 		PC:        c.pc,
-		ROB:       len(c.rob),
+		ROB:       c.robLen,
 		LDQ:       c.ldqCount,
 		STQ:       c.stqCount,
 		Inflight:  len(c.inflight),
@@ -597,7 +631,8 @@ func (c *Core) Debug() CoreDebug {
 	return dbg
 }
 
-// commit retires done instructions from the ROB head, in order.
+// commit retires done instructions from the ROB head, in order, up to
+// CommitWidth a cycle; a nop run's entry pops once it holds no nop.
 func (c *Core) commit(now int64) {
 	for n := 0; n < c.cfg.CommitWidth && len(c.rob) > 0; n++ {
 		e := c.rob[0]
@@ -606,6 +641,10 @@ func (c *Core) commit(now int64) {
 		}
 		c.timings[e.instrIdx].CommittedAt = now
 		c.ctr.committed.Inc()
+		c.robLen--
+		if e.slots--; e.slots > 0 {
+			continue // a nop run retires one nop per commit slot
+		}
 		switch {
 		case e.instr.Op == isa.OpLoad:
 			c.ldqCount--

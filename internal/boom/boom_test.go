@@ -392,3 +392,100 @@ func TestSTQCapacityBoundsDispatch(t *testing.T) {
 		t.Fatalf("%d stores dispatched with a %d-entry STQ", stqDispatched, cfg.STQEntries)
 	}
 }
+
+// nopRunProgram builds a test program around one run of n nops placed by
+// layout, written as one Nops(n) instruction or, with single set, as n Nop
+// calls. marks holds the index of every other instruction, in program
+// order; first and last are the indices of the run's first and last nop.
+func nopRunProgram(layout string, n int, single bool) (p *isa.Program, marks []int, first, last int) {
+	b := isa.NewBuilder()
+	pad := func() {
+		first = b.Mark()
+		if single {
+			for range n {
+				b.Nop()
+			}
+		} else {
+			b.Nops(n)
+		}
+		last = b.Mark() - 1
+	}
+	mark := func() *isa.Builder {
+		marks = append(marks, b.Mark())
+		return b
+	}
+	switch layout {
+	case "start":
+		pad()
+		mark().Store(0x1000, 1)
+		mark().Load(0x2000)
+		mark().Fence()
+	case "end":
+		mark().Store(0x1000, 1)
+		mark().Load(0x2000)
+		pad()
+	case "behind-flush":
+		// The CBO.FLUSH waits at the ROB head for its line's cold store,
+		// so the run behind it fills the ROB.
+		mark().Store(0x1000, 1)
+		mark().CboFlush(0x1000)
+		pad()
+		mark().Load(0x1000)
+		mark().Store(0x2000, 2)
+		mark().Fence()
+	}
+	return b.Build(), marks, first, last
+}
+
+// TestNopRunMatchesSingleNops: a run of n nops is one instruction and one ROB
+// entry, but it must behave exactly like n single nops. Both encodings run
+// in lockstep and must hold the same ROB occupancy after every cycle, finish
+// on the same cycle with the same committed count, and give every other
+// instruction the same timing. The run's own record spans its nops: first
+// dispatch, last completion, last commit.
+func TestNopRunMatchesSingleNops(t *testing.T) {
+	robEntries := DefaultConfig().ROBEntries
+	for _, layout := range []string{"start", "end", "behind-flush"} {
+		for _, n := range []int{1, 2, 3, 63, 64, 65, 200} {
+			run, runMarks, runIdx, _ := nopRunProgram(layout, n, false)
+			ref, refMarks, first, last := nopRunProgram(layout, n, true)
+			if run.Len() != ref.Len()-n+1 {
+				t.Fatalf("%s/%d: run program has %d instructions, want %d", layout, n, run.Len(), ref.Len()-n+1)
+			}
+			a, b := newStack(t), newStack(t)
+			a.core.SetProgram(run)
+			b.core.SetProgram(ref)
+			fullROB := false
+			for !a.core.Done() || !b.core.Done() {
+				if a.now > 100_000 {
+					t.Fatalf("%s/%d: program did not finish", layout, n)
+				}
+				a.tick()
+				b.tick()
+				ra, rb := a.core.Debug(), b.core.Debug()
+				if ra.ROB != rb.ROB || ra.Done != rb.Done {
+					t.Fatalf("%s/%d: cycle %d: run holds %d ROB slots (done %v), single nops %d (done %v)",
+						layout, n, a.now-1, ra.ROB, ra.Done, rb.ROB, rb.Done)
+				}
+				fullROB = fullROB || ra.ROB == robEntries
+			}
+			if layout == "behind-flush" && n >= robEntries && !fullROB {
+				t.Fatalf("%s/%d: the ROB never filled behind the waiting flush", layout, n)
+			}
+			if ca, cb := a.core.Committed(), b.core.Committed(); ca != cb || ca != uint64(ref.Len()) {
+				t.Fatalf("%s/%d: committed %d with the run, %d with single nops, want %d", layout, n, ca, cb, ref.Len())
+			}
+			for i := range runMarks {
+				if ta, tb := a.core.Timing(runMarks[i]), b.core.Timing(refMarks[i]); ta != tb {
+					t.Fatalf("%s/%d: %v timing %+v with the run, %+v with single nops",
+						layout, n, run.Instrs[runMarks[i]], ta, tb)
+				}
+			}
+			want := b.core.Timing(last)
+			want.DispatchedAt = b.core.Timing(first).DispatchedAt
+			if got := a.core.Timing(runIdx); got != want {
+				t.Fatalf("%s/%d: run timing %+v, want %+v", layout, n, got, want)
+			}
+		}
+	}
+}

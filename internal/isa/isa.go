@@ -2,15 +2,13 @@
 // execute: 64-bit loads and stores, the RISC-V cache management operations
 // CBO.CLEAN and CBO.FLUSH (§2.6), the full-strength FENCE RW,RW (the only
 // fence the BOOM core implements, §4), and a compute no-op for padding.
+// A run of no-ops is one instruction with a repeat count.
 //
 // Programs are built with a fluent builder and are plain data: the boom
 // package gives them timing, the sim package gives them memory.
 package isa
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Op is an instruction opcode.
 type Op uint8
@@ -54,18 +52,30 @@ func (o Op) IsStoreQueue() bool {
 }
 
 // Instr is one instruction. Addr is a byte address (8-byte aligned for
-// loads/stores); Data is the store payload. Loads deliver their result via
-// the per-instruction timing record rather than a register file — the
-// microbenchmarks of §7 measure cycles, not dataflow.
+// loads/stores); Data is the store payload, or a nop's repeat count. Loads
+// deliver their result via the per-instruction timing record rather than a
+// register file — the microbenchmarks of §7 measure cycles, not dataflow.
+//
+// A nop with Data n ≥ 2 is a run of n no-ops, the way Builder.Nops encodes a
+// loop's overhead; a single nop has Data 0.
 type Instr struct {
 	Op   Op
 	Addr uint64
 	Data uint64
 }
 
+// NopCount returns how many no-ops a nop instruction stands for: its repeat
+// count, and 1 for a single nop.
+func (i Instr) NopCount() int { return max(int(i.Data), 1) }
+
 func (i Instr) String() string {
 	switch i.Op {
-	case OpNop, OpFence:
+	case OpNop:
+		if n := i.NopCount(); n > 1 {
+			return fmt.Sprintf("nop %d", n)
+		}
+		return "nop"
+	case OpFence:
 		return i.Op.String()
 	case OpStore, OpAmoAdd, OpAmoSwap:
 		return fmt.Sprintf("%s %#x <- %d", i.Op, i.Addr, i.Data)
@@ -150,21 +160,20 @@ func (b *Builder) Fence() *Builder {
 }
 
 // Nop appends a compute no-op.
-func (b *Builder) Nop() *Builder {
-	b.instrs = append(b.instrs, Instr{Op: OpNop})
-	return b
-}
+func (b *Builder) Nop() *Builder { return b.Nops(1) }
 
-// Nops appends n compute no-ops, modeling the address arithmetic and branch
-// overhead of a benchmark loop iteration.
+// Nops appends n compute no-ops as one instruction, a run of n, modeling the
+// address arithmetic and branch overhead of a benchmark loop iteration. A
+// zero or negative count appends nothing.
 func (b *Builder) Nops(n int) *Builder {
 	if n <= 0 {
 		return b
 	}
-	b.instrs = slices.Grow(b.instrs, n)
-	for i := 0; i < n; i++ {
-		b.instrs = append(b.instrs, Instr{Op: OpNop})
+	in := Instr{Op: OpNop}
+	if n > 1 {
+		in.Data = uint64(n)
 	}
+	b.instrs = append(b.instrs, in)
 	return b
 }
 

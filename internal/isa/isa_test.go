@@ -82,28 +82,40 @@ func TestRegionBuilders(t *testing.T) {
 	}
 }
 
+// TestCboRegionLoopAddsNops: each line's CBO.X is followed by its loop
+// overhead as one run of nops.
 func TestCboRegionLoopAddsNops(t *testing.T) {
 	p := NewBuilder().CboRegionLoop(0, 128, 64, true, 3).Build()
-	if p.Len() != 2*(1+3) {
-		t.Fatalf("len = %d, want 8", p.Len())
+	want := []Instr{
+		{Op: OpCboClean, Addr: 0}, {Op: OpNop, Data: 3},
+		{Op: OpCboClean, Addr: 64}, {Op: OpNop, Data: 3},
 	}
-	if p.Instrs[0].Op != OpCboClean || p.Instrs[1].Op != OpNop {
-		t.Fatal("loop layout wrong")
+	if !reflect.DeepEqual(p.Instrs, want) {
+		t.Fatalf("loop = %v, want %v", p.Instrs, want)
 	}
 }
 
-// TestNopsMatchesRepeatedNop: Nops(n) appends exactly what n Nop calls do,
-// and a zero or negative count appends nothing.
-func TestNopsMatchesRepeatedNop(t *testing.T) {
-	for _, n := range []int{-1, 0, 1, 7} {
-		got := NewBuilder().Store(0, 1).Nops(n).Fence().Build()
-		ref := NewBuilder().Store(0, 1)
-		for i := 0; i < n; i++ {
-			ref.Nop()
-		}
-		want := ref.Fence().Build()
-		if !reflect.DeepEqual(got.Instrs, want.Instrs) {
-			t.Fatalf("Nops(%d) = %v, want %v", n, got.Instrs, want.Instrs)
+// TestNopsEncodesOneRun: Nops(n) appends one instruction whose repeat count
+// is n, Nops(1) appends a single nop (Data 0, what Nop appends), and a zero
+// or negative count appends nothing. TestNopRunMatchesSingleNops
+// (internal/boom) checks that the core runs a run as it runs n single nops.
+func TestNopsEncodesOneRun(t *testing.T) {
+	cases := []struct {
+		n    int
+		want []Instr
+	}{
+		{-1, nil},
+		{0, nil},
+		{1, []Instr{{Op: OpNop}}},
+		{2, []Instr{{Op: OpNop, Data: 2}}},
+		{7, []Instr{{Op: OpNop, Data: 7}}},
+	}
+	for _, c := range cases {
+		got := NewBuilder().Nops(c.n).Build().Instrs
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Nops(%d) = %v, want %v", c.n, got, c.want)
+		} else if len(got) == 1 && got[0].NopCount() != c.n {
+			t.Errorf("Nops(%d) counts %d nops", c.n, got[0].NopCount())
 		}
 	}
 }
@@ -129,6 +141,7 @@ func TestInstrStrings(t *testing.T) {
 	cases := map[string]Instr{
 		"fence":          {Op: OpFence},
 		"nop":            {Op: OpNop},
+		"nop 8":          {Op: OpNop, Data: 8},
 		"sd 0x10 <- 5":   {Op: OpStore, Addr: 0x10, Data: 5},
 		"ld 0x20":        {Op: OpLoad, Addr: 0x20},
 		"cbo.clean 0x40": {Op: OpCboClean, Addr: 0x40},

@@ -17,7 +17,7 @@ import (
 //	amoadd <addr> <value> atomic fetch-and-add
 //	amoswap <addr> <value> atomic exchange
 //	fence                 FENCE RW,RW
-//	nop [count]           one or more no-ops
+//	nop [count]           a run of count no-ops (default 1), one instruction
 //
 // Addresses and values accept decimal or 0x-prefixed hex. '#' and ';' start
 // comments; blank lines are ignored. Errors carry the 1-based line number.
@@ -145,7 +145,7 @@ func Format(p *Program) string {
 		case OpFence:
 			sb.WriteString("fence\n")
 		case OpNop:
-			sb.WriteString("nop\n")
+			fmt.Fprintln(&sb, in) // "nop" or "nop <count>"
 		}
 	}
 	return sb.String()

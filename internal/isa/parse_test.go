@@ -26,7 +26,7 @@ cbo.flush 4096
 		{Op: OpCboClean, Addr: 0x1000},
 		{Op: OpFence},
 		{Op: OpLoad, Addr: 0x1000},
-		{Op: OpNop}, {Op: OpNop}, {Op: OpNop},
+		{Op: OpNop, Data: 3}, // a run of three nops is one instruction
 		{Op: OpCflushDL1, Addr: 0x1000},
 		{Op: OpCboFlush, Addr: 4096},
 	}
@@ -104,7 +104,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 			case 5:
 				b.Fence()
 			case 6:
-				b.Nop()
+				b.Nops(int(op>>3) % 100)
 			}
 		}
 		p := b.Build()
@@ -124,5 +124,26 @@ func TestFormatParseRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFormatParseNopRuns: a nop run formats as "nop <count>" and parses back
+// to the same single instruction; a single nop formats as plain "nop".
+func TestFormatParseNopRuns(t *testing.T) {
+	for src, want := range map[string]Instr{
+		"nop\n":         {Op: OpNop},
+		"nop 2\n":       {Op: OpNop, Data: 2},
+		"nop 1000000\n": {Op: OpNop, Data: 1_000_000},
+	} {
+		p, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if len(p.Instrs) != 1 || p.Instrs[0] != want {
+			t.Fatalf("Parse(%q) = %v, want [%v]", src, p.Instrs, want)
+		}
+		if got := Format(p); got != src {
+			t.Fatalf("Format(Parse(%q)) = %q", src, got)
+		}
 	}
 }

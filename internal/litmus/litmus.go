@@ -73,16 +73,16 @@ func Run(t Test) (seen []Outcome, err error) {
 	for _, skew := range skews {
 		s := sim.New(sim.DefaultConfig(len(t.Programs)))
 		progs := make([]*isa.Program, len(t.Programs))
+		// prefix[i] is how many instructions the skew puts ahead of core
+		// i's program: 0, or 1 for the run of nops.
+		prefix := make([]int, len(t.Programs))
 		for i, p := range t.Programs {
 			b := isa.NewBuilder()
-			n := 0
 			if i < len(skew) {
-				n = skew[i]
+				b.Nops(skew[i])
 			}
-			b.Nops(n)
-			b2 := b.Build()
-			merged := &isa.Program{Instrs: append(append([]isa.Instr{}, b2.Instrs...), p.Instrs...)}
-			progs[i] = merged
+			prefix[i] = b.Mark()
+			progs[i] = &isa.Program{Instrs: append(b.Build().Instrs, p.Instrs...)}
 		}
 		if _, runErr := s.Run(progs, 5_000_000); runErr != nil {
 			return seen, fmt.Errorf("%s: %w", t.Name, runErr)
@@ -96,11 +96,7 @@ func Run(t Test) (seen []Outcome, err error) {
 		o := Outcome{}
 		for _, obs := range t.Observe {
 			if obs.FromLoad {
-				skewN := 0
-				if obs.Core < len(skew) {
-					skewN = skew[obs.Core]
-				}
-				o[obs.Name] = s.Cores[obs.Core].Timing(obs.Instr + skewN).LoadValue
+				o[obs.Name] = s.Cores[obs.Core].Timing(obs.Instr + prefix[obs.Core]).LoadValue
 			}
 		}
 		s.Crash(false)

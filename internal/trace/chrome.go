@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,15 +18,20 @@ import (
 // keyed by line address, so every in-flight flush renders as a span whose
 // length is its latency; all other events render as thread-scoped instants.
 //
-// Events are buffered in memory; Close writes the whole document. The
-// tracer is safe for concurrent use: skipit-sim's signal handler Closes it
-// while the simulation goroutine may still Emit.
+// Records stream to the writer as they are emitted, through a buffer: the
+// document opens at the first record, a component's thread_name metadata
+// precedes its first event, and Close writes the closing bracket. Memory
+// stays bounded however long the run. The tracer is safe for concurrent
+// use: skipit-sim's signal handler Closes it while the simulation goroutine
+// may still Emit.
 type ChromeTracer struct {
 	mu     sync.Mutex
 	w      io.Writer
-	events []chromeEvent
-	tids   map[string]int
-	order  []string          // sources in first-seen order, for stable thread ids
+	bw     *bufio.Writer // buffers w; it keeps the first write error and drops what follows
+	enc    *json.Encoder // encodes records into bw
+	opened bool          // the document's opening is written
+	closed bool
+	tids   map[string]int    // thread id per source, numbered in first-seen order
 	open   map[uint64]string // open txn spans: id -> span name, for matching "e" records
 }
 
@@ -43,14 +49,18 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-type chromeDoc struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
+// The document as written: chromeDocOpen, the records separated by commas,
+// then chromeDocClose.
+const (
+	chromeDocOpen  = `{"displayTimeUnit":"ms","traceEvents":[` + "\n"
+	chromeDocClose = "]}\n"
+)
 
-// NewChromeTracer returns a tracer that writes its document to w on Close.
+// NewChromeTracer returns a tracer that streams its document to w.
 func NewChromeTracer(w io.Writer) *ChromeTracer {
-	return &ChromeTracer{w: w, tids: make(map[string]int), open: make(map[uint64]string)}
+	bw := bufio.NewWriter(w)
+	return &ChromeTracer{w: w, bw: bw, enc: json.NewEncoder(bw),
+		tids: make(map[string]int), open: make(map[uint64]string)}
 }
 
 // txnSpanNames maps the event kind that opens a transaction to the span's
@@ -75,15 +85,20 @@ var txnEndKinds = map[string]bool{
 	"fshr-ack":    true,
 }
 
-// Emit buffers one event.
+// Emit writes one event, after its source's thread_name record if the
+// source is new. Events emitted after Close are dropped.
 func (t *ChromeTracer) Emit(e Event) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
 	tid, ok := t.tids[e.Source]
 	if !ok {
-		tid = len(t.order)
+		tid = len(t.tids)
 		t.tids[e.Source] = tid
-		t.order = append(t.order, e.Source)
+		t.record(chromeEvent{Name: "thread_name", Phase: "M", TID: tid,
+			Args: map[string]any{"name": e.Source}})
 	}
 	ce := chromeEvent{Name: e.Kind, TS: e.Cycle, TID: tid}
 	if e.Detail != "" {
@@ -142,29 +157,40 @@ func (t *ChromeTracer) Emit(e Event) {
 		ce.Phase = "i"
 		ce.Scope = "t"
 	}
-	t.events = append(t.events, ce)
+	t.record(ce)
 }
 
-// Close writes the buffered document, thread-name metadata first so viewers
-// label rows by component. Events emitted after Close are never written.
+// record writes one record, opening the document before the first. Write
+// errors are not checked here: bw keeps the first one, and Close returns it.
+func (t *ChromeTracer) record(ce chromeEvent) {
+	if t.opened {
+		t.bw.WriteByte(',')
+	} else {
+		t.bw.WriteString(chromeDocOpen)
+		t.opened = true
+	}
+	t.enc.Encode(ce)
+}
+
+// Close ends the document, flushes it, and closes the writer if it is an
+// io.Closer. It returns the first error of any of these; a second Close does
+// nothing.
 func (t *ChromeTracer) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	doc := chromeDoc{DisplayTimeUnit: "ms"}
-	for tid, src := range t.order {
-		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-			Name:  "thread_name",
-			Phase: "M",
-			TID:   tid,
-			Args:  map[string]any{"name": src},
-		})
+	if t.closed {
+		return nil
 	}
-	doc.TraceEvents = append(doc.TraceEvents, t.events...)
-	if err := json.NewEncoder(t.w).Encode(doc); err != nil {
-		return err
+	t.closed = true
+	if !t.opened {
+		t.bw.WriteString(chromeDocOpen)
 	}
+	t.bw.WriteString(chromeDocClose)
+	err := t.bw.Flush()
 	if c, ok := t.w.(io.Closer); ok {
-		return c.Close()
+		if cerr := c.Close(); err == nil {
+			err = cerr
+		}
 	}
-	return nil
+	return err
 }

@@ -1,11 +1,19 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// chromeDoc is the document a ChromeTracer writes.
+type chromeDoc struct {
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+}
 
 func decodeChrome(t *testing.T, raw string) chromeDoc {
 	t.Helper()
@@ -236,5 +244,79 @@ func TestChromeTracerCloseClosesWriter(t *testing.T) {
 	}
 	if got := txnPhases(decodeChrome(t, sink.written.String()))[""]; len(got) != 1 {
 		t.Fatalf("document holds instants %q, want the one grant", got)
+	}
+}
+
+// TestChromeTracerStreamsEvents: records reach the writer as they are
+// emitted, not at Close, so a long trace's memory stays bounded. Before Close
+// the writer holds all but the last buffer's worth of 10,000 events; after
+// it, the document decodes to every event, in order, each on its source's
+// thread.
+func TestChromeTracerStreamsEvents(t *testing.T) {
+	const events, sources = 10_000, 5
+	var w bytes.Buffer
+	ct := NewChromeTracer(&w)
+	for i := range events {
+		Emit(ct, int64(i), fmt.Sprintf("l1[%d]", i%sources), "grant", uint64(i)*64, "")
+	}
+	before := w.Len()
+	if err := ct.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := w.Len(); before < after*95/100 {
+		t.Fatalf("writer held %d of the document's %d bytes before Close, want at least 95%%", before, after)
+	}
+	doc := decodeChrome(t, w.String())
+	if got, want := len(doc.TraceEvents), events+sources; got != want {
+		t.Fatalf("document holds %d records, want %d events and %d thread names", got, events, sources)
+	}
+	names := map[int]string{}
+	i := 0
+	for _, e := range doc.TraceEvents {
+		if e.Phase == "M" {
+			names[e.TID] = e.Args["name"].(string)
+			continue
+		}
+		if e.Name != "grant" || e.TS != int64(i) || e.Args["addr"] != fmt.Sprintf("%#x", i*64) {
+			t.Fatalf("event %d = %+v, want grant at cycle %d on line %#x", i, e, i, i*64)
+		}
+		if src := fmt.Sprintf("l1[%d]", i%sources); names[e.TID] != src {
+			t.Fatalf("event %d on thread %q, want %q named before it", i, names[e.TID], src)
+		}
+		i++
+	}
+}
+
+// TestChromeTracerEmptyTrace: a trace with no events still closes to a
+// valid, empty document.
+func TestChromeTracerEmptyTrace(t *testing.T) {
+	var sb strings.Builder
+	if err := NewChromeTracer(&sb).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if doc := decodeChrome(t, sb.String()); len(doc.TraceEvents) != 0 || doc.DisplayTimeUnit != "ms" {
+		t.Fatalf("empty trace decodes to %+v", doc)
+	}
+}
+
+// TestChromeTracerDropsEventsAfterClose: Close ends the document; an event
+// emitted afterwards is not written, and a second Close writes nothing.
+func TestChromeTracerDropsEventsAfterClose(t *testing.T) {
+	var sb strings.Builder
+	ct := NewChromeTracer(&sb)
+	Emit(ct, 1, "l2", "grant", 0x40, "")
+	if err := ct.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := sb.String()
+	Emit(ct, 2, "l1[0]", "grant", 0x80, "")
+	if err := ct.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	if sb.String() != closed {
+		t.Fatalf("writes after Close: document grew from %q to %q", closed, sb.String())
+	}
+	if doc := decodeChrome(t, closed); len(doc.TraceEvents) != 2 {
+		t.Fatalf("document holds %d records, want the grant and its thread name", len(doc.TraceEvents))
 	}
 }
