@@ -302,18 +302,27 @@ func Fig16Jobs(pre Prefills, tableSizes []uint64) []sweep.Job {
 
 // --- Ablations: the §5 design choices DESIGN.md calls out, as gated jobs ---
 
+// buildAblationSweep constructs the ablation sweep program: dirty the
+// region, fence, one CBO.FLUSH per line, fence. It returns the program and
+// the index of the first CBO and of the final fence.
+func buildAblationSweep(size uint64) (p *isa.Program, start, end int) {
+	lines := linesIn(size)
+	b := isa.NewBuilder().Grow(2*lines + 2)
+	b.StoreRegion(0, size, lineBytes, 1)
+	b.Fence()
+	start = b.Mark()
+	b.CboRegion(0, size, lineBytes, false)
+	end = b.Mark()
+	b.Fence()
+	return b.Build(), start, end
+}
+
 // measureAblationSweep runs dirty-region + flush-region + fence under cfg
 // and returns cycles from first CBO issue to final fence completion.
 func measureAblationSweep(sink Sink, cfg sim.Config, size uint64) float64 {
 	s := newSystem(cfg)
-	b := isa.NewBuilder()
-	b.StoreRegion(0, size, lineBytes, 1)
-	b.Fence()
-	start := b.Mark()
-	b.CboRegion(0, size, lineBytes, false)
-	end := b.Mark()
-	b.Fence()
-	if _, err := s.Run([]*isa.Program{b.Build()}, runLimit); err != nil {
+	p, start, end := buildAblationSweep(size)
+	if _, err := s.Run([]*isa.Program{p}, runLimit); err != nil {
 		panic(err)
 	}
 	emitSnapshot(sink, s, "ablation_sweep_size%d", size)
@@ -321,25 +330,32 @@ func measureAblationSweep(sink Sink, cfg sim.Config, size uint64) float64 {
 	return float64(tm[end].CompletedAt - tm[start].IssuedAt)
 }
 
-// measureAblationRedundant runs store + (1+redundant) CBO.CLEANs per line.
-func measureAblationRedundant(sink Sink, cfg sim.Config, size uint64, redundant int) float64 {
-	s := newSystem(cfg)
-	b := isa.NewBuilder()
-	start := b.Mark()
+// buildAblationRedundant constructs store + (1+redundant) CBO.CLEANs per
+// line, then a fence. It returns the program and the index of the fence;
+// the measurement starts at the first instruction.
+func buildAblationRedundant(size uint64, redundant int) (p *isa.Program, end int) {
+	b := isa.NewBuilder().Grow(linesIn(size)*(2+redundant) + 1)
 	for a := uint64(0); a < size; a += lineBytes {
 		b.Store(a, 1)
 		for r := 0; r <= redundant; r++ {
 			b.CboClean(a)
 		}
 	}
-	end := b.Mark()
+	end = b.Mark()
 	b.Fence()
-	if _, err := s.Run([]*isa.Program{b.Build()}, runLimit); err != nil {
+	return b.Build(), end
+}
+
+// measureAblationRedundant runs store + (1+redundant) CBO.CLEANs per line.
+func measureAblationRedundant(sink Sink, cfg sim.Config, size uint64, redundant int) float64 {
+	s := newSystem(cfg)
+	p, end := buildAblationRedundant(size, redundant)
+	if _, err := s.Run([]*isa.Program{p}, runLimit); err != nil {
 		panic(err)
 	}
 	emitSnapshot(sink, s, "ablation_redundant_size%d_red%d", size, redundant)
 	tm := s.Cores[0].Timings()
-	return float64(tm[end].CompletedAt - tm[start].IssuedAt)
+	return float64(tm[end].CompletedAt - tm[0].IssuedAt)
 }
 
 // AblationJobs emits the §5 design-choice grid: widened data array, FSHR

@@ -66,12 +66,29 @@ var Sizes = []uint64{64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
 // ThreadCounts is the thread sweep of §7.2.
 var ThreadCounts = []int{1, 2, 4, 8}
 
+// linesIn is the number of lines in a size-byte region: the iteration count
+// of every per-line loop below and of the builder's region helpers.
+func linesIn(size uint64) int { return int((size + lineBytes - 1) / lineBytes) }
+
+// loopLen is the instruction count of one CBO.X loop iteration: the CBO and
+// its LoopNops no-ops, which Builder.Nops appends as one instruction.
+func loopLen() int {
+	if LoopNops > 0 {
+		return 2
+	}
+	return 1
+}
+
+// The program builders below grow their builder once, by the program's exact
+// length, so that building a program allocates its instruction slice once.
+
 // buildSweep constructs the Fig. 9 per-core program: dirty the region, fence,
 // then one CBO.X per line and a single fence at the end (§7.2). It returns
 // the program and the index of the first CBO (the measurement start) and of
 // the final fence (the measurement end).
 func buildSweep(base, size uint64, clean bool) (p *isa.Program, startIdx, endIdx int) {
-	b := isa.NewBuilder()
+	lines := linesIn(size)
+	b := isa.NewBuilder().Grow(lines + 1 + lines*loopLen() + 1)
 	b.StoreRegion(base, size, lineBytes, 0xD1)
 	b.Fence()
 	startIdx = b.Mark()
@@ -156,20 +173,8 @@ func measureWriteCboFenceRead(sink Sink, total uint64, threads int, clean bool) 
 	s := newSystem(cfg)
 	per := total / uint64(threads)
 	progs := make([]*isa.Program, threads)
-	startIdx := make([]int, threads)
 	for t := 0; t < threads; t++ {
-		base := uint64(t) * (1 << 16)
-		b := isa.NewBuilder()
-		startIdx[t] = b.Mark()
-		for a := base; a < base+per; a += lineBytes {
-			b.Store(a, 7)
-			for r := 0; r < 10; r++ {
-				b.Cbo(a, clean).Nops(LoopNops)
-			}
-		}
-		b.Fence()
-		b.LoadRegion(base, per, lineBytes)
-		progs[t] = b.Build()
+		progs[t] = buildWriteCboFenceRead(uint64(t)*(1<<16), per, clean)
 	}
 	if _, err := s.Run(progs, runLimit); err != nil {
 		panic(err)
@@ -178,7 +183,7 @@ func measureWriteCboFenceRead(sink Sink, total uint64, threads int, clean bool) 
 	var begin, end int64 = 1 << 62, 0
 	for t := 0; t < threads; t++ {
 		tm := s.Cores[t].Timings()
-		if is := tm[startIdx[t]].IssuedAt; is < begin {
+		if is := tm[0].IssuedAt; is < begin {
 			begin = is
 		}
 		if c := tm[len(tm)-1].CompletedAt; c > end {
@@ -186,6 +191,23 @@ func measureWriteCboFenceRead(sink Sink, total uint64, threads int, clean bool) 
 		}
 	}
 	return float64(end - begin)
+}
+
+// buildWriteCboFenceRead constructs the Figure 10 per-core program: per
+// line a store and ten CBO.X, then a fence and a load of every line. The
+// measurement starts at its first instruction.
+func buildWriteCboFenceRead(base, size uint64, clean bool) *isa.Program {
+	lines := linesIn(size)
+	b := isa.NewBuilder().Grow(lines*(1+10*loopLen()) + 1 + lines)
+	for a := base; a < base+size; a += lineBytes {
+		b.Store(a, 7)
+		for r := 0; r < 10; r++ {
+			b.Cbo(a, clean).Nops(LoopNops)
+		}
+	}
+	b.Fence()
+	b.LoadRegion(base, size, lineBytes)
+	return b.Build()
 }
 
 // redundantConfig is the system configuration measureRedundant runs under;
@@ -208,20 +230,8 @@ func measureRedundant(sink Sink, total uint64, threads, redundant int, skipIt, c
 	s := newSystem(cfg)
 	per := total / uint64(threads)
 	progs := make([]*isa.Program, threads)
-	startIdx := make([]int, threads)
 	for t := 0; t < threads; t++ {
-		base := uint64(t) * (1 << 16)
-		b := isa.NewBuilder()
-		startIdx[t] = b.Mark()
-		for a := base; a < base+per; a += lineBytes {
-			b.Store(a, 3)
-			b.Cbo(a, clean).Nops(LoopNops)
-			for r := 0; r < redundant; r++ {
-				b.Cbo(a, clean).Nops(LoopNops)
-			}
-		}
-		b.Fence()
-		progs[t] = b.Build()
+		progs[t] = buildRedundant(uint64(t)*(1<<16), per, redundant, clean)
 	}
 	if _, err := s.Run(progs, runLimit); err != nil {
 		panic(err)
@@ -230,7 +240,7 @@ func measureRedundant(sink Sink, total uint64, threads, redundant int, skipIt, c
 	var begin, end int64 = 1 << 62, 0
 	for t := 0; t < threads; t++ {
 		tm := s.Cores[t].Timings()
-		if is := tm[startIdx[t]].IssuedAt; is < begin {
+		if is := tm[0].IssuedAt; is < begin {
 			begin = is
 		}
 		if c := tm[len(tm)-1].CompletedAt; c > end {
@@ -238,4 +248,20 @@ func measureRedundant(sink Sink, total uint64, threads, redundant int, skipIt, c
 		}
 	}
 	return float64(end - begin)
+}
+
+// buildRedundant constructs the Figure 13 per-core program: per line a
+// store, one real CBO.X and redundant more, then a fence. The measurement
+// starts at its first instruction.
+func buildRedundant(base, size uint64, redundant int, clean bool) *isa.Program {
+	b := isa.NewBuilder().Grow(linesIn(size)*(1+(1+redundant)*loopLen()) + 1)
+	for a := base; a < base+size; a += lineBytes {
+		b.Store(a, 3)
+		b.Cbo(a, clean).Nops(LoopNops)
+		for r := 0; r < redundant; r++ {
+			b.Cbo(a, clean).Nops(LoopNops)
+		}
+	}
+	b.Fence()
+	return b.Build()
 }

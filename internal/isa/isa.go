@@ -102,6 +102,19 @@ type Builder struct {
 // NewBuilder returns an empty program builder.
 func NewBuilder() *Builder { return &Builder{} }
 
+// Grow makes room for n more instructions. When it must grow, the new
+// capacity is exactly n past the current length, so a builder grown once by
+// its program's remaining length never reallocates and Build returns a
+// program with no spare capacity.
+func (b *Builder) Grow(n int) *Builder {
+	if n > cap(b.instrs)-len(b.instrs) {
+		s := make([]Instr, len(b.instrs), len(b.instrs)+n)
+		copy(s, b.instrs)
+		b.instrs = s
+	}
+	return b
+}
+
 // Store appends a 64-bit store of val to addr.
 func (b *Builder) Store(addr, val uint64) *Builder {
 	b.instrs = append(b.instrs, Instr{Op: OpStore, Addr: addr, Data: val})

@@ -137,6 +137,31 @@ func TestMarkTracksNextIndex(t *testing.T) {
 	}
 }
 
+// TestGrowSizesExactly: a builder grown by its remaining length keeps its
+// instructions, never reallocates and builds a program with no spare
+// capacity, even where append would round the capacity up; a Grow that fits
+// the current capacity changes nothing.
+func TestGrowSizesExactly(t *testing.T) {
+	b := NewBuilder().Store(0, 1).Store(8, 2).Store(16, 3) // capacity 4
+	b.Grow(2)
+	grown := &b.instrs[0]
+	b.Fence()
+	if b.Grow(1); &b.instrs[0] != grown {
+		t.Fatal("Grow within capacity reallocated")
+	}
+	b.Load(8)
+	if &b.instrs[0] != grown {
+		t.Fatal("appends within the grown length reallocated")
+	}
+	p := b.Build()
+	if len(p.Instrs) != 5 || cap(p.Instrs) != 5 {
+		t.Fatalf("len %d, cap %d, want 5 and 5", len(p.Instrs), cap(p.Instrs))
+	}
+	if p.Instrs[0] != (Instr{Op: OpStore, Addr: 0, Data: 1}) || p.Instrs[4].Op != OpLoad {
+		t.Fatalf("Grow lost instructions: %v", p.Instrs)
+	}
+}
+
 func TestInstrStrings(t *testing.T) {
 	cases := map[string]Instr{
 		"fence":          {Op: OpFence},

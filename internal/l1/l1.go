@@ -105,15 +105,20 @@ func DefaultConfig(source int) Config {
 }
 
 // wayMeta is one metadata array entry: tag, coherence state, dirty bit
-// (§3.3) and the Skip It bit (§6.1).
+// (§3.3) and the Skip It bit (§6.1). The one-byte fields share the last
+// word, so an entry is 24 bytes.
 type wayMeta struct {
-	valid    bool
 	tag      uint64
+	lastUsed int64
+	valid    bool
 	perm     tilelink.Perm
 	dirty    bool
 	skip     bool
-	lastUsed int64
 }
+
+// rowsPerSlab is the number of data rows in one slab: 64 lines make 4 KiB,
+// one way of the default 64 sets.
+const rowsPerSlab = 64
 
 // LineInfo is a read-only metadata snapshot for tests and invariant checks.
 type LineInfo struct {
@@ -204,9 +209,11 @@ type timedResp struct {
 type DCache struct {
 	cfg  Config
 	meta [][]wayMeta
-	// data holds every line's bytes, row set*Ways+way; see row.
-	data []tilelink.Line
-	port *tilelink.ClientPort
+	// slabs holds the data array, rowsPerSlab rows per slab. A slab is made
+	// by the first row call that needs it, so a job pays only for the ways
+	// it fills; see row.
+	slabs [][]tilelink.Line
+	port  *tilelink.ClientPort
 
 	flush *core.FlushUnit
 	mshrs []mshr
@@ -253,10 +260,10 @@ func New(cfg Config, port *tilelink.ClientPort) *DCache {
 	d := &DCache{cfg: cfg, port: port, name: fmt.Sprintf("l1[%d]", cfg.Source)}
 	d.ctr = newL1Counters(reg, d.name)
 	// The metadata sets are capacity-capped windows into one flat array,
-	// and the data array is one flat array of lines: a handful of
+	// and the data array is slabs made on first use: a handful of
 	// allocations per cache, not one per line.
 	meta := make([]wayMeta, cfg.Sets*cfg.Ways)
-	d.data = make([]tilelink.Line, len(meta))
+	d.slabs = make([][]tilelink.Line, (len(meta)+rowsPerSlab-1)/rowsPerSlab)
 	d.meta = make([][]wayMeta, cfg.Sets)
 	for s := 0; s < cfg.Sets; s++ {
 		lo, hi := s*cfg.Ways, (s+1)*cfg.Ways
@@ -451,14 +458,15 @@ func (d *DCache) NextEvent(now int64) int64 {
 	return next
 }
 
-// Reset drops all volatile state (simulated crash).
+// Reset drops all volatile state (simulated crash), data slabs included:
+// every row reads as zeros afterwards.
 func (d *DCache) Reset() {
 	for s := range d.meta {
 		for w := range d.meta[s] {
 			d.meta[s][w] = wayMeta{}
 		}
 	}
-	clear(d.data)
+	clear(d.slabs)
 	for i := range d.mshrs {
 		d.mshrs[i] = mshr{}
 	}
@@ -470,9 +478,18 @@ func (d *DCache) Reset() {
 	d.flush.Reset()
 }
 
-// row returns the data array row of (set, way).
+// row returns the data array row of (set, way), making its slab on first
+// use; a row never written reads as zeros. Rows are numbered way-major
+// (way*Sets + set): the cache fills the first invalid way, so a job's lines
+// land in way 0 of consecutive sets and share slabs.
 func (d *DCache) row(set, way int) *tilelink.Line {
-	return &d.data[set*d.cfg.Ways+way]
+	r := way*d.cfg.Sets + set
+	slab := d.slabs[r/rowsPerSlab]
+	if slab == nil {
+		slab = make([]tilelink.Line, rowsPerSlab) //skipit:ignore hotalloc the data array materializes a slab on first touch; a cache makes at most Sets*Ways/rowsPerSlab of them and none once its working set is resident
+		d.slabs[r/rowsPerSlab] = slab
+	}
+	return &slab[r%rowsPerSlab]
 }
 
 func (d *DCache) readWord(set, way int, addr uint64) uint64 {

@@ -57,12 +57,12 @@ func DefaultConfig(numClients int) Config {
 // line is one L2 frame's tag/valid/dirty metadata. Its BankedStore row and
 // its full-map directory entry (Directory in Fig. 4) live in the Cache,
 // reached through row with dataOf and permsOf, so a frame holds no pointer
-// and the garbage collector never scans the frame array.
+// and the garbage collector never scans the frame slabs.
 type line struct {
 	tag      uint64
 	lastUsed int64
-	// row numbers the frame's data row and directory entry, way-major
-	// (way*Sets + set); fixed at construction.
+	// row numbers the frame, its data row and its directory entry,
+	// way-major (way*Sets + set); fixed when the frame's slab is made.
 	row   uint32
 	valid bool
 	dirty bool
@@ -71,8 +71,8 @@ type line struct {
 	reserved bool
 }
 
-// rowsPerSlab is the number of data rows in one BankedStore slab: 64 lines
-// make 4 KiB.
+// rowsPerSlab is the number of rows in one frame or BankedStore slab: 64
+// lines of data make 4 KiB.
 const rowsPerSlab = 64
 
 // LineState is a read-only snapshot for invariant checks and tests.
@@ -149,8 +149,11 @@ func newL2Counters(reg *metrics.Registry, name string) l2Counters {
 
 // Cache is the inclusive LLC. Drive it once per cycle with Tick.
 type Cache struct {
-	cfg   Config
-	lines [][]line // [set][way]
+	cfg Config
+	// frames holds the tag array, rowsPerSlab frames per slab, numbered
+	// like the data rows. A slab is made by the first fill that needs it
+	// (frame) and never moves; until then its frames read as invalid.
+	frames [][]line
 	// perms is the directory: NumClients permissions per frame row.
 	perms []tilelink.Perm
 	// slabs holds the BankedStore, rowsPerSlab data rows per slab. A slab
@@ -225,22 +228,42 @@ func New(cfg Config, ports []*tilelink.ClientPort, m *mem.Memory) *Cache {
 		outD:  make([][]tilelink.Msg, cfg.NumClients),
 		ctr:   newL2Counters(reg, "l2"),
 	}
-	// Every set is a capacity-capped window into one flat frame array and
-	// the directory is one flat array. Data rows are numbered way-major:
-	// the L2 fills the first invalid way, so a job's lines land in way 0 of
-	// consecutive sets and share slabs.
+	// The directory is one flat array; frames and data rows live in slabs
+	// made on first use. Rows are numbered way-major: the L2 fills the
+	// first invalid way, so a job's lines land in way 0 of consecutive sets
+	// and share slabs.
 	rows := cfg.Sets * cfg.Ways
-	frames := make([]line, rows)
+	nslabs := (rows + rowsPerSlab - 1) / rowsPerSlab
 	c.perms = make([]tilelink.Perm, rows*cfg.NumClients)
-	c.slabs = make([][]tilelink.Line, (rows+rowsPerSlab-1)/rowsPerSlab)
-	c.lines = make([][]line, cfg.Sets)
-	for s := range c.lines {
-		c.lines[s] = frames[s*cfg.Ways : (s+1)*cfg.Ways : (s+1)*cfg.Ways]
-		for w := range c.lines[s] {
-			c.lines[s][w].row = uint32(w*cfg.Sets + s)
-		}
-	}
+	c.frames = make([][]line, nslabs)
+	c.slabs = make([][]tilelink.Line, nslabs)
 	return c
+}
+
+// frameAt returns the frame of (set, way), or nil while its slab is unmade:
+// every frame of a missing slab is invalid and unreserved.
+func (c *Cache) frameAt(set, way int) *line {
+	row := way*c.cfg.Sets + set
+	slab := c.frames[row/rowsPerSlab]
+	if slab == nil {
+		return nil
+	}
+	return &slab[row%rowsPerSlab]
+}
+
+// frame returns the frame of (set, way), making its slab on first use.
+func (c *Cache) frame(set, way int) *line {
+	row := way*c.cfg.Sets + set
+	slab := c.frames[row/rowsPerSlab]
+	if slab == nil {
+		slab = make([]line, rowsPerSlab) //skipit:ignore hotalloc the tag array materializes a slab on first fill; a system makes at most Sets*Ways/rowsPerSlab of them and none once its working set is resident
+		first := row / rowsPerSlab * rowsPerSlab
+		for i := range slab {
+			slab[i].row = uint32(first + i)
+		}
+		c.frames[row/rowsPerSlab] = slab
+	}
+	return &slab[row%rowsPerSlab]
 }
 
 // permsOf returns frame l's directory entry, one permission per client.
@@ -304,13 +327,12 @@ func (c *Cache) addrOf(set int, tag uint64) uint64 {
 	return (tag*uint64(c.cfg.Sets) + uint64(set)) * c.cfg.LineBytes
 }
 
-// lookup returns the frame holding addr, or nil.
+// lookup returns the frame holding addr, or nil. It makes no slab.
 func (c *Cache) lookup(addr uint64) *line {
 	set := c.index(addr)
 	tag := c.tag(addr)
-	for w := range c.lines[set] {
-		l := &c.lines[set][w]
-		if l.valid && l.tag == tag {
+	for w := 0; w < c.cfg.Ways; w++ {
+		if l := c.frameAt(set, w); l != nil && l.valid && l.tag == tag {
 			return l
 		}
 	}
@@ -402,9 +424,9 @@ func (c *Cache) NextEvent(now int64) int64 {
 // Reset clears all volatile state (simulated crash). Data rows keep their
 // bytes: every frame is invalid, and a refill overwrites its row.
 func (c *Cache) Reset() {
-	for s := range c.lines {
-		for w := range c.lines[s] {
-			l := &c.lines[s][w]
+	for _, slab := range c.frames {
+		for i := range slab {
+			l := &slab[i]
 			l.valid = false
 			l.dirty = false
 			l.reserved = false

@@ -114,7 +114,7 @@ func (c *Cache) lineBusy(addr uint64) bool {
 		if m.state != msEvictProbe && m.state != msEvictMemWrite {
 			continue
 		}
-		v := &c.lines[m.victimSet][m.victimWay]
+		v := c.frame(m.victimSet, m.victimWay)
 		if v.valid && c.addrOf(m.victimSet, v.tag) == addr {
 			return true
 		}
@@ -153,7 +153,7 @@ func (c *Cache) startAcquire(now int64, m *mshr) {
 		if way < 0 {
 			return // all ways under transaction; stay in msStart
 		}
-		v := &c.lines[set][way]
+		v := c.frame(set, way)
 		v.reserved = true
 		if v.valid {
 			m.victimSet, m.victimWay = set, way
@@ -337,7 +337,7 @@ func (c *Cache) finishRootRelease(m *mshr) {
 // finishEvict runs after the victim's probes are answered: write back the
 // victim if dirty, then read the requested line.
 func (c *Cache) finishEvict(now int64, m *mshr) {
-	v := &c.lines[m.victimSet][m.victimWay]
+	v := c.frame(m.victimSet, m.victimWay)
 	if v.dirty {
 		victimAddr := c.addrOf(m.victimSet, v.tag)
 		m.state = msEvictMemWrite
@@ -410,16 +410,17 @@ func (c *Cache) sendGrant(now int64, m *mshr) {
 }
 
 // pickVictim chooses an invalid way if one exists, else the LRU way that is
-// not under an active transaction.
+// not under an active transaction. It makes no slab: a way whose slab is
+// unmade is invalid.
 func (c *Cache) pickVictim(set int) int {
-	for w := range c.lines[set] {
-		if !c.lines[set][w].valid && !c.lines[set][w].reserved {
+	for w := 0; w < c.cfg.Ways; w++ {
+		if l := c.frameAt(set, w); l == nil || !l.valid && !l.reserved {
 			return w
 		}
 	}
 	best, bestUsed := -1, int64(1<<62)
-	for w := range c.lines[set] {
-		l := &c.lines[set][w]
+	for w := 0; w < c.cfg.Ways; w++ {
+		l := c.frameAt(set, w) // valid or reserved, so its slab exists
 		if l.reserved || c.mshrFor(c.addrOf(set, l.tag)) != nil {
 			continue
 		}

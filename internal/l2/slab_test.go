@@ -32,9 +32,10 @@ func (r *rig) peek(addr uint64) byte {
 	return data[0]
 }
 
-func (c *Cache) slabCount() int {
+// made counts the slabs of a first-use table that have been made.
+func made[T any](slabs [][]T) int {
 	n := 0
-	for _, s := range c.slabs {
+	for _, s := range slabs {
 		if s != nil {
 			n++
 		}
@@ -60,11 +61,12 @@ func TestFrameIsPointerFree(t *testing.T) {
 
 func TestFreshCacheHoldsNoSlab(t *testing.T) {
 	r := newRig(t, 1)
-	if n := r.c.slabCount(); n != 0 {
-		t.Fatalf("fresh cache holds %d slabs", n)
+	if n, m := made(r.c.slabs), made(r.c.frames); n != 0 || m != 0 {
+		t.Fatalf("fresh cache holds %d data and %d frame slabs", n, m)
 	}
-	if want := 1024 * 8 / rowsPerSlab; len(r.c.slabs) != want {
-		t.Fatalf("%d slab slots, want %d", len(r.c.slabs), want)
+	want := 1024 * 8 / rowsPerSlab
+	if len(r.c.slabs) != want || len(r.c.frames) != want {
+		t.Fatalf("%d data and %d frame slab slots, want %d", len(r.c.slabs), len(r.c.frames), want)
 	}
 }
 
@@ -72,12 +74,12 @@ func TestFirstFillMakesOneSlab(t *testing.T) {
 	r := newRig(t, 1)
 	r.m.PokeUint64(0x1000, 9)
 	r.acquire(0, 0x1000, tilelink.GrowNtoB)
-	if n := r.c.slabCount(); n != 1 {
+	if n := made(r.c.slabs); n != 1 {
 		t.Fatalf("first fill made %d slabs, want 1", n)
 	}
 	// Way 0 of sets 64..127 shares the slab: rows are numbered way-major.
 	r.acquire(0, 0x1fc0, tilelink.GrowNtoB)
-	if n := r.c.slabCount(); n != 1 {
+	if n := made(r.c.slabs); n != 1 {
 		t.Fatalf("second fill in the same slab made %d slabs, want 1", n)
 	}
 	if got := r.peek(0x1000); got != 9 {
@@ -127,7 +129,7 @@ func TestGeometrySmallerThanOneSlab(t *testing.T) {
 	for i := uint64(0); i < frames; i++ {
 		r.fill(i*64, byte(i+1))
 	}
-	if n := r.c.slabCount(); n != 1 {
+	if n := made(r.c.slabs); n != 1 {
 		t.Fatalf("%d slabs, want 1", n)
 	}
 	for i := uint64(0); i < frames; i++ {
@@ -145,6 +147,78 @@ func TestGeometrySmallerThanOneSlab(t *testing.T) {
 		}
 		if got := r.peek((i + frames) * 64); got != byte(i+frames+1) {
 			t.Fatalf("line %#x holds %d, want %d", (i+frames)*64, got, i+frames+1)
+		}
+	}
+}
+
+// TestNeverFilledSetReadsAbsent looks up two never-filled sets, one whose
+// frames share a slab with a filled set and one with no slab at all: both
+// report the line absent, a victim search picks way 0, and none of it makes
+// a slab.
+func TestNeverFilledSetReadsAbsent(t *testing.T) {
+	r := newRig(t, 1)
+	r.acquire(0, 0x40, tilelink.GrowNtoB) // way 0 of set 1: frame slab 0
+	if n := made(r.c.frames); n != 1 {
+		t.Fatalf("one fill made %d frame slabs, want 1", n)
+	}
+	// Set 0 has frames (slab 0) that were never filled, tag 0 included;
+	// set 100's way 0 lives in slab 1, which no fill made.
+	for _, addr := range []uint64{0x0, 100 * 64} {
+		if l := r.c.lookup(addr); l != nil {
+			t.Errorf("lookup(%#x) found a frame in a never-filled set", addr)
+		}
+		if st := r.c.LineState(addr); st.Present || st.Dirty || st.Perms != nil {
+			t.Errorf("LineState(%#x) = %+v, want absent", addr, st)
+		}
+		if w := r.c.pickVictim(r.c.index(addr)); w != 0 {
+			t.Errorf("pickVictim in the set of %#x = %d, want way 0", addr, w)
+		}
+	}
+	if n := made(r.c.frames); n != 1 {
+		t.Fatalf("lookups made frame slabs: %d, want 1", n)
+	}
+}
+
+// TestResetInvalidatesFramesKeepsData fills lines dirty across several
+// frame slabs, resets, and checks that no frame is valid and that each
+// line's data row still holds its bytes, as Reset documents.
+func TestResetInvalidatesFramesKeepsData(t *testing.T) {
+	r := newRig(t, 1)
+	cfg := r.c.Config()
+	stride := uint64(cfg.Sets) * cfg.LineBytes
+	addrs := []uint64{0x0, 0x40, 100 * 64, 0x40 + stride, 0x40 + 2*stride}
+	for i, a := range addrs {
+		r.fill(a, byte(0xa0+i))
+	}
+	type pos struct{ set, way int }
+	held := map[pos]byte{}
+	for i, a := range addrs {
+		set, tag := r.c.index(a), r.c.tag(a)
+		for w := 0; w < cfg.Ways; w++ {
+			if l := r.c.frameAt(set, w); l != nil && l.valid && l.tag == tag {
+				held[pos{set, w}] = byte(0xa0 + i)
+			}
+		}
+	}
+	if len(held) != len(addrs) {
+		t.Fatalf("found %d of %d filled frames", len(held), len(addrs))
+	}
+	r.c.Reset()
+	for set := 0; set < cfg.Sets; set++ {
+		for w := 0; w < cfg.Ways; w++ {
+			if l := r.c.frameAt(set, w); l != nil && (l.valid || l.dirty || l.reserved) {
+				t.Fatalf("frame (set %d, way %d) = %+v after Reset", set, w, *l)
+			}
+		}
+	}
+	for _, a := range addrs {
+		if r.c.LineState(a).Present {
+			t.Fatalf("%#x present after Reset", a)
+		}
+	}
+	for p, v := range held {
+		if got := r.c.dataOf(r.c.frame(p.set, p.way))[0]; got != v {
+			t.Fatalf("data row of (set %d, way %d) holds %#x after Reset, want %#x", p.set, p.way, got, v)
 		}
 	}
 }

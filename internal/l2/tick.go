@@ -60,7 +60,7 @@ func (c *Cache) pollMemory(now int64) {
 		m := &c.mshrs[r.Tag]
 		switch {
 		case m.state == msEvictMemWrite && r.Kind == mem.Write:
-			v := &c.lines[m.victimSet][m.victimWay]
+			v := c.frame(m.victimSet, m.victimWay)
 			v.valid = false
 			v.dirty = false
 			perms := c.permsOf(v)
@@ -83,7 +83,7 @@ func (c *Cache) pollMemory(now int64) {
 
 // install writes a refilled line into the reserved way and grants it.
 func (c *Cache) install(now int64, m *mshr, data *tilelink.Line) {
-	l := &c.lines[m.victimSet][m.victimWay]
+	l := c.frame(m.victimSet, m.victimWay)
 	l.valid = true
 	l.tag = c.tag(m.addr)
 	l.dirty = false
@@ -216,7 +216,7 @@ func (c *Cache) probeOwner(addr uint64) *mshr {
 			return m
 		}
 		if m.hasVictim && m.state == msEvictProbe {
-			v := &c.lines[m.victimSet][m.victimWay]
+			v := c.frame(m.victimSet, m.victimWay)
 			if c.addrOf(m.victimSet, v.tag) == addr {
 				return m
 			}
@@ -381,7 +381,7 @@ func (c *Cache) resubmitWrite(now int64, m *mshr) {
 	var addr uint64
 	var l *line
 	if m.state == msEvictMemWrite {
-		l = &c.lines[m.victimSet][m.victimWay]
+		l = c.frame(m.victimSet, m.victimWay)
 		addr = c.addrOf(m.victimSet, l.tag)
 	} else {
 		addr = m.addr
