@@ -236,11 +236,19 @@ func (u *FlushUnit) Flushing() bool { return u.counter > 0 }
 // PendingCount returns the flush counter value, for assertions.
 func (u *FlushUnit) PendingCount() int { return u.counter }
 
+// resident is the number of requests held by FSHRs: the flush counter less
+// the queued ones. The §5.2 counter invariant (sim.CheckInvariants) holds it
+// equal to ActiveFSHRs, so while it is 0 no FSHR needs a visit.
+func (u *FlushUnit) resident() int { return u.counter - len(u.queue) }
+
 // FlushRdy mirrors the §5.4.1 flush_rdy output: low from FSHR allocation
 // until the FSHR has written metadata and released the line to L2 (i.e.
 // reached root_release_ack). The probe unit must not handle probes and the
 // MSHRs must not evict lines while it is low.
 func (u *FlushUnit) FlushRdy() bool {
+	if u.resident() == 0 {
+		return true
+	}
 	for i := range u.fshrs {
 		if u.fshrs[i].busyPreAck() {
 			return false
@@ -249,18 +257,30 @@ func (u *FlushUnit) FlushRdy() bool {
 	return true
 }
 
-// Tick advances the unit by one cycle: it first steps every FSHR, then — if
-// the probe unit and writeback unit are quiescent (probe_rdy and wb_rdy
-// high, §5.4) — dequeues at most one request into a free FSHR, allocated
-// round-robin.
+// Tick advances the unit by one cycle: it first steps every FSHR that has
+// work (meta_write through root_release; an invalid FSHR and one waiting in
+// root_release_ack do nothing), then — if the probe unit and writeback unit
+// are quiescent (probe_rdy and wb_rdy high, §5.4) — dequeues at most one
+// request into a free FSHR, allocated round-robin.
 func (u *FlushUnit) Tick(now int64, probeRdy, wbRdy bool) {
-	for i := range u.fshrs {
-		u.stepFSHR(now, &u.fshrs[i])
+	resident := u.resident()
+	if resident > 0 {
+		for i := range u.fshrs {
+			if f := &u.fshrs[i]; f.busyPreAck() {
+				u.stepFSHR(now, f)
+			}
+		}
 	}
-
+	// Stepping frees no FSHR (only OnRootReleaseAck does), so the resident
+	// count still holds.
 	u.ctr.queueDepth.Set(int64(len(u.queue)))
-	u.ctr.fshrOccupancy.Set(int64(u.ActiveFSHRs()))
+	u.ctr.fshrOccupancy.Set(int64(resident))
+	u.dequeue(now, probeRdy, wbRdy)
+}
 
+// dequeue is Tick's second half: the flush queue head's arbitration for a
+// free FSHR.
+func (u *FlushUnit) dequeue(now int64, probeRdy, wbRdy bool) {
 	if len(u.queue) == 0 {
 		return
 	}
@@ -320,6 +340,9 @@ func (u *FlushUnit) Tick(now int64, probeRdy, wbRdy bool) {
 func (u *FlushUnit) NextEvent(now int64) int64 {
 	if len(u.queue) > 0 {
 		return now + 1
+	}
+	if u.resident() == 0 {
+		return tilelink.NoEvent
 	}
 	for i := range u.fshrs {
 		switch u.fshrs[i].state {
@@ -504,7 +527,9 @@ func (u *FlushUnit) VictimBlocked(addr uint64) bool {
 // QueueLen returns the current flush queue occupancy.
 func (u *FlushUnit) QueueLen() int { return len(u.queue) }
 
-// ActiveFSHRs returns the number of FSHRs holding a request.
+// ActiveFSHRs recounts the FSHRs holding a request from their states. The
+// unit itself reads the count off the flush counter (resident); the
+// invariant checker holds the two equal.
 func (u *FlushUnit) ActiveFSHRs() int {
 	n := 0
 	for i := range u.fshrs {
@@ -535,6 +560,9 @@ func (u *FlushUnit) Reset() {
 }
 
 func (u *FlushUnit) fshrFor(addr uint64) *fshr {
+	if u.resident() == 0 {
+		return nil
+	}
 	addr = u.lineAddr(addr)
 	for i := range u.fshrs {
 		if u.fshrs[i].active() && u.fshrs[i].req.addr == addr {

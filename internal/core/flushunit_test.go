@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -660,5 +661,95 @@ func TestFlushUnitAccountingProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// tickEveryFSHR is the reference Tick: it steps every FSHR, idle ones
+// included, and recounts fshr_occupancy from the FSHR states.
+// TestTickMatchesStepEveryFSHR holds Tick against it.
+func (u *FlushUnit) tickEveryFSHR(now int64, probeRdy, wbRdy bool) {
+	for i := range u.fshrs {
+		u.stepFSHR(now, &u.fshrs[i])
+	}
+	u.ctr.queueDepth.Set(int64(len(u.queue)))
+	u.ctr.fshrOccupancy.Set(int64(u.ActiveFSHRs()))
+	u.dequeue(now, probeRdy, wbRdy)
+}
+
+// TestTickMatchesStepEveryFSHR drives two flush units in lockstep with the
+// same seeded offers, probe_rdy/wb_rdy values, TL-C occupancy and
+// RootReleaseAcks, one through Tick and one through tickEveryFSHR, and
+// compares their whole state after every cycle. A Tick that skipped an FSHR
+// with work (one filling its buffer over eight cycles on the narrow data
+// array, or one whose RootRelease the busy link refused) falls behind here.
+func TestTickMatchesStepEveryFSHR(t *testing.T) {
+	lines := []uint64{0x1000, 0x1040, 0x1080, 0x2000, 0x2040, 0x8000}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DefaultConfig()
+		cfg.QueueDepth = 1 + rng.Intn(8)
+		cfg.NumFSHRs = 1 + rng.Intn(8)
+		cfg.SkipIt = rng.Intn(2) == 0
+		cfg.Coalescing = rng.Intn(2) == 0
+		cfg.CoalesceCrossKind = rng.Intn(2) == 0
+		cfg.WideDataArray = rng.Intn(2) == 0
+		pa, pb := newFakePorts(), newFakePorts()
+		pa.acceptEvery = 1 + int64(rng.Intn(3))
+		pb.acceptEvery = pa.acceptEvery
+		ua, ub := NewFlushUnit(cfg, pa), NewFlushUnit(cfg, pb)
+		var acked []bool // by index into the sent RootReleases
+		for now := int64(0); now < 400; now++ {
+			// Stores refill lines in both data caches alike.
+			if rng.Intn(4) == 0 {
+				addr, dirty, skip := lines[rng.Intn(len(lines))], rng.Intn(2) == 0, rng.Intn(2) == 0
+				pa.addLine(addr, dirty, skip)
+				pb.addLine(addr, dirty, skip)
+			}
+			for n := rng.Intn(3); n > 0; n-- {
+				addr, clean := lines[rng.Intn(len(lines))], rng.Intn(2) == 0
+				ra := ua.Offer(now, addr, clean, pa.meta(addr))
+				if rb := ub.Offer(now, addr, clean, pb.meta(addr)); ra != rb {
+					t.Fatalf("seed %d cycle %d: Offer(%#x) = %v via Tick, %v stepping every FSHR", seed, now, addr, ra, rb)
+				}
+			}
+			probeRdy, wbRdy := rng.Intn(5) != 0, rng.Intn(5) != 0
+			ua.Tick(now, probeRdy, wbRdy)
+			ub.tickEveryFSHR(now, probeRdy, wbRdy)
+			if !slices.Equal(pa.sent[len(acked):], pb.sent[len(acked):]) {
+				t.Fatalf("seed %d cycle %d: RootReleases sent via Tick %v, stepping every FSHR %v", seed, now, pa.sent[len(acked):], pb.sent[len(acked):])
+			}
+			acked = append(acked, make([]bool, len(pa.sent)-len(acked))...)
+			// Acknowledge some sent RootReleases, in any order.
+			for i := range pa.sent {
+				if !acked[i] && rng.Intn(3) == 0 {
+					acked[i] = true
+					ua.OnRootReleaseAck(now, pa.sent[i].Addr)
+					ub.OnRootReleaseAck(now, pb.sent[i].Addr)
+				}
+			}
+			compareFlushUnits(t, seed, now, ua, ub, pa, pb)
+		}
+	}
+}
+
+// compareFlushUnits fails the test unless a and b hold the same FSHRs, queue,
+// flush counter, counters, gauges and metadata writes.
+func compareFlushUnits(t *testing.T, seed, now int64, a, b *FlushUnit, pa, pb *fakePorts) {
+	t.Helper()
+	switch {
+	case !slices.Equal(a.fshrs, b.fshrs):
+		t.Fatalf("seed %d cycle %d: FSHRs differ:\nTick:       %v\nevery FSHR: %v", seed, now, a.FSHRStates(), b.FSHRStates())
+	case !slices.Equal(a.queue, b.queue):
+		t.Fatalf("seed %d cycle %d: queues differ: %v vs %v", seed, now, a.queue, b.queue)
+	case a.counter != b.counter || a.nextRR != b.nextRR:
+		t.Fatalf("seed %d cycle %d: counter/nextRR %d/%d vs %d/%d", seed, now, a.counter, a.nextRR, b.counter, b.nextRR)
+	case a.Stats() != b.Stats():
+		t.Fatalf("seed %d cycle %d: counters differ:\n%+v\n%+v", seed, now, a.Stats(), b.Stats())
+	case a.ctr.queueDepth.Value() != b.ctr.queueDepth.Value():
+		t.Fatalf("seed %d cycle %d: queue_depth %d vs %d", seed, now, a.ctr.queueDepth.Value(), b.ctr.queueDepth.Value())
+	case a.ctr.fshrOccupancy.Value() != b.ctr.fshrOccupancy.Value():
+		t.Fatalf("seed %d cycle %d: fshr_occupancy %d vs %d", seed, now, a.ctr.fshrOccupancy.Value(), b.ctr.fshrOccupancy.Value())
+	case pa.metaInvalidates != pb.metaInvalidates || pa.metaClears != pb.metaClears:
+		t.Fatalf("seed %d cycle %d: metadata writes differ", seed, now)
 	}
 }

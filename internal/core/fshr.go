@@ -107,8 +107,9 @@ func (f *fshr) allocate(req flushReq, now int64) {
 }
 
 // busyPreAck reports whether the FSHR holds a request and has not yet reached
-// root_release_ack. The flush unit's flush_rdy output is the NOR of this
-// across all FSHRs (§5.4.1).
+// root_release_ack: whether it has work every cycle. Tick steps only such
+// FSHRs, and the flush unit's flush_rdy output is the NOR of this across all
+// FSHRs (§5.4.1).
 func (f *fshr) busyPreAck() bool {
 	return f.state != FSHRInvalid && f.state != FSHRRootReleaseAck
 }
@@ -116,8 +117,7 @@ func (f *fshr) busyPreAck() bool {
 // active reports whether the FSHR holds a request in any state.
 func (f *fshr) active() bool { return f.state != FSHRInvalid }
 
-// step advances the FSHR state machine by one cycle. It returns true when the
-// FSHR finished a state's work this cycle (for stats/tracing).
+// stepFSHR advances the FSHR state machine by one cycle.
 func (u *FlushUnit) stepFSHR(now int64, f *fshr) {
 	switch f.state {
 	case FSHRInvalid, FSHRRootReleaseAck:

@@ -122,6 +122,11 @@ func (d *DCache) PokeMeta(addr uint64, perm tilelink.Perm, dirty, skip bool) boo
 	return true
 }
 
+// PokeActiveMSHRs skews the active-MSHR count by delta, bypassing the MSHRs.
+// Test-only: it exists so invariant-checker tests can seed a count that
+// disagrees with the MSHR states.
+func (d *DCache) PokeActiveMSHRs(delta int) { d.activeMSHRs += delta }
+
 func (s mState) String() string {
 	return [...]string{"free", "send_acquire", "wait_grant", "victim", "install", "replay", "grant_ack"}[s]
 }

@@ -217,8 +217,12 @@ type DCache struct {
 
 	flush *core.FlushUnit
 	mshrs []mshr
-	wb    wbUnit
-	probe probeUnit
+	// activeMSHRs counts the MSHRs not in mFree: allocMSHR adds one and the
+	// GrantAck's release takes it back. While it is 0 no walk over the
+	// MSHRs runs; sim.CheckInvariants holds it against the states.
+	activeMSHRs int
+	wb          wbUnit
+	probe       probeUnit
 
 	inQ   []pendingReq
 	respQ []timedResp
@@ -403,15 +407,22 @@ func (d *DCache) Busy() bool {
 	if len(d.inQ) > 0 || len(d.respQ) > 0 || d.flush.Flushing() {
 		return true
 	}
-	if !d.wb.idle() || d.probe.busy() {
-		return true
-	}
+	return !d.wb.idle() || d.probe.busy() || d.activeMSHRs != 0
+}
+
+// ActiveMSHRs returns the running count of MSHRs holding a miss.
+func (d *DCache) ActiveMSHRs() int { return d.activeMSHRs }
+
+// CountActiveMSHRs recounts the MSHRs holding a miss from their states, for
+// the invariant checker to hold ActiveMSHRs against.
+func (d *DCache) CountActiveMSHRs() int {
+	n := 0
 	for i := range d.mshrs {
 		if d.mshrs[i].state != mFree {
-			return true
+			n++
 		}
 	}
-	return false
+	return n
 }
 
 // NextEvent returns the earliest cycle after now at which the cache can
@@ -447,6 +458,9 @@ func (d *DCache) NextEvent(now int64) int64 {
 	if t := d.flush.NextEvent(now); t < next {
 		next = t
 	}
+	if d.activeMSHRs == 0 {
+		return next
+	}
 	for i := range d.mshrs {
 		switch d.mshrs[i].state {
 		case mFree, mWaitGrant:
@@ -470,6 +484,7 @@ func (d *DCache) Reset() {
 	for i := range d.mshrs {
 		d.mshrs[i] = mshr{}
 	}
+	d.activeMSHRs = 0
 	d.wb = wbUnit{}
 	d.probe = probeUnit{}
 	d.inQ = d.inQ[:0]

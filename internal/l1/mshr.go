@@ -65,6 +65,9 @@ func (m *mshr) canAcceptSecondary(req Req, rpqDepth int) bool {
 
 // mshrFor returns the active MSHR for addr's line, if any.
 func (d *DCache) mshrFor(addr uint64) *mshr {
+	if d.activeMSHRs == 0 {
+		return nil
+	}
 	addr = d.lineAddr(addr)
 	for i := range d.mshrs {
 		m := &d.mshrs[i]
@@ -75,9 +78,9 @@ func (d *DCache) mshrFor(addr uint64) *mshr {
 	return nil
 }
 
-// freeMSHR returns an unused MSHR, honoring an armed chaos capacity squeeze:
-// a quota below the configured count makes the cache behave as if built with
-// fewer MSHRs for the window, without cancelling in-flight misses.
+// freeMSHR returns the lowest unused MSHR, honoring an armed chaos capacity
+// squeeze: a quota below the configured count makes the cache behave as if
+// built with fewer MSHRs for the window, without cancelling in-flight misses.
 func (d *DCache) freeMSHR(now int64) *mshr {
 	limit := len(d.mshrs)
 	if d.chaos != nil {
@@ -85,21 +88,15 @@ func (d *DCache) freeMSHR(now int64) *mshr {
 			limit = q
 		}
 	}
-	inUse := 0
-	var free *mshr
-	for i := range d.mshrs {
-		if d.mshrs[i].state == mFree {
-			if free == nil {
-				free = &d.mshrs[i]
-			}
-		} else {
-			inUse++
-		}
-	}
-	if inUse >= limit {
+	if d.activeMSHRs >= limit {
 		return nil
 	}
-	return free
+	for i := range d.mshrs {
+		if d.mshrs[i].state == mFree {
+			return &d.mshrs[i]
+		}
+	}
+	return nil
 }
 
 // allocMSHR sets up a new miss. The growth parameter depends on the request
@@ -121,6 +118,7 @@ func (d *DCache) allocMSHR(now int64, m *mshr, req Req) {
 	// the steady-state cycle loop must not allocate.
 	rpq := append(m.rpq[:0], req) //skipit:ignore hotalloc appends one Req to a zero-length reslice of the MSHR's reused backing array; grows once per MSHR lifetime
 	*m = mshr{state: mSendAcquire, addr: addr, grow: grow, rpq: rpq, way: -1, txn: d.cfg.Txns.Next()}
+	d.activeMSHRs++
 	d.rec.Record(now, code, trace.CauseNone, m.txn, addr, 0)
 }
 
@@ -130,10 +128,16 @@ func (m *mshr) release() {
 	*m = mshr{rpq: rpq}
 }
 
-// tickMSHRs advances every MSHR one cycle.
+// tickMSHRs advances every MSHR that has work one cycle: a free MSHR and one
+// waiting on its grant do nothing.
 func (d *DCache) tickMSHRs(now int64) {
+	if d.activeMSHRs == 0 {
+		return
+	}
 	for i := range d.mshrs {
-		d.tickMSHR(now, &d.mshrs[i])
+		if m := &d.mshrs[i]; m.state != mFree && m.state != mWaitGrant {
+			d.tickMSHR(now, m)
+		}
 	}
 }
 
@@ -193,6 +197,7 @@ func (d *DCache) tickMSHR(now int64, m *mshr) {
 			}
 			d.rec.Record(now, trace.RecGrantAck, trace.CauseNone, m.txn, m.addr, 0)
 			m.release()
+			d.activeMSHRs--
 		}
 	}
 }

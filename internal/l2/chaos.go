@@ -135,6 +135,11 @@ func (c *Cache) PokePerm(addr uint64, client int, p tilelink.Perm) bool {
 // catch it.
 func (c *Cache) PokeDropRootReleaseRaceData(on bool) { c.bugDropRaceWB = on }
 
+// PokeBusyMSHRs flips the busy-mask bits set in flip, bypassing the MSHRs.
+// Test-only: it exists so invariant-checker tests can seed a busy mask that
+// disagrees with the MSHR states.
+func (c *Cache) PokeBusyMSHRs(flip uint64) { c.busy ^= flip }
+
 // PokeDirty force-writes the dirty bit, bypassing the protocol.
 func (c *Cache) PokeDirty(addr uint64, dirty bool) bool {
 	l := c.lookup(addr &^ (c.cfg.LineBytes - 1))

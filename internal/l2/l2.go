@@ -75,6 +75,9 @@ type line struct {
 // lines of data make 4 KiB.
 const rowsPerSlab = 64
 
+// maxMSHRs bounds Config.NumMSHRs: the busy mask has one bit per MSHR.
+const maxMSHRs = 64
+
 // LineState is a read-only snapshot for invariant checks and tests.
 type LineState struct {
 	Present bool
@@ -164,6 +167,11 @@ type Cache struct {
 	mem   *mem.Memory
 
 	mshrs []mshr
+	// busy has bit i set while mshrs[i] holds a transaction (its state is
+	// not msFree). Every walk over the MSHRs visits only its set bits, in
+	// ascending index order; retryListBuffer sets a bit and release clears
+	// it, and sim.CheckInvariants holds the mask against the states.
+	busy uint64
 	// listBuffer holds TL-C and TL-A requests that arrived while their
 	// line had an active MSHR or no MSHR was free (ListBuffer in Fig. 4).
 	listBuffer []buffered
@@ -214,6 +222,9 @@ func New(cfg Config, ports []*tilelink.ClientPort, m *mem.Memory) *Cache {
 	}
 	if cfg.LineBytes != tilelink.LineBytes {
 		panic(fmt.Sprintf("l2: line size %d, want %d", cfg.LineBytes, tilelink.LineBytes))
+	}
+	if cfg.NumMSHRs > maxMSHRs {
+		panic(fmt.Sprintf("l2: %d MSHRs, at most %d (one busy-mask bit each)", cfg.NumMSHRs, maxMSHRs))
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -363,13 +374,8 @@ func (c *Cache) PeekLine(addr uint64) (tilelink.Line, bool) {
 // Busy reports whether any MSHR is active or any request is buffered; used
 // by the system drain loop.
 func (c *Cache) Busy() bool {
-	if len(c.listBuffer) > 0 {
+	if len(c.listBuffer) > 0 || c.busy != 0 {
 		return true
-	}
-	for i := range c.mshrs {
-		if c.mshrs[i].state != msFree {
-			return true
-		}
 	}
 	for cl := 0; cl < c.cfg.NumClients; cl++ {
 		if len(c.outB[cl]) > 0 || len(c.outD[cl]) > 0 {
@@ -377,6 +383,22 @@ func (c *Cache) Busy() bool {
 		}
 	}
 	return false
+}
+
+// BusyMSHRs returns the busy mask: bit i is set while MSHR i holds a
+// transaction.
+func (c *Cache) BusyMSHRs() uint64 { return c.busy }
+
+// CountBusyMSHRs rebuilds the busy mask from the MSHR states, for the
+// invariant checker to hold BusyMSHRs against.
+func (c *Cache) CountBusyMSHRs() uint64 {
+	var mask uint64
+	for i := range c.mshrs {
+		if c.mshrs[i].state != msFree {
+			mask |= 1 << i
+		}
+	}
+	return mask
 }
 
 // NextEvent returns the earliest cycle after now at which the cache can
@@ -403,10 +425,8 @@ func (c *Cache) NextEvent(now int64) int64 {
 			next = r
 		}
 	}
-	for i := range c.mshrs {
+	for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1) {
 		switch m := &c.mshrs[i]; m.state {
-		case msFree:
-			// idle
 		case msEvictProbe, msProbe, msGrant:
 			// waiting on a C/E-channel delivery; the link reports it
 		case msEvictMemWrite, msMemRead, msMemWrite:
@@ -438,6 +458,7 @@ func (c *Cache) Reset() {
 	for i := range c.mshrs {
 		c.mshrs[i] = mshr{}
 	}
+	c.busy = 0
 	c.listBuffer = c.listBuffer[:0]
 	c.poisoned = nil
 	for cl := range c.outB {

@@ -2,6 +2,7 @@ package l2
 
 import (
 	"fmt"
+	"math/bits"
 
 	"skipit/internal/mem"
 	"skipit/internal/tilelink"
@@ -63,39 +64,46 @@ type mshr struct {
 	hasVictim            bool
 }
 
-// freeMSHR returns an unused MSHR, honoring an armed chaos capacity squeeze:
-// a quota below the configured count makes the cache behave as if built with
-// fewer MSHRs for the window, without cancelling in-flight transactions.
-func (c *Cache) freeMSHR(now int64) *mshr {
+// nextBusy returns the index of the first busy MSHR at or after i, or -1. A
+// walk `for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1)` rereads the
+// mask at every step, so it visits exactly the MSHRs a scan of every state
+// would find busy, in the same order.
+func (c *Cache) nextBusy(i int) int {
+	if b := c.busy >> uint(i); b != 0 {
+		return i + bits.TrailingZeros64(b)
+	}
+	return -1
+}
+
+// freeMSHR returns the lowest unused MSHR's index, or -1, honoring an armed
+// chaos capacity squeeze: a quota below the configured count makes the cache
+// behave as if built with fewer MSHRs for the window, without cancelling
+// in-flight transactions.
+func (c *Cache) freeMSHR(now int64) int {
 	limit := len(c.mshrs)
 	if c.chaos != nil {
 		if q := c.chaos.MSHRQuota(now); q >= 0 && q < limit {
 			limit = q
 		}
 	}
-	inUse := 0
-	var free *mshr
-	for i := range c.mshrs {
-		if c.mshrs[i].state == msFree {
-			if free == nil {
-				free = &c.mshrs[i]
-			}
-		} else {
-			inUse++
-		}
+	if bits.OnesCount64(c.busy) >= limit {
+		return -1
 	}
-	if inUse >= limit {
-		return nil
-	}
-	return free
+	// Fewer than len(c.mshrs) bits are set, so a clear one lies below it.
+	return bits.TrailingZeros64(^c.busy)
+}
+
+// release frees m and clears its busy bit.
+func (c *Cache) release(m *mshr) {
+	c.busy &^= 1 << c.mshrIndex(m)
+	*m = mshr{}
 }
 
 // mshrFor returns the active MSHR transacting on addr's line, if any. L2
 // serializes transactions per line.
 func (c *Cache) mshrFor(addr uint64) *mshr {
-	for i := range c.mshrs {
-		m := &c.mshrs[i]
-		if m.state != msFree && m.addr == addr {
+	for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1) {
+		if m := &c.mshrs[i]; m.addr == addr {
 			return m
 		}
 	}
@@ -106,11 +114,11 @@ func (c *Cache) mshrFor(addr uint64) *mshr {
 // either directly or as the victim of an in-flight eviction; buffered
 // requests for it must wait.
 func (c *Cache) lineBusy(addr uint64) bool {
-	if c.mshrFor(addr) != nil {
-		return true
-	}
-	for i := range c.mshrs {
+	for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1) {
 		m := &c.mshrs[i]
+		if m.addr == addr {
+			return true
+		}
 		if m.state != msEvictProbe && m.state != msEvictMemWrite {
 			continue
 		}
@@ -122,8 +130,9 @@ func (c *Cache) lineBusy(addr uint64) bool {
 	return false
 }
 
+// mshrIndex returns busy MSHR m's index, the tag its memory requests carry.
 func (c *Cache) mshrIndex(m *mshr) int {
-	for i := range c.mshrs {
+	for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1) {
 		if &c.mshrs[i] == m {
 			return i
 		}

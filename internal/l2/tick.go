@@ -112,7 +112,7 @@ func (c *Cache) sinkE(now int64, cl int) {
 		if m == nil || m.state != msGrant || m.client != cl {
 			panic(fmt.Sprintf("l2: stray GrantAck %#x from client %d", msg.Addr, cl))
 		}
-		*m = mshr{}
+		c.release(m)
 	}
 }
 
@@ -207,9 +207,9 @@ func (c *Cache) onProbeAck(now int64, cl int, msg *tilelink.Msg) {
 // probeOwner finds the MSHR with outstanding probes on addr — either its own
 // line or the victim line it is evicting.
 func (c *Cache) probeOwner(addr uint64) *mshr {
-	for i := range c.mshrs {
+	for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1) {
 		m := &c.mshrs[i]
-		if m.state == msFree || m.pendingProbes == 0 {
+		if m.pendingProbes == 0 {
 			continue
 		}
 		if m.addr == addr {
@@ -292,21 +292,23 @@ func (c *Cache) retryListBuffer(now int64) {
 	kept := 0
 	for i := range c.listBuffer {
 		b := &c.listBuffer[i]
-		var m *mshr
+		free := -1
 		if b.readyAt <= now && !isBlocked(b.msg.Addr) && !c.lineBusy(b.msg.Addr) {
-			if m = c.freeMSHR(now); m == nil {
+			if free = c.freeMSHR(now); free < 0 {
 				c.ctr.mshrFullDefers.Inc()
 			}
 		}
 		// Serialize same-line entries, whether this one stays or starts.
 		blocked = append(blocked, b.msg.Addr) //skipit:ignore hotalloc blocked reuses blockedScratch whose backing persists on the Cache
-		if m == nil {
+		if free < 0 {
 			if kept != i {
 				c.listBuffer[kept] = *b
 			}
 			kept++
 			continue
 		}
+		c.busy |= 1 << free
+		m := &c.mshrs[free]
 		*m = mshr{state: msStart, addr: b.msg.Addr, client: b.client, since: now, txn: b.msg.Txn}
 		if b.msg.Op == tilelink.OpAcquireBlock {
 			m.kind = txnAcquire
@@ -327,7 +329,7 @@ func (c *Cache) retryListBuffer(now int64) {
 // advanceMSHRs performs the per-cycle state actions that are not driven by
 // an incoming message: dispatch, memory-submit retries, and final acks.
 func (c *Cache) advanceMSHRs(now int64) {
-	for i := range c.mshrs {
+	for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1) {
 		m := &c.mshrs[i]
 		switch m.state {
 		case msStart:
@@ -373,7 +375,7 @@ func (c *Cache) maybeFinish(m *mshr) {
 		return
 	}
 	c.outD[m.client] = append(c.outD[m.client], tilelink.Msg{Op: tilelink.OpRootReleaseAck, Addr: m.addr, Txn: m.txn}) //skipit:ignore hotalloc per-client outD depth is bounded by outstanding transactions; append reuses its backing after warmup
-	*m = mshr{}
+	c.release(m)
 }
 
 // resubmitWrite retries a memory write that the controller rejected.

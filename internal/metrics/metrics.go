@@ -8,9 +8,12 @@
 //
 // All instruments are safe for concurrent use: counters and gauges are single
 // atomic words, histograms take a short mutex per observation. The cycle
-// simulator itself is single-goroutine, but benchmark harnesses read counters
-// from other goroutines while a simulation runs, and trace.Ring already
-// promises concurrency safety, so the registry does too.
+// simulator itself is single-goroutine, and every harness reads a registry
+// only after its run returns, on the run's own goroutine. Instruments stay
+// atomic because a registry is meant to be shareable across goroutines, a
+// contract TestConcurrentEmit pins under the race detector. Gauge.Set skips
+// an unchanged level, so a component that sets its gauges every cycle pays a
+// load, not a store, while the level holds.
 package metrics
 
 import (
@@ -105,8 +108,12 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores the current level.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
+// Set stores the current level. An unchanged level is not stored again.
+func (g *Gauge) Set(v int64) {
+	if g.v.Load() != v {
+		g.v.Store(v)
+	}
+}
 
 // Add moves the level by delta (negative to decrease).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }

@@ -93,6 +93,20 @@ func (s *System) CheckInvariants() error {
 			return fmt.Errorf("lsu accounting: core[%d] waiting-load count=%d, rob holds %d", i, got, want)
 		}
 	}
+
+	// L1 MSHR accounting: the active-MSHR count that gates every walk over
+	// an L1's MSHRs equals the MSHRs actually holding a miss.
+	for i, d := range s.L1s {
+		if got, want := d.ActiveMSHRs(), d.CountActiveMSHRs(); got != want {
+			return fmt.Errorf("l1 mshr accounting: l1[%d] active-MSHR count=%d, mshr states give %d", i, got, want)
+		}
+	}
+
+	// L2 MSHR accounting: the busy mask that gates every walk over the
+	// L2's MSHRs has a bit set exactly for each MSHR holding a transaction.
+	if got, want := s.L2.BusyMSHRs(), s.L2.CountBusyMSHRs(); got != want {
+		return fmt.Errorf("l2 mshr accounting: busy mask=%#x, mshr states give %#x", got, want)
+	}
 	return nil
 }
 

@@ -104,3 +104,17 @@ func TestMutationWaitingLoadCount(t *testing.T) {
 	s.Cores[0].PokeWaitingLoads(1)
 	wantViolation(t, s, "lsu accounting")
 }
+
+func TestMutationL1ActiveMSHRCount(t *testing.T) {
+	s := mutationSystem(t, 1)
+	s.L1s[0].PokeActiveMSHRs(1)
+	wantViolation(t, s, "l1 mshr accounting")
+}
+
+func TestMutationL2BusySet(t *testing.T) {
+	s := mutationSystem(t, 1)
+	// Every MSHR is free after the run; a set bit claims a transaction no
+	// MSHR holds (a missing bit would skip advanceMSHRs for a live one).
+	s.L2.PokeBusyMSHRs(1 << 3)
+	wantViolation(t, s, "l2 mshr accounting")
+}
