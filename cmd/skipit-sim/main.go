@@ -17,12 +17,19 @@
 //
 // -metrics writes the system's aggregated telemetry snapshot (every
 // counter, gauge and histogram, plus derived rates and sampled time
-// series) as JSON. -trace-format=chrome writes the event trace in Chrome
-// trace_event format, loadable in Perfetto.
+// series) as JSON.
 //
-// -recorder N arms a per-component flight recorder whose last-N-events dump
-// rides along in hang reports. On SIGINT or SIGTERM, skipit-sim ends the
-// Chrome trace written so far, dumps the recorder to stderr and exits 130.
+// -trace streams the system's one event stream as it happens: every
+// component event (misses, the acquire/grant/ack chains, probes, CBOs and
+// FSHRs, RootReleases, DRAM retirements, ECC repairs) and every skip-audit
+// decision with its cause. -trace-format=text writes one line per event,
+// -trace-format=chrome a Chrome trace_event document, loadable in Perfetto.
+//
+// -recorder N keeps the last N events of each component in a flight
+// recorder. If the run fails (a timeout or an invariant violation),
+// skipit-sim writes the error and the recorder dump to stderr and exits 1.
+// On SIGINT or SIGTERM, it ends the Chrome trace written so far, dumps the
+// recorder to stderr and exits 130.
 package main
 
 import (
@@ -76,16 +83,22 @@ func main() {
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
 	go func() {
-		flushOnSignal(os.Stderr, <-sigC, s, finishTrace)
+		flushAndDump(os.Stderr, s, finishTrace, signalBanner(<-sigC))
 		os.Exit(130)
 	}()
+	fail := func(err error) {
+		flushAndDump(os.Stderr, s, finishTrace, err.Error())
+		os.Exit(1)
+	}
 	if *sampleInterval > 0 {
 		s.EnableSampling(*sampleInterval)
 	}
 	defer writeMetrics(s, *metricsOut)
 
 	if *file != "" {
-		runFile(s, *file)
+		if err := runFile(s, *file); err != nil {
+			fail(err)
+		}
 		return
 	}
 
@@ -112,11 +125,8 @@ func main() {
 		progs[t] = b.Build()
 	}
 
-	if _, err := s.Run(progs, 50_000_000); err != nil {
-		log.Fatal(err)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		log.Fatalf("invariant violation: %v", err)
+	if err := run(s, progs, runLimit); err != nil {
+		fail(err)
 	}
 
 	var begin, end int64 = 1 << 62, 0
@@ -163,27 +173,49 @@ func printHostStats(s *sim.System) {
 	fmt.Println(line)
 }
 
-// flushOnSignal is what an interrupted run does before it exits: a signal
-// never reaches main's deferred cleanups, so it ends the Chrome trace written
-// so far, then writes a banner and the flight recorder dump to w. The trace
-// ends first because without -trace-out it streams to stderr too, and the
-// banner must not land inside one of its records. It runs on the signal
-// goroutine while the simulation may still be stepping; the tracer's and the
-// recorder's locks make that safe.
-func flushOnSignal(w io.Writer, sig os.Signal, s *sim.System, finishTrace func()) {
+// runLimit bounds a run's simulated cycles.
+const runLimit = 50_000_000
+
+// run steps the programs to completion within limit cycles, then checks the
+// system's invariants.
+func run(s *sim.System, progs []*isa.Program, limit int64) error {
+	if _, err := s.Run(progs, limit); err != nil {
+		return err
+	}
+	if err := s.CheckInvariants(); err != nil {
+		return fmt.Errorf("invariant violation: %w", err)
+	}
+	return nil
+}
+
+// signalBanner is what flushAndDump writes on a signal.
+func signalBanner(sig os.Signal) string {
+	return fmt.Sprintf("%v: flushing trace and flight recorder", sig)
+}
+
+// flushAndDump is what a run that ends early does before it exits: neither
+// a signal nor a failed run (exit 1) reaches main's deferred cleanups, so it
+// ends the Chrome trace written so far, then writes why to w and, when
+// -recorder armed the rings, the flight recorder dump. The trace ends first
+// because without -trace-out it streams to stderr too, and why must not land
+// inside one of its records. On a signal it runs on the signal goroutine
+// while the simulation may still be stepping; the Chrome sink's and the
+// rings' locks make that safe.
+func flushAndDump(w io.Writer, s *sim.System, finishTrace func(), why string) {
 	finishTrace()
-	fmt.Fprintf(w, "skipit-sim: %v: flushing trace and flight recorder\n", sig)
-	if rec := s.FlightRecorder(); rec != nil {
-		if b, err := json.MarshalIndent(rec.Dump(), "", "  "); err == nil {
+	fmt.Fprintf(w, "skipit-sim: %s\n", why)
+	if d := s.FlightRecorder().Dump(); d != nil {
+		if b, err := json.MarshalIndent(d, "", "  "); err == nil {
 			fmt.Fprintf(w, "flight recorder dump:\n%s\n", b)
 		}
 	}
 }
 
-// setupTracer attaches the requested tracer and returns a cleanup that ends
-// the Chrome document. The cleanup is idempotent so both the defer and the
-// signal handler may call it. A bad format is rejected before out is
-// created, so it leaves an existing file alone.
+// setupTracer attaches the requested trace sink to the system's event
+// stream and returns a cleanup that ends the Chrome document. The cleanup
+// is idempotent so both the defer and the signal handler may call it. A bad
+// format is rejected before out is created, so it leaves an existing file
+// alone.
 func setupTracer(s *sim.System, enabled bool, format, out string) func() {
 	if !enabled {
 		return func() {}
@@ -191,7 +223,7 @@ func setupTracer(s *sim.System, enabled bool, format, out string) func() {
 	if format != "text" && format != "chrome" {
 		log.Fatalf("unknown -trace-format %q (want text or chrome)", format)
 	}
-	// The Chrome tracer's Close closes a writer that is an io.Closer. Stderr
+	// The Chrome sink's Close closes a writer that is an io.Closer. Stderr
 	// goes in without its Close: the signal path writes there afterwards.
 	var w io.Writer = struct{ io.Writer }{os.Stderr}
 	if out != "" {
@@ -202,11 +234,11 @@ func setupTracer(s *sim.System, enabled bool, format, out string) func() {
 		w = f
 	}
 	if format == "text" {
-		s.SetTracer(trace.NewWriter(w))
+		s.TraceTo(trace.NewText(w))
 		return func() {}
 	}
 	ct := trace.NewChromeTracer(w)
-	s.SetTracer(ct)
+	s.TraceTo(ct)
 	return func() {
 		if err := ct.Close(); err != nil {
 			log.Fatalf("writing chrome trace: %v", err)
@@ -238,22 +270,19 @@ func writeMetrics(s *sim.System, path string) {
 // runFile assembles and runs a program file on core 0, printing each
 // program instruction's timings (a nop run is one instruction) and the
 // resulting NVMM view of every touched line, in address order.
-func runFile(s *sim.System, path string) {
+func runFile(s *sim.System, path string) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	prog, err := isa.Parse(string(src))
 	if err != nil {
-		log.Fatalf("%s: %v", path, err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	progs := make([]*isa.Program, len(s.Cores))
 	progs[0] = prog
-	if _, err := s.Run(progs, 50_000_000); err != nil {
-		log.Fatal(err)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		log.Fatalf("invariant violation: %v", err)
+	if err := run(s, progs, runLimit); err != nil {
+		return err
 	}
 	fmt.Printf("%-4s %-24s %8s %8s %8s %8s\n", "idx", "instr", "disp", "issue", "done", "commit")
 	touched := map[uint64]bool{}
@@ -278,4 +307,5 @@ func runFile(s *sim.System, path string) {
 	for _, addr := range lines {
 		fmt.Printf("NVMM[%#x] = %d\n", addr, s.Mem.PeekUint64(addr))
 	}
+	return nil
 }

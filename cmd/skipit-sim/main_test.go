@@ -94,19 +94,24 @@ func captureStdout(t *testing.T, f func()) string {
 	return string(b)
 }
 
-// firstEvent is a tracer that closes ch on the first event it sees.
+// firstEvent is a sink that closes ch on the first event it sees and hands
+// every event on to next.
 type firstEvent struct {
 	once sync.Once
 	ch   chan struct{}
+	next trace.Sink
 }
 
-func (f *firstEvent) Emit(trace.Event) { f.once.Do(func() { close(f.ch) }) }
+func (f *firstEvent) Record(component string, e trace.RecEvent) {
+	f.once.Do(func() { close(f.ch) })
+	f.next.Record(component, e)
+}
 
 // TestFlushOnSignalDuringRun interrupts a run the way SIGINT does: the flush
 // runs on the test goroutine while another goroutine steps the simulation.
 // The flush starts only once the second run has traced its first event, and
 // that run goes on tracing and recording for thousands of cycles, so under
-// -race this covers the Chrome tracer's and the flight recorder's locks. The
+// -race this covers the Chrome sink's and the flight recorder's locks. The
 // warm-up run has already traced events and filled the recorder, so what the
 // test checks does not depend on where in the second run the flush lands.
 func TestFlushOnSignalDuringRun(t *testing.T) {
@@ -117,13 +122,13 @@ func TestFlushOnSignalDuringRun(t *testing.T) {
 	s := sim.New(sim.DefaultConfig(2))
 	s.EnableFlightRecorder(16)
 	ct := trace.NewChromeTracer(f)
-	s.SetTracer(ct)
+	s.TraceTo(ct)
 	runFlush(t, s, 1<<10)
 
-	// running goes ahead of ct, so the second run's first write to the
-	// Chrome tracer comes after the gate opens.
-	running := &firstEvent{ch: make(chan struct{})}
-	s.SetTracer(trace.Multi{running, ct})
+	// running hands each event on to ct, so the second run's first write to
+	// the Chrome sink comes after the gate opens.
+	running := &firstEvent{ch: make(chan struct{}), next: ct}
+	s.TraceTo(running)
 	done := make(chan error, 1)
 	go func() {
 		_, err := s.Run(flushPrograms(2, 16<<10), 10_000_000)
@@ -135,11 +140,11 @@ func TestFlushOnSignalDuringRun(t *testing.T) {
 		t.Fatalf("second run ended before tracing an event: %v", err)
 	}
 	var out strings.Builder
-	flushOnSignal(&out, syscall.SIGINT, s, func() {
+	flushAndDump(&out, s, func() {
 		if err := ct.Close(); err != nil {
 			t.Error(err)
 		}
-	})
+	}, signalBanner(syscall.SIGINT))
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +190,7 @@ func TestFlushOnSignalChromeOnStderr(t *testing.T) {
 	s.EnableFlightRecorder(4)
 	finish := setupTracer(s, true, "chrome", "")
 	runFlush(t, s, 1<<10)
-	flushOnSignal(os.Stderr, syscall.SIGINT, s, finish)
+	flushAndDump(os.Stderr, s, finish, signalBanner(syscall.SIGINT))
 	if err := f.Close(); err != nil {
 		t.Fatalf("stderr was closed by the trace: %v", err)
 	}
@@ -213,7 +218,7 @@ func TestFlushOnSignalWithoutRecorder(t *testing.T) {
 	s := sim.New(sim.DefaultConfig(1))
 	finished := 0
 	var out strings.Builder
-	flushOnSignal(&out, syscall.SIGTERM, s, func() { finished++ })
+	flushAndDump(&out, s, func() { finished++ }, signalBanner(syscall.SIGTERM))
 	if finished != 1 {
 		t.Fatalf("trace finished %d times, want 1", finished)
 	}
@@ -311,6 +316,155 @@ func TestSetupTracerTextStreamsEvents(t *testing.T) {
 	}
 }
 
+// breakInclusion runs a 16-line store region on core 0 of a 2-core system,
+// then drops the first line from the L2 behind the L1's back, so the next
+// run's invariant check fails on inclusion.
+func breakInclusion(t *testing.T, s *sim.System) {
+	t.Helper()
+	store := isa.NewBuilder().StoreRegion(0x1000, 1024, 64, 7).Fence().Build()
+	if err := run(s, []*isa.Program{store, nil}, runLimit); err != nil {
+		t.Fatalf("setup run: %v", err)
+	}
+	if !s.L2.PokeDrop(0x1000) {
+		t.Fatal("line 0x1000 not resident in the L2")
+	}
+}
+
+// TestFailedRunDumpsFlightRecorder: a run that fails goes the signal path's
+// way, whether it times out or breaks an invariant, in the built-in sweep
+// (run) or under -file (runFile). With the Chrome trace on stderr, stderr
+// holds the whole document of the run so far, then the error, then the
+// flight recorder dump as valid JSON, its rings full of the events before
+// the failure.
+func TestFailedRunDumpsFlightRecorder(t *testing.T) {
+	invariant := func(err error) bool {
+		return err != nil && strings.HasPrefix(err.Error(), "invariant violation: ") && strings.Contains(err.Error(), "inclusion")
+	}
+	for _, tc := range []struct {
+		name string
+		fail func(t *testing.T, s *sim.System) error
+		want func(error) bool
+	}{
+		{"timeout", func(t *testing.T, s *sim.System) error {
+			return run(s, flushPrograms(2, 16<<10), 2_000)
+		}, func(err error) bool { return errors.Is(err, sim.ErrTimeout) }},
+		{"invariant", func(t *testing.T, s *sim.System) error {
+			breakInclusion(t, s)
+			return run(s, make([]*isa.Program, 2), runLimit)
+		}, invariant},
+		{"file", func(t *testing.T, s *sim.System) error {
+			breakInclusion(t, s)
+			path := filepath.Join(t.TempDir(), "prog.s")
+			if err := os.WriteFile(path, []byte("fence\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return runFile(s, path)
+		}, invariant},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			stderr := os.Stderr
+			os.Stderr = f
+			defer func() { os.Stderr = stderr }()
+			s := sim.New(sim.DefaultConfig(2))
+			s.EnableFlightRecorder(16)
+			finish := setupTracer(s, true, "chrome", "")
+			runErr := tc.fail(t, s)
+			if !tc.want(runErr) {
+				t.Fatalf("run = %v, want a %s failure", runErr, tc.name)
+			}
+			flushAndDump(os.Stderr, s, finish, runErr.Error())
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(f.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(raw))
+			var doc json.RawMessage
+			if err := dec.Decode(&doc); err != nil || chromeEvents(t, doc) == 0 {
+				t.Fatalf("stderr does not open with the trace document (%v)", err)
+			}
+			rest := strings.TrimLeft(string(raw[dec.InputOffset():]), "\n")
+			head, dump, ok := strings.Cut(rest, "flight recorder dump:\n")
+			if !ok || head != fmt.Sprintf("skipit-sim: %v\n", runErr) {
+				t.Fatalf("the trace is not followed by the error and the recorder dump:\n%.500s", rest)
+			}
+			var rings []trace.RecDump
+			if err := json.Unmarshal([]byte(dump), &rings); err != nil {
+				t.Fatalf("recorder dump is not valid JSON: %v", err)
+			}
+			if len(rings) != 6 || rings[0].Component != "l1[0]" || len(rings[0].Events) != 16 {
+				t.Fatalf("dump holds %d rings, the first %+v; want 6, l1[0] full", len(rings), rings[0])
+			}
+		})
+	}
+}
+
+// TestTraceShowsSkipAuditAndDRAM: each sink shows what the recorder holds.
+// One core dirties four lines and flushes each twice: the first CBO.FLUSH
+// writes the dirty line back (a dirty-line audit in the flush unit and one
+// in the L2), the second finds the line gone (flush-forced in the flush
+// unit, miss-no-copy in the L2). Both the text and the Chrome trace carry
+// those 16 skip-audit records, causes by name, and the 8 DRAM retirements.
+func TestTraceShowsSkipAuditAndDRAM(t *testing.T) {
+	b := isa.NewBuilder().StoreRegion(0, 256, 64, 0xAB).Fence()
+	for a := uint64(0); a < 256; a += 64 {
+		b.CboFlush(a).CboFlush(a)
+	}
+	prog := b.Fence().Build()
+	want := map[string]int{"flush-forced": 4, "miss-no-copy": 4, "dirty-line": 8, "mem-read": 4, "mem-write": 4}
+	for _, format := range []string{"text", "chrome"} {
+		path := filepath.Join(t.TempDir(), "trace")
+		s := sim.New(sim.DefaultConfig(1))
+		finish := setupTracer(s, true, format, path)
+		if _, err := s.Run([]*isa.Program{prog}, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		finish()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		if format == "text" {
+			for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+				switch f := strings.Fields(line); f[2] {
+				case "skip-audit":
+					got[f[len(f)-2]]++ // the cause, before issued=N
+				case "mem-read", "mem-write":
+					got[f[2]]++
+				}
+			}
+		} else {
+			var doc struct {
+				TraceEvents []struct {
+					Name string         `json:"name"`
+					Args map[string]any `json:"args"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range doc.TraceEvents {
+				switch e.Name {
+				case "skip-audit":
+					got[e.Args["cause"].(string)]++
+				case "mem-read", "mem-write":
+					got[e.Name]++
+				}
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s trace holds %v, want %v", format, got, want)
+		}
+	}
+}
+
 // TestWriteMetricsMatchesSnapshot: the -metrics file decodes to the
 // system's snapshot: the same cycle, instruments, derived rates and
 // sampled series.
@@ -394,7 +548,11 @@ func TestRunFilePrintsTimingsAndNVMM(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := sim.New(sim.DefaultConfig(1))
-	out := captureStdout(t, func() { runFile(s, path) })
+	out := captureStdout(t, func() {
+		if err := runFile(s, path); err != nil {
+			t.Error(err)
+		}
+	})
 
 	table, nvmm, ok := strings.Cut(out, "\n\n")
 	if !ok {

@@ -2,6 +2,7 @@ package skipit_test
 
 import (
 	"fmt"
+	"os"
 
 	"skipit"
 )
@@ -56,27 +57,32 @@ func Example_persistentSet() {
 	// true
 }
 
-// Tracing records a cache line's life story through the hierarchy.
+// Tracing streams every event of the hierarchy as it happens, one line
+// each: the cycle, the component, the event and the line address, then the
+// transaction id, the cause and the event's named arg. Here a store misses
+// and acquires its line; the flush writes it back (the skip-audit records
+// show why a writeback was issued) through the L2 to DRAM.
 func Example_tracing() {
 	sys := skipit.NewSystem(1)
-	ring := skipit.NewTraceRing(128)
-	sys.SetTracer(ring)
+	sys.TraceTo(skipit.NewTextTrace(os.Stdout))
 	prog := skipit.NewProgram().Store(0x1000, 1).CboFlush(0x1000).Fence().Build()
 	if _, err := sys.Run([]*skipit.Program{prog}, 1_000_000); err != nil {
 		panic(err)
 	}
-	for _, e := range ring.ForAddr(0x1000) {
-		fmt.Println(e.Source, e.Kind)
-	}
 	// Output:
-	// l1[0] store-miss
-	// l1[0] acquire
-	// l2 grant
-	// l1[0] grant
-	// l1[0] grant-ack
-	// flush[0] cbo-enqueue
-	// flush[0] fshr-alloc
-	// flush[0] root-release
-	// l2 root-release
-	// flush[0] fshr-ack
+	//        1  l1[0]    store-miss           0x1000  txn=1
+	//        2  l1[0]    acquire              0x1000  txn=1 NtoT
+	//       72  mem      mem-read             0x1000  txn=1
+	//       72  l2       grant                0x1000  txn=1 client=0
+	//       78  l1[0]    grant                0x1000  txn=1 client=0
+	//       81  l1[0]    grant-ack            0x1000  txn=1
+	//       85  flush[0] cbo-enqueue          0x1000  txn=2 flush depth=1
+	//       86  flush[0] fshr-alloc           0x1000  txn=2 flush fshr=0
+	//       88  flush[0] root-release         0x1000  txn=2 flush client=0
+	//       88  flush[0] skip-audit           0x1000  txn=2 dirty-line issued=1
+	//      101  l2       root-release         0x1000  txn=2 flush client=0
+	//      101  l2       skip-audit           0x1000  txn=2 dirty-line issued=1
+	//      109  mem      mem-write            0x1000  txn=2
+	//      109  l2       root-release-ack     0x1000  txn=2 client=0
+	//      112  flush[0] fshr-ack             0x1000  txn=2 flush latency=26
 }

@@ -291,6 +291,45 @@ func TestBitFlipRecovery(t *testing.T) {
 	}
 }
 
+// TestECCRepairsInFlightRecorder: a chaos run whose schedule flips a bit of
+// one clean line in the L1 and in the L2 repairs both on the next load, and
+// the flight recorder's dump shows each repair: ecc-scrub in the L1 and
+// ecc-restore in the L2.
+func TestECCRepairsInFlightRecorder(t *testing.T) {
+	s := sim.New(sim.DefaultConfig(1))
+	s.EnableFlightRecorder(64)
+	if _, err := s.Run([]*isa.Program{
+		isa.NewBuilder().Store(0x1000, 77).CboClean(0x1000).Fence().Build(),
+	}, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	at := s.Now()
+	r := Arm(s, Schedule{Faults: []Fault{
+		{Cycle: at, Kind: L1BitFlip, Addr: 0x1000, Bit: 13},
+		{Cycle: at, Kind: L2BitFlip, Addr: 0x1000, Bit: 13},
+	}})
+	s.Cores[0].SetProgram(isa.NewBuilder().Load(0x1000).Fence().Build())
+	for !(s.Done() && s.Quiescent()) {
+		if err := r.StepChecked(at + 10_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Cores[0].Timing(0).LoadValue; got != 77 {
+		t.Fatalf("corruption leaked: loaded %d, want 77", got)
+	}
+	repairs := map[string]string{}
+	for _, d := range s.FlightRecorder().Dump() {
+		for _, e := range d.Events {
+			if strings.HasPrefix(e.Code, "ecc-") && e.Addr == "0x1000" {
+				repairs[e.Code] = d.Component
+			}
+		}
+	}
+	if want := map[string]string{"ecc-scrub": "l1[0]", "ecc-restore": "l2"}; !reflect.DeepEqual(repairs, want) {
+		t.Fatalf("flight recorder shows repairs %v, want %v", repairs, want)
+	}
+}
+
 // TestBitFlipDirtyUnrecoverable: a flip aimed at a dirty line must be flagged
 // and not applied — healing it silently would hide real data loss.
 func TestBitFlipDirtyUnrecoverable(t *testing.T) {

@@ -21,8 +21,7 @@ import (
 type FlushUnit struct {
 	cfg   Config
 	ports CachePorts
-	tr    trace.Tracer
-	rec   *trace.Rec // flight recorder ring; nil records nothing
+	rec   *trace.Rec // event stream handle; nil records nothing
 	name  string
 
 	queue   []flushReq
@@ -103,10 +102,7 @@ func NewFlushUnit(cfg Config, ports CachePorts) *FlushUnit {
 // Config returns the unit's configuration.
 func (u *FlushUnit) Config() Config { return u.cfg }
 
-// SetTracer attaches an event tracer (nil disables tracing).
-func (u *FlushUnit) SetTracer(t trace.Tracer) { u.tr = t }
-
-// SetRecorder attaches a flight-recorder ring (nil disables recording).
+// SetRecorder attaches the unit's event stream handle (nil records nothing).
 func (u *FlushUnit) SetRecorder(r *trace.Rec) { u.rec = r }
 
 // Stats returns the activity counters as one struct, read back from the
@@ -152,7 +148,6 @@ func (u *FlushUnit) Offer(now int64, addr uint64, clean bool, meta LineMeta) Off
 	// in the hierarchy — and is dropped before entering the queue.
 	if u.cfg.SkipIt && meta.Hit && !meta.Dirty && meta.Skip {
 		u.ctr.skipDropped.Inc()
-		trace.Emit(u.tr, now, u.name, "cbo-drop", addr, "redundant: skip bit set (§6.1)")
 		// Skip-audit: the primary §6.1 elimination — the CBO never becomes
 		// a transaction, so no txn id exists for it.
 		u.rec.Record(now, trace.RecSkipAudit, trace.CauseSkipBit, 0, addr, 0)
@@ -172,9 +167,7 @@ func (u *FlushUnit) Offer(now int64, addr uint64, clean bool, meta LineMeta) Off
 			}
 			if q.isClean == clean {
 				u.ctr.coalesced.Inc()
-				if u.tr != nil {
-					trace.Emit(u.tr, now, u.name, "cbo-coalesce", addr, "merged with queued "+q.kind())
-				}
+				u.rec.Record(now, trace.RecCboCoalesce, trace.CboKind(clean), q.txn, addr, 0)
 				return OfferDropped
 			}
 			if !u.cfg.CoalesceCrossKind {
@@ -220,11 +213,7 @@ func (u *FlushUnit) Offer(now int64, addr uint64, clean bool, meta LineMeta) Off
 	u.queue = append(u.queue, req) //skipit:ignore hotalloc CBO queue is bounded by QueueDepth backpressure; append reuses its backing after warmup
 	u.counter++
 	u.ctr.enqueued.Inc()
-	u.rec.Record(now, trace.RecCboEnqueue, trace.CauseNone, req.txn, addr, uint64(len(u.queue)))
-	if u.tr != nil {
-		trace.EmitTxn(u.tr, now, u.name, "cbo-enqueue", req.txn, addr,
-			fmt.Sprintf("%s hit=%v dirty=%v depth=%d", req.kind(), req.isHit, req.isDirty, len(u.queue))) //skipit:ignore hotalloc trace formatting runs only with a tracer attached; untraced runs never reach it
-	}
+	u.rec.Record(now, trace.RecCboEnqueue, trace.CboKind(clean), req.txn, addr, uint64(len(u.queue)))
 	return OfferAccepted
 }
 
@@ -315,11 +304,7 @@ func (u *FlushUnit) dequeue(now int64, probeRdy, wbRdy bool) {
 		copy(u.queue, u.queue[1:])
 		u.queue = u.queue[:len(u.queue)-1]
 		u.fshrs[i].allocate(head, now)
-		u.rec.Record(now, trace.RecFSHRAlloc, trace.CauseNone, head.txn, head.addr, uint64(i))
-		if u.tr != nil {
-			trace.EmitTxn(u.tr, now, u.name, "fshr-alloc", head.txn, head.addr,
-				fmt.Sprintf("fshr=%d %s hit=%v dirty=%v", i, head.kind(), head.isHit, head.isDirty)) //skipit:ignore hotalloc trace formatting runs only with a tracer attached; untraced runs never reach it
-		}
+		u.rec.Record(now, trace.RecFSHRAlloc, trace.CboKind(head.isClean), head.txn, head.addr, uint64(i))
 		// Give the freshly allocated FSHR its first state's work this
 		// cycle, mirroring hardware where allocation and the first
 		// state action share the dequeue cycle boundary.
@@ -372,10 +357,7 @@ func (u *FlushUnit) OnRootReleaseAck(now int64, addr uint64) {
 				u.ctr.skipBitsSet.Inc()
 			}
 		}
-		u.rec.Record(now, trace.RecFSHRAck, trace.CauseNone, f.req.txn, addr, uint64(now-f.allocAt))
-		if u.tr != nil {
-			trace.EmitTxn(u.tr, now, u.name, "fshr-ack", f.req.txn, addr, f.req.kind()+" complete")
-		}
+		u.rec.Record(now, trace.RecFSHRAck, trace.CboKind(f.req.isClean), f.req.txn, addr, uint64(now-f.allocAt))
 		u.ctr.flushLatency.Observe(uint64(now - f.allocAt))
 		f.state = FSHRInvalid
 		f.bufferFilled = false

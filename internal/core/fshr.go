@@ -77,13 +77,6 @@ type flushReq struct {
 	txn uint64
 }
 
-func (r flushReq) kind() string {
-	if r.isClean {
-		return "clean"
-	}
-	return "flush"
-}
-
 // allocate loads a dequeued request into a free FSHR and sets up the
 // execution plan (the invalid-state action of Fig. 7).
 func (f *fshr) allocate(req flushReq, now int64) {
@@ -170,10 +163,7 @@ func (u *FlushUnit) stepFSHR(now int64, f *fshr) {
 		if u.ports.SendRootRelease(now, m) {
 			u.ctr.rootReleases.Inc()
 			u.ctr.dataWritebacks.Inc()
-			if u.tr != nil {
-				trace.EmitTxn(u.tr, now, u.name, "root-release", f.req.txn, f.req.addr, m.Op.String())
-			}
-			u.rec.Record(now, trace.RecRootRelease, trace.CauseDirtyLine, f.req.txn, f.req.addr, 1)
+			u.rec.Record(now, trace.RecRootRelease, trace.CboKind(f.req.isClean), f.req.txn, f.req.addr, uint64(u.cfg.Source))
 			// Skip-audit: the line was dirty in L1, so this CBO issues a
 			// full data writeback.
 			u.rec.Record(now, trace.RecSkipAudit, trace.CauseDirtyLine, f.req.txn, f.req.addr, 1)
@@ -192,10 +182,7 @@ func (u *FlushUnit) stepFSHR(now int64, f *fshr) {
 		}
 		if u.ports.SendRootRelease(now, m) {
 			u.ctr.rootReleases.Inc()
-			if u.tr != nil {
-				trace.EmitTxn(u.tr, now, u.name, "root-release", f.req.txn, f.req.addr, m.Op.String())
-			}
-			u.rec.Record(now, trace.RecRootRelease, trace.CauseNone, f.req.txn, f.req.addr, 0)
+			u.rec.Record(now, trace.RecRootRelease, trace.CboKind(f.req.isClean), f.req.txn, f.req.addr, uint64(u.cfg.Source))
 			// Skip-audit: no data travels from this L1 — either the line
 			// was clean here (the LLC decides whether anything is dirty
 			// below us) or a flush forced a data-less release.

@@ -96,7 +96,7 @@ func (d *DCache) eccScrub(now int64, lineAddr uint64) {
 	m.dirty = false
 	m.skip = false
 	d.ctr.refetchRecoveries.Inc()
-	trace.Emit(d.tr, now, d.name, "ecc-scrub", lineAddr, "poisoned line invalidated; refetching")
+	d.rec.Record(now, trace.RecECCScrub, trace.CauseNone, 0, lineAddr, 0)
 }
 
 // clearPoison drops the poison mark when the line's data is wholly replaced

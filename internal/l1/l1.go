@@ -231,8 +231,7 @@ type DCache struct {
 	// steady-state loop does not allocate.
 	respScratch []Resp
 
-	tr   trace.Tracer
-	rec  *trace.Rec // flight recorder ring; nil records nothing
+	rec  *trace.Rec // event stream handle; nil records nothing
 	name string
 
 	acceptedThisCycle int
@@ -311,15 +310,8 @@ func (d *DCache) Stats() Stats {
 // FlushUnit exposes the embedded flush unit (for stats and fences).
 func (d *DCache) FlushUnit() *core.FlushUnit { return d.flush }
 
-// SetTracer attaches an event tracer to the cache and its flush unit (nil
-// disables tracing).
-func (d *DCache) SetTracer(t trace.Tracer) {
-	d.tr = t
-	d.flush.SetTracer(t)
-}
-
-// SetRecorder attaches a flight-recorder ring to the cache (nil disables
-// recording). The embedded flush unit has its own ring; wire it via
+// SetRecorder attaches the cache's event stream handle (nil records
+// nothing). The embedded flush unit has its own handle; wire it via
 // FlushUnit().SetRecorder.
 func (d *DCache) SetRecorder(r *trace.Rec) { d.rec = r }
 

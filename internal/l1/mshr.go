@@ -99,6 +99,13 @@ func (d *DCache) freeMSHR(now int64) *mshr {
 	return nil
 }
 
+// growCause names each Acquire growth in the event stream.
+var growCause = [...]trace.RecCause{
+	tilelink.GrowNtoB: trace.CauseNtoB,
+	tilelink.GrowNtoT: trace.CauseNtoT,
+	tilelink.GrowBtoT: trace.CauseBtoT,
+}
+
 // allocMSHR sets up a new miss. The growth parameter depends on the request
 // kind and whether a read-only copy is already held (store upgrade).
 //
@@ -154,10 +161,7 @@ func (d *DCache) tickMSHR(now int64, m *mshr) {
 			Grow:   m.grow,
 			Txn:    m.txn,
 		}) {
-			if d.tr != nil {
-				trace.EmitTxn(d.tr, now, d.name, "acquire", m.txn, m.addr, m.grow.String())
-			}
-			d.rec.Record(now, trace.RecAcquire, trace.CauseNone, m.txn, m.addr, 0)
+			d.rec.Record(now, trace.RecAcquire, growCause[m.grow], m.txn, m.addr, 0)
 			m.state = mWaitGrant
 		}
 
@@ -192,9 +196,6 @@ func (d *DCache) tickMSHR(now int64, m *mshr) {
 
 	case mGrantAck:
 		if d.port.E.Send(now, tilelink.Msg{Op: tilelink.OpGrantAck, Addr: m.addr, Source: d.cfg.Source, Txn: m.txn}) {
-			if d.tr != nil {
-				trace.EmitTxn(d.tr, now, d.name, "grant-ack", m.txn, m.addr, "")
-			}
 			d.rec.Record(now, trace.RecGrantAck, trace.CauseNone, m.txn, m.addr, 0)
 			m.release()
 			d.activeMSHRs--
@@ -211,11 +212,7 @@ func (d *DCache) onGrant(now int64, msg *tilelink.Msg) {
 	m.grantData = msg.Data
 	m.grantCap = msg.Cap
 	m.grantDirty = msg.Op == tilelink.OpGrantDataDirty
-	if d.tr != nil {
-		trace.EmitTxn(d.tr, now, d.name, "grant", m.txn, m.addr,
-			fmt.Sprintf("%v cap=%v (skip=%v)", msg.Op, msg.Cap, !m.grantDirty)) //skipit:ignore hotalloc trace formatting runs only with a tracer attached; untraced runs never reach it
-	}
-	d.rec.Record(now, trace.RecGrant, trace.CauseNone, m.txn, m.addr, 0)
+	d.rec.Record(now, trace.RecGrant, trace.CauseNone, m.txn, m.addr, uint64(d.cfg.Source))
 	if m.grantDirty {
 		// Skip-audit: the line arrived dirty-in-L2, so the skip bit stays
 		// unset and a future CBO on this line cannot be elided (§6).
@@ -291,10 +288,6 @@ func (d *DCache) tickVictim(now int64, m *mshr) {
 	d.wb.start(victimAddr, d.row(set, best), meta.dirty, meta.perm, wbTxn)
 	d.ctr.writebacks.Inc()
 	d.rec.Record(now, trace.RecEvict, trace.CauseNone, wbTxn, victimAddr, 0)
-	if d.tr != nil {
-		trace.EmitTxn(d.tr, now, d.name, "evict", wbTxn, victimAddr,
-			fmt.Sprintf("dirty=%v for refill of %#x", meta.dirty, m.addr)) //skipit:ignore hotalloc trace formatting runs only with a tracer attached; untraced runs never reach it
-	}
 	meta.valid = false
 	meta.dirty = false
 	meta.skip = false

@@ -6,7 +6,6 @@ import (
 	"skipit/internal/core"
 	"skipit/internal/metrics"
 	"skipit/internal/tilelink"
-	"skipit/internal/trace"
 )
 
 // CanAccept reports whether Submit would accept a request at cycle now: the
@@ -300,7 +299,6 @@ func (d *DCache) processLoad(now int64, req Req, lineAddr uint64) {
 		return
 	}
 	d.ctr.loadMisses.Inc()
-	trace.Emit(d.tr, now, d.name, "load-miss", lineAddr, "")
 	d.missPath(now, req, lineAddr)
 }
 
@@ -329,7 +327,6 @@ func (d *DCache) processStore(now int64, req Req, lineAddr uint64) {
 		return
 	}
 	d.ctr.storeMisses.Inc()
-	trace.Emit(d.tr, now, d.name, "store-miss", lineAddr, "")
 	d.missPath(now, req, lineAddr)
 }
 

@@ -56,9 +56,6 @@ func (d *DCache) tickWB(now int64) {
 		dirtyArg = 1
 	}
 	if d.port.C.Send(now, msg) {
-		if d.tr != nil {
-			trace.EmitTxn(d.tr, now, d.name, "release", w.txn, w.addr, msg.Op.String())
-		}
 		d.rec.Record(now, trace.RecRelease, trace.CauseNone, w.txn, w.addr, dirtyArg)
 		w.state = wbWaitAck
 	}
@@ -68,9 +65,6 @@ func (d *DCache) tickWB(now int64) {
 func (d *DCache) onReleaseAck(now int64, msg *tilelink.Msg) {
 	if d.wb.state != wbWaitAck || d.wb.addr != msg.Addr {
 		panic(fmt.Sprintf("l1[%d]: stray ReleaseAck %#x", d.cfg.Source, msg.Addr))
-	}
-	if d.tr != nil {
-		trace.EmitTxn(d.tr, now, d.name, "release-ack", d.wb.txn, d.wb.addr, "")
 	}
 	d.rec.Record(now, trace.RecReleaseAck, trace.CauseNone, d.wb.txn, d.wb.addr, 0)
 	d.wb = wbUnit{}
@@ -153,9 +147,6 @@ func (d *DCache) tickProbe2(now int64) {
 	if d.port.C.Send(now, p.resp) {
 		d.ctr.probesServed.Inc()
 		d.rec.Record(now, trace.RecProbeAck, trace.CauseNone, p.resp.Txn, p.resp.Addr, 0)
-		if d.tr != nil {
-			trace.EmitTxn(d.tr, now, d.name, "probe-ack", p.resp.Txn, p.resp.Addr, p.resp.Op.String())
-		}
 		p.state = pIdle
 		p.cur = tilelink.Msg{}
 		p.resp = tilelink.Msg{}

@@ -92,7 +92,7 @@ func (c *Cache) eccRestore(now int64, l *line, addr uint64) {
 	*c.dataOf(l) = c.mem.PeekLine(addr)
 	delete(c.poisoned, addr)
 	c.ctr.refetchRecoveries.Inc()
-	trace.Emit(c.tr, now, "l2", "ecc-restore", addr, "poisoned line refetched from DRAM")
+	c.rec.Record(now, trace.RecECCRestore, trace.CauseNone, 0, addr, 0)
 }
 
 // clearPoison drops the poison mark when the frame's data is wholly replaced

@@ -181,8 +181,7 @@ type Cache struct {
 	outB [][]tilelink.Msg
 	outD [][]tilelink.Msg
 
-	tr  trace.Tracer
-	rec *trace.Rec // flight recorder ring; nil records nothing
+	rec *trace.Rec // event stream handle; nil records nothing
 	ctr l2Counters
 
 	chaos Chaos // nil unless a fault schedule is armed
@@ -320,10 +319,8 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// SetTracer attaches an event tracer (nil disables tracing).
-func (c *Cache) SetTracer(t trace.Tracer) { c.tr = t }
-
-// SetRecorder attaches a flight-recorder ring (nil disables recording).
+// SetRecorder attaches the cache's event stream handle (nil records
+// nothing).
 func (c *Cache) SetRecorder(r *trace.Rec) { c.rec = r }
 
 func (c *Cache) index(addr uint64) int {

@@ -141,7 +141,7 @@ func (c *Cache) mshrIndex(m *mshr) int {
 }
 
 // sendProbe queues a Probe to client via SourceB and counts it against m.
-func (c *Cache) sendProbe(m *mshr, client int, addr uint64, cap tilelink.Cap) {
+func (c *Cache) sendProbe(now int64, m *mshr, client int, addr uint64, cap tilelink.Cap) {
 	c.outB[client] = append(c.outB[client], tilelink.Msg{ //skipit:ignore hotalloc per-client outB depth is bounded by outstanding probes (one per MSHR); append reuses its backing after warmup
 		Op:   tilelink.OpProbe,
 		Addr: addr,
@@ -150,6 +150,7 @@ func (c *Cache) sendProbe(m *mshr, client int, addr uint64, cap tilelink.Cap) {
 	})
 	m.pendingProbes++
 	c.ctr.probesSent.Inc()
+	c.rec.Record(now, trace.RecProbe, trace.CauseNone, m.txn, addr, uint64(client))
 }
 
 // startAcquire begins serving an Acquire that has an allocated MSHR.
@@ -173,7 +174,7 @@ func (c *Cache) startAcquire(now int64, m *mshr) {
 			probed := false
 			for cl, p := range c.permsOf(v) {
 				if p != tilelink.PermNone {
-					c.sendProbe(m, cl, victimAddr, tilelink.CapToN)
+					c.sendProbe(now, m, cl, victimAddr, tilelink.CapToN)
 					probed = true
 				}
 			}
@@ -193,7 +194,7 @@ func (c *Cache) startAcquire(now int64, m *mshr) {
 
 	// Hit: revoke or downgrade other owners as the requested growth
 	// demands.
-	c.probeForAcquire(m, l)
+	c.probeForAcquire(now, m, l)
 	if m.pendingProbes > 0 {
 		m.state = msProbe
 		return
@@ -204,18 +205,18 @@ func (c *Cache) startAcquire(now int64, m *mshr) {
 // probeForAcquire issues the probes an Acquire hit requires: exclusive
 // growth revokes every other copy; shared growth downgrades a foreign trunk
 // to branch (extracting its dirty data).
-func (c *Cache) probeForAcquire(m *mshr, l *line) {
+func (c *Cache) probeForAcquire(now int64, m *mshr, l *line) {
 	switch m.grow {
 	case tilelink.GrowNtoT, tilelink.GrowBtoT:
 		for cl, p := range c.permsOf(l) {
 			if cl != m.client && p != tilelink.PermNone {
-				c.sendProbe(m, cl, m.addr, tilelink.CapToN)
+				c.sendProbe(now, m, cl, m.addr, tilelink.CapToN)
 			}
 		}
 	case tilelink.GrowNtoB:
 		for cl, p := range c.permsOf(l) {
 			if cl != m.client && p == tilelink.PermTrunk {
-				c.sendProbe(m, cl, m.addr, tilelink.CapToB)
+				c.sendProbe(now, m, cl, m.addr, tilelink.CapToB)
 			}
 		}
 	}
@@ -226,15 +227,7 @@ func (c *Cache) probeForAcquire(m *mshr, l *line) {
 // revocation happen even if the requesting core did not possess the line.
 func (c *Cache) startRootRelease(now int64, m *mshr) {
 	c.ctr.rootReleases.Inc()
-	c.rec.Record(now, trace.RecRootRelease, trace.CauseNone, m.txn, m.addr, uint64(m.client))
-	if c.tr != nil {
-		kind := "flush"
-		if m.clean {
-			kind = "clean"
-		}
-		trace.EmitTxn(c.tr, now, "l2", "root-release", m.txn, m.addr,
-			fmt.Sprintf("%s from client %d", kind, m.client)) //skipit:ignore hotalloc trace formatting runs only with a tracer attached; untraced runs never reach it
-	}
+	c.rec.Record(now, trace.RecRootRelease, trace.CboKind(m.clean), m.txn, m.addr, uint64(m.client))
 	l := c.lookup(m.addr)
 	if l == nil {
 		if m.raced {
@@ -242,9 +235,7 @@ func (c *Cache) startRootRelease(now int64, m *mshr) {
 			// arrived after the L2 dropped the line, so it never
 			// reached the BankedStore. It is the freshest copy —
 			// write it through to DRAM before acknowledging.
-			trace.EmitTxn(c.tr, now, "l2", "root-release-race", m.txn, m.addr,
-				"line evicted in flight; writing carried data to DRAM")
-			c.rec.Record(now, trace.RecSkipAudit, trace.CauseDirtyLine, m.txn, m.addr, 1)
+			c.rec.Record(now, trace.RecSkipAudit, trace.CauseRootReleaseRace, m.txn, m.addr, 1)
 			m.state = msMemWrite
 			if c.mem.Submit(now, mem.Request{Kind: mem.Write, Addr: m.addr, Data: m.wbData, Tag: c.mshrIndex(m), Txn: m.txn}) {
 				c.ctr.memWrites.Inc()
@@ -278,7 +269,7 @@ func (c *Cache) startRootRelease(now int64, m *mshr) {
 		// owner, if one exists; copies stay readable.
 		for cl, p := range c.permsOf(l) {
 			if cl != m.client && p == tilelink.PermTrunk {
-				c.sendProbe(m, cl, m.addr, tilelink.CapToB)
+				c.sendProbe(now, m, cl, m.addr, tilelink.CapToB)
 			}
 		}
 	} else {
@@ -289,7 +280,7 @@ func (c *Cache) startRootRelease(now int64, m *mshr) {
 		c.permsOf(l)[m.client] = tilelink.PermNone
 		for cl, p := range c.permsOf(l) {
 			if cl != m.client && p != tilelink.PermNone {
-				c.sendProbe(m, cl, m.addr, tilelink.CapToN)
+				c.sendProbe(now, m, cl, m.addr, tilelink.CapToN)
 			}
 		}
 	}
@@ -307,7 +298,6 @@ func (c *Cache) rootReleaseWriteback(now int64, m *mshr) {
 	l := c.lookup(m.addr)
 	if l == nil || !l.dirty {
 		c.ctr.rootReleaseSkips.Inc()
-		trace.EmitTxn(c.tr, now, "l2", "trivial-skip", m.txn, m.addr, "line clean in LLC (§5.5)")
 		// Skip-audit: the §5.5 trivial skip — clean in the LLC, no DRAM
 		// write issued.
 		c.rec.Record(now, trace.RecSkipAudit, trace.CauseCleanLine, m.txn, m.addr, 0)
@@ -388,20 +378,14 @@ func (c *Cache) sendGrant(now int64, m *mshr) {
 	if !l.dirty {
 		c.eccRestore(now, l, m.addr)
 	}
-	op := tilelink.OpGrantData
-	dirtyArg := uint64(0)
+	op, cause := tilelink.OpGrantData, trace.CauseNone
 	if l.dirty {
-		op = tilelink.OpGrantDataDirty
+		op, cause = tilelink.OpGrantDataDirty, trace.CauseGrantDataDirty
 		c.ctr.grantsDataDirty.Inc()
-		dirtyArg = 1
 	} else {
 		c.ctr.grantsData.Inc()
 	}
-	c.rec.Record(now, trace.RecGrant, trace.CauseNone, m.txn, m.addr, dirtyArg)
-	if c.tr != nil {
-		trace.EmitTxn(c.tr, now, "l2", "grant", m.txn, m.addr,
-			fmt.Sprintf("%v to client %d", op, m.client)) //skipit:ignore hotalloc trace formatting runs only with a tracer attached; untraced runs never reach it
-	}
+	c.rec.Record(now, trace.RecGrant, cause, m.txn, m.addr, uint64(m.client))
 	capTo := tilelink.CapToT
 	if m.grow == tilelink.GrowNtoB {
 		capTo = tilelink.CapToB

@@ -5,6 +5,7 @@ import (
 
 	"skipit/internal/mem"
 	"skipit/internal/tilelink"
+	"skipit/internal/trace"
 )
 
 // Tick advances the L2 by one cycle: drain the SourceB/SourceD staging
@@ -340,7 +341,7 @@ func (c *Cache) advanceMSHRs(now int64) {
 				c.dispatchAcquire(now, m)
 			} else {
 				c.startRootRelease(now, m)
-				c.maybeFinish(m)
+				c.maybeFinish(now, m)
 			}
 		case msEvictMemWrite, msMemWrite:
 			if !m.memSubmitted {
@@ -351,7 +352,7 @@ func (c *Cache) advanceMSHRs(now int64) {
 				c.submitMemRead(now, m)
 			}
 		case msFinish:
-			c.maybeFinish(m)
+			c.maybeFinish(now, m)
 		}
 	}
 }
@@ -370,10 +371,11 @@ func (c *Cache) dispatchAcquire(now int64, m *mshr) {
 
 // maybeFinish emits the RootReleaseAck for a finished RootRelease and frees
 // the MSHR.
-func (c *Cache) maybeFinish(m *mshr) {
+func (c *Cache) maybeFinish(now int64, m *mshr) {
 	if m.state != msFinish {
 		return
 	}
+	c.rec.Record(now, trace.RecRootReleaseAck, trace.CauseNone, m.txn, m.addr, uint64(m.client))
 	c.outD[m.client] = append(c.outD[m.client], tilelink.Msg{Op: tilelink.OpRootReleaseAck, Addr: m.addr, Txn: m.txn}) //skipit:ignore hotalloc per-client outD depth is bounded by outstanding transactions; append reuses its backing after warmup
 	c.release(m)
 }

@@ -122,8 +122,8 @@ type Memory struct {
 	rec        *trace.Rec
 }
 
-// SetRecorder attaches a flight-recorder ring; read/write retirements are
-// recorded into it. Nil (the default) records nothing.
+// SetRecorder attaches the memory's event stream handle; read/write
+// retirements are recorded into it. Nil (the default) records nothing.
 func (m *Memory) SetRecorder(r *trace.Rec) { m.rec = r }
 
 // New returns an empty memory with the given configuration.

@@ -177,28 +177,24 @@ func TestSkipItDropDoesNotInvalidate(t *testing.T) {
 	}
 }
 
-// TestTracingCapturesFlushLifecycle drives a flush through the system with a
-// ring tracer attached and checks the line's event trail.
+// TestTracingCapturesFlushLifecycle drives a flush through the system with
+// the event stream attached and checks the line's event trail.
 func TestTracingCapturesFlushLifecycle(t *testing.T) {
-	s := New(DefaultConfig(1))
-	ring := trace.NewRing(256)
-	s.SetTracer(ring)
 	p := isa.NewBuilder().
 		Store(0x1000, 1).
 		CboFlush(0x1000).
 		Fence().
 		Build()
-	if _, err := s.Run([]*isa.Program{p}, runLimit); err != nil {
-		t.Fatal(err)
+	codes := map[trace.RecCode]bool{}
+	for _, e := range streamRun(t, New(DefaultConfig(1)), []*isa.Program{p}) {
+		if e.Addr == 0x1000 {
+			codes[e.Code] = true
+		}
 	}
-	events := ring.ForAddr(0x1000)
-	kinds := map[string]bool{}
-	for _, e := range events {
-		kinds[e.Kind] = true
-	}
-	for _, want := range []string{"store-miss", "grant", "cbo-enqueue", "fshr-alloc", "root-release", "fshr-ack"} {
-		if !kinds[want] {
-			t.Errorf("missing %q in line trail: %v", want, events)
+	for _, want := range []trace.RecCode{trace.RecStoreMiss, trace.RecGrant, trace.RecCboEnqueue,
+		trace.RecFSHRAlloc, trace.RecRootRelease, trace.RecFSHRAck} {
+		if !codes[want] {
+			t.Errorf("missing %v in line trail: %v", want, codes)
 		}
 	}
 }

@@ -99,8 +99,9 @@ type System struct {
 	// observers or fast-forwarding.
 	txns *trace.TxnSeq
 
-	// recorder, when armed via EnableFlightRecorder, holds the per-component
-	// flight-recorder rings; its dump rides along in HangReports.
+	// recorder is the system's one event stream, made by the first
+	// EnableFlightRecorder or TraceTo; nil until then, so an unobserved
+	// system records nothing. Its ring dump rides along in HangReports.
 	recorder *trace.Recorder
 }
 
@@ -191,31 +192,34 @@ func (s *System) EnableSampling(interval int64, keys ...string) {
 // Config returns the system configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// SetTracer attaches an event tracer to every component (nil disables).
-func (s *System) SetTracer(t trace.Tracer) {
-	for _, d := range s.L1s {
-		d.SetTracer(t)
+// events returns the system's event recorder, making it on first use and
+// handing each of "l1[i]", "flush[i]", "l2" and "mem" its handle.
+func (s *System) events() *trace.Recorder {
+	if s.recorder == nil {
+		s.recorder = &trace.Recorder{}
+		for i, d := range s.L1s {
+			d.SetRecorder(s.recorder.Component(fmt.Sprintf("l1[%d]", i)))
+			d.FlushUnit().SetRecorder(s.recorder.Component(fmt.Sprintf("flush[%d]", i)))
+		}
+		s.L2.SetRecorder(s.recorder.Component("l2"))
+		s.Mem.SetRecorder(s.recorder.Component("mem"))
 	}
-	s.L2.SetTracer(t)
+	return s.recorder
 }
 
-// EnableFlightRecorder arms a per-component flight recorder holding the last
-// depth structured events for each of "l1[i]", "flush[i]", "l2", and "mem".
-// The rings are preallocated here; recording on the hot path is a plain
-// struct store. The dump rides along in every HangReport (and in chaos
-// artifacts built from them); skipit-sim's signal handler dumps it through
-// FlightRecorder.
-func (s *System) EnableFlightRecorder(depth int) {
-	s.recorder = trace.NewRecorder(depth)
-	for i, d := range s.L1s {
-		d.SetRecorder(s.recorder.Component(fmt.Sprintf("l1[%d]", i)))
-		d.FlushUnit().SetRecorder(s.recorder.Component(fmt.Sprintf("flush[%d]", i)))
-	}
-	s.L2.SetRecorder(s.recorder.Component("l2"))
-	s.Mem.SetRecorder(s.recorder.Component("mem"))
-}
+// EnableFlightRecorder arms a flight recorder holding the last depth events
+// of each component. The rings are preallocated here; recording on the hot
+// path is a plain struct store. The dump rides along in every HangReport
+// (and in chaos artifacts built from them); skipit-sim dumps it through
+// FlightRecorder on a signal or a failed run.
+func (s *System) EnableFlightRecorder(depth int) { s.events().Keep(depth) }
 
-// FlightRecorder returns the armed recorder, or nil.
+// TraceTo streams every event of every component to sink (trace.Text or
+// trace.ChromeTracer), in the order they happen; nil stops the stream.
+func (s *System) TraceTo(sink trace.Sink) { s.events().Stream(sink) }
+
+// FlightRecorder returns the system's event recorder, or nil before
+// EnableFlightRecorder or TraceTo. Its Dump is empty unless rings are armed.
 func (s *System) FlightRecorder() *trace.Recorder { return s.recorder }
 
 // Now returns the current cycle.

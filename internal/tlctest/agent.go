@@ -131,7 +131,6 @@ type AgentConfig struct {
 	Seed       int64
 	Scoreboard *Scoreboard
 	Txns       *trace.TxnSeq
-	Tracer     trace.Tracer
 	Bug        Bug
 	// MemPeek reads the current DRAM value of an address, for the §5.5
 	// durability check at RootReleaseAck time.
@@ -174,7 +173,6 @@ type Agent struct {
 	rng     *rand.Rand
 	sb      *Scoreboard
 	txns    *trace.TxnSeq
-	tr      trace.Tracer
 	bug     Bug
 	memPeek func(uint64) uint64
 	ctr     agentCounters
@@ -199,7 +197,6 @@ func NewAgent(cfg AgentConfig) *Agent {
 		rng:     detrand.New(cfg.Seed),
 		sb:      cfg.Scoreboard,
 		txns:    cfg.Txns,
-		tr:      cfg.Tracer,
 		bug:     cfg.Bug,
 		memPeek: cfg.MemPeek,
 		ctr:     newAgentCounters(cfg.Metrics),
@@ -279,7 +276,6 @@ func (a *Agent) recvD(now int64) {
 			blk.dirty = false
 			blk.grantPending = false
 			a.ctr.grants.Inc()
-			trace.EmitTxn(a.tr, now, a.name, "grant", m.Txn, m.Addr, m.Cap.String())
 			a.outE = append(a.outE, outMsg{
 				msg:     tilelink.Msg{Op: tilelink.OpGrantAck, Addr: m.Addr, Source: a.id, Txn: m.Txn},
 				readyAt: now + a.rng.Int63n(3),
@@ -294,13 +290,11 @@ func (a *Agent) recvD(now int64) {
 			}
 		case tilelink.OpReleaseAck:
 			blk.relPending, blk.relSent = false, false
-			trace.EmitTxn(a.tr, now, a.name, "releaseack", m.Txn, m.Addr, "")
 			if a.phase == phAwaitRelAck && a.curOpBlk() == bi {
 				a.finishOp(now)
 			}
 		case tilelink.OpRootReleaseAck:
 			blk.flushPending, blk.flushSent = false, false
-			trace.EmitTxn(a.tr, now, a.name, "rootreleaseack", m.Txn, m.Addr, "")
 			// §5.5: the ack promises the line is durable in DRAM now.
 			a.sb.CheckDurable(now, a.id, blk.addr, a.memPeek(blk.addr))
 			if a.phase == phAwaitFlushAck && a.curOpBlk() == bi {
@@ -357,7 +351,6 @@ func (a *Agent) answerProbes(now int64) {
 		}
 		a.outCProbe = append(a.outCProbe, outMsg{msg: m, readyAt: now, blk: p.blk})
 		a.ctr.probes.Inc()
-		trace.EmitTxn(a.tr, now, a.name, "probeack", p.txn, blk.addr, op.String())
 	}
 	a.probes = kept
 }
@@ -436,7 +429,6 @@ func (a *Agent) dispatch(now int64) {
 		blk.relPending, blk.relSent = true, false
 		a.outCReq = append(a.outCReq, outMsg{msg: m, readyAt: now, release: true, blk: bi})
 		a.ctr.releases.Inc()
-		trace.EmitTxn(a.tr, now, a.name, "release", m.Txn, blk.addr, rop.String())
 		if a.bug.AcquireWhileReleasePending {
 			// Buggy discipline: the release is fire-and-forget; the next op
 			// (an Acquire, with the relPending gate also skipped) may race it.
@@ -469,7 +461,6 @@ func (a *Agent) issueAcquire(now int64, bi int, grow tilelink.Grow) {
 		blk:     bi,
 	})
 	a.ctr.acquires.Inc()
-	trace.EmitTxn(a.tr, now, a.name, "acquire", txn, blk.addr, grow.String())
 	a.phase = phAwaitGrant
 }
 
@@ -511,7 +502,6 @@ func (a *Agent) issueRootRelease(now int64, bi int, op Op) {
 	a.holdMsg, a.holdBlk, a.holdUntil = m, bi, now+op.HoldC
 	a.phase = phHold
 	a.ctr.flushes.Inc()
-	trace.EmitTxn(a.tr, now, a.name, "rootrelease", m.Txn, blk.addr, m.Op.String())
 }
 
 // sendHead tries to put q's head on the wire. It reports whether the head

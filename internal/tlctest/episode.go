@@ -211,13 +211,14 @@ type Stats struct {
 // until every agent is done and the system drains (or something fails). The
 // returned Failure is nil on success.
 func RunScript(s Script) (*Failure, Stats) {
-	return runScript(s, true)
+	return runScript(s, true, nil)
 }
 
 // runScript is RunScript with the fast-forward clock switchable, so the
 // equivalence tests can pin fast-forwarded episodes against single-stepped
-// ones.
-func runScript(s Script, fastForward bool) (*Failure, Stats) {
+// ones. A non-nil observe sees the assembled system before it steps, to arm
+// its flight recorder.
+func runScript(s Script, fastForward bool, observe func(*sim.System)) (*Failure, Stats) {
 	sys := sim.NewBare(episodeConfig(s.Agents))
 	sys.SetFastForward(fastForward)
 	reg := sys.Metrics()
@@ -255,6 +256,9 @@ func runScript(s Script, fastForward bool) (*Failure, Stats) {
 	chaos.Arm(sys, s.Schedule)
 	if s.WatchdogLimit > 0 {
 		sys.ArmWatchdog(s.WatchdogLimit)
+	}
+	if observe != nil {
+		observe(sys)
 	}
 
 	var fail *Failure

@@ -100,8 +100,8 @@ func TestFastForwardEquivalence(t *testing.T) {
 	skipped := uint64(0)
 	for seed := int64(1); seed <= 200; seed++ {
 		s := BuildScript(DefaultParams(seed))
-		failFF, stFF := runScript(s, true)
-		failSlow, stSlow := runScript(s, false)
+		failFF, stFF := runScript(s, true, nil)
+		failSlow, stSlow := runScript(s, false, nil)
 		if stSlow.Skipped != 0 {
 			t.Fatalf("seed %d: clock off skipped %d cycles", seed, stSlow.Skipped)
 		}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"skipit/internal/chaos"
+	"skipit/internal/sim"
+	"skipit/internal/trace"
 )
 
 // The litmus tests replay the two races PR 3 fixed, as directed episodes:
@@ -141,7 +143,11 @@ func TestCommittedArtifactReplays(t *testing.T) {
 }
 
 func TestLitmusRace2Fixed(t *testing.T) {
-	fail, st := RunScript(race2Script(false))
+	var rec *trace.Recorder
+	fail, st := runScript(race2Script(false), true, func(sys *sim.System) {
+		sys.EnableFlightRecorder(1024)
+		rec = sys.FlightRecorder()
+	})
 	if fail != nil {
 		t.Fatalf("fixed-L2 litmus failed: %s (cycle %d)", fail.Message, fail.Cycle)
 	}
@@ -149,6 +155,19 @@ func TestLitmusRace2Fixed(t *testing.T) {
 	// RootRelease data must have arrived for an already-evicted line.
 	if st.RootReleaseRaces == 0 {
 		t.Fatalf("litmus did not reach the RootRelease-vs-eviction race window: %+v", st)
+	}
+	// The L2 writes the carried data through to DRAM, and its skip-audit
+	// record names the race as the cause.
+	var races uint64
+	for _, d := range rec.Dump() {
+		for _, e := range d.Events {
+			if d.Component == "l2" && e.Code == "skip-audit" && e.Cause == "root-release-race" && e.Arg == 1 {
+				races++
+			}
+		}
+	}
+	if races != st.RootReleaseRaces {
+		t.Fatalf("l2 recorded %d root-release-race skip-audits, want one per race (%d)", races, st.RootReleaseRaces)
 	}
 }
 

@@ -8,22 +8,23 @@ import (
 	"sync"
 )
 
-// ChromeTracer renders simulator events in the Chrome trace_event JSON
+// ChromeTracer is a Sink that renders events in the Chrome trace_event JSON
 // format, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing. One
 // simulated cycle maps to one microsecond of trace time, so the timeline
 // ruler reads directly in cycles.
 //
-// Each component instance (Event.Source) becomes a named thread. The flush
-// unit's fshr-alloc/fshr-ack events become asynchronous begin/end pairs
-// keyed by line address, so every in-flight flush renders as a span whose
-// length is its latency; all other events render as thread-scoped instants.
+// Each component becomes a named thread. Events of one transaction render
+// as one asynchronous span keyed by the txn id, so every miss, writeback
+// and flush shows as a span whose length is its latency; events without a
+// txn render as thread-scoped instants. Each record's args carry the line
+// address, the txn id, the cause by name and the code's named arg.
 //
-// Records stream to the writer as they are emitted, through a buffer: the
+// Records stream to the writer as they are recorded, through a buffer: the
 // document opens at the first record, a component's thread_name metadata
 // precedes its first event, and Close writes the closing bracket. Memory
 // stays bounded however long the run. The tracer is safe for concurrent
 // use: skipit-sim's signal handler Closes it while the simulation goroutine
-// may still Emit.
+// may still Record.
 type ChromeTracer struct {
 	mu     sync.Mutex
 	w      io.Writer
@@ -31,7 +32,7 @@ type ChromeTracer struct {
 	enc    *json.Encoder // encodes records into bw
 	opened bool          // the document's opening is written
 	closed bool
-	tids   map[string]int    // thread id per source, numbered in first-seen order
+	tids   map[string]int    // thread id per component, numbered in first-seen order
 	open   map[uint64]string // open txn spans: id -> span name, for matching "e" records
 }
 
@@ -63,99 +64,83 @@ func NewChromeTracer(w io.Writer) *ChromeTracer {
 		tids: make(map[string]int), open: make(map[uint64]string)}
 }
 
-// txnSpanNames maps the event kind that opens a transaction to the span's
-// display name. Any other txn-bearing kind that arrives first (partial
-// chains at trace start) opens the span under its own kind name.
-var txnSpanNames = map[string]string{
-	"load-miss":   "acquire",
-	"store-miss":  "acquire",
-	"acquire":     "acquire",
-	"evict":       "writeback",
-	"release":     "writeback",
-	"cbo-enqueue": "flush",
-	"fshr-alloc":  "flush",
+// txnSpanNames maps the code that opens a transaction to the span's display
+// name. Any other code that arrives first (partial chains at trace start)
+// opens the span under its own name.
+var txnSpanNames = map[RecCode]string{
+	RecLoadMiss:   "acquire",
+	RecStoreMiss:  "acquire",
+	RecAcquire:    "acquire",
+	RecEvict:      "writeback",
+	RecRelease:    "writeback",
+	RecCboEnqueue: "flush",
+	RecFSHRAlloc:  "flush",
 }
 
-// txnEndKinds are the kinds that close a transaction span: the final
+// txnEndCodes are the codes that close a transaction span: the final
 // message of each causal chain (E-channel GrantAck, D-channel ReleaseAck /
-// RootReleaseAck observed by the flush unit).
-var txnEndKinds = map[string]bool{
-	"grant-ack":   true,
-	"release-ack": true,
-	"fshr-ack":    true,
+// RootReleaseAck observed by the L1 and its flush unit).
+var txnEndCodes = map[RecCode]bool{
+	RecGrantAck:   true,
+	RecReleaseAck: true,
+	RecFSHRAck:    true,
 }
 
-// Emit writes one event, after its source's thread_name record if the
-// source is new. Events emitted after Close are dropped.
-func (t *ChromeTracer) Emit(e Event) {
+// Record writes one event, after its component's thread_name record if the
+// component is new. Events recorded after Close are dropped.
+func (t *ChromeTracer) Record(component string, e RecEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return
 	}
-	tid, ok := t.tids[e.Source]
+	tid, ok := t.tids[component]
 	if !ok {
 		tid = len(t.tids)
-		t.tids[e.Source] = tid
+		t.tids[component] = tid
 		t.record(chromeEvent{Name: "thread_name", Phase: "M", TID: tid,
-			Args: map[string]any{"name": e.Source}})
+			Args: map[string]any{"name": component}})
 	}
-	ce := chromeEvent{Name: e.Kind, TS: e.Cycle, TID: tid}
-	if e.Detail != "" {
-		ce.Args = map[string]any{"detail": e.Detail}
+	ce := chromeEvent{Name: e.Code.String(), TS: e.Cycle, TID: tid,
+		Args: map[string]any{"addr": fmt.Sprintf("%#x", e.Addr)}}
+	if e.Cause != CauseNone {
+		ce.Args["cause"] = e.Cause.String()
 	}
-	if e.HasAddr {
-		if ce.Args == nil {
-			ce.Args = map[string]any{}
-		}
-		ce.Args["addr"] = fmt.Sprintf("%#x", e.Addr)
+	if name := e.Code.argName(); name != "" {
+		ce.Args[name] = e.Arg
 	}
-	switch {
-	case e.Txn != 0:
-		// Transaction-bearing events render as one async span per txn id:
-		// the first event opens it, the chain's final ack closes it, and
-		// everything in between nests inside as async instants. Perfetto
-		// then shows each miss→Acquire→Grant→GrantAck chain, writeback, and
-		// CBO→FSHR→RootRelease→ack flush as a single causal span.
-		ce.ID = fmt.Sprintf("txn%d", e.Txn)
-		ce.Cat = "txn"
-		if ce.Args == nil {
-			ce.Args = map[string]any{}
-		}
-		ce.Args["txn"] = e.Txn
-		name, isOpen := t.open[e.Txn]
-		switch {
-		case !isOpen:
-			name = txnSpanNames[e.Kind]
-			if name == "" {
-				name = e.Kind
-			}
-			t.open[e.Txn] = name
-			ce.Phase = "b"
-			ce.Name = name
-			ce.Args["begin"] = e.Kind
-		case txnEndKinds[e.Kind]:
-			delete(t.open, e.Txn)
-			ce.Phase = "e"
-			ce.Name = name
-			ce.Args["end"] = e.Kind
-		default:
-			ce.Phase = "n"
-			ce.Name = e.Kind
-		}
-	case e.Kind == "fshr-alloc":
-		ce.Phase = "b"
-		ce.Cat = "flush"
-		ce.Name = "flush"
-		ce.ID = fmt.Sprintf("%#x", e.Addr)
-	case e.Kind == "fshr-ack":
-		ce.Phase = "e"
-		ce.Cat = "flush"
-		ce.Name = "flush"
-		ce.ID = fmt.Sprintf("%#x", e.Addr)
-	default:
+	if e.Txn == 0 {
 		ce.Phase = "i"
 		ce.Scope = "t"
+		t.record(ce)
+		return
+	}
+	// Transaction-bearing events render as one async span per txn id: the
+	// first event opens it, the chain's final ack closes it, and everything
+	// in between nests inside as async instants. Perfetto then shows each
+	// miss→Acquire→Grant→GrantAck chain, writeback, and
+	// CBO→FSHR→RootRelease→ack flush as a single causal span.
+	ce.ID = fmt.Sprintf("txn%d", e.Txn)
+	ce.Cat = "txn"
+	ce.Args["txn"] = e.Txn
+	name, isOpen := t.open[e.Txn]
+	switch {
+	case !isOpen:
+		name = txnSpanNames[e.Code]
+		if name == "" {
+			name = e.Code.String()
+		}
+		t.open[e.Txn] = name
+		ce.Phase = "b"
+		ce.Name = name
+		ce.Args["begin"] = e.Code.String()
+	case txnEndCodes[e.Code]:
+		delete(t.open, e.Txn)
+		ce.Phase = "e"
+		ce.Name = name
+		ce.Args["end"] = e.Code.String()
+	default:
+		ce.Phase = "n"
 	}
 	t.record(ce)
 }

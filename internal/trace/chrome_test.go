@@ -24,30 +24,41 @@ func decodeChrome(t *testing.T, raw string) chromeDoc {
 	return doc
 }
 
-func TestChromeTracerAsyncFlushSpans(t *testing.T) {
+// ev is a test event with the fields the renderer reads first.
+func ev(cycle int64, code RecCode, txn, addr uint64) RecEvent {
+	return RecEvent{Cycle: cycle, Code: code, Txn: txn, Addr: addr}
+}
+
+// TestChromeTracerFlushSpan: a CBO's transaction renders as one "flush"
+// span from its cbo-enqueue to its fshr-ack, with the L2's events nested
+// inside, and an event without a txn renders as a thread-scoped instant.
+func TestChromeTracerFlushSpan(t *testing.T) {
 	var sb strings.Builder
 	ct := NewChromeTracer(&sb)
-	Emit(ct, 100, "flush[0]", "fshr-alloc", 0x1000, "flush")
-	Emit(ct, 100, "l1[0]", "cbo-enqueue", 0x1000, "")
-	Emit(ct, 250, "flush[0]", "fshr-ack", 0x1000, "")
+	ct.Record("flush[0]", ev(100, RecCboEnqueue, 3, 0x1000))
+	ct.Record("l2", ev(120, RecRootReleaseAck, 3, 0x1000))
+	ct.Record("flush[0]", ev(130, RecSkipAudit, 0, 0x2000))
+	ct.Record("flush[0]", ev(250, RecFSHRAck, 3, 0x1000))
 	if err := ct.Close(); err != nil {
 		t.Fatal(err)
 	}
 	doc := decodeChrome(t, sb.String())
 
-	var begins, ends, instants, meta int
+	var begins, ends, nested, instants, meta int
 	for _, e := range doc.TraceEvents {
 		switch e.Phase {
 		case "b":
 			begins++
-			if e.ID == "" || e.TS != 100 {
+			if e.ID != "txn3" || e.TS != 100 || e.Name != "flush" {
 				t.Errorf("bad begin event %+v", e)
 			}
 		case "e":
 			ends++
-			if e.TS != 250 {
+			if e.ID != "txn3" || e.TS != 250 || e.Name != "flush" {
 				t.Errorf("bad end event %+v", e)
 			}
+		case "n":
+			nested++
 		case "i":
 			instants++
 			if e.Scope != "t" {
@@ -57,20 +68,20 @@ func TestChromeTracerAsyncFlushSpans(t *testing.T) {
 			meta++
 		}
 	}
-	if begins != 1 || ends != 1 || instants != 1 {
-		t.Fatalf("begins=%d ends=%d instants=%d, want 1/1/1", begins, ends, instants)
+	if begins != 1 || ends != 1 || nested != 1 || instants != 1 {
+		t.Fatalf("begins=%d ends=%d nested=%d instants=%d, want 1/1/1/1", begins, ends, nested, instants)
 	}
 	if meta != 2 {
-		t.Fatalf("thread_name metadata = %d, want 2 (flush[0] and l1[0])", meta)
+		t.Fatalf("thread_name metadata = %d, want 2 (flush[0] and l2)", meta)
 	}
 }
 
 func TestChromeTracerThreadsAreStable(t *testing.T) {
 	var sb strings.Builder
 	ct := NewChromeTracer(&sb)
-	Emit(ct, 1, "l2", "grant", 0x40, "")
-	Emit(ct, 2, "l1[0]", "load-miss", 0x40, "")
-	Emit(ct, 3, "l2", "grant", 0x80, "")
+	ct.Record("l2", ev(1, RecGrant, 0, 0x40))
+	ct.Record("l1[0]", ev(2, RecLoadMiss, 0, 0x40))
+	ct.Record("l2", ev(3, RecGrant, 0, 0x80))
 	if err := ct.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -92,31 +103,29 @@ func TestChromeTracerThreadsAreStable(t *testing.T) {
 	}
 }
 
-func TestChromeTracerCarriesAddrAndDetail(t *testing.T) {
+// TestChromeTracerCarriesAddrCauseAndArg: every record carries its line
+// address; a cause and a code's arg appear by name, and only when the
+// event has them.
+func TestChromeTracerCarriesAddrCauseAndArg(t *testing.T) {
 	var sb strings.Builder
 	ct := NewChromeTracer(&sb)
-	Emit(ct, 5, "l2", "trivial-skip", 0x2000, "clean line")
-	EmitGlobal(ct, 6, "l2", "drain", "done")
+	ct.Record("l2", RecEvent{Cycle: 5, Code: RecSkipAudit, Cause: CauseCleanLine, Addr: 0x2000})
+	ct.Record("mem", ev(6, RecMemWrite, 0, 0))
 	if err := ct.Close(); err != nil {
 		t.Fatal(err)
 	}
-	doc := decodeChrome(t, sb.String())
-	var withAddr, without int
-	for _, e := range doc.TraceEvents {
-		if e.Phase != "i" {
-			continue
-		}
-		if _, ok := e.Args["addr"]; ok {
-			withAddr++
-			if e.Args["detail"] != "clean line" {
-				t.Errorf("detail lost: %+v", e)
-			}
-		} else {
-			without++
+	var got []map[string]any
+	for _, e := range decodeChrome(t, sb.String()).TraceEvents {
+		if e.Phase == "i" {
+			got = append(got, e.Args)
 		}
 	}
-	if withAddr != 1 || without != 1 {
-		t.Fatalf("withAddr=%d without=%d, want 1/1", withAddr, without)
+	want := []map[string]any{
+		{"addr": "0x2000", "cause": "clean-line", "issued": float64(0)},
+		{"addr": "0x0"},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("instant args = %v, want %v", got, want)
 	}
 }
 
@@ -134,15 +143,15 @@ func txnPhases(doc chromeDoc) map[string][]string {
 
 // TestChromeTracerTxnSpans: a transaction renders as one async span keyed by
 // its txn id. The opening kind names the span, the events in between nest
-// inside it as instants, and the chain's final ack closes it under the same
-// name.
+// inside it as async instants, and the chain's final ack closes it under the
+// same name.
 func TestChromeTracerTxnSpans(t *testing.T) {
 	var sb strings.Builder
 	ct := NewChromeTracer(&sb)
-	EmitTxn(ct, 10, "l1[0]", "load-miss", 1, 0x1000, "")
-	EmitTxn(ct, 12, "l2", "acquire", 1, 0x1000, "")
-	EmitTxn(ct, 30, "l1[0]", "grant", 1, 0x1000, "")
-	EmitTxn(ct, 31, "l2", "grant-ack", 1, 0x1000, "")
+	ct.Record("l1[0]", ev(10, RecLoadMiss, 1, 0x1000))
+	ct.Record("l1[0]", ev(12, RecAcquire, 1, 0x1000))
+	ct.Record("l2", ev(30, RecGrant, 1, 0x1000))
+	ct.Record("l1[0]", ev(31, RecGrantAck, 1, 0x1000))
 	if err := ct.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,17 +182,17 @@ func TestChromeTracerTxnSpans(t *testing.T) {
 }
 
 // TestChromeTracerTxnSpanOpensUnderFirstKind: a trace that starts inside a
-// transaction opens its span under the first kind it sees, interleaved
+// transaction opens its span under the first code it sees, interleaved
 // transactions keep their own spans, and a txn id seen again after its span
 // closed opens a new one.
 func TestChromeTracerTxnSpanOpensUnderFirstKind(t *testing.T) {
 	var sb strings.Builder
 	ct := NewChromeTracer(&sb)
-	EmitTxn(ct, 1, "l1[0]", "grant", 7, 0x40, "")
-	EmitTxn(ct, 2, "l1[1]", "evict", 8, 0x80, "")
-	EmitTxn(ct, 3, "l2", "grant-ack", 7, 0x40, "")
-	EmitTxn(ct, 4, "l1[1]", "release-ack", 8, 0x80, "")
-	EmitTxn(ct, 5, "flush[0]", "cbo-enqueue", 7, 0x40, "")
+	ct.Record("l1[0]", ev(1, RecGrant, 7, 0x40))
+	ct.Record("l1[1]", ev(2, RecEvict, 8, 0x80))
+	ct.Record("l1[0]", ev(3, RecGrantAck, 7, 0x40))
+	ct.Record("l1[1]", ev(4, RecReleaseAck, 8, 0x80))
+	ct.Record("flush[0]", ev(5, RecCboEnqueue, 7, 0x40))
 	if err := ct.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +233,7 @@ func (f *failingSink) Close() error {
 func TestChromeTracerCloseReportsWriteErrors(t *testing.T) {
 	sink := &failingSink{writeErr: errSink}
 	ct := NewChromeTracer(sink)
-	Emit(ct, 1, "l2", "grant", 0x40, "")
+	ct.Record("l2", ev(1, RecGrant, 0, 0x40))
 	if err := ct.Close(); !errors.Is(err, errSink) {
 		t.Fatalf("Close() = %v, want %v", err, errSink)
 	}
@@ -235,7 +244,7 @@ func TestChromeTracerCloseReportsWriteErrors(t *testing.T) {
 func TestChromeTracerCloseClosesWriter(t *testing.T) {
 	sink := &failingSink{closeErr: errSink}
 	ct := NewChromeTracer(sink)
-	Emit(ct, 1, "l2", "grant", 0x40, "")
+	ct.Record("l2", ev(1, RecGrant, 0, 0x40))
 	if err := ct.Close(); !errors.Is(err, errSink) {
 		t.Fatalf("Close() = %v, want the writer's close error %v", err, errSink)
 	}
@@ -248,7 +257,7 @@ func TestChromeTracerCloseClosesWriter(t *testing.T) {
 }
 
 // TestChromeTracerStreamsEvents: records reach the writer as they are
-// emitted, not at Close, so a long trace's memory stays bounded. Before Close
+// recorded, not at Close, so a long trace's memory stays bounded. Before Close
 // the writer holds all but the last buffer's worth of 10,000 events; after
 // it, the document decodes to every event, in order, each on its source's
 // thread.
@@ -257,7 +266,7 @@ func TestChromeTracerStreamsEvents(t *testing.T) {
 	var w bytes.Buffer
 	ct := NewChromeTracer(&w)
 	for i := range events {
-		Emit(ct, int64(i), fmt.Sprintf("l1[%d]", i%sources), "grant", uint64(i)*64, "")
+		ct.Record(fmt.Sprintf("l1[%d]", i%sources), ev(int64(i), RecGrant, 0, uint64(i)*64))
 	}
 	before := w.Len()
 	if err := ct.Close(); err != nil {
@@ -300,16 +309,16 @@ func TestChromeTracerEmptyTrace(t *testing.T) {
 }
 
 // TestChromeTracerDropsEventsAfterClose: Close ends the document; an event
-// emitted afterwards is not written, and a second Close writes nothing.
+// recorded afterwards is not written, and a second Close writes nothing.
 func TestChromeTracerDropsEventsAfterClose(t *testing.T) {
 	var sb strings.Builder
 	ct := NewChromeTracer(&sb)
-	Emit(ct, 1, "l2", "grant", 0x40, "")
+	ct.Record("l2", ev(1, RecGrant, 0, 0x40))
 	if err := ct.Close(); err != nil {
 		t.Fatal(err)
 	}
 	closed := sb.String()
-	Emit(ct, 2, "l1[0]", "grant", 0x80, "")
+	ct.Record("l1[0]", ev(2, RecGrant, 0, 0x80))
 	if err := ct.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}

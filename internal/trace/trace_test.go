@@ -5,193 +5,56 @@ import (
 	"testing"
 )
 
-func ev(cycle int64, kind string, addr uint64) Event {
-	return Event{Cycle: cycle, Source: "t", Kind: kind, Addr: addr, HasAddr: true}
-}
-
-func TestRingKeepsMostRecent(t *testing.T) {
-	r := NewRing(3)
-	for i := int64(0); i < 5; i++ {
-		r.Emit(ev(i, "x", 0))
-	}
-	got := r.Events()
-	if len(got) != 3 {
-		t.Fatalf("retained %d, want 3", len(got))
-	}
-	for i, e := range got {
-		if e.Cycle != int64(2+i) {
-			t.Fatalf("event %d has cycle %d, want %d (oldest-first)", i, e.Cycle, 2+i)
-		}
-	}
-	if r.Total() != 5 {
-		t.Fatalf("total %d, want 5", r.Total())
-	}
-}
-
-func TestRingPartial(t *testing.T) {
-	r := NewRing(8)
-	r.Emit(ev(1, "a", 0))
-	r.Emit(ev(2, "b", 0))
-	got := r.Events()
-	if len(got) != 2 || got[0].Kind != "a" || got[1].Kind != "b" {
-		t.Fatalf("events = %v", got)
-	}
-}
-
-func TestRingPanicsOnZeroSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRing(0) did not panic")
-		}
-	}()
-	NewRing(0)
-}
-
-func TestFilter(t *testing.T) {
-	r := NewRing(8)
-	r.Emit(ev(1, "cbo-drop", 64))
-	r.Emit(ev(2, "grant", 64))
-	r.Emit(ev(3, "cbo-enqueue", 128))
-	if got := r.Filter("cbo"); len(got) != 2 {
-		t.Fatalf("Filter(cbo) = %d events, want 2", len(got))
-	}
-	if got := r.Filter("grant"); len(got) != 1 {
-		t.Fatalf("Filter(grant) = %d events, want 1", len(got))
-	}
-}
-
-func TestForAddrMatchesLine(t *testing.T) {
-	r := NewRing(8)
-	r.Emit(ev(1, "a", 0x1000))
-	r.Emit(ev(2, "b", 0x1008)) // same line
-	r.Emit(ev(3, "c", 0x2000))
-	if got := r.ForAddr(0x1010); len(got) != 2 {
-		t.Fatalf("ForAddr = %d events, want 2 (line-granular)", len(got))
-	}
-}
-
-func TestForAddrDistinguishesLineZeroFromNoAddr(t *testing.T) {
-	r := NewRing(8)
-	r.Emit(ev(1, "store", 0x0))                         // a real event about line 0
-	r.Emit(ev(2, "store", 0x8))                         // same line
-	r.Emit(Event{Cycle: 3, Source: "t", Kind: "drain"}) // no address
-	got := r.ForAddr(0x0)
-	if len(got) != 2 {
-		t.Fatalf("ForAddr(0) = %d events, want 2 (line-0 events are real)", len(got))
-	}
-	for _, e := range got {
-		if !e.HasAddr {
-			t.Fatalf("ForAddr returned address-less event %v", e)
-		}
-	}
-}
-
-func TestEventStringShowsLineZero(t *testing.T) {
-	withAddr := ev(1, "store", 0x0).String()
-	if !strings.Contains(withAddr, "0x0") {
-		t.Errorf("event about line 0 should print its address: %q", withAddr)
-	}
-	noAddr := Event{Cycle: 1, Source: "t", Kind: "drain"}.String()
-	if strings.Contains(noAddr, "0x") {
-		t.Errorf("address-less event should print no address: %q", noAddr)
-	}
-}
-
-func TestRingWraparoundOrdering(t *testing.T) {
-	// Overflow a small ring several times over and verify Events() stays
-	// oldest-first with contiguous cycles, and Total() counts evictions.
-	r := NewRing(4)
-	const n = 11
-	for i := int64(0); i < n; i++ {
-		r.Emit(ev(i, "x", uint64(i)*64))
-	}
-	got := r.Events()
-	if len(got) != 4 {
-		t.Fatalf("retained %d, want 4", len(got))
-	}
-	for i, e := range got {
-		if want := int64(n - 4 + i); e.Cycle != want {
-			t.Fatalf("event %d has cycle %d, want %d", i, e.Cycle, want)
-		}
-	}
-	if r.Total() != n {
-		t.Fatalf("total %d, want %d", r.Total(), n)
-	}
-}
-
-func TestRingWraparoundFilterAndForAddr(t *testing.T) {
-	// After overflow, Filter and ForAddr must only see retained events.
-	r := NewRing(3)
-	r.Emit(ev(1, "cbo-drop", 0x1000)) // will be evicted
-	r.Emit(ev(2, "grant", 0x1000))    // will be evicted
-	r.Emit(ev(3, "cbo-drop", 0x2000))
-	r.Emit(ev(4, "grant", 0x2000))
-	r.Emit(ev(5, "cbo-drop", 0x1000))
-	if got := r.Filter("cbo"); len(got) != 2 {
-		t.Fatalf("Filter(cbo) = %d events, want 2 (evicted events excluded)", len(got))
-	}
-	if got := r.ForAddr(0x1000); len(got) != 1 || got[0].Cycle != 5 {
-		t.Fatalf("ForAddr(0x1000) = %v, want only the cycle-5 event", got)
-	}
-}
-
-func TestRingExactFillBoundary(t *testing.T) {
-	// Exactly filling the ring (no eviction yet) is the wraparound edge.
-	r := NewRing(3)
-	for i := int64(0); i < 3; i++ {
-		r.Emit(ev(i, "x", 0x40))
-	}
-	got := r.Events()
-	if len(got) != 3 || got[0].Cycle != 0 || got[2].Cycle != 2 {
-		t.Fatalf("exact-fill events = %v", got)
-	}
-	if r.Total() != 3 {
-		t.Fatalf("total %d, want 3", r.Total())
-	}
-}
-
-func TestEmitGlobalHasNoAddr(t *testing.T) {
-	r := NewRing(4)
-	EmitGlobal(r, 9, "l2", "drain", "done")
-	EmitGlobal(nil, 9, "l2", "drain", "done") // nil-safe
-	got := r.Events()
-	if len(got) != 1 || got[0].HasAddr {
-		t.Fatalf("EmitGlobal events = %v, want one address-less event", got)
-	}
-}
-
-func TestWriterStreams(t *testing.T) {
+// TestTextRendersEachField: a line carries the cycle, the component, the
+// code and the line address, then the txn id, the cause by name and the
+// code's named arg, each only when the event has one. An event about line 0
+// still prints its address.
+func TestTextRendersEachField(t *testing.T) {
 	var sb strings.Builder
-	w := NewWriter(&sb)
-	w.Emit(ev(7, "probe", 0x40))
-	if !strings.Contains(sb.String(), "probe") || !strings.Contains(sb.String(), "0x40") {
-		t.Fatalf("stream output %q", sb.String())
+	tx := NewText(&sb)
+	tx.Record("flush[0]", RecEvent{Cycle: 12, Code: RecSkipAudit, Cause: CauseDirtyLine, Txn: 5, Addr: 0x1040, Arg: 1})
+	tx.Record("mem", RecEvent{Cycle: 300, Code: RecMemRead, Addr: 0})
+	tx.Record("l1[1]", RecEvent{Cycle: 7, Code: RecAcquire, Cause: CauseNtoT, Txn: 9, Addr: 0x80})
+	tx.Record("l2", RecEvent{Cycle: 8, Code: RecGrant, Txn: 9, Addr: 0x80, Arg: 1})
+	want := []string{
+		"      12  flush[0] skip-audit           0x1040  txn=5 dirty-line issued=1",
+		"     300  mem      mem-read                0x0",
+		"       7  l1[1]    acquire                0x80  txn=9 NtoT",
+		"       8  l2       grant                  0x80  txn=9 client=1",
+	}
+	if got := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n"); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("text lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
-func TestMultiFansOut(t *testing.T) {
-	a, b := NewRing(4), NewRing(4)
-	m := Multi{a, b}
-	m.Emit(ev(1, "x", 0))
-	if a.Total() != 1 || b.Total() != 1 {
-		t.Fatal("multi did not fan out")
+// TestEveryArgHasOneName: a code names its arg for the renderers, and a
+// cause renders by name, so no event needs a free-form detail string.
+func TestEveryArgHasOneName(t *testing.T) {
+	for code, name := range map[RecCode]string{
+		RecGrant: "client", RecProbe: "client", RecRootRelease: "client", RecRootReleaseAck: "client",
+		RecRelease: "dirty", RecCboEnqueue: "depth", RecFSHRAlloc: "fshr", RecFSHRAck: "latency",
+		RecSkipAudit: "issued", RecMemRead: "", RecCode(200): "",
+	} {
+		if got := code.argName(); got != name {
+			t.Errorf("%v names its arg %q, want %q", code, got, name)
+		}
+	}
+	if CboKind(true) != CauseClean || CboKind(false) != CauseFlush {
+		t.Fatal("CboKind does not name the CBO kind")
 	}
 }
 
-func TestEmitNilTracerIsNoop(t *testing.T) {
-	Emit(nil, 1, "s", "k", 0, "") // must not panic
-}
-
-func TestDump(t *testing.T) {
-	r := NewRing(4)
-	r.Emit(ev(1, "a", 0x40))
-	r.Emit(ev(2, "b", 0))
-	var sb strings.Builder
-	if err := r.Dump(&sb); err != nil {
-		t.Fatal(err)
+// TestTxnSeqNumbering: ids start at 1 and count up by one, 0 stays free to
+// mean "no transaction", and a nil sequence hands out 0.
+func TestTxnSeqNumbering(t *testing.T) {
+	var s TxnSeq
+	for want := uint64(1); want <= 5; want++ {
+		if got := s.Next(); got != want {
+			t.Fatalf("Next() = %d, want %d", got, want)
+		}
 	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("dumped %d lines, want 2", len(lines))
+	var nilSeq *TxnSeq
+	if got := nilSeq.Next(); got != 0 {
+		t.Fatalf("nil sequence returned %d", got)
 	}
 }

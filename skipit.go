@@ -36,6 +36,8 @@
 package skipit
 
 import (
+	"io"
+
 	"skipit/internal/boom"
 	"skipit/internal/commercial"
 	"skipit/internal/ds"
@@ -191,17 +193,12 @@ func NewSkiplist(env *PersistEnv, alloc *Allocator) Set { return ds.NewSkiplist(
 
 // --- Tracing ---
 
-// Tracer receives simulator events; attach with System.SetTracer.
-type Tracer = trace.Tracer
+// TextTrace is a trace sink that writes one line per simulator event;
+// attach one with System.TraceTo.
+type TextTrace = trace.Text
 
-// TraceEvent is one timestamped simulator occurrence.
-type TraceEvent = trace.Event
-
-// TraceRing is a bounded in-memory tracer keeping the most recent events.
-type TraceRing = trace.Ring
-
-// NewTraceRing returns a tracer retaining the last n events.
-func NewTraceRing(n int) *TraceRing { return trace.NewRing(n) }
+// NewTextTrace returns a sink that writes one line per event to w.
+func NewTextTrace(w io.Writer) *TextTrace { return trace.NewText(w) }
 
 // --- Commercial comparison models (§7.3) ---
 
