@@ -3,19 +3,22 @@
 // backpressure, MSHR/FSHR/ListBuffer squeezes, forced nacks, ECC-style bit
 // flips), stepped under the forward-progress watchdog with every cross-layer
 // invariant checked each cycle and load values verified against a golden
-// model. Failures are greedily shrunk to a minimal reproducer and written as
-// replayable .chaos.json artifacts.
+// model. With -crash, each case also cuts power at a cycle drawn from its
+// seed and holds NVMM to the Fig. 5(c) durability rule: a write covered by a
+// completed CBO.X and a later completed fence survives. Failures are
+// greedily shrunk to a minimal reproducer and written as replayable
+// .chaos.json artifacts.
 //
 // Usage:
 //
 //	skipit-chaos [-runs N] [-seed S] [-cores N] [-faults N] [-prog-len N]
-//	             [-cycle-limit N] [-watchdog N] [-shrink-runs N]
+//	             [-cycle-limit N] [-watchdog N] [-shrink-runs N] [-crash]
 //	             [-out DIR] [-jobs N] [-v]
 //	skipit-chaos -replay FILE [-v]
 //
 // Every run is a pure function of its seed: the same seed reproduces the
-// same programs, the same schedule, the same failure, and the same shrunk
-// artifact.
+// same programs, the same schedule, the same crash point, the same failure,
+// and the same shrunk artifact.
 package main
 
 import (
@@ -32,13 +35,15 @@ import (
 )
 
 func main() {
+	c := chaos.Case{}
 	runs := flag.Int("runs", 100, "number of fuzz cases")
-	seed := flag.Int64("seed", 1, "first case seed (case i uses seed+i)")
-	cores := flag.Int("cores", 2, "simulated cores")
-	faults := flag.Int("faults", 12, "faults per schedule")
-	progLen := flag.Int("prog-len", 24, "instructions per core program")
-	cycleLimit := flag.Int64("cycle-limit", 300_000, "per-run cycle budget")
-	watchdog := flag.Int64("watchdog", 20_000, "watchdog no-progress limit (0 disables)")
+	flag.Int64Var(&c.Seed, "seed", 1, "first case seed (case i uses seed+i)")
+	flag.IntVar(&c.Cores, "cores", 2, "simulated cores")
+	flag.IntVar(&c.NumFaults, "faults", 12, "faults per schedule")
+	flag.IntVar(&c.ProgLen, "prog-len", 24, "instructions per core program")
+	flag.Int64Var(&c.CycleLimit, "cycle-limit", 300_000, "per-run cycle budget")
+	flag.Int64Var(&c.WatchdogLimit, "watchdog", 20_000, "watchdog no-progress limit (0 disables)")
+	flag.BoolVar(&c.Crash, "crash", false, "cut power at a seeded cycle and check NVMM durability")
 	shrinkRuns := flag.Int("shrink-runs", chaos.DefaultShrinkRuns, "max re-executions while shrinking a failure")
 	out := flag.String("out", ".", "directory for .chaos.json repro artifacts")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel workers")
@@ -49,21 +54,20 @@ func main() {
 	if *replay != "" {
 		os.Exit(replayFile(*replay, *verbose))
 	}
-	os.Exit(fuzz(*runs, *seed, *cores, *faults, *progLen, *cycleLimit, *watchdog,
-		*shrinkRuns, *out, *jobs, *verbose))
+	os.Exit(fuzz(c, *runs, *shrinkRuns, *out, *jobs, *verbose))
 }
 
-// fuzz runs cases seed..seed+runs-1 across a worker pool. Each case is an
-// independent pure function of its seed, so parallelism never changes
-// results.
-func fuzz(runs int, seed int64, cores, faults, progLen int, cycleLimit, watchdog int64,
-	shrinkRuns int, out string, jobs int, verbose bool) int {
+// fuzz runs cases tmpl.Seed..tmpl.Seed+runs-1 across a worker pool. Each
+// case is an independent pure function of its seed, so parallelism never
+// changes results.
+func fuzz(tmpl chaos.Case, runs, shrinkRuns int, out string, jobs int, verbose bool) int {
 	if jobs < 1 {
 		jobs = 1
 	}
 	var (
 		mu       sync.Mutex // serializes logging and artifact writes
 		failures int
+		midRun   int
 		next     atomic.Int64
 		agg      chaos.Stats
 	)
@@ -77,14 +81,8 @@ func fuzz(runs int, seed int64, cores, faults, progLen int, cycleLimit, watchdog
 				if i >= int64(runs) {
 					return
 				}
-				c := chaos.Case{
-					Seed:          seed + i,
-					Cores:         cores,
-					ProgLen:       progLen,
-					NumFaults:     faults,
-					CycleLimit:    cycleLimit,
-					WatchdogLimit: watchdog,
-				}
+				c := tmpl
+				c.Seed += i
 				fail, st, in := chaos.Run(c)
 				mu.Lock()
 				agg.FaultsInjected += st.FaultsInjected
@@ -92,6 +90,9 @@ func fuzz(runs int, seed int64, cores, faults, progLen int, cycleLimit, watchdog
 				agg.EccDirtyUnrec += st.EccDirtyUnrec
 				agg.RefetchRecoveries += st.RefetchRecoveries
 				agg.WatchdogTrips += st.WatchdogTrips
+				if st.MidRunCrash {
+					midRun++
+				}
 				if verbose && fail == nil {
 					fmt.Printf("seed %d: ok (%d cycles, %d faults)\n", c.Seed, st.Cycles, st.FaultsInjected)
 				}
@@ -124,9 +125,13 @@ func fuzz(runs int, seed int64, cores, faults, progLen int, cycleLimit, watchdog
 		}()
 	}
 	wg.Wait()
-	fmt.Printf("chaos: %d runs, %d failures; injected=%d ecc_flips=%d recovered=%d dirty_unrec=%d watchdog_trips=%d\n",
+	fmt.Printf("chaos: %d runs, %d failures; injected=%d ecc_flips=%d recovered=%d dirty_unrec=%d watchdog_trips=%d",
 		runs, failures, agg.FaultsInjected, agg.EccFlips, agg.RefetchRecoveries,
 		agg.EccDirtyUnrec, agg.WatchdogTrips)
+	if tmpl.Crash {
+		fmt.Printf(" crashed_mid_run=%d", midRun)
+	}
+	fmt.Println()
 	if failures > 0 {
 		return 1
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"skipit/internal/ds"
+	"skipit/internal/metrics"
 	"skipit/internal/persist"
 	"skipit/internal/sweep"
 )
@@ -103,6 +104,30 @@ func TestFig13SkipItWins(t *testing.T) {
 	gain := (naive - skip) / naive
 	if gain < 0.05 {
 		t.Fatalf("Skip It gain %.1f%% on redundant cleans, want >5%% (paper: 15-30%%)", gain*100)
+	}
+}
+
+// TestAblationCoalescingCoalesces: the coalescing ablation's on-row merges
+// CBOs into queued twins and finishes sooner for it; the off-row merges
+// none.
+func TestAblationCoalescingCoalesces(t *testing.T) {
+	coalesced := map[string]uint64{}
+	cycles := map[string]float64{}
+	for _, j := range AblationJobs() {
+		if j.Series != "coalescing" {
+			continue
+		}
+		out, err := j.Run(func(_ string, snap metrics.Snapshot) { coalesced[j.X] = snap.Counters["flush.coalesced"] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycles[j.X] = out.Cycles
+	}
+	if coalesced["on"] == 0 || coalesced["off"] != 0 {
+		t.Fatalf("flush.coalesced: on %d, off %d; want on > 0, off 0", coalesced["on"], coalesced["off"])
+	}
+	if cycles["on"] >= cycles["off"] {
+		t.Fatalf("coalescing on took %.0f cycles, off %.0f", cycles["on"], cycles["off"])
 	}
 }
 

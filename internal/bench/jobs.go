@@ -330,15 +330,23 @@ func measureAblationSweep(sink Sink, cfg sim.Config, size uint64) float64 {
 	return float64(tm[end].CompletedAt - tm[start].IssuedAt)
 }
 
-// buildAblationRedundant constructs store + (1+redundant) CBO.CLEANs per
-// line, then a fence. It returns the program and the index of the fence;
-// the measurement starts at the first instruction.
+// buildAblationRedundant constructs a store to each line of the region,
+// then 1+redundant CBO.CLEAN passes over it in alternating direction, then a
+// fence. Each pass starts on the lines the previous one ended with, so while
+// the flush unit drains slower than the core issues, a CBO can find its twin
+// still queued. It returns the program and the index of the fence; the
+// measurement starts at the first instruction.
 func buildAblationRedundant(size uint64, redundant int) (p *isa.Program, end int) {
-	b := isa.NewBuilder().Grow(linesIn(size)*(2+redundant) + 1)
-	for a := uint64(0); a < size; a += lineBytes {
-		b.Store(a, 1)
-		for r := 0; r <= redundant; r++ {
-			b.CboClean(a)
+	lines := linesIn(size)
+	b := isa.NewBuilder().Grow(lines*(2+redundant) + 1)
+	b.StoreRegion(0, size, lineBytes, 1)
+	for r := 0; r <= redundant; r++ {
+		for i := 0; i < lines; i++ {
+			l := i
+			if r%2 == 1 {
+				l = lines - 1 - i
+			}
+			b.CboClean(uint64(l) * lineBytes)
 		}
 	}
 	end = b.Mark()
@@ -346,7 +354,7 @@ func buildAblationRedundant(size uint64, redundant int) (p *isa.Program, end int
 	return b.Build(), end
 }
 
-// measureAblationRedundant runs store + (1+redundant) CBO.CLEANs per line.
+// measureAblationRedundant runs buildAblationRedundant's program.
 func measureAblationRedundant(sink Sink, cfg sim.Config, size uint64, redundant int) float64 {
 	s := newSystem(cfg)
 	p, end := buildAblationRedundant(size, redundant)
@@ -393,9 +401,13 @@ func AblationJobs() []sweep.Job {
 		if on {
 			x = "on"
 		}
+		// One FSHR drains a clean in about 27 cycles while the core
+		// issues a CBO every 11 or so, so the queue holds each pass's
+		// tail when the next pass arrives.
 		cfg := sim.DefaultConfig(1)
 		cfg.L1.Flush.SkipIt = false
 		cfg.L1.Flush.Coalescing = on
+		cfg.L1.Flush.NumFSHRs = 1
 		const size, redundant = 512, 4
 		jobs = append(jobs, sweep.Job{
 			Group: "ablations", Name: "coalescing/" + x, Series: "coalescing", X: x,

@@ -124,27 +124,35 @@ func TestShrinkReducesToMinimalRepro(t *testing.T) {
 }
 
 func TestReproRoundTrip(t *testing.T) {
-	in := hangInput(true)
-	fail, _ := RunInput(in)
-	r := NewRepro(99, in, fail)
-	data, err := r.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeRepro(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in2, err := back.Input()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in.Progs[0].Instrs, in2.Progs[0].Instrs) {
-		t.Fatal("program did not survive the text round-trip")
-	}
-	fail2, _ := RunInput(in2)
-	if !reflect.DeepEqual(fail, fail2) {
-		t.Fatalf("replay diverged:\n%+v\n%+v", fail, fail2)
+	cfg := sim.DefaultConfig(1)
+	cfg.L1.Sets, cfg.L1.Ways = 1, 2
+	crash := DefaultCase(5, 1)
+	crash.Crash, crash.Config = true, &cfg
+	for _, in := range []Input{hangInput(true), BuildInput(crash)} {
+		fail, st := RunInput(in)
+		r := NewRepro(99, in, fail)
+		data, err := r.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := DecodeRepro(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in2, err := back.Input()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(in.Progs[0].Instrs, in2.Progs[0].Instrs) {
+			t.Fatal("program did not survive the text round-trip")
+		}
+		if !reflect.DeepEqual(in.Config, in2.Config) || in.CrashAt != in2.CrashAt || in.ADR != in2.ADR {
+			t.Fatalf("config or crash point did not survive the round-trip: %+v", back)
+		}
+		fail2, st2 := RunInput(in2)
+		if !reflect.DeepEqual(fail, fail2) || !reflect.DeepEqual(st, st2) {
+			t.Fatalf("replay diverged:\n%+v %+v\n%+v %+v", fail, st, fail2, st2)
+		}
 	}
 }
 
@@ -209,8 +217,8 @@ func TestCommittedArtifactsReplayEitherClock(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			failFF, stFF := runInput(in, true)
-			failSlow, stSlow := runInput(in, false)
+			failFF, stFF, _ := runInput(in, true)
+			failSlow, stSlow, _ := runInput(in, false)
 			for _, got := range []*Failure{failFF, failSlow} {
 				if got == nil {
 					t.Fatal("replay ran clean")
@@ -243,19 +251,42 @@ func TestCommittedArtifactsReplayEitherClock(t *testing.T) {
 	}
 }
 
-// TestFuzzEquivalenceEitherClock runs a handful of full fuzzer cases with the
-// fast-forward clock on and off; verdicts, cycle counts and every chaos stat
-// must match bit for bit.
+// TestFuzzEquivalenceEitherClock runs a handful of full fuzzer cases, with
+// and without a crash, with the fast-forward clock on and off; verdicts,
+// cycle counts, every chaos stat and the NVMM words the programs wrote must
+// match bit for bit. A crash case's programs and schedule are those of the
+// same seed without it.
 func TestFuzzEquivalenceEitherClock(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		in := BuildInput(DefaultCase(seed, 2))
-		failFF, stFF := runInput(in, true)
-		failSlow, stSlow := runInput(in, false)
-		if !reflect.DeepEqual(failFF, failSlow) {
-			t.Fatalf("seed %d: verdicts differ:\nff:   %+v\nslow: %+v", seed, failFF, failSlow)
-		}
-		if !reflect.DeepEqual(stFF, stSlow) {
-			t.Fatalf("seed %d: stats differ:\nff:   %+v\nslow: %+v", seed, stFF, stSlow)
+	for seed := int64(1); seed <= 10; seed++ {
+		plain := BuildInput(DefaultCase(seed, 2))
+		for _, crash := range []bool{false, true} {
+			c := DefaultCase(seed, 2)
+			c.Crash = crash
+			in := BuildInput(c)
+			if !reflect.DeepEqual(in.Progs, plain.Progs) || !reflect.DeepEqual(in.Schedule, plain.Schedule) {
+				t.Fatalf("seed %d: Crash changed the programs or the schedule", seed)
+			}
+			if crash != (in.CrashAt > 0) {
+				t.Fatalf("seed %d, crash %v: CrashAt %d", seed, crash, in.CrashAt)
+			}
+			failFF, stFF, sFF := runInput(in, true)
+			failSlow, stSlow, sSlow := runInput(in, false)
+			if !reflect.DeepEqual(failFF, failSlow) {
+				t.Fatalf("seed %d, crash %v: verdicts differ:\nff:   %+v\nslow: %+v", seed, crash, failFF, failSlow)
+			}
+			if !reflect.DeepEqual(stFF, stSlow) {
+				t.Fatalf("seed %d, crash %v: stats differ:\nff:   %+v\nslow: %+v", seed, crash, stFF, stSlow)
+			}
+			for _, p := range in.Progs {
+				for _, ins := range p.Instrs {
+					if !writes(ins.Op) {
+						continue
+					}
+					if ff, slow := sFF.Mem.PeekUint64(ins.Addr), sSlow.Mem.PeekUint64(ins.Addr); ff != slow {
+						t.Fatalf("seed %d, crash %v: NVMM %#x holds %#x with fast-forward, %#x without", seed, crash, ins.Addr, ff, slow)
+					}
+				}
+			}
 		}
 	}
 }
@@ -368,26 +399,5 @@ func TestChaosCountersInSnapshot(t *testing.T) {
 		if _, ok := snap.Counters[key]; !ok {
 			t.Errorf("snapshot missing %q", key)
 		}
-	}
-}
-
-// TestFuzzSweepClean runs a deterministic mini-sweep: every seed must survive
-// with no unexplained invariant violations, hangs, or corruption. (CI runs
-// the same sweep wider via cmd/skipit-chaos.)
-func TestFuzzSweepClean(t *testing.T) {
-	runs := int64(40)
-	if testing.Short() {
-		runs = 10
-	}
-	var injected uint64
-	for seed := int64(1); seed <= runs; seed++ {
-		fail, st, _ := Run(DefaultCase(seed, 2))
-		if fail != nil {
-			t.Fatalf("seed %d: %s: %s", seed, fail.Kind, fail.Message)
-		}
-		injected += st.FaultsInjected
-	}
-	if injected == 0 {
-		t.Fatal("sweep injected no faults; schedule generation is broken")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"skipit/internal/boom"
 	"skipit/internal/detrand"
 	"skipit/internal/isa"
 	"skipit/internal/sim"
@@ -31,6 +32,9 @@ const (
 	// FailCorruption: a load observed a value the golden sequential model
 	// says it cannot (e.g. a silently leaked ECC flip).
 	FailCorruption FailKind = "corruption"
+	// FailDurability: after a crash, NVMM lost a write the Fig. 5(c) rule
+	// guarantees (see checkDurability).
+	FailDurability FailKind = "durability"
 )
 
 // Failure describes one failing run.
@@ -40,9 +44,10 @@ type Failure struct {
 	Cycle   int64           `json:"cycle"`
 	Report  *sim.HangReport `json:"report,omitempty"` // hang/panic only
 	// FlightRecorder holds the per-component event-ring dump for failures
-	// without a HangReport (timeout, invariant, corruption); hang and panic
-	// failures carry the dump inside Report instead. Deterministic, so
-	// fast-forwarded and single-stepped replays produce identical dumps.
+	// without a HangReport (timeout, invariant, corruption, durability);
+	// hang and panic failures carry the dump inside Report instead.
+	// Deterministic, so fast-forwarded and single-stepped replays produce
+	// identical dumps.
 	FlightRecorder []trace.RecDump `json:"flight_recorder,omitempty"`
 }
 
@@ -60,15 +65,28 @@ type Stats struct {
 	RefetchRecoveries uint64       `json:"refetch_recoveries"`
 	WatchdogTrips     uint64       `json:"watchdog_trips"`
 	Flips             []FlipRecord `json:"flips,omitempty"`
+	// MidRunCrash reports a crash that cut power before every program
+	// finished and the SoC drained.
+	MidRunCrash bool `json:"mid_run_crash,omitempty"`
 }
 
 // Case is one fuzzer iteration's parameters; everything concrete (programs,
-// schedule) derives deterministically from Seed.
+// schedule, crash point) derives deterministically from Seed.
 type Case struct {
 	Seed      int64
 	Cores     int
 	ProgLen   int
 	NumFaults int
+	// Lines, when positive (at most 64), draws each core's line pool as
+	// that many lines of a 64-line window and ends each program by
+	// reloading every word it wrote, so the state a run leaves is checked
+	// too. Zero keeps the fixed 7-line pool.
+	Lines int
+	// Crash cuts power at a cycle drawn from the seed and then holds NVMM
+	// to the Fig. 5(c) rule.
+	Crash bool
+	// Config is the SoC to build; nil means sim.DefaultConfig(Cores).
+	Config *sim.Config
 	// CycleLimit bounds the run; WatchdogLimit arms the forward-progress
 	// watchdog (0 disables).
 	CycleLimit    int64
@@ -87,17 +105,24 @@ func DefaultCase(seed int64, cores int) Case {
 	}
 }
 
-// Input is the concrete, replayable form of a case: the programs and the
-// schedule, plus the run bounds. Shrinking operates on Inputs.
+// Input is the concrete, replayable form of a case: the programs, the
+// schedule, the SoC and the crash point, plus the run bounds. Shrinking
+// operates on Inputs.
 type Input struct {
 	Progs         []*isa.Program
 	Schedule      Schedule
+	Config        *sim.Config // nil: sim.DefaultConfig(len(Progs))
 	CycleLimit    int64
 	WatchdogLimit int64
+	// CrashAt, when positive, cuts power at that cycle, or when the run
+	// drains if that comes first. ADR lets writes the memory controller
+	// has accepted survive the crash.
+	CrashAt int64
+	ADR     bool
 }
 
 // BuildInput expands a case into its concrete input. Deterministic: the same
-// case always yields the same programs and schedule.
+// case always yields the same programs and schedule, with or without Crash.
 func BuildInput(c Case) Input {
 	if c.Cores < 1 {
 		c.Cores = 1
@@ -106,7 +131,7 @@ func BuildInput(c Case) Input {
 	progs := make([]*isa.Program, c.Cores)
 	var pool []uint64
 	for i := 0; i < c.Cores; i++ {
-		p, addrs := genProgram(rng, i, c.ProgLen)
+		p, addrs := genProgram(rng, i, c.ProgLen, c.Lines)
 		progs[i] = p
 		pool = append(pool, addrs...)
 	}
@@ -116,42 +141,67 @@ func BuildInput(c Case) Input {
 	// Concentrate faults where the action is: a ProgLen-instruction program
 	// retires in tens of cycles per instruction, so a span tied to program
 	// length lands most faults mid-run instead of after quiescence.
-	gcfg.CycleSpan = maxi64(300, int64(c.ProgLen)*25)
-	gcfg.MaxDuration = maxi64(100, gcfg.CycleSpan/4)
+	gcfg.CycleSpan = max(300, int64(c.ProgLen)*25)
+	gcfg.MaxDuration = max(100, gcfg.CycleSpan/4)
 	// Derive the schedule from the same stream so one seed fixes the whole
 	// case (the detrand split discipline: one seed, one tree of streams).
 	sched := Generate(detrand.SplitSeed(rng), gcfg)
-	return Input{
+	in := Input{
 		Progs:         progs,
 		Schedule:      sched,
+		Config:        c.Config,
 		CycleLimit:    c.CycleLimit,
 		WatchdogLimit: c.WatchdogLimit,
 	}
+	if c.Crash {
+		// Split off last, so the draws above do not depend on Crash. The
+		// crash lands in the fault span, where the programs still run.
+		crash := detrand.Split(rng)
+		in.CrashAt = 50 + crash.Int63n(gcfg.CycleSpan)
+		in.ADR = crash.Intn(2) == 0
+	}
+	return in
 }
 
 // genProgram emits a random program for one core over a private address pool
 // (disjoint per core, so a sequential per-core golden model predicts every
 // load). The pool mixes same-set aliases and distant lines to exercise
 // victims, and the program ends with a fence so all stores land before the
-// run is judged quiescent.
-func genProgram(rng *rand.Rand, core, length int) (*isa.Program, []uint64) {
+// run is judged quiescent. With nlines > 0 the pool is nlines lines drawn
+// from a 64-line window, and the program then reloads every word it wrote.
+func genProgram(rng *rand.Rand, core, length, nlines int) (*isa.Program, []uint64) {
 	base := 0x1000 + uint64(core)<<20
 	lines := []uint64{
 		base, base + 64, base + 128, base + 192,
 		base + 0x1000, base + 0x2000, base + 0x1040,
 	}
-	pick := func() uint64 { return lines[rng.Intn(len(lines))] + 8*uint64(rng.Intn(8)) }
+	if nlines > 0 {
+		lines = lines[:0]
+		for _, k := range rng.Perm(64)[:nlines] {
+			lines = append(lines, base+uint64(k)*64)
+		}
+	}
+	var written []uint64 // words in first-write order, for the reload
+	seen := map[uint64]bool{}
+	pick := func(write bool) uint64 {
+		w := lines[rng.Intn(len(lines))] + 8*uint64(rng.Intn(8))
+		if write && !seen[w] {
+			seen[w] = true
+			written = append(written, w)
+		}
+		return w
+	}
 	b := isa.NewBuilder()
 	for i := 0; i < length; i++ {
 		switch r := rng.Intn(20); {
 		case r < 6:
-			b.Store(pick(), rng.Uint64()%1000+1)
+			b.Store(pick(true), rng.Uint64()%1000+1)
 		case r < 11:
-			b.Load(pick())
+			b.Load(pick(false))
 		case r < 13:
-			b.AmoAdd(pick(), rng.Uint64()%100+1)
+			b.AmoAdd(pick(true), rng.Uint64()%100+1)
 		case r < 15:
-			b.AmoSwap(pick(), rng.Uint64()%1000+1)
+			b.AmoSwap(pick(true), rng.Uint64()%1000+1)
 		case r < 17:
 			b.CboClean(lines[rng.Intn(len(lines))])
 		case r < 18:
@@ -163,22 +213,32 @@ func genProgram(rng *rand.Rand, core, length int) (*isa.Program, []uint64) {
 		}
 	}
 	b.Fence()
+	if nlines > 0 {
+		for _, w := range written {
+			b.Load(w)
+		}
+	}
 	return b.Build(), lines
 }
 
-// RunInput executes one concrete input on a fresh default system: faults
-// armed, watchdog armed, invariants checked every cycle, and load values
-// verified against the golden model afterwards. A nil Failure means the run
-// survived.
+// RunInput executes one concrete input on a fresh system: faults armed,
+// watchdog armed, invariants checked every cycle, load values verified
+// against the golden model afterwards and, for a crash input, NVMM held to
+// the Fig. 5(c) rule. A nil Failure means the run survived.
 func RunInput(in Input) (*Failure, Stats) {
-	return runInput(in, true)
+	fail, st, _ := runInput(in, true)
+	return fail, st
 }
 
 // runInput is RunInput with the fast-forward clock switchable, so the
 // equivalence tests can pin fast-forwarded replays against single-stepped
-// ones.
-func runInput(in Input, fastForward bool) (*Failure, Stats) {
-	s := sim.New(sim.DefaultConfig(len(in.Progs)))
+// ones; it also returns the system, whose NVMM they compare.
+func runInput(in Input, fastForward bool) (*Failure, Stats, *sim.System) {
+	cfg := sim.DefaultConfig(len(in.Progs))
+	if in.Config != nil {
+		cfg = *in.Config
+	}
+	s := sim.New(cfg)
 	s.SetFastForward(fastForward)
 	s.EnableFlightRecorder(recorderDepth)
 	if in.WatchdogLimit > 0 {
@@ -191,8 +251,17 @@ func runInput(in Input, fastForward bool) (*Failure, Stats) {
 		}
 		s.Cores[i].SetProgram(p)
 	}
+	limits := []int64{in.CycleLimit}
+	if in.CrashAt > 0 {
+		limits = append(limits, in.CrashAt)
+	}
 	var fail *Failure
+	midRunCrash := false
 	for !(s.Done() && s.Quiescent()) {
+		if in.CrashAt > 0 && s.Now() >= in.CrashAt {
+			midRunCrash = true
+			break
+		}
 		if s.Now() >= in.CycleLimit {
 			fail = &Failure{
 				Kind:    FailTimeout,
@@ -201,13 +270,21 @@ func runInput(in Input, fastForward bool) (*Failure, Stats) {
 			}
 			break
 		}
-		if err := r.StepChecked(in.CycleLimit); err != nil {
+		if err := r.StepChecked(limits...); err != nil {
 			fail = classify(err, s.Now())
 			break
 		}
 	}
+	timings := make([][]boom.Timing, len(s.Cores))
+	for c, core := range s.Cores {
+		timings[c] = core.Timings() // a crash gives each core a fresh array
+	}
 	if fail == nil {
-		fail = checkValues(in.Progs, s)
+		fail = checkValues(in.Progs, timings, s.Now())
+	}
+	if fail == nil && in.CrashAt > 0 {
+		s.Crash(in.ADR)
+		fail = checkDurability(in.Progs, timings, s.Mem.PeekUint64, s.Now())
 	}
 	if fail != nil && fail.Report == nil {
 		fail.FlightRecorder = s.FlightRecorder().Dump()
@@ -221,8 +298,9 @@ func runInput(in Input, fastForward bool) (*Failure, Stats) {
 		RefetchRecoveries: m.Counter("chaos", "refetch_recoveries").Value(),
 		WatchdogTrips:     m.Counter("sim", "watchdog_trips").Value(),
 		Flips:             r.Flips(),
+		MidRunCrash:       midRunCrash,
 	}
-	return fail, st
+	return fail, st, s
 }
 
 func classify(err error, now int64) *Failure {
@@ -235,44 +313,6 @@ func classify(err error, now int64) *Failure {
 		return &Failure{Kind: kind, Cycle: now, Message: he.Report.Summary(), Report: he.Report}
 	}
 	return &Failure{Kind: FailInvariant, Cycle: now, Message: err.Error()}
-}
-
-// checkValues replays each program against a sequential golden model. Address
-// spaces are disjoint per core, so every load and AMO must observe exactly
-// the value the core's own program history dictates; any divergence is data
-// corruption the cache hierarchy let through.
-func checkValues(progs []*isa.Program, s *sim.System) *Failure {
-	for c, p := range progs {
-		if p == nil {
-			continue
-		}
-		golden := map[uint64]uint64{}
-		timings := s.Cores[c].Timings()
-		for i, in := range p.Instrs {
-			switch in.Op {
-			case isa.OpStore:
-				golden[in.Addr] = in.Data
-			case isa.OpLoad, isa.OpAmoAdd, isa.OpAmoSwap:
-				want := golden[in.Addr]
-				if got := timings[i].LoadValue; got != want {
-					return &Failure{
-						Kind:  FailCorruption,
-						Cycle: s.Now(),
-						Message: fmt.Sprintf(
-							"core %d instr %d (%v %#x): loaded %#x, golden model says %#x",
-							c, i, in.Op, in.Addr, got, want),
-					}
-				}
-				switch in.Op {
-				case isa.OpAmoAdd:
-					golden[in.Addr] = want + in.Data
-				case isa.OpAmoSwap:
-					golden[in.Addr] = in.Data
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Run expands and executes one fuzzer case.

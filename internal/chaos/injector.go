@@ -166,9 +166,6 @@ func (r *Runner) StepChecked(limits ...int64) error {
 // Flips returns the outcome log of all bit-flip faults applied so far.
 func (r *Runner) Flips() []FlipRecord { return r.flips }
 
-// System returns the armed system.
-func (r *Runner) System() *sim.System { return r.s }
-
 // linkHook implements tilelink.Chaos over this channel's window faults.
 // Methods are pure functions of now, so Peek and Recv within a cycle agree
 // and replays are exact.

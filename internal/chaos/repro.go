@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"skipit/internal/isa"
+	"skipit/internal/sim"
 )
 
 // ReproVersion is the .chaos.json format version.
@@ -21,10 +22,15 @@ type Repro struct {
 	// the seed).
 	Seed int64 `json:"seed,omitempty"`
 	// Programs holds one isa-format listing per core.
-	Programs      []string `json:"programs"`
-	Schedule      Schedule `json:"schedule"`
-	CycleLimit    int64    `json:"cycle_limit"`
-	WatchdogLimit int64    `json:"watchdog_limit"`
+	Programs []string `json:"programs"`
+	Schedule Schedule `json:"schedule"`
+	// Config is the SoC, when it is not sim.DefaultConfig.
+	Config        *sim.Config `json:"config,omitempty"`
+	CycleLimit    int64       `json:"cycle_limit"`
+	WatchdogLimit int64       `json:"watchdog_limit"`
+	// CrashAt and ADR describe a crash case (see Input).
+	CrashAt int64 `json:"crash_at,omitempty"`
+	ADR     bool  `json:"adr,omitempty"`
 	// Failure records what the original run produced, so a replay can be
 	// checked against it.
 	Failure *Failure `json:"failure,omitempty"`
@@ -36,8 +42,11 @@ func NewRepro(seed int64, in Input, fail *Failure) *Repro {
 		Version:       ReproVersion,
 		Seed:          seed,
 		Schedule:      in.Schedule,
+		Config:        in.Config,
 		CycleLimit:    in.CycleLimit,
 		WatchdogLimit: in.WatchdogLimit,
+		CrashAt:       in.CrashAt,
+		ADR:           in.ADR,
 		Failure:       fail,
 	}
 	for _, p := range in.Progs {
@@ -74,8 +83,11 @@ func DecodeRepro(data []byte) (*Repro, error) {
 func (r *Repro) Input() (Input, error) {
 	in := Input{
 		Schedule:      r.Schedule,
+		Config:        r.Config,
 		CycleLimit:    r.CycleLimit,
 		WatchdogLimit: r.WatchdogLimit,
+		CrashAt:       r.CrashAt,
+		ADR:           r.ADR,
 	}
 	in.Schedule.Normalize()
 	for i, src := range r.Programs {

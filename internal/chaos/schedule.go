@@ -48,10 +48,6 @@ const (
 	L2BitFlip Kind = "l2-bit-flip"
 )
 
-// IsWindow reports whether the kind perturbs behavior over [Cycle,
-// Cycle+Duration) rather than firing once at Cycle.
-func (k Kind) IsWindow() bool { return k != L1BitFlip && k != L2BitFlip }
-
 // Fault is one (cycle, site, fault) tuple. Site addressing: Core selects the
 // L1/link/flush-unit instance (ignored for L2 kinds); Channel selects the
 // TileLink channel (0..4 = A,B,C,D,E) for link kinds.
@@ -124,9 +120,8 @@ func (s *Schedule) Normalize() {
 type GenConfig struct {
 	Cores     int
 	NumFaults int
-	// Faults are placed in [StartCycle, StartCycle+CycleSpan).
-	StartCycle int64
-	CycleSpan  int64
+	// Faults are placed in [0, CycleSpan).
+	CycleSpan int64
 	// MaxDuration caps window lengths. Keep it well below the watchdog
 	// limit so drained backpressure is never mistaken for a hang.
 	MaxDuration int64
@@ -145,7 +140,6 @@ func DefaultGenConfig(cores int) GenConfig {
 	return GenConfig{
 		Cores:       cores,
 		NumFaults:   12,
-		StartCycle:  0,
 		CycleSpan:   20_000,
 		MaxDuration: 300,
 		MaxExtra:    40,
@@ -179,7 +173,7 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 	var s Schedule
 	for i := 0; i < cfg.NumFaults; i++ {
 		f := Fault{
-			Cycle: cfg.StartCycle + rng.Int63n(cfg.CycleSpan),
+			Cycle: rng.Int63n(cfg.CycleSpan),
 			Kind:  kinds[rng.Intn(len(kinds))],
 		}
 		switch f.Kind {
@@ -188,7 +182,7 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 			f.Channel = rng.Intn(5)
 			f.Duration = 1 + rng.Int63n(cfg.MaxDuration)
 			if f.Kind == LinkDelay {
-				f.Extra = 1 + rng.Int63n(maxi64(cfg.MaxExtra, 1))
+				f.Extra = 1 + rng.Int63n(max(cfg.MaxExtra, 1))
 			}
 		case L1Nack:
 			f.Core = rng.Intn(cfg.Cores)
@@ -209,11 +203,4 @@ func Generate(seed int64, cfg GenConfig) Schedule {
 	}
 	s.Normalize()
 	return s
-}
-
-func maxi64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -376,25 +376,8 @@ func (u *FlushUnit) OnRootReleaseAck(now int64, addr uint64) {
 // None removes the line (hit and dirty cleared); a probe to Branch extracts
 // dirty data but keeps a readable copy (dirty cleared).
 func (u *FlushUnit) ProbeInvalidate(addr uint64, cap tilelink.Cap) {
-	addr = u.lineAddr(addr)
-	for i := range u.queue {
-		q := &u.queue[i]
-		if q.addr != addr {
-			continue
-		}
-		switch cap {
-		case tilelink.CapToN:
-			if q.isHit || q.isDirty {
-				u.ctr.probeInvals.Inc()
-			}
-			q.isHit = false
-			q.isDirty = false
-		case tilelink.CapToB:
-			if q.isDirty {
-				u.ctr.probeInvals.Inc()
-			}
-			q.isDirty = false
-		}
+	if cap == tilelink.CapToN || cap == tilelink.CapToB {
+		u.ctr.probeInvals.Add(u.downgradeQueued(u.lineAddr(addr), cap == tilelink.CapToN))
 	}
 }
 
@@ -402,18 +385,23 @@ func (u *FlushUnit) ProbeInvalidate(addr uint64, cap tilelink.Cap) {
 // the writeback unit releases the line to L2, so queued requests for it no
 // longer hit.
 func (u *FlushUnit) EvictInvalidate(addr uint64) {
-	addr = u.lineAddr(addr)
+	u.ctr.evictInvals.Add(u.downgradeQueued(u.lineAddr(addr), true))
+}
+
+// downgradeQueued applies a metadata write to the snapshots of the requests
+// queued for a line: the line is gone (invalidate) or no longer dirty. It
+// returns how many snapshots changed.
+func (u *FlushUnit) downgradeQueued(addr uint64, invalidate bool) (changed uint64) {
 	for i := range u.queue {
 		q := &u.queue[i]
-		if q.addr != addr {
+		if q.addr != addr || !(q.isDirty || invalidate && q.isHit) {
 			continue
 		}
-		if q.isHit || q.isDirty {
-			u.ctr.evictInvals.Inc()
-		}
-		q.isHit = false
+		changed++
 		q.isDirty = false
+		q.isHit = q.isHit && !invalidate
 	}
+	return changed
 }
 
 // LoadConflict implements the §5.3 load rules for a load that *missed* in

@@ -387,6 +387,45 @@ func TestEvictInvalidate(t *testing.T) {
 	}
 }
 
+// TestQueuedTwinSeesEarlierFSHRWrite: a request queued behind another for
+// the same dirty line (same-kind with coalescing off, or a clean behind a
+// flush without cross-kind coalescing) runs after the first has written the
+// line's metadata, so it must release without data instead of reading the
+// data of a line that is gone or already clean.
+func TestQueuedTwinSeesEarlierFSHRWrite(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		coalescing              bool
+		firstClean, secondClean bool
+		want                    []tilelink.Opcode
+	}{
+		{"clean-behind-flush", true, false, true,
+			[]tilelink.Opcode{tilelink.OpRootReleaseFlushData, tilelink.OpRootReleaseClean}},
+		{"flush-behind-flush", false, false, false,
+			[]tilelink.Opcode{tilelink.OpRootReleaseFlushData, tilelink.OpRootReleaseFlush}},
+		{"clean-behind-clean", false, true, true,
+			[]tilelink.Opcode{tilelink.OpRootReleaseCleanData, tilelink.OpRootReleaseClean}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, p := newUnit(t, func(c *Config) { c.Coalescing = tc.coalescing })
+			p.addLine(0x1000, true, false)
+			for _, clean := range []bool{tc.firstClean, tc.secondClean} {
+				if got := u.Offer(0, 0x1000, clean, p.meta(0x1000)); got != OfferAccepted {
+					t.Fatalf("Offer(clean=%v) = %v, want Accepted", clean, got)
+				}
+			}
+			run(t, u, p, 200)
+			var ops []tilelink.Opcode
+			for _, m := range p.sent {
+				ops = append(ops, m.Op)
+			}
+			if !slices.Equal(ops, tc.want) {
+				t.Fatalf("sent %v, want %v", ops, tc.want)
+			}
+		})
+	}
+}
+
 func TestProbeRdyLowBlocksDequeue(t *testing.T) {
 	u, p := newUnit(t, nil)
 	p.addLine(0x1000, true, false)

@@ -128,6 +128,12 @@ func (u *FlushUnit) stepFSHR(now int64, f *fshr) {
 		} else {
 			u.ports.MetaInvalidate(f.req.addr)
 		}
+		// A request for the same line can still be queued behind this
+		// one (same-kind with coalescing off, or cross-kind without
+		// CoalesceCrossKind), holding a snapshot from before this write:
+		// update it as a probe would, or it would later read the data of
+		// a line this FSHR invalidated.
+		u.downgradeQueued(f.req.addr, !f.req.isClean)
 		if f.req.isDirty {
 			f.fillCycles = 1
 			if !u.cfg.WideDataArray {

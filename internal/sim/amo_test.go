@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/rand"
 	"testing"
 
 	"skipit/internal/isa"
@@ -104,64 +103,5 @@ func TestAtomicCounterAcrossCores(t *testing.T) {
 	}
 	if got := s.Mem.PeekUint64(0x1000); got != cores*perCore {
 		t.Fatalf("durable counter = %d, want %d", got, cores*perCore)
-	}
-}
-
-// TestAmoGoldenDifferential extends the golden-model differential check to
-// AMO return values under random single-core programs.
-func TestAmoGoldenDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
-	words := []uint64{0x1000, 0x1008, 0x4000}
-	for run := 0; run < 60; run++ {
-		b := isa.NewBuilder()
-		for i := 0; i < 40; i++ {
-			w := words[rng.Intn(len(words))]
-			switch rng.Intn(8) {
-			case 0, 1:
-				b.Store(w, uint64(rng.Intn(1000)))
-			case 2:
-				b.AmoAdd(w, uint64(rng.Intn(10)))
-			case 3:
-				b.AmoSwap(w, uint64(rng.Intn(1000)))
-			case 4, 5:
-				b.Load(w)
-			case 6:
-				b.Cbo(w, rng.Intn(2) == 0)
-			case 7:
-				b.Fence()
-			}
-		}
-		b.Fence()
-		p := b.Build()
-
-		// Sequential golden semantics with AMO returns.
-		mem := map[uint64]uint64{}
-		var want []uint64
-		for _, in := range p.Instrs {
-			switch in.Op {
-			case isa.OpStore:
-				mem[in.Addr] = in.Data
-			case isa.OpLoad:
-				want = append(want, mem[in.Addr])
-			case isa.OpAmoAdd:
-				want = append(want, mem[in.Addr])
-				mem[in.Addr] += in.Data
-			case isa.OpAmoSwap:
-				want = append(want, mem[in.Addr])
-				mem[in.Addr] = in.Data
-			}
-		}
-
-		s := run1(t, p)
-		wi := 0
-		for idx, in := range p.Instrs {
-			switch in.Op {
-			case isa.OpLoad, isa.OpAmoAdd, isa.OpAmoSwap:
-				if got := s.Cores[0].Timing(idx).LoadValue; got != want[wi] {
-					t.Fatalf("run %d instr %d (%v) = %d, golden %d", run, idx, in, got, want[wi])
-				}
-				wi++
-			}
-		}
 	}
 }

@@ -34,9 +34,6 @@ import "skipit/internal/tilelink"
 // the reference the fast-forward equivalence tests compare against.
 func (s *System) SetFastForward(on bool) { s.fastForward = on }
 
-// FastForwardEnabled reports whether fast-forwarding is active.
-func (s *System) FastForwardEnabled() bool { return s.fastForward }
-
 // SkippedCycles returns the total number of cycles the fast-forward clock
 // has skipped.
 func (s *System) SkippedCycles() uint64 { return s.ctrSkipped.Value() }

@@ -82,7 +82,7 @@ type System struct {
 	fastForward bool
 	ctrSkipped  *metrics.Counter
 
-	// hostNanos accumulates wall-clock time spent inside Run and Drain, for
+	// hostNanos accumulates wall-clock time spent inside Run, for
 	// the host-throughput figures in Snapshot. Host time never enters the
 	// sweep records — they would stop being host-independent.
 	hostNanos int64
@@ -320,26 +320,6 @@ func (s *System) Quiescent() bool {
 		}
 	}
 	return true
-}
-
-// Drain steps until quiescence or the limit elapses.
-func (s *System) Drain(limit int64) error {
-	t0 := time.Now()                                               //skipit:ignore determinism host-side throughput timer, never read by simulated state
-	defer func() { s.hostNanos += time.Since(t0).Nanoseconds() }() //skipit:ignore determinism host-side throughput timer, never read by simulated state
-	deadline := s.now + limit
-	for s.now < deadline {
-		if s.Quiescent() {
-			return nil
-		}
-		s.Step()
-		// Re-check before fast-forwarding: a freshly quiescent SoC reports
-		// no next event, and skipping to the deadline would miss the exit.
-		if s.Quiescent() {
-			return nil
-		}
-		s.FastForward(deadline)
-	}
-	return fmt.Errorf("%w while draining: %s", ErrTimeout, s.describeStall())
 }
 
 func (s *System) describeStall() string {

@@ -400,28 +400,17 @@ func TestSingleLineFlushLatencyBand(t *testing.T) {
 	}
 }
 
-// TestDrainSettlesMidFlightTraffic: Drain settles traffic that single Steps
-// left in flight, draining an already quiescent system leaves the clock
-// where it is, and a Run afterwards composes with both.
-func TestDrainSettlesMidFlightTraffic(t *testing.T) {
+// TestRunAfterSingleSteps: a Run composes with single Steps that settled
+// traffic before it.
+func TestRunAfterSingleSteps(t *testing.T) {
 	s := New(DefaultConfig(2))
 	s.Cores[0].SetProgram(isa.NewBuilder().Store(0x7000, 1).CboClean(0x7000).Build())
 	s.Cores[1].SetProgram(isa.NewBuilder().Build())
-	for i := 0; i < 8; i++ {
+	for !(s.Done() && s.Quiescent()) {
+		if s.Now() >= 100_000 {
+			t.Fatalf("single steps did not settle: %s", s.describeStall())
+		}
 		s.Step()
-	}
-	if err := s.Drain(100_000); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Quiescent() {
-		t.Fatal("Drain returned before quiescence")
-	}
-	before := s.Now()
-	if err := s.Drain(100_000); err != nil {
-		t.Fatal(err)
-	}
-	if s.Now() != before {
-		t.Fatalf("quiescent drain moved the clock %d -> %d", before, s.Now())
 	}
 	if _, err := s.Run(ffWorkload(), runLimit); err != nil {
 		t.Fatal(err)
