@@ -197,6 +197,56 @@ func BenchmarkAblationFlushQueueDepth(b *testing.B) {
 		point{"queue-1", "flush-queue/1"}, point{"queue-8", "flush-queue/8"})
 }
 
+// crossKindCoalescing stores each line of 2 KiB, then runs four CBO passes
+// over them with one FSHR, alternating CBO.CLEAN forward and CBO.FLUSH
+// backward, and returns the cycles from the first store to the closing
+// fence and the number of queued CBOs merged across kinds. One FSHR drains
+// more slowly than the core issues, so each flush pass meets the tail of the
+// clean pass still queued, which a cross-kind flush upgrades in place.
+func crossKindCoalescing(on bool) (cycles float64, coalescedCross uint64) {
+	cfg := DefaultSystemConfig(1)
+	cfg.L1.Flush.SkipIt = false
+	cfg.L1.Flush.NumFSHRs = 1
+	cfg.L1.Flush.CoalesceCrossKind = on
+	s := NewSystemWithConfig(cfg)
+	const size = 2048
+	pb := NewProgram()
+	start := pb.Mark()
+	for a := uint64(0); a < size; a += 64 {
+		pb.Store(a, 1)
+	}
+	for pass := 0; pass < 4; pass++ {
+		for a := uint64(0); a < size; a += 64 {
+			if pass%2 == 0 {
+				pb.CboClean(a)
+			} else {
+				pb.CboFlush(size - 64 - a)
+			}
+		}
+	}
+	fence := pb.Mark()
+	pb.Fence()
+	if _, err := s.Run([]*Program{pb.Build()}, 10_000_000); err != nil {
+		panic(err)
+	}
+	cycles = float64(s.Cores[0].Timing(fence).CompletedAt - s.Cores[0].Timing(start).IssuedAt)
+	return cycles, s.Snapshot().Counters["flush.coalesced_cross"]
+}
+
+// TestCrossKindCoalescingCoalesces: the benchmark's on-row upgrades queued
+// cleans and finishes sooner for it; the off-row merges nothing across
+// kinds.
+func TestCrossKindCoalescingCoalesces(t *testing.T) {
+	onCycles, on := crossKindCoalescing(true)
+	offCycles, off := crossKindCoalescing(false)
+	if on == 0 || off != 0 {
+		t.Fatalf("flush.coalesced_cross: on %d, off %d; want on > 0, off 0", on, off)
+	}
+	if onCycles >= offCycles {
+		t.Fatalf("cross-kind coalescing on took %.0f cycles, off %.0f", onCycles, offCycles)
+	}
+}
+
 // BenchmarkAblationCrossKindCoalescing quantifies the §5.3 future-work
 // optimization: merging CBO.X of different kinds on the same line.
 func BenchmarkAblationCrossKindCoalescing(b *testing.B) {
@@ -207,26 +257,12 @@ func BenchmarkAblationCrossKindCoalescing(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			var cycles float64
+			var merged uint64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultSystemConfig(1)
-				cfg.L1.Flush.SkipIt = false
-				cfg.L1.Flush.CoalesceCrossKind = on
-				s := NewSystemWithConfig(cfg)
-				pb := NewProgram()
-				start := pb.Mark()
-				for a := uint64(0); a < 2048; a += 64 {
-					pb.Store(a, 1)
-					pb.CboClean(a)
-					pb.CboFlush(a) // cross-kind: upgrades the queued clean
-				}
-				fence := pb.Mark()
-				pb.Fence()
-				if _, err := s.Run([]*Program{pb.Build()}, 10_000_000); err != nil {
-					panic(err)
-				}
-				cycles = float64(s.Cores[0].Timing(fence).CompletedAt - s.Cores[0].Timing(start).IssuedAt)
+				cycles, merged = crossKindCoalescing(on)
 			}
 			b.ReportMetric(cycles, "cycles")
+			b.ReportMetric(float64(merged), "coalesced_cross")
 		})
 	}
 }

@@ -67,7 +67,6 @@ type Timing struct {
 	CompletedAt  int64
 	CommittedAt  int64
 	LoadValue    uint64
-	Nacks        int
 }
 
 type entryState uint8
@@ -228,9 +227,7 @@ func (c *Core) pollResponses(now int64) {
 		if e == nil {
 			panic(fmt.Sprintf("boom[%d]: response for unknown request %d", c.id, resp.ID))
 		}
-		t := &c.timings[e.instrIdx]
 		if resp.Nack {
-			t.Nacks++
 			c.ctr.nackRetries.Inc()
 			e.state = esWaiting
 			if e.instr.Op == isa.OpLoad {
@@ -240,6 +237,7 @@ func (c *Core) pollResponses(now int64) {
 			continue
 		}
 		e.state = esDone
+		t := &c.timings[e.instrIdx]
 		t.CompletedAt = now
 		switch e.instr.Op {
 		case isa.OpLoad, isa.OpAmoAdd, isa.OpAmoSwap:

@@ -2,6 +2,7 @@ package ds
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -360,6 +361,38 @@ func TestSkiplistHeightDistribution(t *testing.T) {
 	for h := range heights {
 		if h < 1 || h > skipMaxHeight {
 			t.Errorf("height %d out of range", h)
+		}
+	}
+}
+
+// nopPolicy charges and records nothing, so an allocation count sees the
+// structure alone.
+type nopPolicy struct{}
+
+func (nopPolicy) Name() string      { return "nop" }
+func (nopPolicy) Load(int, uint64)  {}
+func (nopPolicy) Store(int, uint64) {}
+func (nopPolicy) Flush(int, uint64) {}
+func (nopPolicy) Fence(int)         {}
+func (nopPolicy) NodePad() uint64   { return 0 }
+
+// TestSkiplistInsertAllocatesEachRefOnce holds an uncontended Insert to
+// 2 + 2*height allocations: the node, its level array, per level the ref to
+// its successor, and per level the ref that links it in.
+func TestSkiplistInsertAllocatesEachRefOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := NewSkiplist(&persist.Env{Pol: nopPolicy{}, Mode: persist.Manual}, memsim.NewAllocator(1<<20))
+	var before, after runtime.MemStats
+	for key := uint64(1); key <= 64; key++ {
+		runtime.ReadMemStats(&before)
+		s.Insert(0, key)
+		runtime.ReadMemStats(&after)
+		n := s.head.next[0].Load().next
+		for n.key != key {
+			n = n.next[0].Load().next
+		}
+		if got, want := after.Mallocs-before.Mallocs, uint64(2+2*n.height); got != want {
+			t.Fatalf("Insert(%d) of height %d made %d allocations, want %d", key, n.height, got, want)
 		}
 	}
 }

@@ -48,18 +48,21 @@ type Skiplist struct {
 // NewSkiplist builds an empty skiplist.
 func NewSkiplist(env *persist.Env, alloc *memsim.Allocator) *Skiplist {
 	s := &Skiplist{Common: NewCommon(env, alloc), rng: rand.New(rand.NewSource(42))}
-	s.tail = s.newNode(^uint64(0), skipMaxHeight)
-	s.head = s.newNode(0, skipMaxHeight)
-	for l := 0; l < skipMaxHeight; l++ {
-		s.head.next[l].Store(&slRef{next: s.tail})
+	s.tail = s.newNode(^uint64(0), skipMaxHeight, nil)
+	tails := make([]*slNode, skipMaxHeight)
+	for l := range tails {
+		tails[l] = s.tail
 	}
+	s.head = s.newNode(0, skipMaxHeight, tails)
 	return s
 }
 
 // Name identifies the structure in benchmark output.
 func (s *Skiplist) Name() string { return NameSkiplist }
 
-func (s *Skiplist) newNode(key uint64, height int) *slNode {
+// newNode makes a node whose level l points at succs[l]; the tail passes
+// nil succs, and its levels point nowhere.
+func (s *Skiplist) newNode(key uint64, height int, succs []*slNode) *slNode {
 	n := &slNode{
 		key:    key,
 		height: height,
@@ -67,7 +70,11 @@ func (s *Skiplist) newNode(key uint64, height int) *slNode {
 		next:   make([]atomic.Pointer[slRef], height),
 	}
 	for l := range n.next {
-		n.next[l].Store(&slRef{})
+		ref := &slRef{}
+		if succs != nil {
+			ref.next = succs[l]
+		}
+		n.next[l].Store(ref)
 	}
 	return n
 }
@@ -138,9 +145,8 @@ func (s *Skiplist) Insert(tid int, key uint64) bool {
 			return false
 		}
 		height := s.randomHeight()
-		node := s.newNode(key, height)
+		node := s.newNode(key, height, succs)
 		for l := 0; l < height; l++ {
-			node.next[l].Store(&slRef{next: succs[l]})
 			s.env.Write(tid, node.levelAddr(l))
 		}
 		s.env.Write(tid, node.addr)

@@ -116,8 +116,8 @@ type wayMeta struct {
 	skip     bool
 }
 
-// rowsPerSlab is the number of data rows in one slab: 64 lines make 4 KiB,
-// one way of the default 64 sets.
+// rowsPerSlab is the number of rows in one data or metadata slab: 64 lines
+// of data make 4 KiB, one way of the default 64 sets.
 const rowsPerSlab = 64
 
 // LineInfo is a read-only metadata snapshot for tests and invariant checks.
@@ -207,8 +207,12 @@ type timedResp struct {
 
 // DCache is the L1 data cache.
 type DCache struct {
-	cfg  Config
-	meta [][]wayMeta
+	cfg Config
+	// metas holds the metadata array, rowsPerSlab entries per slab, numbered
+	// like the data rows. A slab is made by the first install that needs it
+	// (metaFor); until then its ways read as the zero wayMeta, invalid, and
+	// reading them makes nothing (metaAt).
+	metas [][]wayMeta
 	// slabs holds the data array, rowsPerSlab rows per slab. A slab is made
 	// by the first row call that needs it, so a job pays only for the ways
 	// it fills; see row.
@@ -262,16 +266,11 @@ func New(cfg Config, port *tilelink.ClientPort) *DCache {
 	}
 	d := &DCache{cfg: cfg, port: port, name: fmt.Sprintf("l1[%d]", cfg.Source)}
 	d.ctr = newL1Counters(reg, d.name)
-	// The metadata sets are capacity-capped windows into one flat array,
-	// and the data array is slabs made on first use: a handful of
-	// allocations per cache, not one per line.
-	meta := make([]wayMeta, cfg.Sets*cfg.Ways)
-	d.slabs = make([][]tilelink.Line, (len(meta)+rowsPerSlab-1)/rowsPerSlab)
-	d.meta = make([][]wayMeta, cfg.Sets)
-	for s := 0; s < cfg.Sets; s++ {
-		lo, hi := s*cfg.Ways, (s+1)*cfg.Ways
-		d.meta[s] = meta[lo:hi:hi]
-	}
+	// The metadata and data arrays are slabs made on first use: a job pays
+	// for the ways it fills, not for the cache's capacity.
+	nslabs := (cfg.Sets*cfg.Ways + rowsPerSlab - 1) / rowsPerSlab
+	d.metas = make([][]wayMeta, nslabs)
+	d.slabs = make([][]tilelink.Line, nslabs)
 	d.mshrs = make([]mshr, cfg.NumMSHRs)
 	fcfg := cfg.Flush
 	fcfg.LineBytes = cfg.LineBytes
@@ -341,26 +340,58 @@ func (d *DCache) addrOf(set int, tag uint64) uint64 {
 func (d *DCache) findWay(addr uint64, mustBeValid bool) int {
 	set := d.index(addr)
 	tag := d.tagOf(addr)
-	for w := range d.meta[set] {
-		m := &d.meta[set][w]
-		if m.tag == tag && (m.valid || !mustBeValid) {
+	for w := 0; w < d.cfg.Ways; w++ {
+		if m := d.meta(set, w); m.tag == tag && (m.valid || !mustBeValid) {
 			return w
 		}
 	}
 	return -1
 }
 
-// lookup returns the metadata of addr's line, or nil on miss.
+// lookup returns the metadata of addr's line, or nil on miss. It makes no
+// slab.
 func (d *DCache) lookup(addr uint64) *wayMeta {
 	set := d.index(addr)
 	tag := d.tagOf(addr)
-	for w := range d.meta[set] {
-		m := &d.meta[set][w]
-		if m.valid && m.tag == tag {
+	for w := 0; w < d.cfg.Ways; w++ {
+		if m := d.metaAt(set, w); m != nil && m.valid && m.tag == tag {
 			return m
 		}
 	}
 	return nil
+}
+
+// metaAt returns the metadata of (set, way), or nil while its slab is
+// unmade: every way of a missing slab is the zero wayMeta.
+func (d *DCache) metaAt(set, way int) *wayMeta {
+	r := way*d.cfg.Sets + set
+	slab := d.metas[r/rowsPerSlab]
+	if slab == nil {
+		return nil
+	}
+	return &slab[r%rowsPerSlab]
+}
+
+// meta returns a copy of the metadata of (set, way), the zero wayMeta while
+// its slab is unmade. It makes no slab.
+func (d *DCache) meta(set, way int) wayMeta {
+	if m := d.metaAt(set, way); m != nil {
+		return *m
+	}
+	return wayMeta{}
+}
+
+// metaFor returns the metadata of (set, way) for writing, making its slab on
+// first use. Metadata rows are numbered like the data rows (way*Sets + set),
+// so a job's lines, which land in way 0 of consecutive sets, share slabs.
+func (d *DCache) metaFor(set, way int) *wayMeta {
+	r := way*d.cfg.Sets + set
+	slab := d.metas[r/rowsPerSlab]
+	if slab == nil {
+		slab = make([]wayMeta, rowsPerSlab) //skipit:ignore hotalloc the metadata array materializes a slab on first install; a cache makes at most Sets*Ways/rowsPerSlab of them and none once its working set is resident
+		d.metas[r/rowsPerSlab] = slab
+	}
+	return &slab[r%rowsPerSlab]
 }
 
 // LineState snapshots addr's line for tests and invariant checks.
@@ -376,10 +407,9 @@ func (d *DCache) LineState(addr uint64) LineInfo {
 // invariant checker.
 func (d *DCache) Lines() []LineInfo {
 	var out []LineInfo
-	for s := range d.meta {
-		for w := range d.meta[s] {
-			m := &d.meta[s][w]
-			if m.valid {
+	for s := 0; s < d.cfg.Sets; s++ {
+		for w := 0; w < d.cfg.Ways; w++ {
+			if m := d.metaAt(s, w); m != nil && m.valid {
 				out = append(out, LineInfo{
 					Valid: true,
 					Addr:  d.addrOf(s, m.tag),
@@ -464,14 +494,10 @@ func (d *DCache) NextEvent(now int64) int64 {
 	return next
 }
 
-// Reset drops all volatile state (simulated crash), data slabs included:
-// every row reads as zeros afterwards.
+// Reset drops all volatile state (simulated crash), metadata and data slabs
+// included: every way reads as invalid and every row as zeros afterwards.
 func (d *DCache) Reset() {
-	for s := range d.meta {
-		for w := range d.meta[s] {
-			d.meta[s][w] = wayMeta{}
-		}
-	}
+	clear(d.metas)
 	clear(d.slabs)
 	for i := range d.mshrs {
 		d.mshrs[i] = mshr{}

@@ -170,7 +170,7 @@ func (d *DCache) tickMSHR(now int64, m *mshr) {
 
 	case mInstall:
 		set := d.index(m.addr)
-		meta := &d.meta[set][m.way]
+		meta := d.metaFor(set, m.way)
 		*meta = wayMeta{
 			valid:    true,
 			tag:      d.tagOf(m.addr),
@@ -239,8 +239,8 @@ func (d *DCache) tickVictim(now int64, m *mshr) {
 	}
 
 	// Prefer an invalid way: no eviction needed.
-	for w := range d.meta[set] {
-		if !d.meta[set][w].valid && !d.wayReserved(set, w, m) {
+	for w := 0; w < d.cfg.Ways; w++ {
+		if !d.meta(set, w).valid && !d.wayReserved(set, w, m) {
 			m.way = w
 			m.state = mInstall
 			return
@@ -253,8 +253,8 @@ func (d *DCache) tickVictim(now int64, m *mshr) {
 		return
 	}
 	best, bestUsed := -1, int64(1<<62)
-	for w := range d.meta[set] {
-		meta := &d.meta[set][w]
+	for w := 0; w < d.cfg.Ways; w++ {
+		meta := d.meta(set, w)
 		victimAddr := d.addrOf(set, meta.tag)
 		if d.flush.VictimBlocked(victimAddr) || d.wayReserved(set, w, m) {
 			continue
@@ -276,7 +276,7 @@ func (d *DCache) tickVictim(now int64, m *mshr) {
 	if best < 0 {
 		return // retry next cycle
 	}
-	meta := &d.meta[set][best]
+	meta := d.metaAt(set, best) // valid, so its slab exists
 	victimAddr := d.addrOf(set, meta.tag)
 	// §5.4.2: the writeback unit invalidates flush queue entries for the
 	// line it evicts.
@@ -313,7 +313,7 @@ func (d *DCache) wayReserved(set, way int, self *mshr) bool {
 // replay re-executes a buffered request against the freshly installed line.
 func (d *DCache) replay(now int64, m *mshr, req Req) {
 	set := d.index(m.addr)
-	meta := &d.meta[set][m.way]
+	meta := d.metaAt(set, m.way) // installed, so its slab exists
 	switch req.Kind {
 	case Load:
 		v := d.readWord(set, m.way, req.Addr)

@@ -55,9 +55,8 @@ func DefaultConfig(numClients int) Config {
 }
 
 // line is one L2 frame's tag/valid/dirty metadata. Its BankedStore row and
-// its full-map directory entry (Directory in Fig. 4) live in the Cache,
-// reached through row with dataOf and permsOf, so a frame holds no pointer
-// and the garbage collector never scans the frame slabs.
+// its full-map directory entry (Directory in Fig. 4) live beside it, reached
+// through row with dataOf and permsOf, so a frame holds no pointer.
 type line struct {
 	tag      uint64
 	lastUsed int64
@@ -74,6 +73,15 @@ type line struct {
 // rowsPerSlab is the number of rows in one frame or BankedStore slab: 64
 // lines of data make 4 KiB.
 const rowsPerSlab = 64
+
+// frameSlab is rowsPerSlab frames and their directory entries, NumClients
+// permissions per frame, made together by the first fill that needs them.
+// The entries' slice header comes first: it is the slab's only pointer, so
+// the garbage collector scans one word of it.
+type frameSlab struct {
+	perms []tilelink.Perm
+	lines [rowsPerSlab]line
+}
 
 // maxMSHRs bounds Config.NumMSHRs: the busy mask has one bit per MSHR.
 const maxMSHRs = 64
@@ -153,12 +161,11 @@ func newL2Counters(reg *metrics.Registry, name string) l2Counters {
 // Cache is the inclusive LLC. Drive it once per cycle with Tick.
 type Cache struct {
 	cfg Config
-	// frames holds the tag array, rowsPerSlab frames per slab, numbered
-	// like the data rows. A slab is made by the first fill that needs it
-	// (frame) and never moves; until then its frames read as invalid.
-	frames [][]line
-	// perms is the directory: NumClients permissions per frame row.
-	perms []tilelink.Perm
+	// frames holds the tag array and the directory, rowsPerSlab frames per
+	// slab, numbered like the data rows. A slab is made by the first fill
+	// that needs it (frame) and never moves; until then its frames read as
+	// invalid.
+	frames []*frameSlab
 	// slabs holds the BankedStore, rowsPerSlab data rows per slab. A slab
 	// is made by the first dataOf that needs it and never moves, so a job
 	// pays only for the rows it touches.
@@ -238,14 +245,12 @@ func New(cfg Config, ports []*tilelink.ClientPort, m *mem.Memory) *Cache {
 		outD:  make([][]tilelink.Msg, cfg.NumClients),
 		ctr:   newL2Counters(reg, "l2"),
 	}
-	// The directory is one flat array; frames and data rows live in slabs
-	// made on first use. Rows are numbered way-major: the L2 fills the
-	// first invalid way, so a job's lines land in way 0 of consecutive sets
-	// and share slabs.
-	rows := cfg.Sets * cfg.Ways
-	nslabs := (rows + rowsPerSlab - 1) / rowsPerSlab
-	c.perms = make([]tilelink.Perm, rows*cfg.NumClients)
-	c.frames = make([][]line, nslabs)
+	// Frames, their directory entries and data rows live in slabs made on
+	// first use. Rows are numbered way-major: the L2 fills the first invalid
+	// way, so a job's lines land in way 0 of consecutive sets and share
+	// slabs.
+	nslabs := (cfg.Sets*cfg.Ways + rowsPerSlab - 1) / rowsPerSlab
+	c.frames = make([]*frameSlab, nslabs)
 	c.slabs = make([][]tilelink.Line, nslabs)
 	return c
 }
@@ -258,29 +263,31 @@ func (c *Cache) frameAt(set, way int) *line {
 	if slab == nil {
 		return nil
 	}
-	return &slab[row%rowsPerSlab]
+	return &slab.lines[row%rowsPerSlab]
 }
 
-// frame returns the frame of (set, way), making its slab on first use.
+// frame returns the frame of (set, way), making its slab, directory entries
+// included, on first use.
 func (c *Cache) frame(set, way int) *line {
 	row := way*c.cfg.Sets + set
 	slab := c.frames[row/rowsPerSlab]
 	if slab == nil {
-		slab = make([]line, rowsPerSlab) //skipit:ignore hotalloc the tag array materializes a slab on first fill; a system makes at most Sets*Ways/rowsPerSlab of them and none once its working set is resident
+		slab = &frameSlab{perms: make([]tilelink.Perm, rowsPerSlab*c.cfg.NumClients)} //skipit:ignore hotalloc the tag array and directory materialize a slab on first fill; a system makes at most Sets*Ways/rowsPerSlab of them and none once its working set is resident
 		first := row / rowsPerSlab * rowsPerSlab
-		for i := range slab {
-			slab[i].row = uint32(first + i)
+		for i := range slab.lines {
+			slab.lines[i].row = uint32(first + i)
 		}
 		c.frames[row/rowsPerSlab] = slab
 	}
-	return &slab[row%rowsPerSlab]
+	return &slab.lines[row%rowsPerSlab]
 }
 
-// permsOf returns frame l's directory entry, one permission per client.
+// permsOf returns frame l's directory entry, one permission per client. The
+// entry was made with l's slab, so this makes nothing.
 func (c *Cache) permsOf(l *line) []tilelink.Perm {
 	n := c.cfg.NumClients
-	i := int(l.row) * n
-	return c.perms[i : i+n : i+n]
+	i := int(l.row%rowsPerSlab) * n
+	return c.frames[l.row/rowsPerSlab].perms[i : i+n : i+n]
 }
 
 // dataOf returns frame l's BankedStore row, making its slab on first use. A
@@ -442,15 +449,16 @@ func (c *Cache) NextEvent(now int64) int64 {
 // bytes: every frame is invalid, and a refill overwrites its row.
 func (c *Cache) Reset() {
 	for _, slab := range c.frames {
-		for i := range slab {
-			l := &slab[i]
+		if slab == nil {
+			continue
+		}
+		for i := range slab.lines {
+			l := &slab.lines[i]
 			l.valid = false
 			l.dirty = false
 			l.reserved = false
 		}
-	}
-	for i := range c.perms {
-		c.perms[i] = tilelink.PermNone
+		clear(slab.perms)
 	}
 	for i := range c.mshrs {
 		c.mshrs[i] = mshr{}

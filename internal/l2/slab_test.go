@@ -33,10 +33,10 @@ func (r *rig) peek(addr uint64) byte {
 }
 
 // made counts the slabs of a first-use table that have been made.
-func made[T any](slabs [][]T) int {
+func made[S ~[]E, E any](slabs S) int {
 	n := 0
-	for _, s := range slabs {
-		if s != nil {
+	for i := range slabs {
+		if !reflect.ValueOf(slabs[i]).IsNil() {
 			n++
 		}
 	}
@@ -176,6 +176,75 @@ func TestNeverFilledSetReadsAbsent(t *testing.T) {
 	}
 	if n := made(r.c.frames); n != 1 {
 		t.Fatalf("lookups made frame slabs: %d, want 1", n)
+	}
+}
+
+// TestDirectoryMadeWithFrames checks that making a frame slab makes its
+// directory entries, every one PermNone and one permission per client, and
+// that each filled line's entry records its holder.
+func TestDirectoryMadeWithFrames(t *testing.T) {
+	r := newRig(t, 2)
+	cfg := r.c.Config()
+	r.c.frame(3, 0)
+	if n := made(r.c.frames); n != 1 {
+		t.Fatalf("frame made %d frame slabs, want 1", n)
+	}
+	if got, want := len(r.c.frames[0].perms), rowsPerSlab*cfg.NumClients; got != want {
+		t.Fatalf("new frame slab holds %d directory entries, want %d", got, want)
+	}
+	for set := 0; set < rowsPerSlab; set++ {
+		perms := r.c.permsOf(r.c.frameAt(set, 0))
+		if len(perms) != cfg.NumClients || perms[0] != tilelink.PermNone || perms[1] != tilelink.PermNone {
+			t.Fatalf("new frame (set %d, way 0) has directory entry %v", set, perms)
+		}
+	}
+	stride := uint64(cfg.Sets) * cfg.LineBytes
+	addrs := []uint64{0x40, 100 * 64, 0x40 + stride}
+	for i, a := range addrs {
+		r.acquire(i%2, a, tilelink.GrowNtoB)
+	}
+	if n := made(r.c.frames); n != 3 {
+		t.Fatalf("fills in three slabs left %d frame slabs, want 3", n)
+	}
+	for i, a := range addrs {
+		want := []tilelink.Perm{tilelink.PermBranch, tilelink.PermNone}
+		if i%2 == 1 {
+			want[0], want[1] = want[1], want[0]
+		}
+		if st := r.c.LineState(a); !st.Present || st.Perms[0] != want[0] || st.Perms[1] != want[1] {
+			t.Fatalf("LineState(%#x) = %+v, want perms %v", a, st, want)
+		}
+	}
+}
+
+// TestResetClearsDirectory fills lines, resets, and checks that every
+// directory entry of every made slab reads PermNone, so a refill of the
+// same line starts from an empty entry.
+func TestResetClearsDirectory(t *testing.T) {
+	r := newRig(t, 2)
+	cfg := r.c.Config()
+	stride := uint64(cfg.Sets) * cfg.LineBytes
+	for i, a := range []uint64{0x0, 0x40, 100 * 64, 0x40 + stride} {
+		r.acquire(i%2, a, tilelink.GrowNtoT)
+	}
+	for i := 0; i < 20; i++ { // deliver the last GrantAck
+		r.step()
+	}
+	r.c.Reset()
+	for set := 0; set < cfg.Sets; set++ {
+		for w := 0; w < cfg.Ways; w++ {
+			if l := r.c.frameAt(set, w); l != nil {
+				for cl, p := range r.c.permsOf(l) {
+					if p != tilelink.PermNone {
+						t.Fatalf("frame (set %d, way %d) lists client %d as %v after Reset", set, w, cl, p)
+					}
+				}
+			}
+		}
+	}
+	r.acquire(1, 0x40, tilelink.GrowNtoB)
+	if st := r.c.LineState(0x40); st.Perms[0] != tilelink.PermNone || st.Perms[1] != tilelink.PermBranch {
+		t.Fatalf("refilled line's directory entry = %v, want [None Branch]", st.Perms)
 	}
 }
 

@@ -14,11 +14,19 @@
 // contract TestConcurrentEmit pins under the race detector. Gauge.Set skips
 // an unchanged level, so a component that sets its gauges every cycle pays a
 // load, not a store, while the level holds.
+//
+// Every system registers a few hundred instruments when it is built and is
+// read back at most once, so registering is the cost that counts: it makes
+// no key string, no map entry and no object per instrument. Instruments live
+// in per-registry blocks, and a "component.metric" key is formed only when
+// Snapshot, CounterValue or CounterKeys asks for it.
 package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -139,12 +147,22 @@ type Histogram struct {
 var DefaultCycleBounds = []uint64{4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
 
 func newHistogram(bounds []uint64) *Histogram {
+	h := &Histogram{}
+	h.init(bounds)
+	return h
+}
+
+// init sets up an empty histogram over a sorted copy of bounds (nil selects
+// DefaultCycleBounds). The bounds and the bucket counts share one array.
+func (h *Histogram) init(bounds []uint64) {
 	if len(bounds) == 0 {
 		bounds = DefaultCycleBounds
 	}
-	b := append([]uint64(nil), bounds...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-	return &Histogram{bounds: b, counts: make([]uint64, len(b)+1)}
+	n := len(bounds)
+	buf := make([]uint64, 2*n+1)
+	h.bounds, h.counts = buf[:n:n], buf[n:]
+	copy(h.bounds, bounds)
+	slices.Sort(h.bounds)
 }
 
 // Observe records one value.
@@ -246,50 +264,142 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // ("l1[0]" + "loads" -> "l1[0].loads").
 func Key(component, name string) string { return component + "." + name }
 
-// Registry holds every instrument of one simulated system, keyed by
-// "component.metric". Instrument methods are get-or-create: the first caller
-// allocates, later callers (and readers) share the same instrument.
+// Registry holds every instrument of one simulated system. An instrument is
+// named by its component instance and metric name, and its key
+// "component.metric" is formed only when Snapshot, CounterValue or
+// CounterKeys asks for it. Instrument methods are get-or-create: the first
+// caller registers, later callers (and readers) share the same instrument.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	counters family[Counter]
+	gauges   family[Gauge]
+	hists    family[Histogram]
+	// keys holds CounterKeys' sorted answer until a counter is added: a
+	// sampler over every counter asks at each sample.
+	keys []string
+}
+
+// family holds one kind of instrument. Registering allocates nothing per
+// instrument: each lives in a cell of the family's blocks, in registration
+// order (cell i is blocks[i/blockLen][i%blockLen]), and a block never moves,
+// so a handed-out instrument stays where it is. A cell also holds its metric
+// name and the index of the cell its component registered before it, so a
+// lookup walks one component's chain.
+type family[T any] struct {
+	blockLen int
+	blocks   [][]cell[T]
+	n        int
+	// groups lists the components with an instrument here; last is the
+	// index of the latest one looked up, tried first, as a component
+	// registers its instruments one after another.
+	groups []group
+	last   int
+}
+
+// group is one component instance and the index of the last cell it
+// registered.
+type group struct {
+	name string
+	head int
+}
+
+// cell is one registered instrument with its metric name and the previous
+// cell of its component (-1 at the component's first).
+type cell[T any] struct {
+	name string
+	prev int
+	inst T
+}
+
+// group returns the index in f.groups of component, or -1.
+func (f *family[T]) group(component string) int {
+	if f.last < len(f.groups) && f.groups[f.last].name == component {
+		return f.last
+	}
+	for i := range f.groups {
+		if f.groups[i].name == component {
+			f.last = i
+			return i
+		}
+	}
+	return -1
+}
+
+func (f *family[T]) at(i int) *cell[T] { return &f.blocks[i/f.blockLen][i%f.blockLen] }
+
+// find returns component.name, or nil, and the index in f.groups of
+// component, or -1.
+func (f *family[T]) find(component, name string) (*T, int) {
+	g := f.group(component)
+	if g < 0 {
+		return nil, g
+	}
+	for i := f.groups[g].head; i >= 0; {
+		c := f.at(i)
+		if c.name == name {
+			return &c.inst, g
+		}
+		i = c.prev
+	}
+	return nil, g
+}
+
+// get returns component.name, registering it (kind names it in a bad-key
+// panic) when absent, and whether this call registered it.
+func (f *family[T]) get(kind, component, name string) (*T, bool) {
+	inst, g := f.find(component, name)
+	if inst != nil {
+		return inst, false
+	}
+	validateKey(kind, component, name)
+	if g < 0 {
+		f.groups = append(f.groups, group{name: component, head: -1})
+		g = len(f.groups) - 1
+		f.last = g
+	}
+	if f.n%f.blockLen == 0 {
+		f.blocks = append(f.blocks, make([]cell[T], f.blockLen))
+	}
+	c := f.at(f.n)
+	c.name, c.prev = name, f.groups[g].head
+	f.groups[g].head = f.n
+	f.n++
+	return &c.inst, true
+}
+
+// each calls fn with the key and the instrument of every cell.
+func (f *family[T]) each(fn func(key string, inst *T)) {
+	for _, g := range f.groups {
+		for i := g.head; i >= 0; {
+			c := f.at(i)
+			fn(Key(g.name, c.name), &c.inst)
+			i = c.prev
+		}
+	}
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		counters: family[Counter]{blockLen: 64},
+		gauges:   family[Gauge]{blockLen: 16},
+		hists:    family[Histogram]{blockLen: 4},
 	}
 }
 
 // Counter returns the counter component.name, creating it on first use.
 func (r *Registry) Counter(component, name string) *Counter {
-	k := Key(component, name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[k]
-	if !ok {
-		validateKey("counter", component, name)
-		c = &Counter{}
-		r.counters[k] = c
-	}
+	c, _ := r.counters.get("counter", component, name)
 	return c
 }
 
 // Gauge returns the gauge component.name, creating it on first use.
 func (r *Registry) Gauge(component, name string) *Gauge {
-	k := Key(component, name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[k]
-	if !ok {
-		validateKey("gauge", component, name)
-		g = &Gauge{}
-		r.gauges[k] = g
-	}
+	g, _ := r.gauges.get("gauge", component, name)
 	return g
 }
 
@@ -297,22 +407,23 @@ func (r *Registry) Gauge(component, name string) *Gauge {
 // bucket bounds on first use (nil bounds select DefaultCycleBounds). Bounds
 // passed by later callers are ignored; the first registration wins.
 func (r *Registry) Histogram(component, name string, bounds []uint64) *Histogram {
-	k := Key(component, name)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[k]
-	if !ok {
-		validateKey("histogram", component, name)
-		h = newHistogram(bounds)
-		r.hists[k] = h
+	h, created := r.hists.get("histogram", component, name)
+	if created {
+		h.init(bounds)
 	}
 	return h
 }
 
 // CounterValue reads a counter by full key, returning 0 when absent.
 func (r *Registry) CounterValue(key string) uint64 {
+	dot := strings.IndexByte(key, '.')
+	if dot < 0 {
+		return 0
+	}
 	r.mu.Lock()
-	c := r.counters[key]
+	c, _ := r.counters.find(key[:dot], key[dot+1:])
 	r.mu.Unlock()
 	if c == nil {
 		return 0
@@ -323,13 +434,13 @@ func (r *Registry) CounterValue(key string) uint64 {
 // CounterKeys returns every registered counter key, sorted.
 func (r *Registry) CounterKeys() []string {
 	r.mu.Lock()
-	keys := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		keys = append(keys, k)
+	defer r.mu.Unlock()
+	if len(r.keys) != r.counters.n {
+		r.keys = r.keys[:0]
+		r.counters.each(func(key string, _ *Counter) { r.keys = append(r.keys, key) })
+		sort.Strings(r.keys)
 	}
-	r.mu.Unlock()
-	sort.Strings(keys)
-	return keys
+	return slices.Clone(r.keys)
 }
 
 // Snapshot captures every instrument's current value at the given cycle.
@@ -339,20 +450,14 @@ func (r *Registry) Snapshot(cycle int64) Snapshot {
 	defer r.mu.Unlock()
 	s := Snapshot{
 		Cycle:      cycle,
-		Counters:   make(map[string]uint64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
+		Counters:   make(map[string]uint64, r.counters.n),
+		Gauges:     make(map[string]int64, r.gauges.n),
+		Histograms: make(map[string]HistogramSnapshot, r.hists.n),
 		Derived:    make(map[string]float64),
 	}
-	for k, c := range r.counters {
-		s.Counters[k] = c.Value()
-	}
-	for k, g := range r.gauges {
-		s.Gauges[k] = g.Value()
-	}
-	for k, h := range r.hists {
-		s.Histograms[k] = h.Snapshot()
-	}
+	r.counters.each(func(key string, c *Counter) { s.Counters[key] = c.Value() })
+	r.gauges.each(func(key string, g *Gauge) { s.Gauges[key] = g.Value() })
+	r.hists.each(func(key string, h *Histogram) { s.Histograms[key] = h.Snapshot() })
 	return s
 }
 

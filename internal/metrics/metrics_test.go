@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -30,6 +32,125 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g.Add(-3)
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
+	}
+}
+
+// registerSoC registers instruments the way sim.New does, for cores in the
+// given order: per core a run of counters, the shared "chaos" counters, a
+// gauge named like one of the counters, and a histogram under a second
+// component. It returns every instrument by kind and key.
+func registerSoC(r *Registry, cores []int) map[string]any {
+	got := map[string]any{}
+	for _, i := range cores {
+		l1, flush := fmt.Sprintf("l1[%d]", i), fmt.Sprintf("flush[%d]", i)
+		for _, c := range []struct {
+			comp, name string
+			c          *Counter
+		}{
+			{l1, "loads", r.Counter(l1, "loads")},
+			{l1, "stores", r.Counter(l1, "stores")},
+			{l1, "load_hits", r.Counter(l1, "load_hits")},
+			{l1, "store_hits", r.Counter(l1, "store_hits")},
+			{l1, "nacks", r.Counter(l1, "nacks")},
+			{l1, "writebacks", r.Counter(l1, "writebacks")},
+			{"chaos", "ecc_flips", r.Counter("chaos", "ecc_flips")},
+			{"chaos", "refetch_recoveries", r.Counter("chaos", "refetch_recoveries")},
+			{flush, "offered", r.Counter(flush, "offered")},
+			{flush, "enqueued", r.Counter(flush, "enqueued")},
+			{flush, "skip_dropped", r.Counter(flush, "skip_dropped")},
+		} {
+			got["counter "+Key(c.comp, c.name)] = c.c
+		}
+		got["gauge "+Key(l1, "loads")] = r.Gauge(l1, "loads")
+		got["gauge "+Key(flush, "queue_depth")] = r.Gauge(flush, "queue_depth")
+		got["histogram "+Key(flush, "latency")] = r.Histogram(flush, "latency", nil)
+	}
+	return got
+}
+
+// TestGetOrCreateSharesEveryKey registers the instruments of eight cores
+// (more counters than one block holds), then asks for every one again with
+// the cores in reverse order: each call must return the first call's
+// instrument, no two keys may share one, and the snapshot must list each
+// key once with its own value.
+func TestGetOrCreateSharesEveryKey(t *testing.T) {
+	r := NewRegistry()
+	first := registerSoC(r, []int{0, 1, 2, 3, 4, 5, 6, 7})
+	again := registerSoC(r, []int{7, 6, 5, 4, 3, 2, 1, 0})
+	seen := map[any]string{}
+	for k, inst := range first {
+		if again[k] != inst {
+			t.Errorf("%s: a second caller got a different instrument", k)
+		}
+		if other, dup := seen[inst]; dup {
+			t.Errorf("%s and %s share one instrument", k, other)
+		}
+		seen[inst] = k
+	}
+	n := uint64(0)
+	counters := 0
+	for k, inst := range first {
+		if c, ok := inst.(*Counter); ok {
+			n++
+			c.Add(n)
+			counters++
+			if got := r.CounterValue(k[len("counter "):]); got != n {
+				t.Errorf("CounterValue(%s) = %d, want %d", k, got, n)
+			}
+		}
+	}
+	snap := r.Snapshot(0)
+	if len(snap.Counters) != counters || len(snap.Gauges) != 16 || len(snap.Histograms) != 8 {
+		t.Fatalf("snapshot holds %d counters, %d gauges, %d histograms; want %d, 16, 8",
+			len(snap.Counters), len(snap.Gauges), len(snap.Histograms), counters)
+	}
+	if keys := r.CounterKeys(); len(keys) != counters {
+		t.Fatalf("CounterKeys lists %d keys, want %d", len(keys), counters)
+	}
+	for k, inst := range first {
+		if c, ok := inst.(*Counter); ok && snap.Counters[k[len("counter "):]] != c.Value() {
+			t.Errorf("snapshot %s = %d, want %d", k, snap.Counters[k[len("counter "):]], c.Value())
+		}
+	}
+}
+
+// TestRegisteringAllocatesNoObjectPerInstrument registers the instruments
+// of eight cores in a fresh registry and checks that it costs a handful of
+// block allocations, not several per instrument, and that looking them all
+// up again allocates nothing.
+func TestRegisteringAllocatesNoObjectPerInstrument(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	cores := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	names := make([][2]string, len(cores)) // component names, made outside the count
+	for i := range cores {
+		names[i] = [2]string{fmt.Sprintf("l1[%d]", i), fmt.Sprintf("flush[%d]", i)}
+	}
+	register := func(r *Registry) {
+		for _, n := range names {
+			r.Counter(n[0], "loads")
+			r.Counter(n[0], "stores")
+			r.Counter(n[0], "nacks")
+			r.Counter(n[0], "writebacks")
+			r.Counter("chaos", "ecc_flips")
+			r.Counter(n[1], "offered")
+			r.Counter(n[1], "enqueued")
+			r.Counter(n[1], "skip_dropped")
+			r.Counter(n[1], "root_releases")
+			r.Gauge(n[1], "queue_depth")
+		}
+	}
+	r := NewRegistry()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	register(r)
+	runtime.ReadMemStats(&after)
+	// 73 counters and 8 gauges: two counter blocks, one gauge block, and
+	// the doubling growth of the block and component tables.
+	if n := after.Mallocs - before.Mallocs; n > 20 {
+		t.Errorf("registering 81 instruments made %d allocations, want at most 20", n)
+	}
+	if n := testing.AllocsPerRun(5, func() { register(r) }); n != 0 {
+		t.Errorf("looking up 81 registered instruments made %v allocations, want 0", n)
 	}
 }
 
@@ -245,7 +366,7 @@ func TestKeyValidation(t *testing.T) {
 	}
 
 	// The guard runs only on the create branch: a steady-state lookup of an
-	// existing instrument must not re-validate (hot-path cost is a map hit).
+	// existing instrument must not re-validate.
 	r := NewRegistry()
 	c := r.Counter("l1[0]", "loads")
 	if r.Counter("l1[0]", "loads") != c {

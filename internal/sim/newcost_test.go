@@ -1,13 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
 
-// newBytes returns the heap bytes one New(cfg) allocates, averaged over a
-// few builds.
-func newBytes(cfg Config) uint64 {
+// newCost returns the heap bytes and allocations one New(cfg) costs,
+// averaged over a few builds.
+func newCost(cfg Config) (bytes, allocs uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const builds = 8
 	var before, after runtime.MemStats
@@ -16,21 +17,42 @@ func newBytes(cfg Config) uint64 {
 		New(cfg)
 	}
 	runtime.ReadMemStats(&after)
-	return (after.TotalAlloc - before.TotalAlloc) / builds
+	return (after.TotalAlloc - before.TotalAlloc) / builds, (after.Mallocs - before.Mallocs) / builds
 }
 
 // TestNewAllocatesOnlyWhatAJobTouches pins SoC construction cost: the L1
-// data arrays and the L2's frames and data rows are made on first use, so a
-// fresh system holds metadata, queues and counters only. The ceilings sit
-// above today's 47 KB and 265 KB; the eager arrays they replaced cost
-// 304 KB and 779 KB.
+// metadata and data arrays and the L2's frames, directory and data rows are
+// made on first use, and instruments come from the registry's blocks, so a
+// fresh system holds queues, MSHRs and counters only. The ceilings sit above
+// today's 17 KB in 51 allocations at 1 core and 63 KB in 231 at 8; eager
+// metadata and directory arrays with a map-keyed registry cost 47 KB in 193
+// allocations and 265 KB in 958, and eager data and frame arrays before
+// them 304 KB and 779 KB.
 func TestNewAllocatesOnlyWhatAJobTouches(t *testing.T) {
 	for _, tc := range []struct {
-		cores   int
-		ceiling uint64
-	}{{1, 64 << 10}, {8, 320 << 10}} {
-		if got := newBytes(DefaultConfig(tc.cores)); got > tc.ceiling {
-			t.Errorf("New(DefaultConfig(%d)) allocates %d B, ceiling %d B", tc.cores, got, tc.ceiling)
+		cores     int
+		maxBytes  uint64
+		maxAllocs uint64
+	}{{1, 24 << 10, 60}, {8, 72 << 10, 450}} {
+		bytes, allocs := newCost(DefaultConfig(tc.cores))
+		if bytes > tc.maxBytes {
+			t.Errorf("New(DefaultConfig(%d)) allocates %d B, ceiling %d B", tc.cores, bytes, tc.maxBytes)
 		}
+		if allocs > tc.maxAllocs {
+			t.Errorf("New(DefaultConfig(%d)) makes %d allocations, ceiling %d", tc.cores, allocs, tc.maxAllocs)
+		}
+	}
+}
+
+// BenchmarkNew times SoC construction at 1 and 8 cores.
+func BenchmarkNew(b *testing.B) {
+	for _, cores := range []int{1, 8} {
+		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
+			cfg := DefaultConfig(cores)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				New(cfg)
+			}
+		})
 	}
 }
