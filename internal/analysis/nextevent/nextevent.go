@@ -9,10 +9,13 @@
 //     skip cycles in which it acts, silently breaking the byte-identical
 //     on/off guarantee.
 //  2. In internal/sim, every System field whose type implements NextEvent
-//     must be folded into (*System).nextEventCycle. Adding a component to
-//     the SoC without folding it defeats fast-forward for exactly the
-//     cycles that component needed — the class of bug that only shows up as
-//     an A/B divergence thousands of cycles later.
+//     must be folded into a part's wake: consulted by (*System).tileNext or
+//     (*System).hubNext (internal/sim/wake.go). A field whose element type
+//     bundles NextEvent-bearing fields (a ClientPort's five channels) must
+//     have each of those channels consulted there too. Adding a component
+//     to the SoC, or a channel to a port, without folding it lets its part
+//     sleep through exactly the cycles it acts in — the class of bug that
+//     only shows up as an A/B divergence thousands of cycles later.
 package nextevent
 
 import (
@@ -29,8 +32,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "nextevent",
-	Doc: "check that every ticking component implements NextEvent and is folded into the fast-forward clock\n\n" +
-		"A Step/Tick type without NextEvent, or a sim.System field left out of nextEventCycle, silently defeats fast-forward.",
+	Doc: "check that every ticking component implements NextEvent and is folded into a part's wake\n\n" +
+		"A Step/Tick type without NextEvent, or a sim.System field or port channel left out of tileNext and hubNext, lets a part sleep through cycles in which it acts.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -123,8 +126,12 @@ func checkComponents(pass *analysis.Pass) {
 	})
 }
 
-// checkFold enforces rule 2: every NextEvent-bearing System field is
-// consulted by (*System).nextEventCycle.
+// wakeFuncs names the (*System) methods that fold the part wakes.
+var wakeFuncs = map[string]bool{"tileNext": true, "hubNext": true}
+
+// checkFold enforces rule 2: every NextEvent-bearing System field, and every
+// NextEvent-bearing field of such a field's element type, is consulted by a
+// wake method.
 func checkFold(pass *analysis.Pass) {
 	scope := pass.Pkg.Scope()
 	sysObj, ok := scope.Lookup("System").(*types.TypeName)
@@ -136,13 +143,13 @@ func checkFold(pass *analysis.Pass) {
 		return
 	}
 
-	// Locate the (*System).nextEventCycle method body; another type's
-	// nextEventCycle says nothing about System's fold.
-	var foldBody *ast.BlockStmt
+	// Locate the (*System) wake method bodies; another type's methods of
+	// the same names say nothing about System's wakes.
+	var bodies []*ast.BlockStmt
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fn := n.(*ast.FuncDecl)
-		if fn.Recv == nil || fn.Name.Name != "nextEventCycle" || fn.Body == nil {
+		if fn.Recv == nil || !wakeFuncs[fn.Name.Name] || fn.Body == nil {
 			return
 		}
 		obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func)
@@ -154,72 +161,99 @@ func checkFold(pass *analysis.Pass) {
 			rt = p.Elem()
 		}
 		if named, ok := rt.(*types.Named); ok && named.Obj() == sysObj {
-			foldBody = fn.Body
+			bodies = append(bodies, fn.Body)
 		}
 	})
 
 	// Fields needing a fold: type (after pointer/slice/array unwrapping)
 	// implements NextEvent, concrete component or interface alike.
-	type needed struct {
-		field *types.Var
-	}
-	var need []needed
+	var need []*types.Var
 	for i := 0; i < sysStruct.NumFields(); i++ {
-		f := sysStruct.Field(i)
-		t := f.Type()
-		for {
-			switch u := t.(type) {
-			case *types.Pointer:
-				t = u.Elem()
-				continue
-			case *types.Slice:
-				t = u.Elem()
-				continue
-			case *types.Array:
-				t = u.Elem()
-				continue
-			}
-			break
-		}
-		if hasNextEvent(t) {
-			need = append(need, needed{field: f})
+		if f := sysStruct.Field(i); hasNextEvent(elem(f.Type())) {
+			need = append(need, f)
 		}
 	}
 	if len(need) == 0 {
 		return
 	}
 
-	if foldBody == nil {
-		for _, n := range need {
+	if len(bodies) == 0 {
+		for _, f := range need {
 			pass.Report(analysis.Diagnostic{
-				Pos: n.field.Pos(),
+				Pos: f.Pos(),
 				Message: fmt.Sprintf(
-					"System field %s implements NextEvent but the package has no (*System).nextEventCycle to fold it into", n.field.Name()),
+					"System field %s implements NextEvent but the package has no (*System).tileNext or hubNext to fold it into", f.Name()),
 			})
 		}
 		return
 	}
 
-	// Which fields does the fold consult?
+	// Which fields do the wakes consult?
 	folded := make(map[types.Object]bool)
-	ast.Inspect(foldBody, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
+	for _, body := range bodies {
+		ast.Inspect(body, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if obj := pass.TypesInfo.ObjectOf(sel.Sel); obj != nil {
+				folded[obj] = true
+			}
 			return true
-		}
-		if obj := pass.TypesInfo.ObjectOf(sel.Sel); obj != nil {
-			folded[obj] = true
-		}
-		return true
-	})
+		})
+	}
 
-	for _, n := range need {
-		if !folded[types.Object(n.field)] {
+	for _, f := range need {
+		if !folded[types.Object(f)] {
 			pass.Report(analysis.Diagnostic{
-				Pos: n.field.Pos(),
+				Pos: f.Pos(),
 				Message: fmt.Sprintf(
-					"System field %s implements NextEvent but is not folded into nextEventCycle: fast-forward may skip cycles in which it acts", n.field.Name()),
+					"System field %s implements NextEvent but is folded into neither tileNext nor hubNext: its part may sleep through cycles in which it acts", f.Name()),
 			})
+			continue
+		}
+		// A bundle of channels (a struct with no Tick of its own, unlike
+		// a component, which folds its parts into its own NextEvent):
+		// each NextEvent-bearing field must reach some part's wake.
+		st, ok := elem(f.Type()).Underlying().(*types.Struct)
+		if !ok || hasMethod(elem(f.Type()), "Tick") {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			ch := st.Field(i)
+			if hasNextEvent(elem(ch.Type())) && !folded[types.Object(ch)] {
+				pass.Report(analysis.Diagnostic{
+					Pos: f.Pos(),
+					Message: fmt.Sprintf(
+						"System field %s: its %s implements NextEvent but is folded into neither tileNext nor hubNext: the part it delivers to may sleep through a message", f.Name(), ch.Name()),
+				})
+			}
+		}
+	}
+}
+
+// hasMethod reports whether *T (or T, for an interface) has a method name.
+func hasMethod(t types.Type, name string) bool {
+	if named, ok := t.(*types.Named); ok && !types.IsInterface(named) {
+		t = types.NewPointer(named)
+	}
+	m, _, _ := types.LookupFieldOrMethod(t, true, nil, name)
+	_, isFunc := m.(*types.Func)
+	return isFunc
+}
+
+// elem unwraps pointers, slices and arrays down to the element type.
+func elem(t types.Type) types.Type {
+	for {
+		switch u := t.(type) {
+		case *types.Pointer:
+			t = u.Elem()
+		case *types.Slice:
+			t = u.Elem()
+		case *types.Array:
+			t = u.Elem()
+		default:
+			return t
 		}
 	}
 }

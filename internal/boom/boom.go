@@ -19,6 +19,7 @@ package boom
 
 import (
 	"fmt"
+	"slices"
 
 	"skipit/internal/isa"
 	"skipit/internal/l1"
@@ -128,15 +129,28 @@ type Core struct {
 	// runDispatched counts the nops of the run at pc already dispatched;
 	// pc moves past a run once its last nop dispatches.
 	runDispatched int
-	rob           []*entry // FIFO; index 0 is the ROB head
+	// rob[robHead:robHead+robN] is the ROB, oldest first: a window that
+	// commit advances and dispatch extends, in a buffer of twice the
+	// entries the ROB can hold (see sizeQueues). When the window reaches
+	// the buffer's end, dispatch moves it back to the front: at most once
+	// per ROB's worth of dispatches, where a shifting slice moves every
+	// entry at every commit.
+	rob     []*entry
+	robHead int
+	robN    int
 	// robLen is the ROB occupancy in instructions, a nop run counting one
-	// per nop; it, not len(rob), is what ROBEntries bounds.
+	// per nop; it, not robN, is what ROBEntries bounds.
 	robLen   int
 	ldqCount int
 	stqCount int
-	// waitingLoads counts the ROB's loads in esWaiting, the only entries
-	// issue's load walk acts on; the walk is skipped while it is zero.
-	waitingLoads int
+	// waitLoads lists the ROB's loads in esWaiting, oldest first: the only
+	// entries issue's load pass acts on, and with the STQ head the only
+	// ones NextEvent reads.
+	waitLoads []*entry
+	// settled counts the ROB entries from the head on that are known done,
+	// so robAt(settled) is at or before the oldest unfinished entry.
+	// stqHead advances it; done is final, so it only moves forward.
+	settled int
 
 	// lineMask is the L1's line-offset mask (LineBytes-1), read once here
 	// so loadForward does not copy the cache config per older entry.
@@ -159,6 +173,10 @@ type Core struct {
 	// whole gap at once to stay identical to single-stepping.
 	prevTick int64
 
+	// wakeAll is the owning system's flag for "tick every part on the next
+	// step" (see SetWakeAll); nil on a standalone core.
+	wakeAll *bool
+
 	done bool
 }
 
@@ -179,20 +197,39 @@ func (c *Core) ID() int { return c.id }
 // DCache returns the core's L1.
 func (c *Core) DCache() *l1.DCache { return c.dc }
 
+// SetWakeAll hands the core its system's wake-all flag. SetProgram raises
+// it, so the system ticks every part on its next step however the program
+// was loaded: a system that ticks a part only at its cached wake cycle would
+// otherwise sleep through a new program on a finished core.
+func (c *Core) SetWakeAll(flag *bool) { c.wakeAll = flag }
+
 // SetProgram loads a program and resets execution state.
 func (c *Core) SetProgram(p *isa.Program) {
+	if c.wakeAll != nil {
+		*c.wakeAll = true
+	}
 	c.prog = p
 	c.timings = make([]Timing, p.Len())
-	for i := range c.timings {
+	loads, stqOps := 0, 0
+	for i, in := range p.Instrs {
 		c.timings[i] = Timing{DispatchedAt: -1, IssuedAt: -1, CompletedAt: -1, CommittedAt: -1}
+		switch {
+		case in.Op == isa.OpLoad:
+			loads++
+		case in.Op.IsStoreQueue():
+			stqOps++
+		}
 	}
+	c.sizeQueues(loads, stqOps, p.Len()-loads-stqOps)
 	c.pc = 0
 	c.runDispatched = 0
-	c.rob = c.rob[:0]
+	clear(c.rob)
+	c.robHead, c.robN, c.settled = 0, 0, 0
 	c.robLen = 0
 	c.ldqCount = 0
 	c.stqCount = 0
-	c.waitingLoads = 0
+	clear(c.waitLoads)
+	c.waitLoads = c.waitLoads[:0]
 	c.inflight = c.inflight[:0]
 	c.prevTick = -1
 	c.done = p.Len() == 0
@@ -231,7 +268,7 @@ func (c *Core) pollResponses(now int64) {
 			c.ctr.nackRetries.Inc()
 			e.state = esWaiting
 			if e.instr.Op == isa.OpLoad {
-				c.waitingLoads++
+				c.addWaitLoad(e)
 			}
 			e.nextTryAt = now + int64(c.cfg.RetryDelay)
 			continue
@@ -258,6 +295,38 @@ func (c *Core) takeInflight(id int) *entry {
 		}
 	}
 	return nil
+}
+
+// sizeQueues makes the ROB buffer and the waiting-load list room for a
+// program of the given loads, STQ instructions and others, in one
+// allocation. The list holds at most LDQEntries and at most the program's
+// loads, and the ROB at most ROBEntries and at most the loads and STQ
+// entries the LDQ and STQ admit plus the others; the ROB's buffer is twice
+// that. A core keeps its queues for every later program that fits them.
+func (c *Core) sizeQueues(loads, stqOps, others int) {
+	l := min(c.cfg.LDQEntries, loads)
+	r := 2 * min(c.cfg.ROBEntries, l+min(c.cfg.STQEntries, stqOps)+others)
+	if len(c.rob) >= r && cap(c.waitLoads) >= l {
+		return
+	}
+	r, l = max(r, len(c.rob)), max(l, cap(c.waitLoads))
+	buf := make([]*entry, r+l)
+	c.rob, c.waitLoads = buf[:r:r], buf[r:r:r+l]
+}
+
+// robAt returns the k-th ROB entry from the head, k < robN.
+//
+//skipit:hotpath
+func (c *Core) robAt(k int) *entry { return c.rob[c.robHead+k] }
+
+// addWaitLoad puts a nacked load back on the waiting-load list, in program
+// order: issue fires the oldest ready loads first.
+func (c *Core) addWaitLoad(e *entry) {
+	i := len(c.waitLoads)
+	for i > 0 && c.waitLoads[i-1].instrIdx > e.instrIdx {
+		i--
+	}
+	c.waitLoads = slices.Insert(c.waitLoads, i, e)
 }
 
 // newEntry pops a recycled ROB entry from the free list, or allocates one.
@@ -287,29 +356,41 @@ func (c *Core) dispatch(now int64) {
 				return
 			}
 			c.ldqCount++
-			c.waitingLoads++
 		case in.Op.IsStoreQueue():
 			if c.stqCount >= c.cfg.STQEntries {
 				return
 			}
-			c.stqCount++
 		}
 		c.robLen++
 		t := &c.timings[c.pc]
 		if t.DispatchedAt < 0 {
 			t.DispatchedAt = now
 		}
-		if tail := len(c.rob) - 1; tail >= 0 && c.rob[tail].instrIdx == c.pc {
-			c.rob[tail].slots++ // the next nop of the run the tail entry holds
+		if c.robN > 0 && c.robAt(c.robN-1).instrIdx == c.pc {
+			c.robAt(c.robN-1).slots++ // the next nop of the run the tail entry holds
 		} else {
 			e := c.newEntry()
 			e.instrIdx = c.pc
 			e.instr = in
 			e.slots = 1
-			if in.Op == isa.OpNop {
+			switch {
+			case in.Op == isa.OpNop:
 				e.state = esDone
+			case in.Op == isa.OpLoad:
+				c.waitLoads = append(c.waitLoads, e) //skipit:ignore hotalloc the list is bounded by LDQEntries; append reuses its backing after warmup
+			case in.Op.IsStoreQueue():
+				c.stqCount++
 			}
-			c.rob = append(c.rob, e) //skipit:ignore hotalloc ROB is capacity-bounded by cfg.ROBEntries; append reuses its backing after warmup
+			if c.robHead+c.robN == len(c.rob) {
+				// The window reached the buffer's end: move it to the
+				// front. The buffer holds twice the ROB, so this runs at
+				// most once per ROB's worth of dispatches.
+				copy(c.rob, c.rob[c.robHead:c.robHead+c.robN])
+				clear(c.rob[c.robN:])
+				c.robHead = 0
+			}
+			c.rob[c.robHead+c.robN] = e
+			c.robN++
 		}
 		if in.Op == isa.OpNop {
 			t.CompletedAt = now
@@ -341,45 +422,56 @@ func (c *Core) issue(now int64) {
 		}
 	}
 
-	if c.waitingLoads == 0 {
+	if len(c.waitLoads) == 0 {
 		return
 	}
-	for _, e := range c.rob {
+	// The waiting loads, oldest first; the ones that stay waiting are
+	// compacted in place.
+	kept := c.waitLoads[:0]
+	for i, e := range c.waitLoads {
 		if fired >= c.cfg.MemWidth {
-			return
+			kept = append(kept, c.waitLoads[i:]...) //skipit:ignore hotalloc in-place compaction; never exceeds the list's backing array
+			break
 		}
-		if e.instr.Op != isa.OpLoad || e.state != esWaiting || now < e.nextTryAt {
+		if now < e.nextTryAt {
+			kept = append(kept, e) //skipit:ignore hotalloc in-place compaction; never exceeds the list's backing array
 			continue
 		}
 		if v, forwarded, blocked := c.loadForward(e); blocked {
+			kept = append(kept, e) //skipit:ignore hotalloc in-place compaction; never exceeds the list's backing array
 			continue
 		} else if forwarded {
 			e.state = esDone
-			c.waitingLoads--
 			c.timings[e.instrIdx].CompletedAt = now
 			c.timings[e.instrIdx].LoadValue = v
 			continue
 		}
 		if c.fire(now, e) {
-			c.waitingLoads--
 			fired++
+			continue
 		}
+		kept = append(kept, e) //skipit:ignore hotalloc in-place compaction; never exceeds the list's backing array
 	}
+	clear(c.waitLoads[len(kept):])
+	c.waitLoads = kept
 }
 
 // stqHead returns the oldest unfinished STQ entry provided every older
 // instruction is done — i.e. the ROB head effectively points at it (§3.2).
+// It first moves the settled mark past the entries that have finished.
+//
+//skipit:hotpath
 func (c *Core) stqHead() *entry {
-	for _, e := range c.rob {
-		if e.state == esDone {
-			continue
-		}
-		if e.instr.Op.IsStoreQueue() {
-			return e
-		}
-		return nil // an older load is still in flight
+	for c.settled < c.robN && c.robAt(c.settled).state == esDone {
+		c.settled++
 	}
-	return nil
+	if c.settled == c.robN {
+		return nil
+	}
+	if e := c.robAt(c.settled); e.instr.Op.IsStoreQueue() {
+		return e
+	}
+	return nil // an older load is still in flight
 }
 
 // tryCompleteFence completes a fence when all older work is done (implied by
@@ -420,7 +512,7 @@ func (c *Core) loadForward(e *entry) (val uint64, forwarded, blocked bool) {
 	wordAddr := e.instr.Addr &^ 7
 	lineAddr := e.instr.Addr &^ c.lineMask
 	var fwd *entry
-	for _, o := range c.rob {
+	for _, o := range c.rob[c.robHead : c.robHead+c.robN] {
 		if o == e {
 			break
 		}
@@ -502,6 +594,10 @@ func (c *Core) fire(now int64, e *entry) bool {
 // the flush unit's (and memory's) own events — tryCompleteFence attributes
 // the skipped stall cycles in bulk.
 //
+// Only two kinds of entry can act on their own: the STQ head (the one STQ
+// entry that may fire, retry or complete) and a waiting load. So NextEvent
+// reads the STQ head and the waiting-load list, not the ROB.
+//
 //skipit:hotpath
 func (c *Core) NextEvent(now int64) int64 {
 	if c.done || c.prog == nil {
@@ -521,55 +617,40 @@ func (c *Core) NextEvent(now int64) int64 {
 			return now + 1
 		}
 	}
-	if len(c.rob) > 0 && c.rob[0].state == esDone {
+	if c.robN > 0 && c.robAt(0).state == esDone {
 		return now + 1 // commit retires from the head next cycle
 	}
 	next := tilelink.NoEvent
-	head := c.stqHead()
-	for _, e := range c.rob {
-		switch e.state {
-		case esIssued:
-			// Waiting on the data cache; the cache reports that event.
-		case esDone:
-			// Inert unless at the ROB head (checked above).
-		case esWaiting:
-			if e.instr.Op == isa.OpFence {
-				if e != head {
-					// Gated until every older instruction retires; the
-					// events completing those cover the wake-up.
-					continue
-				}
-				if e.stalling && c.dc.Flushing() {
-					// Stalling on the drain. Nothing younger can feed the
-					// flush unit past a waiting fence, so the stall ends
-					// only on a flush-unit/memory event; tryCompleteFence
-					// bulk-counts the cycles in between.
-					continue
-				}
+	if e := c.stqHead(); e != nil && e.state == esWaiting {
+		switch {
+		case e.instr.Op == isa.OpFence:
+			if !e.stalling || !c.dc.Flushing() {
 				// Completes, or latches its first stall count, next cycle.
 				return now + 1
 			}
-			if e.nextTryAt > now {
-				if e.nextTryAt < next {
-					next = e.nextTryAt
-				}
-				continue
-			}
-			if e == head {
-				return now + 1 // the STQ head fires next cycle
-			}
-			if e.instr.Op == isa.OpLoad {
-				if _, _, blocked := c.loadForward(e); !blocked {
-					return now + 1 // fires (or forwards) next cycle
-				}
-				// Blocked by an older fence/AMO/CBO (§3.2); only that
-				// entry's completion unblocks it, and the events driving
-				// that completion are reported elsewhere.
-				continue
-			}
-			// A ready store/AMO/CBO behind the STQ head fires only once
-			// every older instruction is done; those events cover it.
+			// Stalling on the drain. Nothing younger can feed the flush
+			// unit past a waiting fence, so the stall ends only on a
+			// flush-unit/memory event; tryCompleteFence bulk-counts the
+			// cycles in between.
+		case e.nextTryAt > now:
+			next = e.nextTryAt // a nack retry timer
+		default:
+			return now + 1 // the STQ head fires next cycle
 		}
+	}
+	// Every other waiting STQ entry fires only once it heads the STQ; the
+	// events completing the older instructions cover it.
+	for _, e := range c.waitLoads {
+		if e.nextTryAt > now {
+			next = min(next, e.nextTryAt)
+			continue
+		}
+		if _, _, blocked := c.loadForward(e); !blocked {
+			return now + 1 // fires (or forwards) next cycle
+		}
+		// Blocked by an older fence/AMO/CBO (§3.2); only that entry's
+		// completion unblocks it, and the events driving that completion
+		// are reported elsewhere.
 	}
 	return next
 }
@@ -578,26 +659,46 @@ func (c *Core) NextEvent(now int64) int64 {
 // it as the core's forward-progress signal.
 func (c *Core) Committed() uint64 { return c.ctr.committed.Value() }
 
-// WaitingLoads returns the core's running count of loads waiting to fire,
-// which gates issue's walk over the ROB.
-func (c *Core) WaitingLoads() int { return c.waitingLoads }
-
-// CountWaitingLoads recounts the waiting loads from the ROB itself, for the
-// invariant checker to hold WaitingLoads against.
-func (c *Core) CountWaitingLoads() int {
-	n := 0
-	for _, e := range c.rob {
+// CheckQueues holds the core's waiting-load list and settled mark against
+// its ROB, for the invariant checker: the list must hold exactly the ROB's
+// waiting loads, oldest first, and every entry before the mark must be done.
+func (c *Core) CheckQueues() error {
+	if c.settled > c.robN {
+		return fmt.Errorf("settled mark %d beyond the ROB's %d entries", c.settled, c.robN)
+	}
+	w := 0
+	for k := 0; k < c.robN; k++ {
+		e := c.robAt(k)
+		if k < c.settled && e.state != esDone {
+			return fmt.Errorf("instr %d is unfinished but lies before the settled mark %d", e.instrIdx, c.settled)
+		}
 		if e.instr.Op == isa.OpLoad && e.state == esWaiting {
-			n++
+			if w >= len(c.waitLoads) || c.waitLoads[w] != e {
+				return fmt.Errorf("waiting load instr %d is not entry %d of the waiting-load list", e.instrIdx, w)
+			}
+			w++
 		}
 	}
-	return n
+	if w != len(c.waitLoads) {
+		return fmt.Errorf("waiting-load list holds %d entries, the ROB %d waiting loads", len(c.waitLoads), w)
+	}
+	return nil
 }
 
-// PokeWaitingLoads skews the waiting-load count by delta, bypassing the LSU.
-// Test-only: it exists so invariant-checker tests can seed the LSU
-// accounting violation.
-func (c *Core) PokeWaitingLoads(delta int) { c.waitingLoads += delta }
+// PokeDropWaitingLoad drops the oldest entry of the waiting-load list,
+// bypassing the LSU. Test-only: it exists so invariant-checker tests can
+// seed an LSU list violation. Reports whether the list had an entry.
+func (c *Core) PokeDropWaitingLoad() bool {
+	if len(c.waitLoads) == 0 {
+		return false
+	}
+	c.waitLoads = slices.Delete(c.waitLoads, 0, 1)
+	return true
+}
+
+// PokeSettled moves the settled mark by delta, bypassing the LSU. Test-only,
+// like PokeDropWaitingLoad.
+func (c *Core) PokeSettled(delta int) { c.settled += delta }
 
 // CoreDebug snapshots the core's ROB/LSU state for hang reports.
 type CoreDebug struct {
@@ -622,23 +723,25 @@ func (c *Core) Debug() CoreDebug {
 		Inflight:  len(c.inflight),
 		Committed: c.ctr.committed.Value(),
 	}
-	if len(c.rob) > 0 {
-		e := c.rob[0]
+	if c.robN > 0 {
+		e := c.robAt(0)
 		dbg.ROBHead = fmt.Sprintf("%v addr=%#x state=%d idx=%d", e.instr.Op, e.instr.Addr, e.state, e.instrIdx)
 	}
 	return dbg
 }
 
 // commit retires done instructions from the ROB head, in order, up to
-// CommitWidth a cycle; a nop run's entry pops once it holds no nop.
+// CommitWidth a cycle; a nop run's entry pops once it holds no nop. The
+// committed counter takes the cycle's retirements in one add.
 func (c *Core) commit(now int64) {
-	for n := 0; n < c.cfg.CommitWidth && len(c.rob) > 0; n++ {
-		e := c.rob[0]
+	n := 0
+	for n < c.cfg.CommitWidth && c.robN > 0 {
+		e := c.rob[c.robHead]
 		if e.state != esDone {
-			return
+			break
 		}
 		c.timings[e.instrIdx].CommittedAt = now
-		c.ctr.committed.Inc()
+		n++
 		c.robLen--
 		if e.slots--; e.slots > 0 {
 			continue // a nop run retires one nop per commit slot
@@ -649,15 +752,21 @@ func (c *Core) commit(now int64) {
 		case e.instr.Op.IsStoreQueue():
 			c.stqCount--
 		}
-		copy(c.rob, c.rob[1:])
-		c.rob[len(c.rob)-1] = nil
-		c.rob = c.rob[:len(c.rob)-1]
+		c.rob[c.robHead] = nil
+		c.robHead++
+		c.robN--
+		if c.settled > 0 {
+			c.settled--
+		}
 		// Retired entries are never referenced again (inflight only holds
 		// issued, not-yet-done entries); recycle the struct.
 		c.freeEntries = append(c.freeEntries, e) //skipit:ignore hotalloc entry free list is bounded by the ROB size; append reuses its backing after warmup
-		if c.pc >= c.prog.Len() && len(c.rob) == 0 {
+		if c.pc >= c.prog.Len() && c.robN == 0 {
 			c.done = true
-			return
+			break
 		}
+	}
+	if n > 0 {
+		c.ctr.committed.Add(uint64(n))
 	}
 }

@@ -228,24 +228,32 @@ func TestNackRetryEventuallySucceeds(t *testing.T) {
 	}
 }
 
-// TestWaitingLoadCountTracksROB holds the running count that gates issue's
-// load walk against a recount of the ROB on every cycle, through dispatch,
-// forwarding, fence blocking, firing and nack retries.
-func TestWaitingLoadCountTracksROB(t *testing.T) {
+// TestLSUListsTrackROB holds the waiting-load list and the settled mark
+// against the ROB on every cycle, through dispatch, forwarding, fence
+// blocking, firing, nack retries and the ROB window moving back to the
+// front of its buffer; and NextEvent against the ROB walk it replaced.
+func TestLSUListsTrackROB(t *testing.T) {
 	s := newStack(t)
 	b := isa.NewBuilder().Store(0x1000, 1).Load(0x1000) // forwards
 	for i := 0; i < 24; i++ {
 		b.Load(0x10000 + uint64(i)*64) // more lines than MSHRs: nacks
 	}
 	b.Fence().Load(0x1000) // held behind the fence
+	for i := 0; i < 80; i++ {
+		b.Store(0x20000+uint64(i%16)*8, uint64(i)) // past the ROB buffer: the window moves to its front
+	}
+	b.Load(0x20000)
 	s.core.SetProgram(b.Build())
 	for !s.core.Done() {
 		if s.now > 100_000 {
 			t.Fatal("program did not finish")
 		}
 		s.tick()
-		if got, want := s.core.WaitingLoads(), s.core.CountWaitingLoads(); got != want {
-			t.Fatalf("cycle %d: waiting-load count %d, ROB holds %d", s.now, got, want)
+		if err := s.core.CheckQueues(); err != nil {
+			t.Fatalf("cycle %d: %v", s.now, err)
+		}
+		if got, want := s.core.NextEvent(s.now-1), robWalkNextEvent(s.core, s.now-1); got != want {
+			t.Fatalf("cycle %d: NextEvent %d, the ROB walk says %d", s.now, got, want)
 		}
 	}
 	if s.core.ctr.nackRetries.Value() == 0 {
@@ -254,6 +262,65 @@ func TestWaitingLoadCountTracksROB(t *testing.T) {
 	if got := s.core.Timing(1).LoadValue; got != 1 {
 		t.Fatalf("forwarded load = %d, want 1", got)
 	}
+}
+
+// robWalkNextEvent is NextEvent as a walk over the whole ROB, the form the
+// list-based NextEvent replaced; TestLSUListsTrackROB holds the two equal.
+func robWalkNextEvent(c *Core, now int64) int64 {
+	if c.done || c.prog == nil {
+		return tilelink.NoEvent
+	}
+	if c.pc < c.prog.Len() && c.robLen < c.cfg.ROBEntries {
+		in := c.prog.Instrs[c.pc]
+		roomOK := true
+		switch {
+		case in.Op == isa.OpLoad:
+			roomOK = c.ldqCount < c.cfg.LDQEntries
+		case in.Op.IsStoreQueue():
+			roomOK = c.stqCount < c.cfg.STQEntries
+		}
+		if roomOK {
+			return now + 1
+		}
+	}
+	if c.robN > 0 && c.robAt(0).state == esDone {
+		return now + 1
+	}
+	var head *entry
+	for k := 0; k < c.robN; k++ {
+		if e := c.robAt(k); e.state != esDone {
+			if e.instr.Op.IsStoreQueue() {
+				head = e
+			}
+			break
+		}
+	}
+	next := tilelink.NoEvent
+	for k := 0; k < c.robN; k++ {
+		e := c.robAt(k)
+		if e.state != esWaiting {
+			continue
+		}
+		if e.instr.Op == isa.OpFence {
+			if e != head || e.stalling && c.dc.Flushing() {
+				continue
+			}
+			return now + 1
+		}
+		if e.nextTryAt > now {
+			next = min(next, e.nextTryAt)
+			continue
+		}
+		if e == head {
+			return now + 1
+		}
+		if e.instr.Op == isa.OpLoad {
+			if _, _, blocked := c.loadForward(e); !blocked {
+				return now + 1
+			}
+		}
+	}
+	return next
 }
 
 func TestROBCapacityBoundsDispatch(t *testing.T) {

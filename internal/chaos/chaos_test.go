@@ -255,39 +255,82 @@ func TestCommittedArtifactsReplayEitherClock(t *testing.T) {
 // and without a crash, with the fast-forward clock on and off; verdicts,
 // cycle counts, every chaos stat and the NVMM words the programs wrote must
 // match bit for bit. A crash case's programs and schedule are those of the
-// same seed without it.
+// same seed without it. The eight-core cases have tiles sleeping while
+// others run, through faults, bit flips and crash points.
 func TestFuzzEquivalenceEitherClock(t *testing.T) {
-	for seed := int64(1); seed <= 10; seed++ {
-		plain := BuildInput(DefaultCase(seed, 2))
-		for _, crash := range []bool{false, true} {
-			c := DefaultCase(seed, 2)
-			c.Crash = crash
-			in := BuildInput(c)
-			if !reflect.DeepEqual(in.Progs, plain.Progs) || !reflect.DeepEqual(in.Schedule, plain.Schedule) {
-				t.Fatalf("seed %d: Crash changed the programs or the schedule", seed)
-			}
-			if crash != (in.CrashAt > 0) {
-				t.Fatalf("seed %d, crash %v: CrashAt %d", seed, crash, in.CrashAt)
-			}
-			failFF, stFF, sFF := runInput(in, true)
-			failSlow, stSlow, sSlow := runInput(in, false)
-			if !reflect.DeepEqual(failFF, failSlow) {
-				t.Fatalf("seed %d, crash %v: verdicts differ:\nff:   %+v\nslow: %+v", seed, crash, failFF, failSlow)
-			}
-			if !reflect.DeepEqual(stFF, stSlow) {
-				t.Fatalf("seed %d, crash %v: stats differ:\nff:   %+v\nslow: %+v", seed, crash, stFF, stSlow)
-			}
-			for _, p := range in.Progs {
-				for _, ins := range p.Instrs {
-					if !writes(ins.Op) {
-						continue
-					}
-					if ff, slow := sFF.Mem.PeekUint64(ins.Addr), sSlow.Mem.PeekUint64(ins.Addr); ff != slow {
-						t.Fatalf("seed %d, crash %v: NVMM %#x holds %#x with fast-forward, %#x without", seed, crash, ins.Addr, ff, slow)
-					}
+	for _, cores := range []int{2, 8} {
+		seeds := int64(10)
+		if cores == 8 {
+			seeds = 6
+		}
+		for seed := int64(1); seed <= seeds; seed++ {
+			fuzzEquivalenceCase(t, seed, cores)
+		}
+	}
+}
+
+func fuzzEquivalenceCase(t *testing.T, seed int64, cores int) {
+	t.Helper()
+	plain := BuildInput(DefaultCase(seed, cores))
+	for _, crash := range []bool{false, true} {
+		c := DefaultCase(seed, cores)
+		c.Crash = crash
+		in := BuildInput(c)
+		if !reflect.DeepEqual(in.Progs, plain.Progs) || !reflect.DeepEqual(in.Schedule, plain.Schedule) {
+			t.Fatalf("%d cores, seed %d: Crash changed the programs or the schedule", cores, seed)
+		}
+		if crash != (in.CrashAt > 0) {
+			t.Fatalf("%d cores, seed %d, crash %v: CrashAt %d", cores, seed, crash, in.CrashAt)
+		}
+		failFF, stFF, sFF := runInput(in, true)
+		failSlow, stSlow, sSlow := runInput(in, false)
+		if !reflect.DeepEqual(failFF, failSlow) {
+			t.Fatalf("%d cores, seed %d, crash %v: verdicts differ:\nff:   %+v\nslow: %+v", cores, seed, crash, failFF, failSlow)
+		}
+		if !reflect.DeepEqual(stFF, stSlow) {
+			t.Fatalf("%d cores, seed %d, crash %v: stats differ:\nff:   %+v\nslow: %+v", cores, seed, crash, stFF, stSlow)
+		}
+		for _, p := range in.Progs {
+			for _, ins := range p.Instrs {
+				if !writes(ins.Op) {
+					continue
+				}
+				if ff, slow := sFF.Mem.PeekUint64(ins.Addr), sSlow.Mem.PeekUint64(ins.Addr); ff != slow {
+					t.Fatalf("%d cores, seed %d, crash %v: NVMM %#x holds %#x with fast-forward, %#x without", cores, seed, crash, ins.Addr, ff, slow)
 				}
 			}
 		}
+	}
+}
+
+// TestBitFlipWakesEveryPart: a bit flip changes a cache outside Step, so
+// the step that follows it ticks every tile and the hub, whatever their
+// cached wakes say; here every part is asleep on an idle SoC.
+func TestBitFlipWakesEveryPart(t *testing.T) {
+	s := sim.New(sim.DefaultConfig(4))
+	progs := []*isa.Program{isa.NewBuilder().Store(0x1000, 77).CboClean(0x1000).Fence().Build(), nil, nil, nil}
+	if _, err := s.Run(progs, 10_000); err != nil {
+		t.Fatal(err)
+	}
+	flipAt := s.Now() + 10
+	r := Arm(s, Schedule{Faults: []Fault{{Cycle: flipAt, Kind: L1BitFlip, Core: 0, Addr: 0x1000, Bit: 3}}})
+	for s.Now() < flipAt {
+		if err := r.StepChecked(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tiles, hub := s.TileTicks(), s.HubTicks()
+	if err := r.StepChecked(); err != nil {
+		t.Fatal(err)
+	}
+	if flips := r.Flips(); len(flips) != 1 || flips[0].Outcome != l1.FlipApplied.String() {
+		t.Fatalf("flips %+v, want one applied", flips)
+	}
+	if got := s.TileTicks() - tiles; got != 4 {
+		t.Fatalf("the step after the flip ticked %d tiles, want all 4", got)
+	}
+	if got := s.HubTicks() - hub; got != 1 {
+		t.Fatalf("the step after the flip ticked the hub %d times, want 1", got)
 	}
 }
 

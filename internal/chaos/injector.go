@@ -127,7 +127,12 @@ func (r *Runner) advance(now int64) {
 		case L2BitFlip:
 			out := r.s.L2.InjectBitFlip(f.Addr, f.Bit)
 			r.flips = append(r.flips, FlipRecord{Fault: f, Outcome: out.String()})
+		default:
+			continue
 		}
+		// A flip changes a cache outside Step: the next step ticks every
+		// part, whatever its cached wake.
+		r.s.WakeAll()
 	}
 }
 

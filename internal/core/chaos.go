@@ -50,6 +50,10 @@ func (u *FlushUnit) Debug() FlushDebug {
 	return dbg
 }
 
+// PokePreAckFSHRs flips the pre-ack mask bits set in flip, bypassing the
+// FSHRs. Test-only, like PokePendingCount.
+func (u *FlushUnit) PokePreAckFSHRs(flip uint64) { u.preAck ^= flip }
+
 // PokePendingCount skews the flush counter by delta, bypassing the protocol.
 // Test-only: it exists so invariant-checker tests can seed the §5.2
 // counter-accounting violation.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"skipit/internal/metrics"
 	"skipit/internal/tilelink"
@@ -28,6 +29,9 @@ type FlushUnit struct {
 	fshrs   []fshr
 	nextRR  int // round-robin FSHR allocation pointer (§5.2)
 	counter int // flush counter (§5.2): pending CBO.X requests
+	// preAck has bit i set while FSHR i is busyPreAck: the FSHRs Tick
+	// steps, and the NOR of which is flush_rdy (§5.4.1).
+	preAck uint64
 
 	ctr   counters
 	chaos Chaos // nil unless a fault schedule is armed
@@ -76,8 +80,8 @@ func newCounters(reg *metrics.Registry, name string) counters {
 
 // NewFlushUnit builds a flush unit over the given cache ports.
 func NewFlushUnit(cfg Config, ports CachePorts) *FlushUnit {
-	if cfg.QueueDepth <= 0 || cfg.NumFSHRs <= 0 {
-		panic("core: flush unit needs positive queue depth and FSHR count")
+	if cfg.QueueDepth <= 0 || cfg.NumFSHRs <= 0 || cfg.NumFSHRs > 64 {
+		panic("core: flush unit needs a positive queue depth and 1 to 64 FSHRs")
 	}
 	if cfg.LineBytes != tilelink.LineBytes {
 		panic(fmt.Sprintf("core: line size %d, want %d", cfg.LineBytes, tilelink.LineBytes))
@@ -234,17 +238,7 @@ func (u *FlushUnit) resident() int { return u.counter - len(u.queue) }
 // until the FSHR has written metadata and released the line to L2 (i.e.
 // reached root_release_ack). The probe unit must not handle probes and the
 // MSHRs must not evict lines while it is low.
-func (u *FlushUnit) FlushRdy() bool {
-	if u.resident() == 0 {
-		return true
-	}
-	for i := range u.fshrs {
-		if u.fshrs[i].busyPreAck() {
-			return false
-		}
-	}
-	return true
-}
+func (u *FlushUnit) FlushRdy() bool { return u.preAck == 0 }
 
 // Tick advances the unit by one cycle: it first steps every FSHR that has
 // work (meta_write through root_release; an invalid FSHR and one waiting in
@@ -253,12 +247,10 @@ func (u *FlushUnit) FlushRdy() bool {
 // request into a free FSHR, allocated round-robin.
 func (u *FlushUnit) Tick(now int64, probeRdy, wbRdy bool) {
 	resident := u.resident()
-	if resident > 0 {
-		for i := range u.fshrs {
-			if f := &u.fshrs[i]; f.busyPreAck() {
-				u.stepFSHR(now, f)
-			}
-		}
+	// Stepping FSHR i changes only FSHR i, so walking a copy of the mask
+	// visits the FSHRs a walk over every state would find busy.
+	for m := u.preAck; m != 0; m &= m - 1 {
+		u.stepFSHR(now, bits.TrailingZeros64(m))
 	}
 	// Stepping frees no FSHR (only OnRootReleaseAck does), so the resident
 	// count still holds.
@@ -304,11 +296,12 @@ func (u *FlushUnit) dequeue(now int64, probeRdy, wbRdy bool) {
 		copy(u.queue, u.queue[1:])
 		u.queue = u.queue[:len(u.queue)-1]
 		u.fshrs[i].allocate(head, now)
+		u.preAck |= 1 << i // every plan starts before root_release_ack
 		u.rec.Record(now, trace.RecFSHRAlloc, trace.CboKind(head.isClean), head.txn, head.addr, uint64(i))
 		// Give the freshly allocated FSHR its first state's work this
 		// cycle, mirroring hardware where allocation and the first
 		// state action share the dequeue cycle boundary.
-		u.stepFSHR(now, &u.fshrs[i])
+		u.stepFSHR(now, i)
 		return
 	}
 	u.ctr.stallFSHRFull.Inc()
@@ -323,19 +316,8 @@ func (u *FlushUnit) dequeue(now int64, probeRdy, wbRdy bool) {
 //
 //skipit:hotpath
 func (u *FlushUnit) NextEvent(now int64) int64 {
-	if len(u.queue) > 0 {
+	if len(u.queue) > 0 || u.preAck != 0 {
 		return now + 1
-	}
-	if u.resident() == 0 {
-		return tilelink.NoEvent
-	}
-	for i := range u.fshrs {
-		switch u.fshrs[i].state {
-		case FSHRInvalid, FSHRRootReleaseAck:
-			// Idle, or waiting on the D channel.
-		default:
-			return now + 1
-		}
 	}
 	return tilelink.NoEvent
 }
@@ -510,6 +492,22 @@ func (u *FlushUnit) ActiveFSHRs() int {
 	return n
 }
 
+// PreAckFSHRs returns the mask of FSHRs the unit steps each cycle: bit i
+// set while FSHR i holds a request not yet at root_release_ack.
+func (u *FlushUnit) PreAckFSHRs() uint64 { return u.preAck }
+
+// CountPreAckFSHRs rebuilds that mask from the FSHR states, for the
+// invariant checker to hold PreAckFSHRs against.
+func (u *FlushUnit) CountPreAckFSHRs() uint64 {
+	var m uint64
+	for i := range u.fshrs {
+		if u.fshrs[i].busyPreAck() {
+			m |= 1 << i
+		}
+	}
+	return m
+}
+
 // FSHRStates returns a snapshot of all FSHR states, for tests and tracing.
 func (u *FlushUnit) FSHRStates() []FSHRState {
 	out := make([]FSHRState, len(u.fshrs))
@@ -527,6 +525,7 @@ func (u *FlushUnit) Reset() {
 	}
 	u.counter = 0
 	u.nextRR = 0
+	u.preAck = 0
 }
 
 func (u *FlushUnit) fshrFor(addr uint64) *fshr {

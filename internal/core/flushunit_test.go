@@ -708,7 +708,7 @@ func TestFlushUnitAccountingProperty(t *testing.T) {
 // TestTickMatchesStepEveryFSHR holds Tick against it.
 func (u *FlushUnit) tickEveryFSHR(now int64, probeRdy, wbRdy bool) {
 	for i := range u.fshrs {
-		u.stepFSHR(now, &u.fshrs[i])
+		u.stepFSHR(now, i)
 	}
 	u.ctr.queueDepth.Set(int64(len(u.queue)))
 	u.ctr.fshrOccupancy.Set(int64(u.ActiveFSHRs()))

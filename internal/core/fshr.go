@@ -100,9 +100,9 @@ func (f *fshr) allocate(req flushReq, now int64) {
 }
 
 // busyPreAck reports whether the FSHR holds a request and has not yet reached
-// root_release_ack: whether it has work every cycle. Tick steps only such
-// FSHRs, and the flush unit's flush_rdy output is the NOR of this across all
-// FSHRs (§5.4.1).
+// root_release_ack: whether it has work every cycle. The flush unit keeps
+// this per FSHR in its preAck mask; Tick steps only such FSHRs, and the
+// unit's flush_rdy output is the NOR of this across all FSHRs (§5.4.1).
 func (f *fshr) busyPreAck() bool {
 	return f.state != FSHRInvalid && f.state != FSHRRootReleaseAck
 }
@@ -110,8 +110,9 @@ func (f *fshr) busyPreAck() bool {
 // active reports whether the FSHR holds a request in any state.
 func (f *fshr) active() bool { return f.state != FSHRInvalid }
 
-// stepFSHR advances the FSHR state machine by one cycle.
-func (u *FlushUnit) stepFSHR(now int64, f *fshr) {
+// stepFSHR advances FSHR i's state machine by one cycle.
+func (u *FlushUnit) stepFSHR(now int64, i int) {
+	f := &u.fshrs[i]
 	switch f.state {
 	case FSHRInvalid, FSHRRootReleaseAck:
 		// Nothing to do; root_release_ack exits via OnRootReleaseAck.
@@ -174,6 +175,7 @@ func (u *FlushUnit) stepFSHR(now int64, f *fshr) {
 			// full data writeback.
 			u.rec.Record(now, trace.RecSkipAudit, trace.CauseDirtyLine, f.req.txn, f.req.addr, 1)
 			f.state = FSHRRootReleaseAck
+			u.preAck &^= 1 << i
 		} else {
 			u.ctr.stallLinkBusy.Inc()
 		}
@@ -198,6 +200,7 @@ func (u *FlushUnit) stepFSHR(now int64, f *fshr) {
 			}
 			u.rec.Record(now, trace.RecSkipAudit, cause, f.req.txn, f.req.addr, 0)
 			f.state = FSHRRootReleaseAck
+			u.preAck &^= 1 << i
 		} else {
 			u.ctr.stallLinkBusy.Inc()
 		}

@@ -107,6 +107,11 @@ func (d *DCache) clearPoison(lineAddr uint64) {
 	}
 }
 
+// PokeRespNext overwrites the cached earliest response cycle, bypassing
+// the queue. Test-only: it exists so invariant-checker tests can seed a
+// stale cache of it.
+func (d *DCache) PokeRespNext(at int64) { d.respNext = at }
+
 // PokeMeta force-writes the metadata bits of a resident line, bypassing the
 // coherence protocol. Test-only: it exists so invariant-checker tests can
 // seed each violation class on top of an otherwise legal state. Reports

@@ -230,6 +230,9 @@ type DCache struct {
 
 	inQ   []pendingReq
 	respQ []timedResp
+	// respNext is the earliest readyAt in respQ, NoEvent while it is
+	// empty: PollResponses returns at once while no response is ready.
+	respNext int64
 
 	// respScratch backs PollResponses' return slice across cycles so the
 	// steady-state loop does not allocate.
@@ -264,7 +267,7 @@ func New(cfg Config, port *tilelink.ClientPort) *DCache {
 	if cfg.Txns == nil {
 		cfg.Txns = &trace.TxnSeq{}
 	}
-	d := &DCache{cfg: cfg, port: port, name: fmt.Sprintf("l1[%d]", cfg.Source)}
+	d := &DCache{cfg: cfg, port: port, name: fmt.Sprintf("l1[%d]", cfg.Source), respNext: tilelink.NoEvent}
 	d.ctr = newL1Counters(reg, d.name)
 	// The metadata and data arrays are slabs made on first use: a job pays
 	// for the ways it fills, not for the cache's capacity.
@@ -447,6 +450,20 @@ func (d *DCache) CountActiveMSHRs() int {
 	return n
 }
 
+// CheckResponseQueue holds respNext, the cached earliest response cycle
+// that PollResponses and NextEvent read, against the queue itself, for the
+// invariant checker.
+func (d *DCache) CheckResponseQueue() error {
+	want := tilelink.NoEvent
+	for _, r := range d.respQ {
+		want = min(want, r.readyAt)
+	}
+	if d.respNext != want {
+		return fmt.Errorf("earliest response cached at %d, queue says %d", d.respNext, want)
+	}
+	return nil
+}
+
 // NextEvent returns the earliest cycle after now at which the cache can
 // change state without an incoming message: pipelined requests and timed
 // responses mature at their readyAt, the probe/writeback units and most MSHR
@@ -464,13 +481,10 @@ func (d *DCache) NextEvent(now int64) int64 {
 			next = r
 		}
 	}
-	for i := range d.respQ {
-		if r := d.respQ[i].readyAt; r <= now {
-			return now + 1
-		} else if r < next {
-			next = r
-		}
+	if d.respNext <= now {
+		return now + 1
 	}
+	next = min(next, d.respNext)
 	if d.probe.busy() {
 		return now + 1
 	}
@@ -507,6 +521,7 @@ func (d *DCache) Reset() {
 	d.probe = probeUnit{}
 	d.inQ = d.inQ[:0]
 	d.respQ = d.respQ[:0]
+	d.respNext = tilelink.NoEvent
 	d.poisoned = nil
 	d.flush.Reset()
 }

@@ -39,21 +39,28 @@ func (d *DCache) Submit(now int64, req Req) bool {
 // buffer so the steady-state cycle loop does not allocate.
 func (d *DCache) PollResponses(now int64) []Resp {
 	out := d.respScratch[:0]
+	if d.respNext > now {
+		return out // nothing ready: the queue stays as it is
+	}
 	kept := d.respQ[:0]
+	next := tilelink.NoEvent
 	for _, r := range d.respQ {
 		if r.readyAt <= now {
 			out = append(out, r.resp) //skipit:ignore hotalloc scratch-buffer reuse; capacity persists across calls (see doc comment)
 		} else {
 			kept = append(kept, r) //skipit:ignore hotalloc filter-in-place reslice of respQ; never exceeds the original backing array
+			next = min(next, r.readyAt)
 		}
 	}
 	d.respQ = kept
 	d.respScratch = out
+	d.respNext = next
 	return out
 }
 
 func (d *DCache) respond(at int64, r Resp) {
 	d.respQ = append(d.respQ, timedResp{resp: r, readyAt: at}) //skipit:ignore hotalloc respQ depth is bounded by outstanding requests (ROB-limited); append reuses its backing after warmup
+	d.respNext = min(d.respNext, at)
 }
 
 // Tick advances the data cache one cycle: ingest TL-D and TL-B, run the

@@ -140,6 +140,10 @@ func (c *Cache) PokeDropRootReleaseRaceData(on bool) { c.bugDropRaceWB = on }
 // disagrees with the MSHR states.
 func (c *Cache) PokeBusyMSHRs(flip uint64) { c.busy ^= flip }
 
+// PokeEvicting flips the evicting-mask bits set in flip, bypassing the
+// MSHRs. Test-only, like PokeBusyMSHRs.
+func (c *Cache) PokeEvicting(flip uint64) { c.evicting ^= flip }
+
 // PokeDirty force-writes the dirty bit, bypassing the protocol.
 func (c *Cache) PokeDirty(addr uint64, dirty bool) bool {
 	l := c.lookup(addr &^ (c.cfg.LineBytes - 1))

@@ -179,6 +179,15 @@ type Cache struct {
 	// ascending index order; retryListBuffer sets a bit and release clears
 	// it, and sim.CheckInvariants holds the mask against the states.
 	busy uint64
+	// lines[i] holds the lines MSHR i makes busy: its own while its busy
+	// bit is set, and its victim's while its evicting bit is set (states
+	// msEvictProbe and msEvictMemWrite). lineBusy and mshrFor read these
+	// instead of the MSHRs, so a buffered request stalled on a busy line
+	// costs a few compares a cycle. They change only when an MSHR is taken,
+	// freed, enters an eviction or leaves one; sim.CheckInvariants holds
+	// them against the MSHRs.
+	lines    []busyLines
+	evicting uint64
 	// listBuffer holds TL-C and TL-A requests that arrived while their
 	// line had an active MSHR or no MSHR was free (ListBuffer in Fig. 4).
 	listBuffer []buffered
@@ -204,6 +213,10 @@ type Cache struct {
 	// set (a linear-scan slice: the ListBuffer is small and bounded), kept
 	// across cycles so the hot loop does not allocate.
 	blockedScratch []uint64
+}
+
+type busyLines struct {
+	addr, victim uint64
 }
 
 type buffered struct {
@@ -241,6 +254,7 @@ func New(cfg Config, ports []*tilelink.ClientPort, m *mem.Memory) *Cache {
 		ports: ports,
 		mem:   m,
 		mshrs: make([]mshr, cfg.NumMSHRs),
+		lines: make([]busyLines, cfg.NumMSHRs),
 		outB:  make([][]tilelink.Msg, cfg.NumClients),
 		outD:  make([][]tilelink.Msg, cfg.NumClients),
 		ctr:   newL2Counters(reg, "l2"),
@@ -405,6 +419,31 @@ func (c *Cache) CountBusyMSHRs() uint64 {
 	return mask
 }
 
+// CheckBusyLines holds the busy-line table that lineBusy and mshrFor read
+// against the MSHRs, for the invariant checker.
+func (c *Cache) CheckBusyLines() error {
+	if c.evicting&^c.busy != 0 {
+		return fmt.Errorf("evicting mask %#x marks free MSHRs (busy %#x)", c.evicting, c.busy)
+	}
+	for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1) {
+		m := &c.mshrs[i]
+		if c.lines[i].addr != m.addr {
+			return fmt.Errorf("mshr %d holds %#x, its busy line says %#x", i, m.addr, c.lines[i].addr)
+		}
+		evicting := m.state == msEvictProbe || m.state == msEvictMemWrite
+		if got := c.evicting&(1<<i) != 0; got != evicting {
+			return fmt.Errorf("mshr %d in state %d, evicting bit %v", i, m.state, got)
+		}
+		if evicting {
+			v := c.frame(m.victimSet, m.victimWay)
+			if victim := c.addrOf(m.victimSet, v.tag); !v.valid || c.lines[i].victim != victim {
+				return fmt.Errorf("mshr %d evicts %#x (valid %v), its busy victim says %#x", i, victim, v.valid, c.lines[i].victim)
+			}
+		}
+	}
+	return nil
+}
+
 // NextEvent returns the earliest cycle after now at which the cache can
 // change state without an incoming message: staged SourceB/SourceD messages
 // drain every cycle, buffered requests retry once their tag-pipeline delay
@@ -464,6 +503,8 @@ func (c *Cache) Reset() {
 		c.mshrs[i] = mshr{}
 	}
 	c.busy = 0
+	c.evicting = 0
+	clear(c.lines)
 	c.listBuffer = c.listBuffer[:0]
 	c.poisoned = nil
 	for cl := range c.outB {

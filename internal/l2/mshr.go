@@ -95,16 +95,18 @@ func (c *Cache) freeMSHR(now int64) int {
 
 // release frees m and clears its busy bit.
 func (c *Cache) release(m *mshr) {
-	c.busy &^= 1 << c.mshrIndex(m)
+	i := c.mshrIndex(m)
+	c.busy &^= 1 << i
+	c.evicting &^= 1 << i
 	*m = mshr{}
 }
 
 // mshrFor returns the active MSHR transacting on addr's line, if any. L2
 // serializes transactions per line.
 func (c *Cache) mshrFor(addr uint64) *mshr {
-	for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1) {
-		if m := &c.mshrs[i]; m.addr == addr {
-			return m
+	for b := c.busy; b != 0; b &= b - 1 {
+		if i := bits.TrailingZeros64(b); c.lines[i].addr == addr {
+			return &c.mshrs[i]
 		}
 	}
 	return nil
@@ -112,18 +114,15 @@ func (c *Cache) mshrFor(addr uint64) *mshr {
 
 // lineBusy reports whether addr's line is under an active transaction,
 // either directly or as the victim of an in-flight eviction; buffered
-// requests for it must wait.
+// requests for it must wait. It reads the busy-line table, not the MSHRs.
 func (c *Cache) lineBusy(addr uint64) bool {
-	for i := c.nextBusy(0); i >= 0; i = c.nextBusy(i + 1) {
-		m := &c.mshrs[i]
-		if m.addr == addr {
+	for b := c.busy; b != 0; b &= b - 1 {
+		if c.lines[bits.TrailingZeros64(b)].addr == addr {
 			return true
 		}
-		if m.state != msEvictProbe && m.state != msEvictMemWrite {
-			continue
-		}
-		v := c.frame(m.victimSet, m.victimWay)
-		if v.valid && c.addrOf(m.victimSet, v.tag) == addr {
+	}
+	for b := c.evicting; b != 0; b &= b - 1 {
+		if c.lines[bits.TrailingZeros64(b)].victim == addr {
 			return true
 		}
 	}
@@ -169,6 +168,11 @@ func (c *Cache) startAcquire(now int64, m *mshr) {
 			m.victimSet, m.victimWay = set, way
 			m.hasVictim = true
 			victimAddr := c.addrOf(set, v.tag)
+			// The eviction makes the victim's line busy until
+			// submitMemRead ends it.
+			i := c.mshrIndex(m)
+			c.evicting |= 1 << i
+			c.lines[i].victim = victimAddr
 			// Inclusive policy: revoke all client copies of the
 			// victim before dropping it (§3.4).
 			probed := false
@@ -357,7 +361,9 @@ func (c *Cache) finishEvict(now int64, m *mshr) {
 // controller is busy).
 func (c *Cache) submitMemRead(now int64, m *mshr) {
 	m.state = msMemRead
-	if c.mem.Submit(now, mem.Request{Kind: mem.Read, Addr: m.addr, Tag: c.mshrIndex(m), Txn: m.txn}) {
+	i := c.mshrIndex(m)
+	c.evicting &^= 1 << i // any eviction is over: the victim is gone
+	if c.mem.Submit(now, mem.Request{Kind: mem.Read, Addr: m.addr, Tag: i, Txn: m.txn}) {
 		c.ctr.memReads.Inc()
 		m.memSubmitted = true
 	} else {

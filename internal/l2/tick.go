@@ -309,6 +309,7 @@ func (c *Cache) retryListBuffer(now int64) {
 			continue
 		}
 		c.busy |= 1 << free
+		c.lines[free].addr = b.msg.Addr
 		m := &c.mshrs[free]
 		*m = mshr{state: msStart, addr: b.msg.Addr, client: b.client, since: now, txn: b.msg.Txn}
 		if b.msg.Op == tilelink.OpAcquireBlock {

@@ -48,6 +48,8 @@ func (c *acquireClient) Tick(now int64) {
 
 func (c *acquireClient) NextEvent(now int64) int64 {
 	switch {
+	case c.panicAt > now:
+		return c.panicAt // the scripted fault is an action of its own
 	case !c.sent && c.startAt > now:
 		return c.startAt
 	case !c.sent, c.granted && !c.acked:

@@ -13,11 +13,13 @@ import "skipit/internal/tilelink"
 // a TileLink delivery report no event of their own; the link's queued
 // readyAt covers the wake-up.
 //
-// When the minimum over all components lies strictly beyond the next cycle
-// to be ticked, every cycle in between is provably a no-op: ticking them
-// would change no architectural state, no metric, and no trace. FastForward
-// advances the clock over that window in O(1) instead of ticking through
-// it, clamped so that no armed observation point is skipped:
+// The same contract gives each part of the SoC a cached wake cycle
+// (wake.go), so Step ticks only the parts that can act. When the earliest
+// wake lies strictly beyond the next cycle to be ticked, every cycle in
+// between is provably a no-op for the whole SoC: ticking them would change
+// no architectural state, no metric, and no trace. FastForward advances the
+// clock over that window in one jump instead of ticking through it, clamped
+// so that no armed observation point is skipped:
 //
 //   - the sampler's next interval boundary (it must sample there),
 //   - the watchdog's trip cycle (the hang must be reported at the same
@@ -31,48 +33,54 @@ import "skipit/internal/tilelink"
 
 // SetFastForward enables or disables next-event fast-forwarding. It is on
 // by default; turning it off forces single-stepping through idle windows,
-// the reference the fast-forward equivalence tests compare against.
-func (s *System) SetFastForward(on bool) { s.fastForward = on }
+// and every Step then ticks every part: the reference the fast-forward
+// equivalence tests compare against.
+func (s *System) SetFastForward(on bool) {
+	s.fastForward = on
+	s.wakeAll = true
+}
 
 // SkippedCycles returns the total number of cycles the fast-forward clock
 // has skipped.
 func (s *System) SkippedCycles() uint64 { return s.ctrSkipped.Value() }
 
-// nextEventCycle folds every component's NextEvent into the earliest cycle
-// anything in the SoC can act. last is the most recently ticked cycle.
-// Components are queried busiest-first (cores, or on a bare system its
-// clients) and the fold (fold.go) bails out as soon as the floor (last+1,
-// nothing skippable) is reached, so on cycles with no idle window the scan
-// usually stops at the first requester.
-//
-//skipit:hotpath
-func (s *System) nextEventCycle(last int64) int64 {
-	next := foldNextAll(last, tilelink.NoEvent, s.Cores)
-	next = foldNextAll(last, next, s.clients)
-	next = foldNextAll(last, next, s.L1s)
-	next = foldNext(last, next, s.L2)
-	next = foldNextAll(last, next, s.ports)
-	next = foldNext(last, next, s.Mem)
-	return next
-}
-
 // FastForward advances the clock over a provably idle window, if one exists.
 // It must be called between Steps (the components were last ticked at
-// Now()-1). The clock lands on the earliest of: the next component event,
-// the sampler's next interval boundary, the watchdog's trip cycle, and any
-// caller-provided limits. Returns the number of cycles skipped (0 when the
-// next cycle is not skippable or fast-forwarding is off).
+// Now()-1). The clock lands on the earliest of: the smallest cached part
+// wake (wake.go), the sampler's next interval boundary, the watchdog's trip
+// cycle, and any caller-provided limits. When the next cycle to tick is a
+// caller limit, every part ticks on it. Returns the number of cycles
+// skipped (0 when the next cycle is not skippable or fast-forwarding is
+// off).
 //
 //skipit:hotpath
 func (s *System) FastForward(limits ...int64) int64 {
 	if !s.fastForward {
 		return 0
 	}
-	next := s.nextEventCycle(s.now - 1)
+	var skipped int64
+	if next := s.clamp(s.nextWake(), limits); next > s.now && next < tilelink.NoEvent {
+		skipped = next - s.now
+		s.now = next
+		s.ctrSkipped.Add(uint64(skipped))
+	}
+	for _, l := range limits {
+		if l == s.now {
+			s.wakeAll = true
+		}
+	}
+	return skipped
+}
+
+// clamp lowers next, the earliest part wake, to the first armed observation
+// point after the last ticked cycle.
+//
+//skipit:hotpath
+func (s *System) clamp(next int64, limits []int64) int64 {
 	if next <= s.now {
 		// Something can act next cycle; the clamps below only ever lower
 		// next, so bail before computing them.
-		return 0
+		return next
 	}
 	if s.sampler != nil {
 		// The sampler fires whenever a ticked cycle is a multiple of its
@@ -82,33 +90,16 @@ func (s *System) FastForward(limits ...int64) int64 {
 		if r := b % iv; r != 0 {
 			b += iv - r
 		}
-		if b < next {
-			next = b
-		}
+		next = min(next, b)
 	}
 	if s.wdLimit > 0 {
 		// StepGuarded trips after ticking cycle c when c+1-wdLastChange >=
 		// wdLimit; the first such c must be ticked, not skipped, so the
 		// trip cycle and reported window match single-stepping exactly.
-		if d := s.wdLastChange + s.wdLimit - 1; d < next {
-			next = d
-		}
+		next = min(next, s.wdLastChange+s.wdLimit-1)
 	}
 	for _, l := range limits {
-		if l < next {
-			next = l
-		}
+		next = min(next, l)
 	}
-	if next >= tilelink.NoEvent {
-		// Fully idle with no armed clamp: there is no meaningful cycle to
-		// land on; leave the clock alone and let the caller's loop decide.
-		return 0
-	}
-	if next <= s.now {
-		return 0
-	}
-	skipped := next - s.now
-	s.now = next
-	s.ctrSkipped.Add(uint64(skipped))
-	return skipped
+	return next
 }

@@ -42,6 +42,27 @@ func fourCoreMix() []*isa.Program {
 	return []*isa.Program{p0, p1, p2, p3}
 }
 
+// eightCoreMix gives each of eight cores its own store burst and CBO
+// passes, a fence that stalls on the flush unit's drain, an idle stretch of
+// its own length, and loads, stores and AMOs on lines the cores share. So the
+// tiles sleep and wake at different cycles, probes cross between them, and
+// drain stalls run across sampler boundaries and idle windows.
+func eightCoreMix() []*isa.Program {
+	progs := make([]*isa.Program, 8)
+	for c := range progs {
+		base := uint64(0x10000 * (c + 1))
+		shared := uint64(0x80000 + 64*(c%3))
+		b := isa.NewBuilder().
+			StoreRegion(base, uint64(4+c)*64, 64, uint64(c+1)).
+			CboRegion(base, uint64(4+c)*64, 64, c%2 == 0).Fence().
+			Nops(30*c).
+			Load(shared).Store(shared+8, uint64(c)).AmoAdd(0x80100, 1).
+			CboFlush(shared).Nops(50).Load(base).Fence()
+		progs[c] = b.Build()
+	}
+	return progs
+}
+
 // runWorkload runs progs on a fresh system with the given clock mode and
 // returns the system and its finish cycle.
 func runWorkload(t *testing.T, progs []*isa.Program, fastForward bool, sampleEvery int64) (*System, int64) {
@@ -61,23 +82,62 @@ func runWorkload(t *testing.T, progs []*isa.Program, fastForward bool, sampleEve
 	return s, cycle
 }
 
+// runGuarded is runWorkload stepping under the watchdog, as the chaos
+// runner does: StepGuarded, then FastForward clamped to the cycle limit.
+func runGuarded(t *testing.T, progs []*isa.Program, fastForward bool, sampleEvery, watchdog int64) (*System, int64) {
+	t.Helper()
+	s := New(DefaultConfig(len(progs)))
+	s.SetFastForward(fastForward)
+	s.EnableSampling(sampleEvery)
+	s.ArmWatchdog(watchdog)
+	for i, p := range progs {
+		s.Cores[i].SetProgram(p)
+	}
+	const limit = 1_000_000
+	for !(s.Done() && s.Quiescent()) {
+		if s.Now() >= limit {
+			t.Fatal("runaway")
+		}
+		if err := s.StepGuarded(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Done() && s.Quiescent() {
+			break
+		}
+		s.FastForward(limit)
+	}
+	return s, s.Now()
+}
+
 // TestFastForwardEquivalence: every observable — finish cycle, final clock,
 // every counter, every sampled series point — must be identical with the
 // next-event clock on and off. Only sim.skipped_cycles (the clock's own
-// odometer) may differ.
+// odometer) may differ. The eight-core row steps under the watchdog with a
+// short sampler interval, so the tiles' wakes meet every clamp.
 func TestFastForwardEquivalence(t *testing.T) {
 	cases := []struct {
 		name        string
 		progs       func() []*isa.Program
 		sampleEvery int64
+		watchdog    int64 // >0: step under the watchdog (runGuarded)
 	}{
-		{"two-core idle-heavy", ffWorkload, 100},
-		{"four-core shared-line mix", fourCoreMix, 50},
+		{"two-core idle-heavy", ffWorkload, 100, 0},
+		{"four-core shared-line mix", fourCoreMix, 50, 0},
+		{"eight-core tiles under sampler and watchdog", eightCoreMix, 7, 3_000},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			sFF, cycFF := runWorkload(t, c.progs(), true, c.sampleEvery)
-			sSlow, cycSlow := runWorkload(t, c.progs(), false, c.sampleEvery)
+			run := func(ff bool) (*System, int64) {
+				if c.watchdog > 0 {
+					return runGuarded(t, c.progs(), ff, c.sampleEvery, c.watchdog)
+				}
+				return runWorkload(t, c.progs(), ff, c.sampleEvery)
+			}
+			sFF, cycFF := run(true)
+			sSlow, cycSlow := run(false)
 			if cycFF != cycSlow {
 				t.Fatalf("finish cycle differs: ff=%d slow=%d", cycFF, cycSlow)
 			}
@@ -86,6 +146,9 @@ func TestFastForwardEquivalence(t *testing.T) {
 			}
 			if sFF.SkippedCycles() == 0 {
 				t.Fatal("fast-forward clock skipped nothing on a workload with idle stretches")
+			}
+			if n := uint64(len(sFF.Cores)); sFF.TileTicks() >= n*(uint64(sFF.Now())-sFF.SkippedCycles()) {
+				t.Fatalf("%d tile ticks over %d ticked cycles: no tile ever slept", sFF.TileTicks(), uint64(sFF.Now())-sFF.SkippedCycles())
 			}
 			assertSameObservables(t, sFF, sSlow)
 		})

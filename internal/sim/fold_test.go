@@ -24,7 +24,15 @@ func (c *countingEvent) NextEvent(last int64) int64 {
 	return c.at
 }
 
-func TestFoldNextAll(t *testing.T) {
+// foldChain folds srcs one foldNext at a time, as tileNext and hubNext do.
+func foldChain[T eventSource](last, next int64, srcs []T) int64 {
+	for _, s := range srcs {
+		next = foldNext(last, next, s)
+	}
+	return next
+}
+
+func TestFoldChain(t *testing.T) {
 	cases := []struct {
 		name string
 		last int64
@@ -45,8 +53,8 @@ func TestFoldNextAll(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := foldNextAll(tc.last, tc.next, tc.srcs); got != tc.want {
-				t.Fatalf("foldNextAll(last=%d, next=%d, %v) = %d, want %d",
+			if got := foldChain(tc.last, tc.next, tc.srcs); got != tc.want {
+				t.Fatalf("fold(last=%d, next=%d, %v) = %d, want %d",
 					tc.last, tc.next, tc.srcs, got, tc.want)
 			}
 		})
@@ -78,11 +86,11 @@ func TestFoldNextSingle(t *testing.T) {
 }
 
 func TestFoldBailsAtFloor(t *testing.T) {
-	// Once a source reports at or below the floor, the rest of the slice
-	// must not be queried, and chained folds must short-circuit.
+	// Once a source reports at or below the floor, the rest of the chain
+	// must not be queried.
 	early := &countingEvent{at: 11} // floor for last=10
 	late := &countingEvent{at: 99}
-	got := foldNextAll(10, tilelink.NoEvent, []*countingEvent{early, late})
+	got := foldChain(10, tilelink.NoEvent, []*countingEvent{early, late})
 	if got != 11 {
 		t.Fatalf("fold = %d, want floor 11", got)
 	}
@@ -92,22 +100,31 @@ func TestFoldBailsAtFloor(t *testing.T) {
 	if foldNext(10, got, late) != 11 || late.calls != 0 {
 		t.Fatalf("chained foldNext at floor queried its source")
 	}
-	if foldNextAll(10, got, []*countingEvent{late}) != 11 || late.calls != 0 {
-		t.Fatalf("chained foldNextAll at floor queried its source")
-	}
 }
 
-// TestFoldMatchesSystem pins the refactored System.nextEventCycle to the
-// fold helpers on a live system: the fold of an idle multi-core SoC must
-// land strictly beyond now, and a busy one at the floor.
-func TestFoldMatchesSystem(t *testing.T) {
+// TestWakesMatchSystem pins the part wakes to the fold on a live system: an
+// idle multi-core SoC has no wake at all, and a busy one wakes at the floor.
+func TestWakesMatchSystem(t *testing.T) {
 	s := New(DefaultConfig(2))
-	// Freshly built and empty: nothing can act, so the fold reports NoEvent.
-	if got := s.nextEventCycle(s.Now() - 1); got < tilelink.NoEvent {
-		t.Fatalf("idle system nextEventCycle = %d, want >= NoEvent", got)
+	s.Step() // the first step ticks every part and refreshes every wake
+	// Freshly built and empty: nothing can act, so no part has a wake.
+	if got := s.nextWake(); got < tilelink.NoEvent {
+		t.Fatalf("idle system nextWake = %d, want >= NoEvent", got)
+	}
+	for i := range s.Cores {
+		if got := s.tileNext(i, s.Now()-1); got < tilelink.NoEvent {
+			t.Fatalf("idle tile %d wake = %d, want >= NoEvent", i, got)
+		}
+	}
+	if got := s.hubNext(s.Now() - 1); got < tilelink.NoEvent {
+		t.Fatalf("idle hub wake = %d, want >= NoEvent", got)
 	}
 	s.Cores[0].SetProgram(isa.NewBuilder().Load(0x100).Build())
-	if got, want := s.nextEventCycle(s.Now()-1), s.Now(); got != want {
-		t.Fatalf("busy system nextEventCycle = %d, want floor %d", got, want)
+	s.Step()
+	if got, want := s.nextWake(), s.Now(); got != want {
+		t.Fatalf("busy system nextWake = %d, want floor %d", got, want)
+	}
+	if got := s.tileWake[1]; got < tilelink.NoEvent {
+		t.Fatalf("idle tile 1 beside a busy tile 0 wakes at %d, want >= NoEvent", got)
 	}
 }

@@ -77,28 +77,37 @@ func (s *System) CheckInvariants() error {
 	}
 
 	// Flush counter accounting (§5.2): pending count equals queued plus
-	// FSHR-resident requests.
+	// FSHR-resident requests; and the pre-ack mask Tick and flush_rdy read
+	// has a bit set exactly for each FSHR not yet at root_release_ack.
 	for i, d := range s.L1s {
 		u := d.FlushUnit()
 		if u.PendingCount() != u.QueueLen()+u.ActiveFSHRs() {
 			return fmt.Errorf("flush counter: l1[%d] counter=%d queue=%d fshrs=%d",
 				i, u.PendingCount(), u.QueueLen(), u.ActiveFSHRs())
 		}
+		if got, want := u.PreAckFSHRs(), u.CountPreAckFSHRs(); got != want {
+			return fmt.Errorf("flush pre-ack accounting: flush[%d] mask=%#x, fshr states give %#x", i, got, want)
+		}
 	}
 
-	// LSU accounting: the waiting-load count that gates the core's issue
-	// walk equals the loads actually waiting in its ROB.
+	// LSU accounting: the waiting-load list that issue and NextEvent read
+	// instead of the ROB holds exactly the ROB's waiting loads, and the
+	// settled mark passes only finished entries.
 	for i, c := range s.Cores {
-		if got, want := c.WaitingLoads(), c.CountWaitingLoads(); got != want {
-			return fmt.Errorf("lsu accounting: core[%d] waiting-load count=%d, rob holds %d", i, got, want)
+		if err := c.CheckQueues(); err != nil {
+			return fmt.Errorf("lsu accounting: core[%d] %v", i, err)
 		}
 	}
 
 	// L1 MSHR accounting: the active-MSHR count that gates every walk over
-	// an L1's MSHRs equals the MSHRs actually holding a miss.
+	// an L1's MSHRs equals the MSHRs actually holding a miss; and the cached
+	// earliest response cycle equals its queue's.
 	for i, d := range s.L1s {
 		if got, want := d.ActiveMSHRs(), d.CountActiveMSHRs(); got != want {
 			return fmt.Errorf("l1 mshr accounting: l1[%d] active-MSHR count=%d, mshr states give %d", i, got, want)
+		}
+		if err := d.CheckResponseQueue(); err != nil {
+			return fmt.Errorf("l1 response accounting: l1[%d] %v", i, err)
 		}
 	}
 
@@ -106,6 +115,12 @@ func (s *System) CheckInvariants() error {
 	// L2's MSHRs has a bit set exactly for each MSHR holding a transaction.
 	if got, want := s.L2.BusyMSHRs(), s.L2.CountBusyMSHRs(); got != want {
 		return fmt.Errorf("l2 mshr accounting: busy mask=%#x, mshr states give %#x", got, want)
+	}
+
+	// L2 busy lines: the table lineBusy and mshrFor read names each busy
+	// MSHR's line and each evicting MSHR's victim.
+	if err := s.L2.CheckBusyLines(); err != nil {
+		return fmt.Errorf("l2 busy lines: %v", err)
 	}
 	return nil
 }

@@ -99,10 +99,36 @@ func TestMutationFlushCounter(t *testing.T) {
 	wantViolation(t, s, "flush counter")
 }
 
-func TestMutationWaitingLoadCount(t *testing.T) {
-	s := mutationSystem(t, 1)
-	s.Cores[0].PokeWaitingLoads(1)
-	wantViolation(t, s, "lsu accounting")
+// lsuSystem stops a core mid-program, with loads waiting behind a fence
+// and stores ahead of them, so the waiting-load list and the settled mark
+// have entries to corrupt.
+func lsuSystem(t *testing.T) *System {
+	t.Helper()
+	s := New(DefaultConfig(1))
+	s.Cores[0].SetProgram(isa.NewBuilder().
+		Store(0x1000, 1).Store(0x2000, 2).Fence().
+		Load(0x3000).Load(0x4000).Store(0x5000, 3).Build())
+	for i := 0; i < 3; i++ {
+		if err := s.StepChecked(); err != nil {
+			t.Fatalf("legal state flagged before mutation: %v", err)
+		}
+	}
+	return s
+}
+
+func TestMutationLSULists(t *testing.T) {
+	t.Run("waiting-load list", func(t *testing.T) {
+		s := lsuSystem(t)
+		if !s.Cores[0].PokeDropWaitingLoad() {
+			t.Fatal("no waiting load to drop")
+		}
+		wantViolation(t, s, "lsu accounting")
+	})
+	t.Run("settled mark", func(t *testing.T) {
+		s := lsuSystem(t)
+		s.Cores[0].PokeSettled(1)
+		wantViolation(t, s, "lsu accounting")
+	})
 }
 
 func TestMutationL1ActiveMSHRCount(t *testing.T) {
@@ -117,4 +143,43 @@ func TestMutationL2BusySet(t *testing.T) {
 	// MSHR holds (a missing bit would skip advanceMSHRs for a live one).
 	s.L2.PokeBusyMSHRs(1 << 3)
 	wantViolation(t, s, "l2 mshr accounting")
+}
+
+func TestMutationFlushPreAckMask(t *testing.T) {
+	s := mutationSystem(t, 1)
+	// Every FSHR is free after the run; a set bit would have Tick step an
+	// idle FSHR and hold flush_rdy low.
+	s.L1s[0].FlushUnit().PokePreAckFSHRs(1 << 2)
+	wantViolation(t, s, "flush pre-ack accounting")
+}
+
+func TestMutationL1ResponseCache(t *testing.T) {
+	s := mutationSystem(t, 1)
+	// The queue is empty after the run; a cached earliest response would
+	// wake the tile for nothing, and a late one would starve the core.
+	s.L1s[0].PokeRespNext(s.Now() + 5)
+	wantViolation(t, s, "l1 response accounting")
+}
+
+func TestMutationL2BusyLines(t *testing.T) {
+	t.Run("evicting bit on a free MSHR", func(t *testing.T) {
+		s := mutationSystem(t, 1)
+		s.L2.PokeEvicting(1 << 5)
+		wantViolation(t, s, "l2 busy lines")
+	})
+	t.Run("evicting bit on an MSHR that is not evicting", func(t *testing.T) {
+		s := New(DefaultConfig(1))
+		s.Cores[0].SetProgram(isa.NewBuilder().Load(0x1000).Build())
+		for s.L2.BusyMSHRs() == 0 {
+			if s.Now() > 1_000 {
+				t.Fatal("the load never reached the L2")
+			}
+			if err := s.StepChecked(); err != nil {
+				t.Fatalf("legal state flagged before mutation: %v", err)
+			}
+		}
+		busy := s.L2.BusyMSHRs()
+		s.L2.PokeEvicting(busy & -busy)
+		wantViolation(t, s, "l2 busy lines")
+	})
 }

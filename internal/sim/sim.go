@@ -9,6 +9,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"skipit/internal/boom"
@@ -82,6 +83,14 @@ type System struct {
 	fastForward bool
 	ctrSkipped  *metrics.Counter
 
+	// Per-part wake cycles (see wake.go): tileWake[i] for tile i, hubWake
+	// for the hub. Step ticks a part only when its wake has come, or every
+	// part when wakeAll is set. tileTicks and hubTicks count the tick calls.
+	tileWake            []int64
+	hubWake             int64
+	wakeAll             bool
+	tileTicks, hubTicks uint64
+
 	// hostNanos accumulates wall-clock time spent inside Run, for
 	// the host-throughput figures in Snapshot. Host time never enters the
 	// sweep records — they would stop being host-independent.
@@ -114,14 +123,21 @@ func NewBare(cfg Config) *System {
 	if cfg.NumCores <= 0 {
 		panic("sim: need at least one core")
 	}
-	s := &System{cfg: cfg, reg: metrics.NewRegistry(), fastForward: true, txns: &trace.TxnSeq{}}
+	s := &System{cfg: cfg, reg: metrics.NewRegistry(), fastForward: true, txns: &trace.TxnSeq{}, wakeAll: true}
 	memCfg := cfg.Mem
 	memCfg.Metrics = s.reg
 	s.Mem = mem.New(memCfg)
 	s.ports = make([]*tilelink.ClientPort, cfg.NumCores)
+	s.tileWake = make([]int64, cfg.NumCores)
 	for i := range s.ports {
-		s.ports[i] = tilelink.NewClientPort(
+		p := tilelink.NewClientPort(
 			fmt.Sprintf("l1[%d]<->l2", i), cfg.BeatBytes, cfg.L1.LineBytes, cfg.LinkLatency)
+		p.B.SetWake(&s.tileWake[i])
+		p.D.SetWake(&s.tileWake[i])
+		p.A.SetWake(&s.hubWake)
+		p.C.SetWake(&s.hubWake)
+		p.E.SetWake(&s.hubWake)
+		s.ports[i] = p
 	}
 	l2cfg := cfg.L2
 	l2cfg.NumClients = cfg.NumCores
@@ -159,6 +175,7 @@ func New(cfg Config) *System {
 		coreCfg := cfg.Core
 		coreCfg.Metrics = s.reg
 		s.Cores[i] = boom.New(coreCfg, i, s.L1s[i])
+		s.Cores[i].SetWakeAll(&s.wakeAll)
 	}
 	return s
 }
@@ -173,6 +190,7 @@ func (s *System) Attach(clients ...Client) {
 		panic(fmt.Sprintf("sim: %d clients for %d ports", len(clients), len(s.ports)))
 	}
 	s.clients = clients
+	s.wakeAll = true
 }
 
 // Ports returns the per-core TileLink bundles, for fault-injection wiring and
@@ -225,25 +243,56 @@ func (s *System) FlightRecorder() *trace.Recorder { return s.recorder }
 // Now returns the current cycle.
 func (s *System) Now() int64 { return s.now }
 
-// Step advances the whole SoC by one cycle, ticking DRAM, the L2, every L1,
-// every core and then every attached client, so a message sent at cycle t
-// is visible to its consumer no earlier than t+1.
+// Step advances the SoC by one cycle, ticking DRAM, the L2, the L1s, the
+// cores and then the attached clients, so a message sent at cycle t is
+// visible to its consumer no earlier than t+1. With the fast-forward clock
+// on, only the parts whose wake cycle has come tick (wake.go); with it off,
+// every part ticks, the reference the equivalence tests compare against.
 //
 //skipit:hotpath
 func (s *System) Step() {
-	s.Mem.Tick(s.now) //skipit:ignore hotalloc mem.Tick queue appends reuse steady-state capacity; the CI alloc gate enforces zero steady-state allocs
-	s.L2.Tick(s.now)
-	for _, d := range s.L1s {
-		d.Tick(s.now)
+	now := s.now
+	// due is the latest wake that ticks this cycle: now, or every part.
+	due := now
+	if !s.fastForward || s.wakeAll || s.clampCycle(now) {
+		due = math.MaxInt64
+		s.wakeAll = false
 	}
-	for _, c := range s.Cores {
-		c.Tick(s.now)
+	if s.hubWake <= due {
+		s.Mem.Tick(now) //skipit:ignore hotalloc mem.Tick queue appends reuse steady-state capacity; the CI alloc gate enforces zero steady-state allocs
+		s.L2.Tick(now)
+		s.hubTicks++
+		if s.fastForward {
+			s.hubWake = s.hubNext(now)
+		}
 	}
-	for _, c := range s.clients {
-		c.Tick(s.now)
+	for i, d := range s.L1s {
+		if s.tileWake[i] <= due {
+			d.Tick(now)
+		}
+	}
+	for i, c := range s.Cores {
+		if s.tileWake[i] <= due {
+			c.Tick(now)
+		}
+	}
+	for i, c := range s.clients {
+		if s.tileWake[i] <= due {
+			c.Tick(now)
+		}
+	}
+	// A tile's wake is refreshed only after all tiles tick: no tile sends
+	// to another, and the hub, the only sender on B and D, ticked first.
+	for i, w := range s.tileWake {
+		if w <= due {
+			s.tileTicks++
+			if s.fastForward {
+				s.tileWake[i] = s.tileNext(i, now)
+			}
+		}
 	}
 	if s.sampler != nil {
-		s.sampler.Tick(s.now) //skipit:ignore hotalloc Sample allocates only on first observation of a key; steady-state samples are allocation-free
+		s.sampler.Tick(now) //skipit:ignore hotalloc Sample allocates only on first observation of a key; steady-state samples are allocation-free
 	}
 	s.now++
 }
@@ -351,4 +400,5 @@ func (s *System) Crash(drainADR bool) {
 	}
 	s.L2.Reset()
 	s.Mem.Crash(drainADR)
+	s.wakeAll = true
 }

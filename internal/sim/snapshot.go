@@ -64,6 +64,12 @@ func (s *System) Snapshot() metrics.Snapshot {
 	if r, ok := ratio(c["sim.skipped_cycles"], uint64(s.now)); ok && s.now > 0 {
 		snap.Derived["ff_skipped_cycle_ratio"] = r
 	}
+	// The wake clock's odometers (wake.go): how many tile and hub tick calls
+	// the run made. They are not registry counters, because only Step
+	// moves them: a driver that ticks the components itself leaves every
+	// registry counter as System.Run would.
+	snap.Derived["sim.tile_ticks"] = float64(s.tileTicks)
+	snap.Derived["sim.hub_ticks"] = float64(s.hubTicks)
 	if s.hostNanos > 0 && s.now > 0 {
 		snap.Derived["host_sim_cycles_per_sec"] = float64(s.now) / (float64(s.hostNanos) / 1e9)
 	}

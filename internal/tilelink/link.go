@@ -53,6 +53,9 @@ type Link struct {
 	head   int
 	chaos  Chaos  // nil unless a fault schedule is armed
 	events uint64 // successful Send+Recv count (watchdog progress signal)
+	// wake is the consumer's wake cycle, lowered by every Send to the
+	// message's arrival; nil unless a system ticks its parts by wake.
+	wake *int64
 }
 
 type inflight struct {
@@ -117,8 +120,12 @@ func (l *Link) Send(now int64, m Msg) bool {
 		l.q = l.q[:copy(l.q, l.q[l.head:])]
 		l.head = 0
 	}
-	l.q = append(l.q, inflight{msg: m, readyAt: now + beats + int64(l.Latency) + extra}) //skipit:ignore hotalloc queue growth is amortized, capacity is bounded by channel occupancy
+	at := now + beats + int64(l.Latency) + extra
+	l.q = append(l.q, inflight{msg: m, readyAt: at}) //skipit:ignore hotalloc queue growth is amortized, capacity is bounded by channel occupancy
 	l.events++
+	if l.wake != nil && at < *l.wake {
+		*l.wake = at
+	}
 	return true
 }
 
@@ -184,6 +191,11 @@ func (l *Link) NextEvent(now int64) int64 {
 
 // SetChaos installs (or, with nil, removes) the fault-injection hook.
 func (l *Link) SetChaos(c Chaos) { l.chaos = c }
+
+// SetWake points the link at its consumer's wake cycle (nil detaches it).
+// Every Send lowers *w to the message's arrival cycle, so a system that
+// ticks each part only at its wake never sleeps through a delivery.
+func (l *Link) SetWake(w *int64) { l.wake = w }
 
 // Events returns the cumulative count of successful sends and deliveries on
 // this link. The watchdog uses it as a cheap forward-progress signal: a

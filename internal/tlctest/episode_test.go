@@ -97,21 +97,30 @@ func TestEpisodeNoFaults(t *testing.T) {
 // must not jump ahead once the episode has ended, which would inflate the
 // final cycle count.
 func TestFastForwardEquivalence(t *testing.T) {
-	skipped := uint64(0)
-	for seed := int64(1); seed <= 200; seed++ {
-		s := BuildScript(DefaultParams(seed))
-		failFF, stFF := runScript(s, true, nil)
-		failSlow, stSlow := runScript(s, false, nil)
-		if stSlow.Skipped != 0 {
-			t.Fatalf("seed %d: clock off skipped %d cycles", seed, stSlow.Skipped)
+	// Six agents leave most tiles asleep while a few trade probes.
+	for _, agents := range []int{3, 6} {
+		episodes := int64(200)
+		if agents == 6 {
+			episodes = 60
 		}
-		skipped += stFF.Skipped
-		stFF.Skipped = 0
-		if v1, v2 := verdict(t, failFF, stFF), verdict(t, failSlow, stSlow); v1 != v2 {
-			t.Fatalf("seed %d: fast-forward changed the episode:\nff:   %s\nslow: %s", seed, v1, v2)
+		skipped := uint64(0)
+		for seed := int64(1); seed <= episodes; seed++ {
+			p := DefaultParams(seed)
+			p.Agents = agents
+			s := BuildScript(p)
+			failFF, stFF := runScript(s, true, nil)
+			failSlow, stSlow := runScript(s, false, nil)
+			if stSlow.Skipped != 0 {
+				t.Fatalf("%d agents, seed %d: clock off skipped %d cycles", agents, seed, stSlow.Skipped)
+			}
+			skipped += stFF.Skipped
+			stFF.Skipped = 0
+			if v1, v2 := verdict(t, failFF, stFF), verdict(t, failSlow, stSlow); v1 != v2 {
+				t.Fatalf("%d agents, seed %d: fast-forward changed the episode:\nff:   %s\nslow: %s", agents, seed, v1, v2)
+			}
 		}
-	}
-	if skipped == 0 {
-		t.Fatal("the clock never skipped a cycle in 200 episodes")
+		if skipped == 0 {
+			t.Fatalf("the clock never skipped a cycle in %d episodes of %d agents", episodes, agents)
+		}
 	}
 }
