@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func h2() *Hierarchy { return New(DefaultConfig(2)) }
@@ -424,8 +425,8 @@ func TestGoldenOpStream(t *testing.T) {
 
 // TestNewRejectsBadGeometry: set indices and tags are shifts and masks, so
 // a geometry they cannot express must be refused at construction rather than
-// silently aliasing sets. A way count the arrays cannot hold (none, a
-// negative one, or more L1 ways than a directory entry can name) must be
+// silently aliasing sets. A way count a set cannot hold (none, a negative
+// one, or more than the 8 lanes of its tag word and LRU matrix) must be
 // refused too, rather than failing on the first miss.
 func TestNewRejectsBadGeometry(t *testing.T) {
 	for name, bad := range map[string]func(*Config){
@@ -434,9 +435,10 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 		"non-power-of-two L2Sets":    func(c *Config) { c.L2Sets = 1000 },
 		"zero L1Ways":                func(c *Config) { c.L1Ways = 0 },
 		"negative L1Ways":            func(c *Config) { c.L1Ways = -1 },
-		"256 L1Ways":                 func(c *Config) { c.L1Ways = 256 },
+		"9 L1Ways":                   func(c *Config) { c.L1Ways = 9 },
 		"zero L2Ways":                func(c *Config) { c.L2Ways = 0 },
 		"negative L2Ways":            func(c *Config) { c.L2Ways = -1 },
+		"9 L2Ways":                   func(c *Config) { c.L2Ways = 9 },
 	} {
 		cfg := DefaultConfig(2)
 		bad(&cfg)
@@ -451,7 +453,8 @@ func TestNewRejectsBadGeometry(t *testing.T) {
 	}
 	New(DefaultConfig(2))
 	cfg := DefaultConfig(2)
-	cfg.L1Sets, cfg.L1Ways = 1, 255
+	cfg.L1Sets, cfg.L1Ways = 1, 8
+	cfg.L2Sets, cfg.L2Ways = 1, 8
 	New(cfg).Access(0, 0, true)
 }
 
@@ -461,29 +464,36 @@ type l1Line struct{ valid, dirty, skip bool }
 // l1State returns the state of tid's L1 copy of addr's line; valid is false
 // when tid holds no copy.
 func (h *Hierarchy) l1State(tid int, addr uint64) l1Line {
-	i := h.findL1(tid, h.line(addr))
+	lineNo := h.line(addr)
+	i := h.findL1(h.l1Set(tid, lineNo), lineNo, fingerprints(lineNo))
 	if i < 0 {
 		return l1Line{}
 	}
 	return l1Line{valid: true, dirty: h.l1Dirty[i], skip: h.l1Skip[i]}
 }
 
+// l1Index returns the lane of way w of thread t's L1 set s.
+func (h *Hierarchy) l1Index(t, s, w int) int { return (t<<h.l1SetBits|s)<<laneBits | w }
+
+// l2Index returns the lane (the frame) of way w of L2 set s.
+func (h *Hierarchy) l2Index(s, w int) int { return s<<laneBits | w }
+
 // checkDirectory checks the L2 directory against the L1s: each valid L1
 // way's frame holds the way's line and records the way, and each recorded
 // way is valid and holds its frame's line. Inclusion follows: every valid
-// L1 line is in the L2.
+// L1 line is in the L2. It then checks every set's words (checkSets).
 func (h *Hierarchy) checkDirectory() error {
 	threads, ways := h.cfg.Threads, h.cfg.L1Ways
 	for t := 0; t < threads; t++ {
 		for set := 0; set < h.cfg.L1Sets; set++ {
 			for w := 0; w < ways; w++ {
-				i := t*h.l1Size + set*ways + w
+				i := h.l1Index(t, set, w)
 				if h.l1Key[i] == 0 {
 					continue
 				}
 				lineNo := (h.l1Key[i]-1)<<h.l1SetBits | uint64(set)
 				f := int(h.l1Frame[i])
-				if got := h.findL2(lineNo); got != f {
+				if got := h.findL2(lineNo, fingerprints(lineNo)); got != f {
 					return fmt.Errorf("thread %d L1 way %d holds line %#x and names frame %d, but the L2 holds it in frame %d",
 						t, i, lineNo, f, got)
 				}
@@ -494,18 +504,76 @@ func (h *Hierarchy) checkDirectory() error {
 			}
 		}
 	}
-	for f, key := range h.l2Key {
-		for t, w := range h.dir(f) {
-			if w == 0 {
-				continue
+	for set := 0; set < h.cfg.L2Sets; set++ {
+		for w2 := 0; w2 < h.cfg.L2Ways; w2++ {
+			f := h.l2Index(set, w2)
+			key := h.l2Key[f]
+			for t, w := range h.dir(f) {
+				if w == 0 {
+					continue
+				}
+				if key == 0 || int(w) > ways {
+					return fmt.Errorf("frame %d (key %d) records way %d for thread %d", f, key, int(w)-1, t)
+				}
+				lineNo := (key-1)<<h.l2SetBits | uint64(set)
+				if h.l1Key[h.l1Way(t, int(lineNo&h.l1SetMask), w)] != lineNo>>h.l1SetBits+1 {
+					return fmt.Errorf("frame %d records thread %d's way %d for line %#x, which that way does not hold",
+						f, t, int(w)-1, lineNo)
+				}
 			}
-			if key == 0 || int(w) > ways {
-				return fmt.Errorf("frame %d (key %d) records way %d for thread %d", f, key, int(w)-1, t)
-			}
-			lineNo := (key-1)<<h.l2SetBits | uint64(f/h.cfg.L2Ways)
-			if h.l1Key[h.l1Way(t, h.l1SetOff(lineNo), w)] != lineNo>>h.l1SetBits+1 {
-				return fmt.Errorf("frame %d records thread %d's way %d for line %#x, which that way does not hold",
-					f, t, int(w)-1, lineNo)
+		}
+	}
+	return h.checkSets()
+}
+
+// checkSets checks each set's tag word and LRU matrix against its lanes. A
+// valid way's tag byte is its line's fingerprint and an invalid way's is 0; a
+// filler lane's tag byte and LRU row hold their filler values; and the
+// matrix orders the valid ways strictly: of two valid ways, exactly one was
+// used after the other, no way after itself, and no real row names a
+// filler column, so the least recently used way's row reads zero.
+func (h *Hierarchy) checkSets() error {
+	for _, lv := range []struct {
+		name             string
+		keys, tags, lrus []uint64
+		ways             int
+		setBits          uint
+		setMask          uint64
+	}{
+		{"L1", h.l1Key, h.l1Tag, h.l1LRU, h.cfg.L1Ways, h.l1SetBits, h.l1SetMask},
+		{"L2", h.l2Key, h.l2Tag, h.l2LRU, h.cfg.L2Ways, h.l2SetBits, h.l2SetMask},
+	} {
+		mask := uint64(1)<<lv.ways - 1 // the real ways
+		for x, tag := range lv.tags {
+			row := func(w int) uint64 { return lv.lrus[x] >> (8 * w) & 0xff }
+			valid := func(w int) bool { return w < lv.ways && lv.keys[x<<laneBits|w] != 0 }
+			for w := 0; w <= laneMask; w++ {
+				want := uint64(0)
+				switch {
+				case w >= lv.ways:
+					want = fillerTag
+					if row(w) != 0xff&^mask {
+						return fmt.Errorf("%s set %d: filler lane %d has LRU row %#x, want %#x", lv.name, x, w, row(w), 0xff&^mask)
+					}
+				case valid(w):
+					lineNo := (lv.keys[x<<laneBits|w]-1)<<lv.setBits | uint64(x)&lv.setMask
+					want = fingerprints(lineNo) & 0xff
+				}
+				if got := tag >> (8 * w) & 0xff; got != want {
+					return fmt.Errorf("%s set %d: lane %d has tag byte %#x, want %#x", lv.name, x, w, got, want)
+				}
+				if !valid(w) {
+					continue
+				}
+				if row(w)&^mask != 0 || row(w)>>w&1 != 0 {
+					return fmt.Errorf("%s set %d: way %d has LRU row %#x", lv.name, x, w, row(w))
+				}
+				for j := 0; j < w; j++ {
+					if valid(j) && row(w)>>j&1 == row(j)>>w&1 {
+						return fmt.Errorf("%s set %d: the LRU matrix does not order ways %d and %d (rows %#x, %#x)",
+							lv.name, x, j, w, row(j), row(w))
+					}
+				}
 			}
 		}
 	}
@@ -600,31 +668,34 @@ func cloneLeak(clone func(*Hierarchy) *Hierarchy) string {
 
 // A clone's later work never shows in its source, which goes on exactly as
 // an untouched twin does. The check is sensitive: a planted copy that
-// shares any one of the hierarchy's slices with its source fails it.
+// shares any one of the hierarchy's slices with its source fails it. The
+// slices are found by reflection, so a field added later is checked too.
 func TestCloneIsIndependentOfItsSource(t *testing.T) {
 	if leak := cloneLeak((*Hierarchy).Clone); leak != "" {
 		t.Fatalf("Clone shares state with its source: %s", leak)
 	}
-	for name, alias := range map[string]func(c, h *Hierarchy){
-		"clocks":  func(c, h *Hierarchy) { c.clocks = h.clocks },
-		"l1Key":   func(c, h *Hierarchy) { c.l1Key = h.l1Key },
-		"l1Used":  func(c, h *Hierarchy) { c.l1Used = h.l1Used },
-		"l1Frame": func(c, h *Hierarchy) { c.l1Frame = h.l1Frame },
-		"l1Dirty": func(c, h *Hierarchy) { c.l1Dirty = h.l1Dirty },
-		"l1Skip":  func(c, h *Hierarchy) { c.l1Skip = h.l1Skip },
-		"l2Key":   func(c, h *Hierarchy) { c.l2Key = h.l2Key },
-		"l2Used":  func(c, h *Hierarchy) { c.l2Used = h.l2Used },
-		"l2Dirty": func(c, h *Hierarchy) { c.l2Dirty = h.l2Dirty },
-		"l2Dir":   func(c, h *Hierarchy) { c.l2Dir = h.l2Dir },
-	} {
+	// field returns h's i-th field as a settable value, unexported or not.
+	field := func(h *Hierarchy, i int) reflect.Value {
+		f := reflect.ValueOf(h).Elem().Field(i)
+		return reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+	}
+	typ, checked := reflect.TypeOf(Hierarchy{}), 0
+	for i := 0; i < typ.NumField(); i++ {
+		if typ.Field(i).Type.Kind() != reflect.Slice {
+			continue
+		}
+		checked++
 		planted := func(h *Hierarchy) *Hierarchy {
 			c := h.Clone()
-			alias(c, h)
+			field(c, i).Set(field(h, i))
 			return c
 		}
 		if cloneLeak(planted) == "" {
-			t.Errorf("a copy sharing %s with its source went unnoticed", name)
+			t.Errorf("a copy sharing %s with its source went unnoticed", typ.Field(i).Name)
 		}
+	}
+	if checked == 0 {
+		t.Fatal("found no slice field in Hierarchy")
 	}
 }
 
@@ -646,5 +717,297 @@ func TestCloneContinuesLikeItsSource(t *testing.T) {
 	}
 	if err := c.checkDirectory(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// digest folds every valid way's state into one FNV-1a hash, way by way:
+// each L1 way's key and dirty and skip bits, thread by thread, then each L2
+// frame's key, dirty bit and directory entries. Equal digests mean the same
+// lines in the same ways with the same state.
+func (h *Hierarchy) digest() uint64 {
+	d := uint64(14695981039346656037)
+	mix := func(v uint64) { d = (d ^ v) * 1099511628211 }
+	bit := func(b bool) uint64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	for t := 0; t < h.cfg.Threads; t++ {
+		for s := 0; s < h.cfg.L1Sets; s++ {
+			for w := 0; w < h.cfg.L1Ways; w++ {
+				i := h.l1Index(t, s, w)
+				mix(h.l1Key[i])
+				if h.l1Key[i] != 0 {
+					mix(bit(h.l1Dirty[i])<<1 | bit(h.l1Skip[i]))
+				}
+			}
+		}
+	}
+	for s := 0; s < h.cfg.L2Sets; s++ {
+		for w := 0; w < h.cfg.L2Ways; w++ {
+			f := h.l2Index(s, w)
+			mix(h.l2Key[f])
+			if h.l2Key[f] != 0 {
+				mix(bit(h.l2Dirty[f]))
+				for _, e := range h.dir(f) {
+					mix(uint64(e))
+				}
+			}
+		}
+	}
+	return d
+}
+
+// goldenStream drives h with a seeded stream scaled to its geometry: loads
+// and stores, CBO.CLEAN and CBO.FLUSH with and without the Skip It bit,
+// fences and compute cycles, over four times the L2's lines. Half the
+// accesses fall in a hot range of one and a half L1s, so L1 sets both hit
+// and evict by LRU, and a quarter in a range the size of the L2, so L2 sets
+// do too. The directory is checked every 512 operations and at the end.
+func goldenStream(t *testing.T, h *Hierarchy, seed int64, ops int) {
+	t.Helper()
+	cfg := h.cfg
+	hot, warm := cfg.L1Sets*cfg.L1Ways*3/2, cfg.L2Sets*cfg.L2Ways
+	rng := rand.New(rand.NewSource(seed))
+	for i := 1; i <= ops; i++ {
+		tid := rng.Intn(cfg.Threads)
+		line := rng.Intn(4 * warm)
+		switch rng.Intn(4) {
+		case 0, 1:
+			line %= hot
+		case 2:
+			line %= warm
+		}
+		addr := uint64(line)*cfg.LineBytes + uint64(rng.Intn(8))*8
+		switch op := rng.Intn(16); {
+		case op < 5:
+			h.Access(tid, addr, false)
+		case op < 10:
+			h.Access(tid, addr, true)
+		case op < 14:
+			h.Flush(tid, addr, op&1 == 0, op&2 == 0)
+		case op == 14:
+			h.Fence(tid)
+		default:
+			h.AddCycles(tid, float64(rng.Intn(10)))
+		}
+		if i%512 == 0 || i == ops {
+			if err := h.checkDirectory(); err != nil {
+				t.Fatalf("op %d: %v", i, err)
+			}
+		}
+	}
+}
+
+// TestGoldenGeometries pins the model's complete behaviour, Stats, clocks
+// and the state of every way, on seeded streams over the geometries the
+// figures use (DefaultConfig at 2 and 4 threads) and over small 1-, 3-, 5-
+// and 7-way sets at either level, where a way count below a power of two
+// leaves lanes a set may not use. The values were recorded from the model
+// that kept a timestamp per way and scanned each set; a lookup, placement or
+// eviction change that moves any of them changes simulated results.
+func TestGoldenGeometries(t *testing.T) {
+	geometry := func(threads, l1Sets, l1Ways, l2Sets, l2Ways int) Config {
+		cfg := DefaultConfig(threads)
+		cfg.L1Sets, cfg.L1Ways = l1Sets, l1Ways
+		cfg.L2Sets, cfg.L2Ways = l2Sets, l2Ways
+		return cfg
+	}
+	for _, g := range []struct {
+		name   string
+		cfg    Config
+		ops    int
+		stats  Stats
+		clocks []float64
+		digest uint64
+	}{
+		{
+			name: "default-2", cfg: DefaultConfig(2), ops: 300_000,
+			stats: Stats{Accesses: 187832, L1Hits: 29855, L2Hits: 76431, MemFills: 74452, CoherenceMisses: 7094,
+				Flushes: 74895, FlushDropsL1: 1510, FlushSkipsL2: 44402, FlushWrites: 52840, Fences: 18725},
+			clocks: []float64{7.715951e+06, 7.7183605e+06},
+			digest: 0x17d8547422ec259e,
+		},
+		{
+			name: "default-4", cfg: DefaultConfig(4), ops: 300_000,
+			stats: Stats{Accesses: 187832, L1Hits: 24402, L2Hits: 74882, MemFills: 74623, CoherenceMisses: 13925,
+				Flushes: 74895, FlushDropsL1: 1106, FlushSkipsL2: 44803, FlushWrites: 52848, Fences: 18725},
+			clocks: []float64{3.942723e+06, 3.957716e+06, 3.9499205e+06, 3.9489745e+06},
+			digest: 0x342d33536ee473c,
+		},
+		{
+			name: "L1-16x1-L2-32x3", cfg: geometry(2, 16, 1, 32, 3), ops: 20_000,
+			stats: Stats{Accesses: 12444, L1Hits: 2161, L2Hits: 4916, MemFills: 4897, CoherenceMisses: 470,
+				Flushes: 5018, FlushDropsL1: 115, FlushSkipsL2: 2945, FlushWrites: 3728, Fences: 1272},
+			clocks: []float64{509898, 511096},
+			digest: 0x7547c4f041b2bffa,
+		},
+		{
+			name: "L1-8x3-L2-16x5", cfg: geometry(3, 8, 3, 16, 5), ops: 20_000,
+			stats: Stats{Accesses: 12444, L1Hits: 2402, L2Hits: 4009, MemFills: 5038, CoherenceMisses: 995,
+				Flushes: 5018, FlushDropsL1: 122, FlushSkipsL2: 2949, FlushWrites: 3815, Fences: 1272},
+			clocks: []float64{346268.5, 345635, 348718},
+			digest: 0x6db4033a13bc93b,
+		},
+		{
+			name: "L1-4x5-L2-8x7", cfg: geometry(4, 4, 5, 8, 7), ops: 20_000,
+			stats: Stats{Accesses: 12444, L1Hits: 2238, L2Hits: 3902, MemFills: 5033, CoherenceMisses: 1271,
+				Flushes: 5018, FlushDropsL1: 131, FlushSkipsL2: 2924, FlushWrites: 3854, Fences: 1272},
+			clocks: []float64{264681.5, 266821.5, 263251.5, 259187},
+			digest: 0xd7ddf855e17a8666,
+		},
+		{
+			name: "L1-2x7-L2-64x1", cfg: geometry(2, 2, 7, 64, 1), ops: 20_000,
+			stats: Stats{Accesses: 12444, L1Hits: 2654, L2Hits: 4175, MemFills: 5052, CoherenceMisses: 563,
+				Flushes: 5018, FlushDropsL1: 133, FlushSkipsL2: 2984, FlushWrites: 3874, Fences: 1272},
+			clocks: []float64{512550.5, 507008.5},
+			digest: 0x25e4ea185c1a7847,
+		},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			h := New(g.cfg)
+			goldenStream(t, h, 20261020, g.ops)
+			if got := h.Stats(); got != g.stats {
+				t.Errorf("Stats() = %+v\nwant %+v", got, g.stats)
+			}
+			for tid, want := range g.clocks {
+				if got := h.Clock(tid); got != want {
+					t.Errorf("Clock(%d) = %v, want %v", tid, got, want)
+				}
+			}
+			if got := h.digest(); got != g.digest {
+				t.Errorf("digest() = %#x, want %#x", got, g.digest)
+			}
+		})
+	}
+}
+
+// l1WayOf returns the way of tid's L1 set that holds addr's line, or -1.
+func (h *Hierarchy) l1WayOf(tid int, addr uint64) int {
+	lineNo := h.line(addr)
+	s, key := int(lineNo&h.l1SetMask), lineNo>>h.l1SetBits+1
+	for w := 0; w < h.cfg.L1Ways; w++ {
+		if h.l1Key[h.l1Index(tid, s, w)] == key {
+			return w
+		}
+	}
+	return -1
+}
+
+// l2WayOf returns the way of its L2 set that holds addr's line, or -1.
+func (h *Hierarchy) l2WayOf(addr uint64) int {
+	lineNo := h.line(addr)
+	s, key := int(lineNo&h.l2SetMask), lineNo>>h.l2SetBits+1
+	for w := 0; w < h.cfg.L2Ways; w++ {
+		if h.l2Key[h.l2Index(s, w)] == key {
+			return w
+		}
+	}
+	return -1
+}
+
+// A fill takes its set's lowest-numbered invalid way, and only a full set
+// evicts, its least recently used way. At the L1 a hit and a write upgrade
+// count as uses, at the L2 every L1 miss; no flush does.
+func TestVictimIsFirstFreeWayElseLRU(t *testing.T) {
+	line := func(n int) uint64 { return uint64(n) * 64 }
+	check := func(t *testing.T, wayOf func(uint64) int, want map[int]int) {
+		t.Helper()
+		for n := 0; n < 8; n++ {
+			w, ok := want[n]
+			if !ok {
+				w = -1
+			}
+			if got := wayOf(line(n)); got != w {
+				t.Errorf("line %d in way %d, want %d", n, got, w)
+			}
+		}
+	}
+	t.Run("L1", func(t *testing.T) {
+		cfg := DefaultConfig(1)
+		cfg.L1Sets, cfg.L1Ways = 1, 4 // one set; the L2 holds every line
+		h := New(cfg)
+		for n := 0; n < 4; n++ {
+			h.Access(0, line(n), false) // ways 0-3
+		}
+		h.Access(0, line(0), false)      // a hit: LRU order 1 2 3 0
+		h.Access(0, line(2), true)       // an upgrade: 1 3 0 2
+		h.Flush(0, line(1), true, false) // a clean: no use
+		h.Access(0, line(4), false)      // evicts line 1 from way 1
+		h.Flush(0, line(0), false, false)
+		h.Flush(0, line(2), false, false) // ways 0 and 2 free
+		h.Access(0, line(5), false)       // way 0
+		h.Access(0, line(6), false)       // way 2; LRU order 3 4 5 6
+		h.Access(0, line(7), false)       // evicts line 3 from way 3
+		check(t, func(a uint64) int { return h.l1WayOf(0, a) }, map[int]int{4: 1, 5: 0, 6: 2, 7: 3})
+	})
+	t.Run("L2", func(t *testing.T) {
+		cfg := DefaultConfig(1)
+		cfg.L1Sets, cfg.L1Ways = 1, 1 // every other line misses the L1
+		cfg.L2Sets, cfg.L2Ways = 1, 4
+		h := New(cfg)
+		for n := 0; n < 4; n++ {
+			h.Access(0, line(n), false) // ways 0-3
+		}
+		h.Access(0, line(0), false)      // an L1 miss: LRU order 1 2 3 0
+		h.Access(0, line(1), false)      // 2 3 0 1
+		h.Access(0, line(1), true)       // an L1 hit: no use at the L2
+		h.Flush(0, line(2), true, false) // a clean: no use
+		h.Access(0, line(4), false)      // evicts line 2 from way 2
+		h.Flush(0, line(0), false, false)
+		h.Flush(0, line(3), false, false) // ways 0 and 3 free
+		h.Access(0, line(5), false)       // way 0
+		h.Access(0, line(6), false)       // way 3; LRU order 1 4 5 6
+		h.Access(0, line(7), false)       // evicts line 1 from way 1
+		check(t, h.l2WayOf, map[int]int{4: 2, 5: 0, 6: 3, 7: 1})
+	})
+}
+
+// BenchmarkAccess times one call on a warm DefaultConfig(2) hierarchy, by
+// pattern. hit-random reads 128 resident lines in a random order, l2-hit
+// reads 768 lines in turn, so every read misses the L1 (12 lines per L1 set
+// against 8 ways) and hits the L2, and hit-in-order reads the 128 resident
+// lines in turn. automatic-plain is what the automatic mode's plain scheme
+// does at each node a traversal reads: a load, then a CBO.FLUSH of the same
+// line without the Skip It bit, over 1,024 lines in turn, so every load
+// fills from memory; its ns/op is one load and its flush.
+func BenchmarkAccess(b *testing.B) {
+	lines := func(n int, shuffle bool) []uint64 {
+		addrs := make([]uint64, 4096)
+		perm := rand.New(rand.NewSource(1)).Perm(len(addrs))
+		for i := range addrs {
+			j := i
+			if shuffle {
+				j = perm[i]
+			}
+			addrs[i] = uint64(j%n) * 64
+		}
+		return addrs
+	}
+	for _, p := range []struct {
+		name  string
+		addrs []uint64
+		flush bool
+	}{
+		{"hit-random", lines(128, true), false},
+		{"l2-hit", lines(768, false), false},
+		{"hit-in-order", lines(128, false), false},
+		{"automatic-plain", lines(1024, false), true},
+	} {
+		b.Run(p.name, func(b *testing.B) {
+			h := New(DefaultConfig(2))
+			for _, a := range p.addrs {
+				h.Access(0, a, false)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a := p.addrs[i&(len(p.addrs)-1)]
+				h.Access(0, a, false)
+				if p.flush {
+					h.Flush(0, a, false, false)
+				}
+			}
+		})
 	}
 }
