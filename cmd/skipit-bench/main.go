@@ -10,7 +10,7 @@
 //
 //	skipit-bench [-fig 9|10|...|16|ablations|all | comma list, e.g. -fig 9,13]
 //	             [-quick] [-csv] [-jobs N] [-out DIR]
-//	             [-baseline FILE] [-gate PCT] [-metrics-dir DIR]
+//	             [-baseline FILE] [-metrics-dir DIR]
 //
 // -quick shrinks sweep sizes and operation counts so the full set completes
 // in well under a minute; -csv emits machine-readable rows (figure,series,
@@ -20,9 +20,10 @@
 // measurement owns its whole simulated system, so results are bit-identical
 // to -jobs 1. -out DIR writes the run's records to DIR/BENCH_quick.json (or
 // DIR/BENCH_full.json). -baseline FILE compares the run against a recorded
-// baseline, and -gate PCT (default 10) fails the process on any cycle-count
-// change beyond the tolerance, in either direction, or on fingerprint drift;
-// either means the baseline needs refreshing.
+// baseline and fails the process on any cycle-count or derived-metric
+// change, in either direction, or on fingerprint drift: the simulator is
+// deterministic, so any difference means the code changed the results and
+// the baseline needs refreshing.
 //
 // -metrics-dir writes one <group>.metrics.json sidecar per cycle-accurate
 // figure (9-13, ablations) holding the labeled telemetry snapshot of every
@@ -53,7 +54,6 @@ func run() int {
 	jobs := flag.Int("jobs", 0, "max concurrent measurements (0 = GOMAXPROCS)")
 	out := flag.String("out", "", "directory to write the run's BENCH_quick.json or BENCH_full.json into")
 	baseline := flag.String("baseline", "", "baseline BENCH_*.json file to gate against")
-	gate := flag.Float64("gate", 10, "tolerance in percent for a cycle-count change in either direction (with -baseline)")
 	metricsDir := flag.String("metrics-dir", "", "write per-figure metrics sidecar JSON files into this directory")
 	flag.Parse()
 
@@ -171,7 +171,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-		cmp := sweep.Compare(base.Records, records, *gate)
+		cmp := sweep.Compare(base.Records, records, 0)
 		fmt.Printf("\n== %s vs %s\n", cmp, *baseline)
 		if !cmp.OK() {
 			fmt.Fprintln(os.Stderr, "regression gate FAILED: cycle counts or derived metrics changed (intentional changes must refresh the baseline; see README)")

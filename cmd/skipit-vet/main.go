@@ -2,28 +2,23 @@
 // (internal/analysis): determinism, detflow, hotalloc, nextevent,
 // metricname and staleignore.
 //
-// It supports two modes:
+//	skipit-vet [-json] [packages]
 //
-//   - vettool mode: when invoked by the go command
-//     (go vet -vettool=$(which skipit-vet) ./...) it speaks the unitchecker
-//     protocol — the go command passes a *.cfg file per package and a
-//     -V=full version probe, and handles package loading, caching and fact
-//     serialization itself.
-//
-//   - standalone mode: `skipit-vet [-json] [-tests] [packages]` loads and
-//     type-checks packages in-process (internal/analysis/driver) and prints
-//     findings, one per line, or as a JSON array for machine consumers such
-//     as cmd/ghannotate. Exit status: 0 clean, 1 findings, 2 failure.
+// It loads and type-checks the packages and their _test.go compilation
+// units in-process (internal/analysis/driver) and prints findings, one per
+// line, or as a JSON array for machine consumers such as cmd/ghannotate.
+// Exit status: 0 clean, 1 findings, 2 failure.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
-	"golang.org/x/tools/go/analysis/unitchecker"
 	"skipit/internal/analysis/driver"
 	"skipit/internal/analysis/skipvet"
 )
@@ -38,44 +33,46 @@ type jsonDiag struct {
 }
 
 func main() {
-	// The go command drives vettools through the unitchecker protocol: a
-	// -V=full version probe and a -flags capability probe, then one
-	// invocation per package with a *.cfg argument.
-	for _, arg := range os.Args[1:] {
-		if strings.HasSuffix(arg, ".cfg") || strings.HasPrefix(arg, "-V") || arg == "-flags" {
-			unitchecker.Main(skipvet.Analyzers...) // never returns
-		}
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array")
-	tests := flag.Bool("tests", true, "also analyze _test.go compilation units")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: skipit-vet [-json] [-tests=false] [packages]\n\n")
-		fmt.Fprintf(flag.CommandLine.Output(), "Analyzers:\n")
+// run lints the packages named by args and returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("skipit-vet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	asJSON := fs.Bool("json", false, "emit findings as a JSON array")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: skipit-vet [-json] [packages]\n\n")
+		fmt.Fprintf(stderr, "Analyzers:\n")
 		for _, a := range skipvet.Analyzers {
 			doc, _, _ := strings.Cut(a.Doc, "\n")
-			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, doc)
+			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, doc)
 		}
-		fmt.Fprintf(flag.CommandLine.Output(), "\nFlags:\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(stderr, "\nFlags:\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 
-	l := &driver.Loader{Tests: *tests}
+	l := &driver.Loader{Tests: true}
 	pkgs, err := l.Load(patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipit-vet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "skipit-vet: %v\n", err)
+		return 2
 	}
 	diags, err := driver.Run(pkgs, l.Fset, skipvet.Analyzers)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipit-vet: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "skipit-vet: %v\n", err)
+		return 2
 	}
 
 	if *asJSON {
@@ -89,18 +86,19 @@ func main() {
 				Message:  d.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "skipit-vet: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "skipit-vet: %v\n", err)
+			return 2
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Printf("%s: %s (%s)\n", d.Posn, d.Message, d.Analyzer)
+			fmt.Fprintf(stdout, "%s: %s (%s)\n", d.Posn, d.Message, d.Analyzer)
 		}
 	}
 	if len(diags) > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

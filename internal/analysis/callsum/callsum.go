@@ -15,6 +15,11 @@
 //   - calls of function values (fields, parameters, closures bound to
 //     variables) do not resolve at all.
 //
+// Only module packages get summaries: the driver type-checks the standard
+// library for imports but never analyzes it, so std bodies are inert to the
+// consumers, which match sources such as time.Now by callee name at call
+// sites in module code.
+//
 // Analyzers that consume summaries therefore under-approximate the dynamic
 // call graph; the rule docs in internal/analysis/README.md state this
 // limitation wherever it matters.
@@ -71,17 +76,6 @@ type Call struct {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	sums := &Summaries{ByObj: make(map[*types.Func]*FuncInfo)}
-	// Standard-library packages are summarized as empty on purpose: the
-	// suite's soundness contract treats std bodies as inert — sources like
-	// time.Now are matched by callee name at call sites in module code.
-	// The standalone driver never analyzes std at all, but under the go
-	// command's unitchecker protocol every dependency of a vetted package,
-	// std included, gets a fact pass; without this gate the goroutine
-	// launches inside the runtime taint fmt and reflect, and through them
-	// every function that formats anything.
-	if pass.Module == nil || pass.Module.Path == "" || pass.Module.Path == "std" || pass.Module.Path == "cmd" {
-		return sums, nil
-	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		decl := n.(*ast.FuncDecl)

@@ -4,9 +4,8 @@
 // the chaos replay artifacts and the fast-forward equivalence tests all
 // stand on).
 //
-// Within the simulator packages (configurable with -pkgs; defaults to the
-// cycle-accurate core: boom, l1, l2, mem, tilelink, sim, memsim, chaos,
-// detrand, tlctest) it reports:
+// Within the simulator packages (boom, l1, l2, mem, tilelink, core, sim,
+// memsim, chaos, detrand, tlctest; see InScope) it reports:
 //
 //   - wall-clock reads: time.Now / time.Since / time.Until. Host time must
 //     never influence simulated state; the one legitimate use (host
@@ -48,32 +47,33 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-// pkgs is the comma-separated list of import-path fragments that mark a
-// package as part of the deterministic simulator core. A package is in
-// scope when its import path ends with a fragment or contains it as an
-// interior path segment (so fixture trees mirroring the real layout under
-// testdata/src/ are matched too).
-var pkgs = "internal/boom,internal/l1,internal/l2,internal/mem,internal/tilelink,internal/sim,internal/memsim,internal/chaos,internal/detrand,internal/tlctest"
-
-func init() {
-	Analyzer.Flags.StringVar(&pkgs, "pkgs", pkgs, "comma-separated import-path fragments of deterministic simulator packages")
+// simPkgs lists the import-path fragments of the deterministic simulator
+// packages. The flush unit (internal/core) is in the list: it is the
+// paper's contribution, and its cycle-by-cycle behavior is what every
+// figure measures.
+var simPkgs = [...]string{
+	"internal/boom", "internal/l1", "internal/l2", "internal/mem",
+	"internal/tilelink", "internal/core", "internal/sim", "internal/memsim",
+	"internal/chaos", "internal/detrand", "internal/tlctest",
 }
 
-// InScope reports whether path is one of the simulator packages. Exported
-// for detflow, which shares the determinism analyzer's scope definition
-// (including any -determinism.pkgs override) so the two rule sets can never
-// disagree about where the simulator boundary lies.
+// InScope reports whether path is one of the simulator packages. detflow
+// shares this scope, and nextevent checks the components in it, so no two
+// rule sets can disagree about where the simulator boundary lies.
 func InScope(path string) bool {
-	for _, frag := range strings.Split(pkgs, ",") {
-		frag = strings.TrimSpace(frag)
-		if frag == "" {
-			continue
-		}
-		if path == frag || strings.HasSuffix(path, "/"+frag) || strings.Contains(path, "/"+frag+"/") {
+	for _, frag := range simPkgs {
+		if Matches(path, frag) {
 			return true
 		}
 	}
 	return false
+}
+
+// Matches reports whether path names the package frag: path ends with frag
+// or contains it as an interior path segment (so fixture trees mirroring
+// the real layout under testdata/src/ match too).
+func Matches(path, frag string) bool {
+	return path == frag || strings.HasSuffix(path, "/"+frag) || strings.Contains(path, "/"+frag+"/")
 }
 
 // wallClockFuncs are the time package functions that read the host clock.

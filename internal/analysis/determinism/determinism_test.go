@@ -8,5 +8,5 @@ import (
 )
 
 func TestDeterminism(t *testing.T) {
-	antest.Run(t, determinism.Analyzer, antest.Dir(t, "internal/sim"))
+	antest.Run(t, determinism.Analyzer, antest.Dir(t, "internal/sim"), antest.Dir(t, "internal/core"))
 }

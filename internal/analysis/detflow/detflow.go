@@ -19,7 +19,7 @@
 //     source, so a diagnostic three packages away can still name the exact
 //     time.Now that caused it.
 //  3. Findings: a call into a tainted function from (a) a package in the
-//     determinism analyzer's simulator scope (same -pkgs list), or (b) a
+//     determinism analyzer's simulator scope (determinism.InScope), or (b) a
 //     //skipit:hotpath function in any package. The diagnostic prints the
 //     witness chain.
 //

@@ -123,11 +123,13 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if m.Standard {
 			continue // resolved by the source importer on demand
 		}
-		if strings.HasSuffix(m.ImportPath, ".test") || m.Name == "" {
-			continue // synthesized test main packages
-		}
+		// Before the name check: a pattern naming a missing directory
+		// comes back with an error and no name, and must not lint as clean.
 		if m.Error != nil && len(m.GoFiles) == 0 {
 			return nil, fmt.Errorf("%s: %s", m.ImportPath, m.Error.Err)
+		}
+		if strings.HasSuffix(m.ImportPath, ".test") || m.Name == "" {
+			continue // synthesized test main packages
 		}
 		p, err := l.typecheck(m)
 		if err != nil {

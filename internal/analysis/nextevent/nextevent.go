@@ -1,13 +1,14 @@
 // Package nextevent implements the skipit-vet analyzer guarding the
 // fast-forward clock's completeness contract (internal/sim/fastforward.go):
 //
-//  1. In the component packages (boom, l1, l2, mem, tilelink, core), every
-//     type that exposes a cycle hook — a Tick method — must also implement
-//     NextEvent(int64) int64. A component without NextEvent cannot tell the
-//     clock when it next acts, so every idle window containing it would have
-//     to be single-stepped; worse, a conservative fold that ignores it would
-//     skip cycles in which it acts, silently breaking the byte-identical
-//     on/off guarantee.
+//  1. In the simulator packages (determinism.InScope: boom, l1, l2, mem,
+//     tilelink, core, sim and the rest), every type that exposes a cycle
+//     hook — a Tick method — must also implement NextEvent(int64) int64.
+//     A component without NextEvent cannot tell the clock when it next
+//     acts, so every idle window containing it would have to be
+//     single-stepped; worse, a conservative fold that ignores it would skip
+//     cycles in which it acts, silently breaking the byte-identical on/off
+//     guarantee.
 //  2. In internal/sim, every System field whose type implements NextEvent
 //     must be folded into a part's wake: consulted by (*System).tileNext or
 //     (*System).hubNext (internal/sim/wake.go). A field whose element type
@@ -22,11 +23,11 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"golang.org/x/tools/go/analysis"
 	"golang.org/x/tools/go/analysis/passes/inspect"
 	"golang.org/x/tools/go/ast/inspector"
+	"skipit/internal/analysis/determinism"
 	"skipit/internal/analysis/suppress"
 )
 
@@ -38,32 +39,12 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-// componentPkgs lists the packages whose types are clocked components.
-var componentPkgs = "internal/boom,internal/l1,internal/l2,internal/mem,internal/tilelink,internal/core"
-
-func init() {
-	Analyzer.Flags.StringVar(&componentPkgs, "pkgs", componentPkgs, "comma-separated import-path fragments of component packages")
-}
-
-func matches(path, list string) bool {
-	for _, frag := range strings.Split(list, ",") {
-		frag = strings.TrimSpace(frag)
-		if frag == "" {
-			continue
-		}
-		if path == frag || strings.HasSuffix(path, "/"+frag) || strings.Contains(path, "/"+frag+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
 	suppress.Apply(pass)
-	if matches(pass.Pkg.Path(), componentPkgs) {
+	if determinism.InScope(pass.Pkg.Path()) {
 		checkComponents(pass)
 	}
-	if matches(pass.Pkg.Path(), "internal/sim") {
+	if determinism.Matches(pass.Pkg.Path(), "internal/sim") {
 		checkFold(pass)
 	}
 	return nil, nil

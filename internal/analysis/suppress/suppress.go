@@ -55,7 +55,8 @@ func (d Directive) Target() int {
 // analyzer) key was never hit is a dead waiver. The map is keyed by file
 // path, so runs over distinct packages never collide; test-variant packages
 // share their base package's files and simply mark the same keys again.
-// Guarded by a mutex because unitchecker runs analyzers concurrently.
+// The driver runs analyzers one at a time; the mutex keeps the table safe
+// for any caller that runs two driver passes at once in one process.
 var usage struct {
 	sync.Mutex
 	hit map[usageKey]bool
